@@ -185,19 +185,15 @@ class EvalServiceStats:
             (they count toward ``hits`` as well — the breakdown says
             *which* tier answered).
         hap_moves_priced / hap_moves_pruned / hap_moves_resumed /
-        hap_memo_hits / hap_steps_saved / hap_steps_replayed:
+        hap_steps_saved / hap_steps_replayed:
             HAP single-move pricing counters aggregated across every
             solve this service ran (see
             :class:`repro.mapping.schedule.MoveStats`).  Misses priced
             on a worker pool run their own solvers, so their inner-loop
             counters are not reflected here (the cache accounting still
             is).
-        hap_batched_rounds / hap_batch_width: Vectorised move-kernel
-            accounting — ``trial_moves`` rounds issued and total
-            candidate columns priced across them (mean width =
-            ``hap_batch_width / hap_batched_rounds``).  Shows how much
-            of the move pricing ran through the array program rather
-            than one-at-a-time trials.
+        hap_batched_rounds: Always 0; kept because the repository
+            benchmark (``perfbench/scenarios.py``) reads it.
         pool_restarts: Times a broken process pool was rebuilt and its
             batch repriced serially (fault tolerance, not a hot path).
         retries / reconnects / degraded: Fault counters mirrored by
@@ -228,11 +224,9 @@ class EvalServiceStats:
     hap_moves_priced: int = 0
     hap_moves_pruned: int = 0
     hap_moves_resumed: int = 0
-    hap_memo_hits: int = 0
     hap_steps_saved: int = 0
     hap_steps_replayed: int = 0
-    hap_batched_rounds: int = 0
-    hap_batch_width: int = 0
+    hap_batched_rounds: int = 0  # constant; read by perfbench/scenarios.py
     pool_restarts: int = 0
     retries: int = 0
     reconnects: int = 0
@@ -306,11 +300,6 @@ class EvalServiceStats:
         saved_pct = self.hap_steps_saved / steps if steps else 0.0
         restarts = (f"; {self.pool_restarts} pool restarts"
                     if self.pool_restarts else "")
-        batched = ""
-        if self.hap_batched_rounds:
-            mean_width = self.hap_batch_width / self.hap_batched_rounds
-            batched = (f", {self.hap_batched_rounds} batched rounds "
-                       f"(mean width {mean_width:.1f})")
         store = ""
         if self.store_entries or self.store_bytes:
             store = (f"; store {self.store_entries} entries, "
@@ -322,7 +311,7 @@ class EvalServiceStats:
                 f"HAP moves {moves} priced, "
                 f"{self.hap_moves_pruned} pruned ({pruned_pct:.1%}), "
                 f"{self.hap_moves_resumed} resumed "
-                f"({saved_pct:.1%} steps skipped){batched}{restarts}{store}")
+                f"({saved_pct:.1%} steps skipped){restarts}{store}")
 
 
 class EvalService:
@@ -584,11 +573,8 @@ class EvalService:
         stats.hap_moves_priced = moves.moves_priced
         stats.hap_moves_pruned = moves.pruned
         stats.hap_moves_resumed = moves.resumed
-        stats.hap_memo_hits = moves.memo_hits
         stats.hap_steps_saved = moves.steps_saved
         stats.hap_steps_replayed = moves.steps_replayed
-        stats.hap_batched_rounds = moves.batched_rounds
-        stats.hap_batch_width = moves.batch_width
         cost_model = self.evaluator.cost_model
         stats.cost_memo_hits = cost_model.memo_hits
         stats.cost_memo_misses = cost_model.memo_misses

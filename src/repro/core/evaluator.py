@@ -81,7 +81,7 @@ class Evaluator:
         self.rho = rho
         self.hardware_evaluations = 0
         #: Aggregated HAP move-pricing counters across every hardware
-        #: evaluation run by this evaluator (memo hits, certified prunes,
+        #: evaluation run by this evaluator (certified prunes,
         #: delta-resumes); cost-table memo counters live on
         #: ``cost_model.memo_hits`` / ``memo_misses``.
         self.move_stats = MoveStats()

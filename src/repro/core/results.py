@@ -84,10 +84,6 @@ class SearchResult:
             accounting — certified-bound prunes and delta-resume reuse
             inside the uncached solves (zero on worker-pool misses,
             whose counters stay in the worker processes).
-        hap_batched_rounds / hap_batch_width: Vectorised move-kernel
-            accounting — ``trial_moves`` rounds and total columns
-            priced through the array program (mean batch width is
-            ``hap_batch_width / hap_batched_rounds``).
         degraded: Whether a remote pricing client fell back to local
             pricing mid-run (results stay bit-identical; the flag makes
             the fault visible in the run record).
@@ -114,8 +110,6 @@ class SearchResult:
     hap_moves_resumed: int = 0
     hap_steps_saved: int = 0
     hap_steps_replayed: int = 0
-    hap_batched_rounds: int = 0
-    hap_batch_width: int = 0
     degraded: bool = False
     pricing_retries: int = 0
     pricing_reconnects: int = 0
@@ -137,9 +131,6 @@ class SearchResult:
         self.hap_moves_resumed = stats.hap_moves_resumed
         self.hap_steps_saved = stats.hap_steps_saved
         self.hap_steps_replayed = stats.hap_steps_replayed
-        self.hap_batched_rounds = int(
-            getattr(stats, "hap_batched_rounds", 0))
-        self.hap_batch_width = int(getattr(stats, "hap_batch_width", 0))
         # Fault counters (getattr-guarded: older snapshots round-trip
         # through checkpoints without these fields).
         self.degraded = bool(getattr(stats, "degraded", 0))
@@ -187,16 +178,11 @@ class SearchResult:
         if self.hap_moves_priced:
             steps = self.hap_steps_saved + self.hap_steps_replayed
             saved = self.hap_steps_saved / steps if steps else 0.0
-            batched = ""
-            if self.hap_batched_rounds:
-                width = self.hap_batch_width / self.hap_batched_rounds
-                batched = (f", {self.hap_batched_rounds} batched rounds "
-                           f"(mean width {width:.1f})")
             lines.append(
                 f"HAP move pricing: {self.hap_moves_priced} moves, "
                 f"{self.hap_moves_pruned} pruned by certified bounds, "
                 f"{self.hap_moves_resumed} delta-resumed "
-                f"({saved:.1%} simulation steps skipped){batched}")
+                f"({saved:.1%} simulation steps skipped)")
         if self.degraded or self.pricing_retries \
                 or self.pricing_reconnects or self.pool_restarts:
             flags = []

@@ -198,8 +198,7 @@ def result_to_dict(result: SearchResult) -> dict[str, Any]:
             "hap_moves_resumed": result.hap_moves_resumed,
             "hap_steps_saved": result.hap_steps_saved,
             "hap_steps_replayed": result.hap_steps_replayed,
-            "hap_batched_rounds": result.hap_batched_rounds,
-            "hap_batch_width": result.hap_batch_width,
+            "hap_batched_rounds": 0,  # read by perfbench/scenarios.py
             "degraded": result.degraded,
             "retries": result.pricing_retries,
             "reconnects": result.pricing_reconnects,

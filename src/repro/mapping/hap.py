@@ -20,34 +20,25 @@ rejecting outright.
 
 Hot-path note: both phases evaluate ``num_layers * (num_slots - 1)``
 single-layer moves per iteration, and this solver runs for every sampled
-design of the search loop.  Four nested fast paths price those moves
-(each provably choice-identical to the one below it, property-tested in
+design of the search loop.  One fast path prices those moves, and one
+oracle holds it to account (choice-identical, property-tested in
 ``tests/test_hap_properties.py``):
 
-- ``incremental=True, resume=True, batched=True`` (default): each sweep
-  is priced as **one array program** — a vectorised prune mask
-  (:meth:`~repro.mapping.schedule.MakespanEvaluator.move_lower_bounds`)
-  drops every move whose certified bound already disqualifies it, then
-  one lockstep suffix replay over array columns
-  (:meth:`~repro.mapping.schedule.MakespanEvaluator.trial_moves`)
-  prices all survivors exactly, and the winner is the lexicographic
-  minimum under the reference tie-break key.
-- ``incremental=True, resume=True, batched=False``: scalar
-  **delta-resume** — moves priced one at a time through
-  :meth:`~repro.mapping.schedule.MakespanEvaluator.trial_move`, replays
-  from the incumbent's recorded event list plus certified lower-bound
-  pre-filters that skip moves provably above the cutoff; the refinement
-  phase scans candidate moves in descending-saving order and stops at
-  the first saving group containing a feasible move (moves with smaller
-  savings can never win the ``(-saving, makespan)`` tie-break, so
-  skipping them is exact).
-- ``incremental=True, resume=False``: the PR-1 fast path — memoised
-  full replays from cycle 0 with cutoff early-exit, full move scan.
-  Kept as the benchmark baseline (``benchmarks/bench_hap.py``).
+- ``incremental=True`` (default): **delta-resume** — moves priced one
+  at a time through
+  :meth:`~repro.mapping.schedule.MakespanEvaluator.trial_move`, which
+  replays from the incumbent's recorded event list, plus certified
+  lower-bound pre-filters that skip moves provably above the cutoff.
+  The feasibility phase scans moves in ascending-bound order and stops
+  once the bound exceeds the best trial so far; the refinement phase
+  scans them in descending-saving order and stops at the first saving
+  group containing a feasible move (moves with smaller savings can
+  never win the ``(-saving, makespan)`` tie-break, so skipping them is
+  exact).
 - ``incremental=False``: full :func:`~repro.mapping.schedule.list_schedule`
   reschedules per trial, full move scan — the slow reference oracle.
 
-All four produce bit-identical :class:`HAPResult`\\ s, including the
+Both produce bit-identical :class:`HAPResult`\\ s, including the
 ``refinement_energies`` trajectory, which is maintained by *delta
 bookkeeping*: one energy-table read per accepted move instead of an
 O(num_layers) recompute.  The float trajectory is therefore delta-summed
@@ -58,8 +49,6 @@ matches ``energy_nj`` bit for bit (see :class:`HAPResult`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.mapping.problem import MappingProblem
 from repro.mapping.schedule import (MakespanEvaluator, MoveStats, Schedule,
@@ -195,8 +184,8 @@ def _improve_makespan_sorted(problem: MappingProblem,
             # A tie with the incumbent only matters when this move's
             # (flat_id, pos) would win the tie-break; only then is the
             # cutoff raised to best_val so the exact tie stays
-            # representable — otherwise the PR-1 cutoff applies and
-            # tying trials early-exit.
+            # representable — otherwise the reference scan's cutoff
+            # applies and tying trials early-exit.
             tie_can_win = best_move is not None and (flat_id, pos) < best_move
             cutoff = best_val if tie_can_win else best_val - 1
             trial = pricer.trial_move(flat_id, pos, cutoff=cutoff,
@@ -210,169 +199,6 @@ def _improve_makespan_sorted(problem: MappingProblem,
             break  # stuck: no single move shrinks the makespan
         flat_id, pos = best_move
         assignment[flat_id] = pos
-        makespan = pricer.rebase(tuple(assignment))
-    return assignment, makespan
-
-
-#: Cached (flat, pos) full grids keyed by instance shape — the static
-#: part of _candidate_moves, shared across sweeps and instances.
-_GRID_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _candidate_moves(assignment: list[int], num_layers: int,
-                     num_slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """All single-layer moves off the current assignment as parallel
-    ``(flat_ids, positions)`` arrays, in the reference scan order
-    (``flat_id``-major, ``pos`` ascending)."""
-    key = (num_layers, num_slots)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        flat = np.repeat(np.arange(num_layers, dtype=np.int64), num_slots)
-        pos = np.tile(np.arange(num_slots, dtype=np.int64), num_layers)
-        flat.setflags(write=False)
-        pos.setflags(write=False)
-        _GRID_CACHE[key] = grid = (flat, pos)
-    flat, pos = grid
-    keep = pos != np.asarray(assignment, dtype=np.int64)[flat]
-    return flat[keep], pos[keep]
-
-
-# Scalar probes priced before a sweep considers handing its remaining
-# eligible moves to the array program: the probes establish a tight
-# incumbent (the sorted scan's shrinking-cutoff power), the wave then
-# prices everything still eligible in one go.
-_PROBE = 4
-
-# Minimum eligible-move count worth a wave; below it the scalar sorted
-# walk finishes the sweep (array-program setup would dominate).
-_WAVE_MIN = 16
-
-# Minimum estimated cost ratio (scalar over hybrid, per the pricer's
-# wave cost model) before a feasibility sweep hands its eligible moves
-# to the array program.  The margin compensates for the shrinking
-# cutoff the scalar walk has and a frozen-cutoff batch does not.
-_GAIN_MARGIN = 1.5
-
-# Refinement saving-groups narrower than this are priced through the
-# scalar delta-resume path: a lockstep wave of width 1-3 costs more in
-# NumPy dispatches than three scalar suffix replays.
-_NARROW = 6
-
-# Minimum sweep width (candidate moves per feasibility sweep) before
-# ``solve_hap`` selects the batched scans at all; smaller instances run
-# the choice-identical scalar delta-resume scans (see solve_hap).
-_BATCH_MIN = 64
-
-
-def _improve_makespan_batched(problem: MappingProblem,
-                              assignment: list[int],
-                              latency_constraint: int,
-                              pricer: MakespanEvaluator
-                              ) -> tuple[list[int], int]:
-    """Hill-climb like :func:`_improve_makespan_sorted`, with the
-    sweep's move bounds computed as one vectorised pass and the bulk of
-    the sweep priced as one array program.
-
-    Each sweep: one :meth:`move_lower_bounds` call replaces the scalar
-    per-move bound loop, a few scalar probes walk the ascending-bound
-    order to establish a tight incumbent (the sorted scan's shrinking
-    cutoff), and if many moves are still eligible — their certified
-    bound does not exceed the incumbent — the rest of the sweep is
-    handed to :meth:`trial_moves` as one batch, which splits it into
-    resume-coherent lockstep waves (or routes narrow waves back to
-    scalar pricing, per its cost model).
-
-    Choice-identical to the reference scan (property-tested): every move
-    whose exact makespan could beat or tie the final winner is priced
-    exactly — a skipped move's certified bound exceeded the running best
-    value, which only ever shrinks — and the winner is the lexicographic
-    minimum of ``(makespan, flat_id, pos)``, the same "smallest trial,
-    earliest move on ties" rule.
-    """
-    makespan = pricer.rebase(tuple(assignment))
-    num_layers = problem.num_layers
-    num_slots = problem.num_slots
-    while makespan > latency_constraint:
-        flat_ids, positions = _candidate_moves(assignment, num_layers,
-                                               num_slots)
-        total = int(flat_ids.shape[0])
-        if total == 0:
-            break
-        bounds = pricer.move_lower_bounds(flat_ids, positions)
-        # Candidates are generated flat-major / pos-ascending, so a
-        # stable sort on bounds alone yields the lexicographic
-        # (bound, flat_id, pos) walk order.
-        order = np.argsort(bounds, kind="stable")
-        flat_s = flat_ids[order]
-        pos_s = positions[order]
-        bnd_s = bounds[order]
-        best_val = makespan
-        best_move: tuple[int, int] | None = None
-        index = 0
-        priced = 0
-        wave_ok = True
-        while index < total:
-            lower_bound = int(bnd_s[index])
-            if lower_bound > best_val:
-                break  # ascending: the rest can neither beat nor tie
-            if priced >= _PROBE and wave_ok:
-                eligible = int(np.searchsorted(
-                    bnd_s, best_val, side="right")) - index
-                if eligible >= _WAVE_MIN:
-                    f_w = flat_s[index:index + eligible]
-                    if pricer.batch_gain(f_w) < _GAIN_MARGIN:
-                        # Incoherent resume depths: the wave would fall
-                        # back to scalar pricing anyway, but with a
-                        # frozen cutoff — the shrinking-cutoff walk
-                        # below is strictly better. Stay scalar for the
-                        # rest of this sweep.
-                        wave_ok = False
-                        continue
-                    p_w = pos_s[index:index + eligible]
-                    vals = pricer.trial_moves(f_w, p_w, cutoff=best_val)
-                    k = int(np.lexsort((p_w, f_w, vals))[0])
-                    val = int(vals[k])
-                    cand = (val, int(f_w[k]), int(p_w[k]))
-                    # vals <= cutoff are exact, so the lexicographic
-                    # compare reproduces the reference acceptance;
-                    # certified values exceed best_val and lose.
-                    if best_move is None:
-                        if val < best_val:
-                            best_val, best_move = val, cand[1:]
-                    elif cand < (best_val, *best_move):
-                        best_val, best_move = val, cand[1:]
-                    index += eligible
-                    continue  # loop re-checks: next bound > old best_val
-            flat_id = int(flat_s[index])
-            pos = int(pos_s[index])
-            # Same tie handling as the scalar sorted scan (see
-            # _improve_makespan_sorted).
-            tie_can_win = (best_move is not None
-                           and (flat_id, pos) < best_move)
-            cutoff = best_val if tie_can_win else best_val - 1
-            if lower_bound > cutoff:
-                # The incumbent shrank below this move's certified bound
-                # since the sweep's vectorised pass: prune inline (same
-                # counters trial_move would record).
-                stats = pricer.stats
-                stats.moves_priced += 1
-                stats.pruned += 1
-                priced += 1
-                index += 1
-                continue
-            trial = pricer.trial_move(flat_id, pos, cutoff=cutoff,
-                                      lower_bound=lower_bound)
-            priced += 1
-            if trial < best_val:
-                best_val = trial
-                best_move = (flat_id, pos)
-            elif trial == best_val and tie_can_win:
-                best_move = (flat_id, pos)
-            index += 1
-        pricer.stats.pruned += total - index
-        if best_move is None:
-            break  # stuck: no single move shrinks the makespan
-        assignment[best_move[0]] = best_move[1]
         makespan = pricer.rebase(tuple(assignment))
     return assignment, makespan
 
@@ -459,81 +285,13 @@ def _best_sorted_move(rows: list[list[tuple]],
     return best_move
 
 
-def _best_batched_move(rows: list[list[tuple]],
-                       latency_constraint: int,
-                       pricer: MakespanEvaluator
-                       ) -> tuple[int, int] | None:
-    """Batched refinement sweep: one vectorised bound pass over every
-    positive-saving move, then the descending-saving group scan of
-    :func:`_best_sorted_move` with wide saving groups priced as lockstep
-    replay waves (narrow groups — the common case — keep the scalar
-    delta-resume path, fed the precomputed bound).
-
-    Group order, the first-feasible-group stop, and the within-group
-    ``(makespan, flat_id, pos)`` lexicographic minimum reproduce the
-    reference scan's ``(-saving, makespan)`` key with its earliest-
-    ``(flat_id, pos)`` tie-break, so the chosen move is identical
-    (property-tested).
-    """
-    moves = [move for row in rows for move in row]
-    if not moves:
-        return None
-    moves.sort()
-    total = len(moves)
-    best_move = None
-    best_key = None
-    index = 0
-    while index < total:
-        neg_saving = moves[index][0]
-        if best_key is not None and neg_saving > best_key[0]:
-            break  # strictly smaller saving: provably cannot win
-        group_end = index
-        while group_end < total and moves[group_end][0] == neg_saving:
-            group_end += 1
-        if group_end - index < _NARROW:
-            # Narrow group (the common case): exactly the scalar sorted
-            # scan — trial_move computes its own certified bound lazily.
-            for j in range(index, group_end):
-                _, flat_id, pos = moves[j]
-                trial = pricer.trial_move(flat_id, pos,
-                                          cutoff=latency_constraint)
-                if trial > latency_constraint:
-                    continue
-                key = (neg_saving, trial)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_move = (flat_id, pos)
-        else:
-            f_g = np.array([moves[j][1] for j in range(index, group_end)],
-                           dtype=np.int64)
-            p_g = np.array([moves[j][2] for j in range(index, group_end)],
-                           dtype=np.int64)
-            bounds = pricer.move_lower_bounds(f_g, p_g)
-            keep = bounds <= latency_constraint
-            pricer.stats.pruned += int(keep.size) - int(keep.sum())
-            if keep.any():
-                f_k = f_g[keep]
-                p_k = p_g[keep]
-                vals = pricer.trial_moves(f_k, p_k,
-                                          cutoff=latency_constraint)
-                k = int(np.lexsort((p_k, f_k, vals))[0])
-                val = int(vals[k])
-                if val <= latency_constraint:
-                    key = (neg_saving, val)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_move = (int(f_k[k]), int(p_k[k]))
-        index = group_end
-    return best_move
-
-
 def _refine_energy(problem: MappingProblem,
                    assignment: list[int],
                    latency_constraint: int,
                    pricer,
                    energies: list[list[float]],
-                   *, scan: str) -> tuple[list[int], int,
-                                          list[float]]:
+                   *, sorted_scan: bool) -> tuple[list[int], int,
+                                                  list[float]]:
     """Greedy best-saving moves while staying within the constraint.
 
     Energy bookkeeping is incremental: the running total starts from one
@@ -546,14 +304,11 @@ def _refine_energy(problem: MappingProblem,
     energy = problem.assignment_energy(tuple(assignment), validate=False)
     trajectory = [energy]
     num_slots = problem.num_slots
-    rows: list[list[tuple]] | None = None
-    if scan != "reference":
+    if sorted_scan:
         rows = [_candidate_row(energies, assignment, flat_id, num_slots)
                 for flat_id in range(len(assignment))]
     while True:
-        if scan == "batched":
-            best_move = _best_batched_move(rows, latency_constraint, pricer)
-        elif scan == "sorted":
+        if sorted_scan:
             best_move = _best_sorted_move(rows, latency_constraint, pricer)
         else:
             best_move = _best_refinement_move(
@@ -565,7 +320,7 @@ def _refine_energy(problem: MappingProblem,
                    - energies[flat_id][assignment[flat_id]])
         assignment[flat_id] = pos
         makespan = pricer.rebase(tuple(assignment))
-        if rows is not None:
+        if sorted_scan:
             rows[flat_id] = _candidate_row(energies, assignment, flat_id,
                                            num_slots)
         trajectory.append(energy)
@@ -575,31 +330,20 @@ def _refine_energy(problem: MappingProblem,
 def solve_hap(problem: MappingProblem,
               latency_constraint: int,
               *, incremental: bool = True,
-              resume: bool = True,
-              batched: bool = True,
               stats: MoveStats | None = None) -> HAPResult:
     """Minimise energy subject to makespan <= ``latency_constraint``.
 
     Args:
         problem: The HAP instance to solve.
         latency_constraint: Makespan budget ``LS``, cycles.
-        incremental: Price single-layer moves through the incremental
-            :class:`~repro.mapping.schedule.MakespanEvaluator` (default).
-            ``False`` falls back to a full ``list_schedule`` per trial —
-            the slow reference oracle used to lock the fast paths down.
-        resume: With ``incremental=True``, enable delta-resume move
-            pricing and the certified prune bounds (default).  ``False``
-            reproduces the PR-1 full-replay fast path (the benchmark
-            baseline).  Ignored when ``incremental=False``.
-        batched: With ``incremental=True, resume=True``, price each
-            solver sweep as one array program (vectorised prune mask +
-            one lockstep suffix replay over all surviving moves) —
-            the default fast path.  ``False`` keeps the PR-2 scalar
-            delta-resume scans (ascending-bound feasibility scan,
-            descending-saving refinement scan).  Ignored otherwise.
+        incremental: Price single-layer moves by delta-resume through
+            :class:`~repro.mapping.schedule.MakespanEvaluator` with the
+            sorted scans (default).  ``False`` falls back to a full
+            ``list_schedule`` per trial and full move scans — the slow
+            reference oracle used to lock the fast path down.
         stats: Optional :class:`~repro.mapping.schedule.MoveStats` that
-            accumulates this solve's move-pricing counters (memo hits,
-            prunes, resumes, batched rounds) — threaded into
+            accumulates this solve's move-pricing counters (prunes,
+            resumes, replayed and saved steps) — threaded into
             :class:`~repro.core.evalservice.EvalServiceStats` by the
             evaluator.
 
@@ -628,38 +372,21 @@ def solve_hap(problem: MappingProblem,
             refinement_energies=(energy,) if feasible else (),
         )
     if incremental:
-        pricer = MakespanEvaluator(problem, resume=resume)
-        # Small instances never fill an array-program wave: their sweeps
-        # (num_layers x (num_slots - 1) moves) sit below the width at
-        # which one lockstep step amortises its NumPy dispatches, so the
-        # batched scans would route every move back to scalar pricing
-        # and pay pure bookkeeping overhead.  Route them to the scalar
-        # delta-resume scans outright — the two scans are
-        # choice-identical, so this changes wall-clock only.
-        wide = (problem.num_layers * (problem.num_slots - 1)
-                >= _BATCH_MIN)
-        scan = ("batched" if resume and batched and wide
-                else "sorted" if resume else "reference")
+        pricer = MakespanEvaluator(problem)
+        improve = _improve_makespan_sorted
     else:
         pricer = _OraclePricer(problem)
-        scan = "reference"
+        improve = _improve_makespan
     energies = problem.energies.tolist()
-    assignment = list(problem.min_latency_assignment())
-    if scan == "batched":
-        assignment, makespan = _improve_makespan_batched(
-            problem, assignment, latency_constraint, pricer)
-    elif scan == "sorted":
-        assignment, makespan = _improve_makespan_sorted(
-            problem, assignment, latency_constraint, pricer)
-    else:
-        assignment, makespan = _improve_makespan(
-            problem, assignment, latency_constraint, pricer)
+    assignment, makespan = improve(
+        problem, list(problem.min_latency_assignment()),
+        latency_constraint, pricer)
     trajectory: list[float] = []
     if makespan <= latency_constraint:
         assignment, makespan, trajectory = _refine_energy(
             problem, assignment, latency_constraint, pricer, energies,
-            scan=scan)
-    if stats is not None and isinstance(pricer, MakespanEvaluator):
+            sorted_scan=incremental)
+    if stats is not None and incremental:
         stats.absorb(pricer.stats)
     schedule = list_schedule(problem, tuple(assignment), validate=False)
     energy = problem.assignment_energy(tuple(assignment), validate=False)

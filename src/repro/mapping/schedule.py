@@ -75,60 +75,43 @@ class MoveStats:
 
     Attributes:
         moves_priced: ``trial_move`` requests.
-        memo_hits: Trials answered from the exact-makespan memo.
         pruned: Trials skipped outright because a certified lower bound
             (per-slot load or per-chain serial work) already exceeded the
             cutoff — no simulation ran at all.
         resumed: Replays — trial moves and single-move rebases — that
             restarted from a recorded snapshot (the event where the moved
             layer first becomes schedulable) instead of from cycle 0.
-        full_replays: Replays from cycle 0 (scratch rebases and
-            ``makespan()``).
+        full_replays: Rebases replayed from cycle 0.
         steps_replayed: Simulation steps actually executed (cutoff
-            early-exits stop counting where they stop simulating).  A
-            batched round counts one step per event per column.
+            early-exits stop counting where they stop simulating).
         steps_saved: Simulation steps skipped by delta-resume prefixes.
-        batched_rounds: :meth:`MakespanEvaluator.trial_moves` calls —
-            solver rounds priced as one vectorised suffix replay.
-        batch_width: Total candidate moves priced across all batched
-            rounds (``batch_width / batched_rounds`` is the mean round
-            width).
     """
 
     moves_priced: int = 0
-    memo_hits: int = 0
     pruned: int = 0
     resumed: int = 0  # trials AND rebases that resumed mid-replay
     full_replays: int = 0
     steps_replayed: int = 0  # simulation steps actually executed
     steps_saved: int = 0
-    batched_rounds: int = 0
-    batch_width: int = 0
 
     def absorb(self, other: "MoveStats") -> None:
         """Accumulate ``other`` into this instance (for run aggregates)."""
         self.moves_priced += other.moves_priced
-        self.memo_hits += other.memo_hits
         self.pruned += other.pruned
         self.resumed += other.resumed
         self.full_replays += other.full_replays
         self.steps_replayed += other.steps_replayed
         self.steps_saved += other.steps_saved
-        self.batched_rounds += other.batched_rounds
-        self.batch_width += other.batch_width
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict rendering for JSON reports."""
         return {
             "moves_priced": self.moves_priced,
-            "memo_hits": self.memo_hits,
             "pruned": self.pruned,
             "resumed": self.resumed,
             "full_replays": self.full_replays,
             "steps_replayed": self.steps_replayed,
             "steps_saved": self.steps_saved,
-            "batched_rounds": self.batched_rounds,
-            "batch_width": self.batch_width,
         }
 
 
@@ -165,14 +148,12 @@ class MakespanEvaluator:
     - reads durations from pre-extracted Python ``int`` tables instead of
       per-element NumPy indexing,
     - allocates no :class:`ScheduledLayer`/:class:`Schedule` objects,
-    - memoises exact makespans per assignment (hill-climbing revisits
-      the same trial assignments across iterations),
     - supports a ``cutoff`` for early exit: as soon as the partial
       simulation proves ``makespan > cutoff`` it returns ``cutoff + 1``
       (a certified lower bound) without finishing the replay, and
-    - (``resume=True``) prices single-layer moves from an incumbent base
-      assignment by **delta-resume**: :meth:`rebase` records a snapshot
-      of the simulator state before every event of the base replay, and
+    - prices single-layer moves from an incumbent base assignment by
+      **delta-resume**: :meth:`rebase` records a snapshot of the
+      simulator state before every event of the base replay, and
       :meth:`trial_move` replays only from the first event at which the
       moved layer becomes schedulable (its chain predecessor's event) —
       the prefix is provably identical because a layer's slot is never
@@ -181,38 +162,25 @@ class MakespanEvaluator:
       per-chain serial work): a move whose bound already exceeds the
       cutoff is skipped without simulating at all.
 
-    Exactness contract: for any assignment, ``makespan(a)`` (no cutoff)
-    equals ``list_schedule(problem, a).makespan`` bit-for-bit; for any
-    cutoff, a returned value ``<= cutoff`` is exact and a returned value
-    ``> cutoff`` certifies the true makespan exceeds the cutoff.  The
-    same contract holds for :meth:`trial_move` (including pruned moves —
-    the lower bounds hold for *any* schedule, since a sub-accelerator
-    runs one layer at a time and a chain is serial).
-    ``tests/test_hap_properties.py`` holds all of this against the full
-    rescheduling oracle on random instances.
+    Exactness contract: for any assignment, ``rebase(a)`` equals
+    ``list_schedule(problem, a).makespan`` bit-for-bit.
+    :meth:`trial_move` without a cutoff is exact too; with a cutoff, a
+    returned value ``<= cutoff`` is exact and a returned value
+    ``> cutoff`` certifies the true makespan exceeds the cutoff
+    (including pruned moves — the lower bounds hold for *any* schedule,
+    since a sub-accelerator runs one layer at a time and a chain is
+    serial).  ``tests/test_hap_properties.py`` holds all of this against
+    the full rescheduling oracle on random instances.
     """
 
-    def __init__(self, problem: MappingProblem, *,
-                 resume: bool = True) -> None:
+    def __init__(self, problem: MappingProblem) -> None:
         self._durations: list[list[int]] = problem.durations.tolist()
         self._chains = tuple(tuple(c) for c in problem.chains)
         self._chain_lens = tuple(len(c) for c in problem.chains)
         self._chain_of = tuple(problem.layer_net)
         self._num_slots = problem.num_slots
         self._num_layers = problem.num_layers
-        self._resume = resume
-        self._memo: dict[tuple[int, ...], int] = {}
-        self.evaluations = 0
-        self.memo_hits = 0
         self.stats = MoveStats()
-        # Structure-of-arrays state for the batched kernel
-        # (:meth:`trial_moves` / :meth:`move_lower_bounds`).  Both caches
-        # are built lazily so scalar-only solves pay nothing:
-        # ``_batch_static`` holds per-instance constants, ``_batch_base``
-        # per-incumbent arrays (invalidated by every rebase).
-        self._durations_arr = problem.durations
-        self._batch_static: tuple | None = None
-        self._batch_base: tuple | None = None
         # Base-assignment state (populated by rebase).  Snapshots are flat
         # per-step slabs: step t's simulator state lives at
         # [t*num_nets : (t+1)*num_nets] of _snap_next/_snap_ready and
@@ -235,62 +203,6 @@ class MakespanEvaluator:
         #: under the base assignment (the chain-tail prune term).
         self._rem_work: list[int] = []
 
-    def makespan(self, assignment: tuple[int, ...],
-                 *, cutoff: int | None = None) -> int:
-        """Makespan of ``assignment``; exact whenever the result <= cutoff."""
-        exact = self._memo.get(assignment)
-        if exact is not None:
-            self.memo_hits += 1
-            self.stats.memo_hits += 1
-            return exact
-        self.evaluations += 1
-        self.stats.full_replays += 1
-        chains = self._chains
-        durations = self._durations
-        num_nets = len(chains)
-        next_idx = [0] * num_nets
-        net_ready = [0] * num_nets
-        slot_free = [0] * self._num_slots
-        remaining = self._num_layers
-        max_finish = 0
-        stats = self.stats
-        while remaining:
-            best_start = -1
-            best_net = -1
-            for net in range(num_nets):
-                idx = next_idx[net]
-                chain = chains[net]
-                if idx >= len(chain):
-                    continue
-                ready = net_ready[net]
-                free = slot_free[assignment[chain[idx]]]
-                start = ready if ready >= free else free
-                if best_net < 0 or start < best_start:
-                    best_start = start
-                    best_net = net
-            # Certified bound: every remaining layer starts at or after
-            # best_start, so the final makespan is at least best_start.
-            if cutoff is not None and best_start > cutoff:
-                return cutoff + 1
-            chain = chains[best_net]
-            flat_id = chain[next_idx[best_net]]
-            slot = assignment[flat_id]
-            finish = best_start + durations[flat_id][slot]
-            net_ready[best_net] = finish
-            slot_free[slot] = finish
-            if finish > max_finish:
-                max_finish = finish
-                if cutoff is not None and max_finish > cutoff:
-                    return cutoff + 1
-            next_idx[best_net] += 1
-            remaining -= 1
-            stats.steps_replayed += 1
-        self._memo[assignment] = max_finish
-        return max_finish
-
-    # ------------------------------------------------------------------
-    # Delta-resume move pricing
-    # ------------------------------------------------------------------
     def rebase(self, assignment: tuple[int, ...]) -> int:
         """Adopt ``assignment`` as the incumbent base and return its exact
         makespan.
@@ -304,12 +216,6 @@ class MakespanEvaluator:
         provably unchanged), which is the common case after the solver
         accepts a move.
         """
-        if not self._resume:
-            # PR-1 baseline mode: no recording — the re-evaluation is a
-            # memo hit whenever the adopted assignment was priced exactly.
-            self._base = list(assignment)
-            self._base_tuple = tuple(assignment)
-            return self.makespan(assignment)
         old = self._base_tuple
         if old == assignment:
             return self._base_makespan
@@ -360,8 +266,6 @@ class MakespanEvaluator:
         self._base = list(assignment)
         self._base_tuple = tuple(assignment)
         self._base_makespan = makespan
-        self._memo[self._base_tuple] = makespan
-        self._batch_base = None
         return makespan
 
     def _recorded_replay(self, assignment: tuple[int, ...],
@@ -410,7 +314,6 @@ class MakespanEvaluator:
             del snap_done[slot_base:]
             del snap_maxfin[start_step:]
         resume_step = self._resume_step
-        self.evaluations += 1
         if start_step == 0:
             self.stats.full_replays += 1
         else:
@@ -457,14 +360,12 @@ class MakespanEvaluator:
         """Certified lower bound on the makespan of the base assignment
         with ``flat_id`` moved to slot position ``pos``.
 
-        The maximum of the trial's per-slot loads and per-chain serial
-        works — every schedule runs one layer per sub-accelerator at a
-        time and a chain serially, so any schedule's makespan is at
-        least this bound.  In resume mode four snapshot terms replace
-        and dominate the load term, all certified by prefix identity
-        (the trial replay equals the base replay before the move's
-        resume step ``rs``, where the moved layer first heads its
-        chain):
+        The maximum of the trial's per-chain serial works — every
+        schedule runs a chain serially, so any schedule's makespan is at
+        least each of them — and four snapshot terms, all certified by
+        prefix identity (the trial replay equals the base replay before
+        the move's resume step ``rs``, where the moved layer first heads
+        its chain):
 
         - the recorded *prefix makespan* at ``rs`` — every prefix
           finish time is a finish time of the trial schedule;
@@ -493,15 +394,6 @@ class MakespanEvaluator:
         excl = self._chain_excl[chain_id]
         if excl > lb:
             lb = excl
-        if not self._resume:
-            for j, load in enumerate(self._slot_loads):
-                if j == u:
-                    load -= d_u
-                elif j == pos:
-                    load += d_v
-                if load > lb:
-                    lb = load
-            return lb
         num_nets = len(self._chains)
         num_slots = self._num_slots
         rs = self._resume_step[flat_id]
@@ -546,8 +438,10 @@ class MakespanEvaluator:
                    *, cutoff: int | None = None,
                    lower_bound: int | None = None) -> int:
         """Makespan of the base assignment with ``flat_id`` moved to slot
-        position ``pos``; same cutoff/exactness contract as
-        :meth:`makespan`.  Requires a prior :meth:`rebase`.
+        position ``pos``: exact without a ``cutoff``; with one, exact
+        whenever the result is ``<= cutoff``, and a result ``> cutoff``
+        certifies the true makespan exceeds it.  Requires a prior
+        :meth:`rebase`.
 
         ``lower_bound`` lets a caller that already ran
         :meth:`move_lower_bound` for this move (the sorted feasibility
@@ -563,10 +457,6 @@ class MakespanEvaluator:
         d_v = row[pos]
         stats = self.stats
         stats.moves_priced += 1
-        if not self._resume:
-            base_tuple = self._base_tuple
-            trial = base_tuple[:flat_id] + (pos,) + base_tuple[flat_id + 1:]
-            return self.makespan(trial, cutoff=cutoff)
         if cutoff is not None:
             # Certified lower bounds on the trial makespan: a slot's total
             # load and a chain's serial work both fit inside any schedule.
@@ -640,7 +530,6 @@ class MakespanEvaluator:
         remaining = suffix
         stats.resumed += 1
         stats.steps_saved += start_step
-        self.evaluations += 1
         chains = self._chains
         chain_lens = self._chain_lens
         durations = self._durations
@@ -703,403 +592,9 @@ class MakespanEvaluator:
                 remaining -= 1
         finally:
             assignment[flat_id] = u
-            # Count completed steps only (cutoff exits leave remaining > 0),
-            # matching makespan()'s per-step accounting.
+            # Count completed steps only (cutoff exits leave remaining > 0).
             stats.steps_replayed += suffix - remaining
         return max_finish
-
-    # ------------------------------------------------------------------
-    # Batched (structure-of-arrays) move pricing
-    # ------------------------------------------------------------------
-    def snapshot_matrix(self) -> tuple[np.ndarray, np.ndarray,
-                                       np.ndarray, np.ndarray]:
-        """The recorded per-event snapshots as 2-D matrices.
-
-        Returns ``(next_idx, net_ready, slot_free, max_finish)`` where
-        row ``t`` of each matrix is the simulator state *before* event
-        ``t`` of the recorded base replay — the same data the scalar
-        :meth:`trial_move` resumes from, viewed as arrays (the flat
-        slabs are the backing store; the views are fresh copies).
-        Requires a prior :meth:`rebase` in resume mode.
-        """
-        if self._base is None or not self._resume:
-            raise RuntimeError(
-                "snapshot_matrix requires a prior rebase() in resume mode")
-        num_nets = len(self._chains)
-        steps = len(self._snap_maxfin)
-        return (
-            np.asarray(self._snap_next, dtype=np.int64)
-            .reshape(steps, num_nets),
-            np.asarray(self._snap_ready, dtype=np.int64)
-            .reshape(steps, num_nets),
-            np.asarray(self._snap_free, dtype=np.int64)
-            .reshape(steps, self._num_slots),
-            np.asarray(self._snap_maxfin, dtype=np.int64),
-        )
-
-    def _ensure_batch_static(self) -> tuple:
-        """Per-instance constants of the batched kernel, built lazily so
-        scalar-only solves pay nothing.
-
-        The chain table is padded with a sentinel layer id
-        ``num_layers``: an exhausted chain's head resolves to the
-        sentinel, which is pinned (in :meth:`_ensure_batch_base`) to a
-        sentinel slot whose free time is huge, so exhausted chains lose
-        every argmin without a per-step mask.
-        """
-        st = self._batch_static
-        if st is None:
-            num_nets = len(self._chains)
-            num_layers = self._num_layers
-            max_len = max(self._chain_lens) if num_nets else 0
-            pad = np.full((num_nets, max_len + 1), num_layers,
-                          dtype=np.int64)
-            for net, chain in enumerate(self._chains):
-                pad[net, :len(chain)] = chain
-            st = (
-                pad.reshape(-1),
-                np.arange(num_nets, dtype=np.int64) * (max_len + 1),
-                np.asarray(self._durations_arr, dtype=np.int64),
-                np.asarray(self._chain_of, dtype=np.int64),
-            )
-            self._batch_static = st
-        return st
-
-    def _ensure_batch_base(self) -> tuple:
-        """Per-incumbent arrays of the batched kernel (lazy; dropped by
-        every :meth:`rebase` so they always mirror the scalar tables)."""
-        bc = self._batch_base
-        if bc is None:
-            pad, pad_off, dur, _ = self._ensure_batch_static()
-            base_arr = np.asarray(self._base, dtype=np.int64)
-            dur_base = dur[np.arange(self._num_layers), base_arr]
-            loads_arr = np.asarray(self._slot_loads, dtype=np.int64)
-            snap = ()
-            if self._resume:
-                # Snapshot prune terms (see move_lower_bound): prefix
-                # makespans, flat ready/free slabs, per-layer chain-tail
-                # works, plus the per-step matrices behind the
-                # slot-remaining and other-chain-tail bounds.
-                num_nets = len(self._chains)
-                num_slots = self._num_slots
-                steps = len(self._snap_maxfin)
-                ready_flat = np.asarray(self._snap_ready, dtype=np.int64)
-                free_flat = np.asarray(self._snap_free, dtype=np.int64)
-                done_flat = np.asarray(self._snap_done, dtype=np.int64)
-                rem_arr = np.asarray(self._rem_work, dtype=np.int64)
-                # slot_rem[t, s]: slot s's prefix free time plus its
-                # remaining base work after step t.
-                slot_rem = (free_flat.reshape(steps, num_slots)
-                            + loads_arr
-                            - done_flat.reshape(steps, num_slots))
-                # tails[t, c]: chain c's head ready time at step t plus
-                # its remaining serial work (sentinel head -> rem 0, so
-                # an exhausted chain contributes just its ready time —
-                # a prefix finish time, dominated by the prefix term).
-                next_mat = (np.asarray(self._snap_next, dtype=np.int64)
-                            .reshape(steps, num_nets))
-                heads = pad[pad_off[None, :] + next_mat]
-                tails = (ready_flat.reshape(steps, num_nets)
-                         + np.append(rem_arr, 0)[heads])
-                tail_arg = tails.argmax(axis=1)
-                rows = np.arange(steps)
-                tail_max = tails[rows, tail_arg].copy()
-                tails[rows, tail_arg] = -1
-                tail_2nd = tails.max(axis=1)
-                snap = (
-                    np.asarray(self._snap_maxfin, dtype=np.int64),
-                    ready_flat,
-                    free_flat,
-                    rem_arr,
-                    slot_rem,
-                    tail_max,
-                    tail_arg,
-                    tail_2nd,
-                )
-            bc = (
-                base_arr,
-                np.asarray(self._resume_step, dtype=np.int64),
-                np.asarray(self._chain_work, dtype=np.int64),
-                np.asarray(self._chain_excl, dtype=np.int64),
-                loads_arr,
-                dur_base,
-                # Sentinel extensions: layer ``num_layers`` lives on
-                # sentinel slot ``num_slots`` with duration 0.
-                np.append(base_arr, self._num_slots),
-                np.append(dur_base, 0),
-            ) + snap
-            self._batch_base = bc
-        return bc
-
-    def move_lower_bounds(self, flat_ids: np.ndarray,
-                          positions: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`move_lower_bound` over move arrays.
-
-        ``bounds[i]`` equals ``move_lower_bound(flat_ids[i],
-        positions[i])`` bit for bit (pure int64 arithmetic on the same
-        prune tables); requires ``positions[i] != base[flat_ids[i]]``
-        for every move, and a prior :meth:`rebase`.
-        """
-        if self._base is None:
-            raise RuntimeError("move_lower_bounds requires a prior rebase()")
-        _, _, dur, chain_of = self._ensure_batch_static()
-        bc = self._ensure_batch_base()
-        base_arr, resume_arr, work, excl, loads, dur_base = bc[:6]
-        flat_ids = np.asarray(flat_ids, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        m = flat_ids.shape[0]
-        cur = base_arr[flat_ids]
-        d_u = dur_base[flat_ids]
-        d_v = dur[flat_ids, positions]
-        chain_ids = chain_of[flat_ids]
-        bounds = np.maximum(work[chain_ids] - d_u + d_v, excl[chain_ids])
-        rows = np.arange(m)
-        if not self._resume:
-            trial_loads = np.repeat(loads[None, :], m, axis=0)
-            trial_loads[rows, cur] -= d_u
-            trial_loads[rows, positions] += d_v
-            if m:
-                np.maximum(bounds, trial_loads.max(axis=1), out=bounds)
-            return bounds
-        if m:
-            # Snapshot terms (see move_lower_bound): the prefix makespan
-            # at each move's resume step, the moved chain's tail from
-            # its head's earliest start there, the per-slot remaining
-            # work past each prefix, and the other chains' tails.
-            rs = resume_arr[flat_ids]
-            np.maximum(bounds, bc[8][rs], out=bounds)
-            ready = bc[9][rs * len(self._chains) + chain_ids]
-            free = bc[10][rs * self._num_slots + positions]
-            tail = np.maximum(ready, free) + bc[11][flat_ids] - d_u + d_v
-            np.maximum(bounds, tail, out=bounds)
-            slot_rem = bc[12][rs]
-            slot_rem[rows, cur] -= d_u
-            slot_rem[rows, positions] += d_v
-            np.maximum(bounds, slot_rem.max(axis=1), out=bounds)
-            other = np.where(chain_ids == bc[14][rs], bc[15][rs],
-                             bc[13][rs])
-            np.maximum(bounds, other, out=bounds)
-        return bounds
-
-    def trial_moves(self, flat_ids: np.ndarray, positions: np.ndarray,
-                    *, cutoff: int | None = None) -> np.ndarray:
-        """Makespans of a batch of candidate single-layer moves, priced
-        as lockstep array replays; same cutoff/exactness contract as
-        :meth:`trial_move`, per column.
-
-        Column ``i`` prices the base assignment with ``flat_ids[i]``
-        moved to ``positions[i]``.  The batch is split into
-        *resume-coherent waves* (columns whose resume steps lie close
-        together); every column of a wave replays from the wave's
-        earliest resume step.  This is exact for every member: a move's
-        recorded prefix ``[0, start_step)`` is identical to its own
-        replay (a layer's slot is never read before it is its chain's
-        head, and ``start_step <= resume_step[i]``), and lockstep
-        simulation from there is deterministic, so each column
-        reproduces exactly what the scalar :meth:`trial_move` computes.
-        The split matters for speed only: one chain-head move with
-        resume step 0 must not force a whole wave of deep-resume moves
-        to replay from cycle 0.
-
-        Without a cutoff ``out[i]`` equals ``trial_move(flat_ids[i],
-        positions[i])`` bit for bit; with a cutoff, ``out[i] <= cutoff``
-        is exact and ``out[i] > cutoff`` certifies the true value
-        exceeds the cutoff (a wave stops early once every column's
-        running lower bound — ``max(max_finish, this step's chosen
-        start)`` — exceeds it).  Property-tested against both the scalar
-        path and the full rescheduling oracle.
-
-        Requires resume mode, a prior :meth:`rebase`, and
-        ``positions[i] != base[flat_ids[i]]`` for every move.
-        """
-        if self._base is None:
-            raise RuntimeError("trial_moves requires a prior rebase()")
-        if not self._resume:
-            raise RuntimeError("trial_moves requires resume mode")
-        bc = self._ensure_batch_base()
-        flat_ids = np.asarray(flat_ids, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        m = int(flat_ids.shape[0])
-        if m == 0:
-            return np.zeros(0, dtype=np.int64)
-        stats = self.stats
-        stats.moves_priced += m
-        stats.batched_rounds += 1
-        stats.batch_width += m
-        resume = bc[1][flat_ids]
-        num_layers = self._num_layers
-        num_nets = len(self._chains)
-        # Deepest-first stable sort, cut into resume-coherent waves, then
-        # price each wave through whichever engine its cost model says is
-        # cheaper.  A lockstep step costs a fixed ~_STEP_RATIO scalar
-        # step-events regardless of width (NumPy dispatch is the unit of
-        # cost at these sizes, not FLOPs), so the array program wins
-        # exactly when the wave's summed scalar suffixes exceed
-        # ``(num_layers - wave_min_resume) * _STEP_RATIO`` plus setup —
-        # wide waves of similar depth — and narrow or ragged waves keep
-        # the scalar delta-resume path.  Both engines honour the same
-        # cutoff/exactness contract, so the choice is invisible in the
-        # results (property-tested).
-        order = np.argsort(-resume, kind="stable")
-        sorted_resume = resume[order]
-        out = np.empty(m, dtype=np.int64)
-        scalar_steps = num_nets  # per-event cost of one scalar step
-        wave_start = 0
-        wave_top = int(sorted_resume[0])
-        for j in range(1, m + 1):
-            if (j < m
-                    and wave_top - int(sorted_resume[j])
-                    <= self._WAVE_SPREAD):
-                continue
-            idx = order[wave_start:j]
-            wave_lo = int(sorted_resume[j - 1])
-            width = int(idx.shape[0])
-            scalar_cost = (width * num_layers
-                           - int(sorted_resume[wave_start:j].sum()))
-            lockstep_cost = ((num_layers - wave_lo + self._WAVE_SETUP)
-                             * self._STEP_RATIO // scalar_steps)
-            if scalar_cost > lockstep_cost:
-                out[idx] = self._lockstep_wave(
-                    flat_ids[idx], positions[idx], wave_lo, cutoff)
-            else:
-                # trial_move counts each priced move itself; the batch
-                # already counted the whole call.
-                stats.moves_priced -= width
-                for i in idx:
-                    out[i] = self.trial_move(int(flat_ids[i]),
-                                             int(positions[i]),
-                                             cutoff=cutoff)
-            if j < m:
-                wave_start = j
-                wave_top = int(sorted_resume[j])
-        return out
-
-    def batch_gain(self, flat_ids: np.ndarray) -> float:
-        """Estimated cost ratio of scalar pricing over hybrid wave
-        pricing for this move set, under the same cost model
-        :meth:`trial_moves` routes with.
-
-        ``> 1`` means handing the set to :meth:`trial_moves` should beat
-        pricing the moves one at a time; callers that can do better than
-        a plain scalar loop (e.g. the feasibility walk, whose shrinking
-        cutoff the batch cannot see) should demand a margin above 1.
-        Requires a prior :meth:`rebase` in resume mode.
-        """
-        bc = self._ensure_batch_base()
-        resume = np.sort(bc[1][np.asarray(flat_ids, dtype=np.int64)])[::-1]
-        m = int(resume.shape[0])
-        if m == 0:
-            return 1.0
-        num_layers = self._num_layers
-        num_nets = len(self._chains)
-        scalar_cost = m * num_layers - int(resume.sum())
-        hybrid = 0
-        start = 0
-        top = int(resume[0])
-        for j in range(1, m + 1):
-            if (j < m
-                    and top - int(resume[j]) <= self._WAVE_SPREAD):
-                continue
-            seg = resume[start:j]
-            seg_scalar = int(seg.shape[0]) * num_layers - int(seg.sum())
-            seg_lock = ((num_layers - int(seg[-1]) + self._WAVE_SETUP)
-                        * self._STEP_RATIO // num_nets)
-            hybrid += min(seg_scalar, seg_lock)
-            if j < m:
-                start = j
-                top = int(resume[j])
-        return scalar_cost / max(hybrid, 1)
-
-    #: Resume-step spread tolerated inside one lockstep wave; waves are
-    #: cut where the spread would exceed it (see :meth:`trial_moves`).
-    _WAVE_SPREAD = 4
-    #: Calibrated cost of one lockstep array step, in units of scalar
-    #: per-net step-events (NumPy dispatch overhead vs a tight Python
-    #: inner loop; see the wave cost model in :meth:`trial_moves`).
-    _STEP_RATIO = 60
-    #: Fixed per-wave array-setup cost, in lockstep steps.
-    _WAVE_SETUP = 3
-
-    def _lockstep_wave(self, flat_ids: np.ndarray, positions: np.ndarray,
-                       start_step: int, cutoff: int | None) -> np.ndarray:
-        """Price one resume-coherent wave of moves from the recorded
-        snapshot at ``start_step`` (callers guarantee ``start_step <=
-        resume_step[flat_ids[i]]`` for every member).
-
-        The per-column state lives in flat arrays indexed with
-        precomputed row offsets (``.take`` beats 2-D fancy indexing by
-        ~4x at these sizes, and the sentinel padding removes the
-        exhausted-chain mask), because on the small instances the paper
-        targets the kernel is NumPy-dispatch-bound, not FLOP-bound.
-        """
-        chain_pad_flat, net_off, dur, _ = self._ensure_batch_static()
-        bc = self._batch_base
-        stats = self.stats
-        m = int(flat_ids.shape[0])
-        num_nets = len(self._chains)
-        num_slots = self._num_slots
-        num_layers = self._num_layers
-        nb = start_step * num_nets
-        sb = start_step * num_slots
-        s1 = num_slots + 1
-        l1 = num_layers + 1
-        huge = 1 << 62
-        # Flat per-column state seeded from the shared snapshot row.
-        pos0 = np.asarray(self._snap_next[nb:nb + num_nets],
-                          dtype=np.int64)
-        pos0 += net_off
-        pos_flat = np.tile(pos0, m)
-        ready = np.tile(np.asarray(self._snap_ready[nb:nb + num_nets],
-                                   dtype=np.int64), m)
-        free_row = np.empty(s1, dtype=np.int64)
-        free_row[:num_slots] = self._snap_free[sb:sb + num_slots]
-        free_row[num_slots] = huge
-        free = np.tile(free_row, m)
-        ar = np.arange(m, dtype=np.int64)
-        rows_net = ar * num_nets
-        rows_slot = ar * s1
-        rows_layer = ar * l1
-        rows_layer_n = np.repeat(rows_layer, num_nets)
-        rows_slot_n = np.repeat(rows_slot, num_nets)
-        assign_flat = np.tile(bc[6], m)
-        assign_flat[rows_layer + flat_ids] = positions
-        dur_flat = np.tile(bc[7], m)
-        dur_flat[rows_layer + flat_ids] = dur[flat_ids, positions]
-        max_fin = np.full(m, self._snap_maxfin[start_step], dtype=np.int64)
-        self.evaluations += m
-        if start_step:
-            stats.resumed += m
-            stats.steps_saved += start_step * m
-        else:
-            stats.full_replays += m
-        steps = num_layers - start_step
-        done = 0
-        while done < steps:
-            heads = chain_pad_flat.take(pos_flat)           # (m*nets,)
-            head_slot = assign_flat.take(rows_layer_n + heads)
-            start = np.maximum(ready, free.take(rows_slot_n + head_slot))
-            # First-min argmin matches the scalar tie-break (first net
-            # with a strictly smaller start wins).
-            best = np.argmin(start.reshape(m, num_nets), axis=1)
-            sel = rows_net + best
-            s_b = start.take(sel)
-            h_b = heads.take(sel)
-            fin = s_b + dur_flat.take(rows_layer + h_b)
-            ready[sel] = fin
-            free[rows_slot + head_slot.take(sel)] = fin
-            np.maximum(max_fin, fin, out=max_fin)
-            pos_flat[sel] += 1
-            done += 1
-            if (cutoff is not None
-                    and int(np.maximum(max_fin, s_b).min()) > cutoff):
-                # Every remaining event of a column starts at or after
-                # its chosen start this step, so each column's true
-                # makespan is at least max(max_finish, s_b) — the whole
-                # batch is certified above the cutoff.
-                stats.steps_replayed += done * m
-                return np.full(m, cutoff + 1, dtype=np.int64)
-        stats.steps_replayed += steps * m
-        return max_fin
 
 
 def _remaining_chain_work(problem: MappingProblem) -> list[int]:

@@ -137,39 +137,36 @@ class TestAccounting:
         text = service.stats.summary()
         assert "1 hits" in text and "1 misses" in text
 
-    def test_batched_kernel_counters_flow_to_run_record(self, workload,
-                                                        pairs,
-                                                        monkeypatch):
-        """The vectorised kernel's rounds/width counters mirror from the
-        evaluator into the stats, the pricing summary, the search
-        result, and the run JSON."""
+    def test_move_counters_flow_to_run_record(self, workload, pairs):
+        """The HAP move-pricing counters travel evaluator ->
+        EvalServiceStats -> SearchResult -> run-JSON ``pricing`` block;
+        ``hap_batched_rounds`` stays in that block as a constant 0
+        because the repository benchmark reads it."""
         from repro.core.results import SearchResult
         from repro.core.serialization import result_to_dict
 
-        # The fixture designs sit below the widths at which solve_hap
-        # selects the batched scans and dispatches lockstep waves;
-        # force both on so the counters move.
-        monkeypatch.setattr("repro.mapping.hap._BATCH_MIN", 1)
-        monkeypatch.setattr("repro.mapping.hap._PROBE", 0)
-        monkeypatch.setattr("repro.mapping.hap._WAVE_MIN", 1)
-        monkeypatch.setattr("repro.mapping.hap._GAIN_MARGIN", -1e9)
         evaluator = make_evaluator(workload)
         service = EvalService(evaluator)
         service.evaluate_many(pairs)
         stats = service.stats
         moves = evaluator.move_stats
-        assert stats.hap_batched_rounds == moves.batched_rounds > 0
-        assert stats.hap_batch_width == moves.batch_width
-        assert stats.hap_batch_width >= stats.hap_batched_rounds
-        assert "batched rounds" in stats.pricing_summary()
+        flow = {
+            "hap_moves_priced": moves.moves_priced,
+            "hap_moves_pruned": moves.pruned,
+            "hap_moves_resumed": moves.resumed,
+            "hap_steps_saved": moves.steps_saved,
+            "hap_steps_replayed": moves.steps_replayed,
+        }
+        assert all(flow.values()), flow
+        assert {name: getattr(stats, name) for name in flow} == flow
 
         result = SearchResult(name="probe")
         result.absorb_eval_stats(stats)
-        assert result.hap_batched_rounds == stats.hap_batched_rounds
-        assert result.hap_batch_width == stats.hap_batch_width
+        assert {name: getattr(result, name) for name in flow} == flow
         pricing = result_to_dict(result)["pricing"]
-        assert pricing["hap_batched_rounds"] == stats.hap_batched_rounds
-        assert pricing["hap_batch_width"] == stats.hap_batch_width
+        assert {name: pricing[name] for name in flow} == flow
+        assert pricing["hap_batched_rounds"] == 0
+        assert stats.hap_batched_rounds == 0
 
 
 class TestBitIdentity:

@@ -5,17 +5,16 @@ cutoff-based early exits in `solve_hap` are aggressive hot-path
 optimisations; these properties hold them to the slow reference oracle
 on randomly generated instances:
 
-- the incremental makespan of any assignment equals the full
-  ``list_schedule`` recompute, bit for bit, and single-move deltas agree;
+- the makespan ``rebase`` returns for any assignment equals the full
+  ``list_schedule`` recompute, bit for bit, including across
+  single-move rebases that resume mid-replay;
+- delta-resume ``trial_move`` pricing is exact, its cutoff results are
+  certified, and its prune bounds are sound;
 - ``solve_hap(..., incremental=True)`` and ``incremental=False`` return
   identical results (same moves chosen, same schedule);
 - whenever the solver reports feasible, the makespan fits ``LS``;
 - the energy trajectory across refinement iterations is monotone
-  non-increasing (the refinement phase only ever accepts savings);
-- the vectorised kernel (``move_lower_bounds`` / ``trial_moves`` and
-  ``solve_hap(..., batched=True)``, the default) is bit-identical to
-  the scalar delta-resume path it batches, and its prune bounds are
-  sound (mask pruned implies the certified bound exceeds the cutoff).
+  non-increasing (the refinement phase only ever accepts savings).
 """
 
 from __future__ import annotations
@@ -78,19 +77,21 @@ class TestMakespanEvaluator:
         rng = np.random.default_rng(seed + 1)
         for _ in range(5):
             assignment = random_assignment(problem, rng)
-            assert (evaluator.makespan(assignment)
+            assert (evaluator.rebase(assignment)
                     == list_schedule(problem, assignment).makespan)
 
     @_SETTINGS
     @given(seed=st.integers(0, 10_000))
     def test_single_move_deltas_match_oracle(self, seed):
-        """Every single-layer move from a random base assignment prices
-        identically through the incremental path and a full reschedule."""
+        """Rebasing onto every single-layer move of a base assignment
+        (and back) resumes the recorded replay mid-way and still prices
+        identically to a full reschedule."""
         problem = random_problem(seed)
         evaluator = MakespanEvaluator(problem)
         rng = np.random.default_rng(seed + 2)
         base = list(random_assignment(problem, rng))
         base_makespan = list_schedule(problem, tuple(base)).makespan
+        assert evaluator.rebase(tuple(base)) == base_makespan
         for flat_id in range(problem.num_layers):
             current = base[flat_id]
             for pos in range(problem.num_slots):
@@ -98,42 +99,50 @@ class TestMakespanEvaluator:
                     continue
                 base[flat_id] = pos
                 oracle = list_schedule(problem, tuple(base)).makespan
-                fast = evaluator.makespan(tuple(base))
+                fast = evaluator.rebase(tuple(base))
                 base[flat_id] = current
                 assert fast == oracle
-                assert fast - base_makespan == oracle - base_makespan
+                assert evaluator.rebase(tuple(base)) == base_makespan
 
     @_SETTINGS
     @given(seed=st.integers(0, 10_000), cutoff_frac=st.floats(0.2, 1.5))
     def test_cutoff_is_certified(self, seed, cutoff_frac):
         """With a cutoff, the result is exact when <= cutoff and a true
-        lower-bound certificate (> cutoff implies makespan > cutoff)."""
+        lower-bound certificate (> cutoff implies makespan > cutoff).
+        The assignment is priced as one move off a neighbour, since
+        ``trial_move`` is where the evaluator takes a cutoff."""
         problem = random_problem(seed, zero_durations=True)
         evaluator = MakespanEvaluator(problem)
         rng = np.random.default_rng(seed + 3)
         assignment = random_assignment(problem, rng)
         truth = list_schedule(problem, assignment).makespan
         cutoff = max(0, int(truth * cutoff_frac))
-        got = evaluator.makespan(assignment, cutoff=cutoff)
+        flat_id = int(rng.integers(0, problem.num_layers))
+        neighbour = list(assignment)
+        neighbour[flat_id] = (assignment[flat_id] + 1) % problem.num_slots
+        evaluator.rebase(tuple(neighbour))
+        got = evaluator.trial_move(flat_id, assignment[flat_id],
+                                   cutoff=cutoff)
         if got <= cutoff:
             assert got == truth
         else:
             assert truth > cutoff
 
-    def test_memoisation_counts(self):
+    def test_rebase_onto_current_base_replays_nothing(self):
+        """Re-adopting the incumbent (the solver does so between its
+        phases) returns the recorded makespan without simulating."""
         problem = random_problem(7)
         evaluator = MakespanEvaluator(problem)
-        rng = np.random.default_rng(0)
-        assignment = random_assignment(problem, rng)
-        first = evaluator.makespan(assignment)
-        second = evaluator.makespan(assignment)
-        assert first == second
-        assert evaluator.evaluations == 1
-        assert evaluator.memo_hits == 1
+        assignment = random_assignment(problem, np.random.default_rng(0))
+        first = evaluator.rebase(assignment)
+        steps = evaluator.stats.steps_replayed
+        assert evaluator.rebase(assignment) == first
+        assert evaluator.stats.steps_replayed == steps
+        assert evaluator.stats.full_replays == 1
 
 
 # ----------------------------------------------------------------------
-# Delta-resume move pricing vs the full-replay oracle
+# Delta-resume move pricing vs the full-reschedule oracle
 # ----------------------------------------------------------------------
 class TestDeltaResume:
     @_SETTINGS
@@ -227,156 +236,19 @@ class TestDeltaResume:
 
 
 # ----------------------------------------------------------------------
-# Vectorised move kernel vs the scalar delta-resume path
-# ----------------------------------------------------------------------
-def all_moves(problem, base):
-    """Every single-layer move off ``base`` as (flat_ids, positions)."""
-    flat_ids, positions = [], []
-    for flat_id in range(problem.num_layers):
-        for pos in range(problem.num_slots):
-            if pos != base[flat_id]:
-                flat_ids.append(flat_id)
-                positions.append(pos)
-    return (np.asarray(flat_ids, dtype=np.int64),
-            np.asarray(positions, dtype=np.int64))
-
-
-class TestBatchedKernel:
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000))
-    def test_move_lower_bounds_match_scalar_bit_for_bit(self, seed):
-        """The snapshot-matrix bounds equal the scalar snapshot bounds
-        exactly, for every candidate move, across a walk of rebases."""
-        problem = random_problem(seed)
-        evaluator = MakespanEvaluator(problem)
-        rng = np.random.default_rng(seed + 31)
-        base = list(random_assignment(problem, rng))
-        evaluator.rebase(tuple(base))
-        for _ in range(3):
-            flat_ids, positions = all_moves(problem, base)
-            batched = evaluator.move_lower_bounds(flat_ids, positions)
-            for i in range(flat_ids.shape[0]):
-                scalar = evaluator.move_lower_bound(
-                    int(flat_ids[i]), int(positions[i]))
-                assert int(batched[i]) == scalar
-            # Accept a random move: fresh snapshots, fresh matrices.
-            flat_id = int(rng.integers(0, problem.num_layers))
-            base[flat_id] = int(rng.integers(0, problem.num_slots))
-            evaluator.rebase(tuple(base))
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000), cutoff_frac=st.floats(0.0, 1.5))
-    def test_prune_mask_is_sound(self, seed, cutoff_frac):
-        """Any move the vectorised prune mask drops (``bound > cutoff``)
-        genuinely exceeds the cutoff: the certified bound never exceeds
-        the true post-move makespan."""
-        problem = random_problem(seed)
-        evaluator = MakespanEvaluator(problem)
-        rng = np.random.default_rng(seed + 32)
-        base = list(random_assignment(problem, rng))
-        evaluator.rebase(tuple(base))
-        cutoff = int(list_schedule(problem, tuple(base)).makespan
-                     * cutoff_frac)
-        flat_ids, positions = all_moves(problem, base)
-        bounds = evaluator.move_lower_bounds(flat_ids, positions)
-        pruned = bounds > cutoff
-        for i in range(flat_ids.shape[0]):
-            flat_id, pos = int(flat_ids[i]), int(positions[i])
-            current = base[flat_id]
-            base[flat_id] = pos
-            truth = list_schedule(problem, tuple(base)).makespan
-            base[flat_id] = current
-            assert int(bounds[i]) <= truth
-            if pruned[i]:
-                assert truth > cutoff
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000))
-    def test_trial_moves_match_scalar_and_oracle(self, seed):
-        """Without a cutoff, every column of ``trial_moves`` equals the
-        scalar ``trial_move`` and the full-reschedule oracle bit for
-        bit, across a walk of rebases."""
-        problem = random_problem(seed, zero_durations=(seed % 4 == 0))
-        batched_eval = MakespanEvaluator(problem)
-        scalar_eval = MakespanEvaluator(problem)
-        rng = np.random.default_rng(seed + 33)
-        base = list(random_assignment(problem, rng))
-        batched_eval.rebase(tuple(base))
-        scalar_eval.rebase(tuple(base))
-        for _ in range(3):
-            flat_ids, positions = all_moves(problem, base)
-            got = batched_eval.trial_moves(flat_ids, positions)
-            for i in range(flat_ids.shape[0]):
-                flat_id, pos = int(flat_ids[i]), int(positions[i])
-                current = base[flat_id]
-                base[flat_id] = pos
-                oracle = list_schedule(problem, tuple(base)).makespan
-                base[flat_id] = current
-                assert int(got[i]) == scalar_eval.trial_move(flat_id, pos)
-                assert int(got[i]) == oracle
-            # Accept a random move: exercises the resume-rebase path.
-            flat_id = int(rng.integers(0, problem.num_layers))
-            base[flat_id] = int(rng.integers(0, problem.num_slots))
-            batched_eval.rebase(tuple(base))
-            scalar_eval.rebase(tuple(base))
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000), cutoff_frac=st.floats(0.0, 1.5))
-    def test_trial_moves_cutoff_is_certified_per_column(self, seed,
-                                                       cutoff_frac):
-        """With a cutoff, each column honours ``trial_move``'s contract:
-        exact when the result fits the cutoff, a true certificate of
-        ``truth > cutoff`` otherwise."""
-        problem = random_problem(seed, zero_durations=(seed % 4 == 0))
-        evaluator = MakespanEvaluator(problem)
-        rng = np.random.default_rng(seed + 34)
-        base = list(random_assignment(problem, rng))
-        evaluator.rebase(tuple(base))
-        cutoff = int(list_schedule(problem, tuple(base)).makespan
-                     * cutoff_frac)
-        flat_ids, positions = all_moves(problem, base)
-        got = evaluator.trial_moves(flat_ids, positions, cutoff=cutoff)
-        for i in range(flat_ids.shape[0]):
-            flat_id, pos = int(flat_ids[i]), int(positions[i])
-            current = base[flat_id]
-            base[flat_id] = pos
-            truth = list_schedule(problem, tuple(base)).makespan
-            base[flat_id] = current
-            if int(got[i]) <= cutoff:
-                assert int(got[i]) == truth
-            else:
-                assert truth > cutoff
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000))
-    def test_batched_solver_equals_scalar_solver(self, seed):
-        """``solve_hap`` with the vectorised kernel (default) and with
-        the scalar delta-resume path return bit-identical results."""
-        problem = random_problem(seed)
-        rng = np.random.default_rng(seed + 35)
-        budget = budget_for(problem, rng)
-        assert (solve_hap(problem, budget)
-                == solve_hap(problem, budget, batched=False))
-
-
-# ----------------------------------------------------------------------
 # solve_hap invariants
 # ----------------------------------------------------------------------
 class TestSolverProperties:
     @_SETTINGS
     @given(seed=st.integers(0, 10_000))
     def test_incremental_equals_oracle_solver(self, seed):
-        """All three pricing modes — delta-resume (default), the PR-1
-        full-replay path (``resume=False``) and the full-reschedule
-        oracle — return bit-identical results."""
+        """The delta-resume fast path (default) and the full-reschedule
+        oracle return bit-identical results."""
         problem = random_problem(seed)
         rng = np.random.default_rng(seed + 4)
         budget = budget_for(problem, rng)
-        fast = solve_hap(problem, budget)
-        replay = solve_hap(problem, budget, resume=False)
-        slow = solve_hap(problem, budget, incremental=False)
-        assert fast == replay
-        assert fast == slow
+        assert (solve_hap(problem, budget)
+                == solve_hap(problem, budget, incremental=False))
 
     @_SETTINGS
     @given(seed=st.integers(0, 10_000), frac=st.floats(0.15, 0.9))
