@@ -19,11 +19,43 @@ Design notes:
 - the optimizer selector's ``SA``/``SH`` switches are realised by
   *forcing* the corresponding steps' actions and giving them zero weight
   in the gradient (see :mod:`repro.core.reinforce`).
+
+Lockstep engine.  :meth:`RNNController.sample` advances ``k``
+trajectories together: every state is a ``(k, ·)`` row stack, so one
+Python iteration per decision serves all rows, and a single trajectory
+is simply ``k = 1``.  :meth:`RNNController.backward` backpropagates a
+whole REINFORCE batch in one reverse sweep and returns the summed
+gradient.
+
+Prefix reuse.  NASAIC's ``phi`` hardware-only samples are teacher-forced
+on the joint sample's architecture tokens.  Forced steps draw no
+randomness, so under unchanged weights they reproduce the joint sample's
+LSTM states, probabilities, log-probs and entropies exactly;
+``sample(count=phi, prefix=joint)`` reuses those step caches and runs
+only the remaining (hardware) steps.
+
+Order-fixed reductions.  A batch of ``k`` samples equals ``k``
+sequential single samples bit for bit, generator state included:
+
+- every row product is a stacked matmul ``(X[:, None, :] @ W)[:, 0, :]``,
+  whose rows are bitwise equal to the per-row vector-matrix product, also
+  for the transposed weights of the backward pass (a plain 2-D ``X @ W``
+  gemm is *not*, and neither is ``einsum``);
+- softmax max/exp/sum, entropies and the categorical CDF reduce along
+  axis 1, bitwise equal to the 1-D reductions of each row;
+- sampling pre-draws ``rng.random((k, free_steps))`` in row-major order
+  and inverts the CDF exactly as ``Generator.choice(n, p=)`` does (the
+  numpy property is pinned in :mod:`repro.utils.rng`);
+- the backward pass keeps one gradient accumulator per sample and adds
+  them in list order, as summing single-sample gradients would.
+
+[1] B. Zoph, Q. V. Le.  Neural Architecture Search with Reinforcement
+    Learning.  ICLR 2017.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +66,9 @@ from repro.utils.rng import new_rng
 __all__ = ["ControllerConfig", "ControllerSample", "RNNController"]
 
 MaskFn = Callable[[int, list[int]], np.ndarray | None]
+
+#: ``Generator.choice``'s tolerance on the probabilities' sum.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -63,18 +98,35 @@ class ControllerConfig:
 
 @dataclass
 class _StepCache:
-    """Everything the backward pass needs for one step."""
+    """One decision step of a lockstep batch: everything the backward
+    pass needs, one row per trajectory.
 
-    x: np.ndarray
+    The step's input is not cached: backward gathers it from the live
+    parameters (``x0`` or an embedding row), the values a trajectory's
+    first-layer product reads at backward time.
+    """
+
     h_prev: np.ndarray
     c_prev: np.ndarray
-    gate_i: np.ndarray
-    gate_f: np.ndarray
-    gate_g: np.ndarray
-    gate_o: np.ndarray
+    gates: np.ndarray  # (k, 4h): sigmoid i | sigmoid f | tanh g | sigmoid o
     c: np.ndarray
-    h: np.ndarray
     tanh_c: np.ndarray
+    h: np.ndarray
+    probs: np.ndarray
+    log_probs: np.ndarray  # log p where p > 0, else 0
+    mask: np.ndarray | None
+    actions: np.ndarray
+
+
+#: The :class:`_StepCache` fields the backward pass reads, in its order.
+_BACKWARD_FIELDS = ("h_prev", "c_prev", "gates", "tanh_c", "h", "probs",
+                    "log_probs", "actions")
+
+
+@dataclass(frozen=True)
+class StepView:
+    """One trajectory's row of one step (read-only, for inspection)."""
+
     probs: np.ndarray
     mask: np.ndarray | None
     action: int
@@ -89,40 +141,75 @@ class ControllerSample:
         actions: Sampled (or forced) option index per decision.
         log_probs: ``log pi(a_t | a_<t)`` per step.
         entropies: Policy entropy per step.
-        steps: Forward caches for backpropagation.
+        forced: Per step, whether the action was pinned (teacher forcing).
+        path: Per step, the lockstep step cache holding this trajectory's
+            forward state and its row in it (prefix-reused steps point
+            into the prefix sample's caches).
     """
 
     actions: tuple[int, ...]
     log_probs: np.ndarray
     entropies: np.ndarray
-    steps: list[_StepCache] = field(repr=False, default_factory=list)
+    forced: np.ndarray
+    path: list[tuple[_StepCache, int]] = field(repr=False,
+                                               default_factory=list)
 
     @property
     def total_log_prob(self) -> float:
         return float(self.log_probs.sum())
 
+    @property
+    def steps(self) -> list[StepView]:
+        """Per-step views of this trajectory's probabilities, masks and
+        actions."""
+        return [StepView(
+            probs=cache.probs[row],
+            mask=None if cache.mask is None else cache.mask[row],
+            action=int(cache.actions[row]), forced=bool(forced))
+            for (cache, row), forced in zip(self.path, self.forced)]
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Branch-free logistic, elementwise equal to ``1/(1+exp(-z))`` for
+    ``z >= 0`` and ``exp(z)/(1+exp(z))`` otherwise."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _masked_softmax(logits: np.ndarray,
                     mask: np.ndarray | None) -> np.ndarray:
+    """Row-wise softmax of ``(k, n)`` logits; masked-out options get 0."""
     if mask is not None:
-        if mask.shape != logits.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} != logits shape {logits.shape}")
-        if not mask.any():
-            raise ValueError("mask disallows every option")
         logits = np.where(mask, logits, -np.inf)
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Categorical draws per row, exactly as ``Generator.choice(n, p=)``
+    maps one ``random()`` uniform to an index (including its
+    validation)."""
+    if (probs < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if not (np.abs(probs.sum(axis=1) - 1.0) <= _CHOICE_ATOL).all():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
+def _gather(refs: list[tuple[_StepCache, int]]) -> tuple[np.ndarray, ...]:
+    """The backward fields of one step for the given ``(cache, row)``
+    refs, stacked into ``(k, ·)`` arrays in ref order."""
+    first = refs[0][0]
+    rows = [row for _, row in refs]
+    if all(cache is first for cache, _ in refs):
+        if rows == list(range(len(first.actions))):
+            return tuple(getattr(first, name) for name in _BACKWARD_FIELDS)
+        return tuple(getattr(first, name)[rows] for name in _BACKWARD_FIELDS)
+    return tuple(np.stack([getattr(cache, name)[row] for cache, row in refs])
+                 for name in _BACKWARD_FIELDS)
 
 
 class RNNController:
@@ -174,8 +261,13 @@ class RNNController:
         mask_fn: MaskFn | None = None,
         forced_actions: dict[int, int] | None = None,
         greedy: bool = False,
-    ) -> ControllerSample:
-        """Sample one trajectory.
+        count: int | None = None,
+        prefix: ControllerSample | None = None,
+    ) -> ControllerSample | list[ControllerSample]:
+        """Sample one trajectory, or ``count`` of them in lockstep.
+
+        ``sample(count=k)`` draws exactly what ``k`` sequential single
+        calls would — same trajectories, same generator state afterwards.
 
         Args:
             rng: Sampling randomness.
@@ -185,128 +277,245 @@ class RNNController:
                 forcing) — the mechanism behind the ``SA``/``SH`` switches.
             greedy: Take the argmax instead of sampling (used to read out
                 the controller's current best guess).
+            count: ``None`` returns one sample; an integer returns a list
+                of that many.
+            prefix: A sample drawn under the current weights and the same
+                ``mask_fn`` whose actions match ``forced_actions`` over a
+                leading run of positions; those steps are reused from it
+                instead of recomputed (bit-identical, draw-free).
         """
+        k = 1 if count is None else count
+        if k < 0:
+            raise ValueError("count must be >= 0")
         forced_actions = forced_actions or {}
-        h_size = self.config.hidden_size
-        h = np.zeros(h_size)
-        c = np.zeros(h_size)
-        x = self.params["x0"]
-        actions: list[int] = []
-        log_probs = np.zeros(len(self.decisions))
-        entropies = np.zeros(len(self.decisions))
-        steps: list[_StepCache] = []
+        t_count = len(self.decisions)
+        pinned: list[int | None] = []
         for t, decision in enumerate(self.decisions):
-            z = (x @ self.params["Wx"] + h @ self.params["Wh"]
-                 + self.params["b"])
-            gate_i = _sigmoid(z[:h_size])
-            gate_f = _sigmoid(z[h_size:2 * h_size])
-            gate_g = np.tanh(z[2 * h_size:3 * h_size])
-            gate_o = _sigmoid(z[3 * h_size:])
-            c_new = gate_f * c + gate_i * gate_g
-            tanh_c = np.tanh(c_new)
-            h_new = gate_o * tanh_c
-            logits = ((h_new @ self.params[f"Wout{t}"]
-                       + self.params[f"bout{t}"])
-                      / self.config.temperature)
-            mask = mask_fn(t, actions) if mask_fn is not None else None
-            probs = _masked_softmax(logits, mask)
-            if t in forced_actions:
-                action = int(forced_actions[t])
+            action = forced_actions.get(t)
+            if action is not None:
+                action = int(action)
                 if not 0 <= action < decision.num_options:
                     raise ValueError(
                         f"forced action {action} out of range for "
                         f"{decision.name!r}")
-                if probs[action] <= 0.0:
+            pinned.append(action)
+        if k == 0:
+            return []
+        start = 0
+        if prefix is not None:
+            while (start < t_count and pinned[start] is not None
+                   and pinned[start] == prefix.actions[start]):
+                start += 1
+        free = sum(action is None for action in pinned[start:])
+        uniforms = (rng.random((k, free)) if free and not greedy
+                    else None)
+
+        config = self.config
+        h_size = config.hidden_size
+        wx, wh, bias = self.params["Wx"], self.params["Wh"], self.params["b"]
+        rows = np.arange(k)
+        actions = np.empty((k, t_count), dtype=np.intp)
+        log_probs = np.empty((k, t_count))
+        entropies = np.empty((k, t_count))
+        if start:
+            last, last_row = prefix.path[start - 1]
+            h = np.repeat(last.h[last_row:last_row + 1], k, axis=0)
+            c = np.repeat(last.c[last_row:last_row + 1], k, axis=0)
+            actions[:, :start] = prefix.actions[:start]
+            log_probs[:, :start] = prefix.log_probs[:start]
+            entropies[:, :start] = prefix.entropies[:start]
+            x = self.params[f"emb{start - 1}"][actions[:, start - 1]]
+        else:
+            h = np.zeros((k, h_size))
+            c = np.zeros((k, h_size))
+            x = np.repeat(self.params["x0"][None, :], k, axis=0)
+        so_far = ([list(prefix.actions[:start]) if start else []
+                   for _ in range(k)] if mask_fn is not None else None)
+        caches: list[_StepCache] = []
+        column = 0
+        for t in range(start, t_count):
+            decision = self.decisions[t]
+            z = ((x[:, None, :] @ wx)[:, 0, :]
+                 + (h[:, None, :] @ wh)[:, 0, :] + bias)
+            gates = _sigmoid(z)
+            gates[:, 2 * h_size:3 * h_size] = np.tanh(
+                z[:, 2 * h_size:3 * h_size])
+            c_new = (gates[:, h_size:2 * h_size] * c
+                     + gates[:, :h_size] * gates[:, 2 * h_size:3 * h_size])
+            tanh_c = np.tanh(c_new)
+            h_new = gates[:, 3 * h_size:] * tanh_c
+            logits = (((h_new[:, None, :] @ self.params[f"Wout{t}"])[:, 0, :]
+                       + self.params[f"bout{t}"]) / config.temperature)
+            mask = (self._row_masks(mask_fn, t, so_far, logits.shape)
+                    if so_far is not None else None)
+            probs = _masked_softmax(logits, mask)
+            if pinned[t] is not None:
+                chosen = np.full(k, pinned[t], dtype=np.intp)
+                if (probs[:, pinned[t]] <= 0.0).any():
                     raise ValueError(
-                        f"forced action {action} for {decision.name!r} is "
-                        "masked out")
+                        f"forced action {pinned[t]} for {decision.name!r} "
+                        "is masked out")
             elif greedy:
-                action = int(np.argmax(probs))
+                chosen = probs.argmax(axis=1)
             else:
-                action = int(rng.choice(decision.num_options, p=probs))
-            log_probs[t] = float(np.log(probs[action]))
+                chosen = _draw(probs, uniforms[:, column])
+                column += 1
+            log_probs[:, t] = np.log(probs[rows, chosen])
             safe_log = np.where(probs > 0, np.log(
                 np.where(probs > 0, probs, 1.0)), 0.0)
-            entropies[t] = float(-(probs * safe_log).sum())
-            steps.append(_StepCache(
-                x=x, h_prev=h, c_prev=c, gate_i=gate_i, gate_f=gate_f,
-                gate_g=gate_g, gate_o=gate_o, c=c_new, h=h_new,
-                tanh_c=tanh_c, probs=probs, mask=mask, action=action,
-                forced=t in forced_actions))
-            actions.append(action)
+            entropies[:, t] = -(probs * safe_log).sum(axis=1)
+            caches.append(_StepCache(
+                h_prev=h, c_prev=c, gates=gates, c=c_new, tanh_c=tanh_c,
+                h=h_new, probs=probs, log_probs=safe_log, mask=mask,
+                actions=chosen))
+            actions[:, t] = chosen
+            if so_far is not None:
+                for row_actions, action in zip(so_far, chosen.tolist()):
+                    row_actions.append(action)
             h, c = h_new, c_new
-            x = self.params[f"emb{t}"][action]
-        return ControllerSample(
-            actions=tuple(actions), log_probs=log_probs,
-            entropies=entropies, steps=steps)
+            x = self.params[f"emb{t}"][chosen]
+        forced = np.array([action is not None for action in pinned])
+        reused = prefix.path[:start] if start else []
+        samples = [ControllerSample(
+            actions=tuple(actions[row].tolist()),
+            log_probs=log_probs[row], entropies=entropies[row],
+            forced=forced,
+            path=reused + [(cache, row) for cache in caches])
+            for row in range(k)]
+        return samples[0] if count is None else samples
+
+    @staticmethod
+    def _row_masks(mask_fn: MaskFn, t: int, so_far: list[list[int]],
+                   shape: tuple[int, int]) -> np.ndarray | None:
+        """Stack each row's option mask (``None`` rows allow everything);
+        ``None`` when no row is masked."""
+        masks = [mask_fn(t, row_actions) for row_actions in so_far]
+        if all(mask is None for mask in masks):
+            return None
+        stacked = np.ones(shape, dtype=bool)
+        for row, mask in enumerate(masks):
+            if mask is None:
+                continue
+            if mask.shape != shape[1:]:
+                raise ValueError(
+                    f"mask shape {mask.shape} != logits shape {shape[1:]}")
+            if not mask.any():
+                raise ValueError("mask disallows every option")
+            stacked[row] = mask
+        return stacked
 
     # ------------------------------------------------------------------
     # Backward
     # ------------------------------------------------------------------
     def backward(
         self,
-        sample: ControllerSample,
+        samples: ControllerSample | Sequence[ControllerSample],
         logprob_weights: np.ndarray,
         entropy_weights: np.ndarray | None = None,
     ) -> dict[str, np.ndarray]:
-        """Gradients of ``sum_t w_t log pi(a_t) + beta_t H_t`` w.r.t. params.
+        """Gradients of ``sum_k sum_t w_kt log pi(a_kt) + beta_kt H_kt``
+        w.r.t. params, summed over the samples in one reverse sweep.
 
-        The caller chooses ``w_t`` to implement Eq. 1 (discounted
-        advantage, zero on forced steps); ``beta_t`` adds an optional
-        entropy bonus that keeps exploration alive.
+        The caller chooses ``w`` to implement Eq. 1 (discounted
+        advantage, zero on forced steps); ``beta`` adds an optional
+        entropy bonus that keeps exploration alive.  A single sample
+        takes ``(T,)`` weights, a list of ``k`` samples ``(k, T)``.
         """
-        t_count = len(self.decisions)
-        if logprob_weights.shape != (t_count,):
+        single = isinstance(samples, ControllerSample)
+        if single:
+            samples = [samples]
+        k, t_count = len(samples), len(self.decisions)
+        if k == 0:
+            raise ValueError("backward needs at least one sample")
+        shape = (t_count,) if single else (k, t_count)
+        weights = np.asarray(logprob_weights, dtype=float)
+        if weights.shape != shape:
             raise ValueError(
-                f"expected {t_count} log-prob weights, got "
-                f"{logprob_weights.shape}")
+                f"expected log-prob weights of shape {shape}, got "
+                f"{weights.shape}")
         if entropy_weights is None:
-            entropy_weights = np.zeros(t_count)
+            betas = np.zeros((k, t_count))
+        else:
+            betas = np.asarray(entropy_weights, dtype=float)
+            if betas.shape != shape:
+                raise ValueError(
+                    f"expected entropy weights of shape {shape}, got "
+                    f"{betas.shape}")
+        weights = weights.reshape(k, t_count)
+        betas = betas.reshape(k, t_count)
+        entropies = np.stack([sample.entropies for sample in samples])
+        actions = np.array([sample.actions for sample in samples])
         h_size = self.config.hidden_size
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        dh_next = np.zeros(h_size)
-        dc_next = np.zeros(h_size)
+        rows = np.arange(k)
+        # One accumulator row per sample, summed in list order at the end.
+        flat = np.zeros((k, sum(v.size for v in self.params.values())))
+        acc: dict[str, np.ndarray] = {}
+        offset = 0
+        for key, value in self.params.items():
+            acc[key] = flat[:, offset:offset + value.size].reshape(
+                (k,) + value.shape)
+            offset += value.size
+        dh_next = np.zeros((k, h_size))
+        dc_next = np.zeros((k, h_size))
         for t in range(t_count - 1, -1, -1):
-            step = sample.steps[t]
-            probs = step.probs
+            (h_prev, c_prev, gates, tanh_c, h, probs, safe_log,
+             chosen) = _gather([sample.path[t] for sample in samples])
             onehot = np.zeros_like(probs)
-            onehot[step.action] = 1.0
+            onehot[rows, chosen] = 1.0
             # d/dlogits of log p[a]:  onehot - p   (ascent direction)
-            g_logits = logprob_weights[t] * (onehot - probs)
-            beta = entropy_weights[t]
-            if beta != 0.0:
-                safe_log = np.where(probs > 0, np.log(
-                    np.where(probs > 0, probs, 1.0)), 0.0)
-                entropy = -(probs * safe_log).sum()
-                g_logits += beta * (-probs * (safe_log + entropy))
+            g_logits = weights[:, t, None] * (onehot - probs)
+            beta = betas[:, t]
+            bonus_rows = beta != 0.0
+            if bonus_rows.any():
+                bonus = beta[:, None] * (
+                    -probs * (safe_log + entropies[:, t, None]))
+                if bonus_rows.all():
+                    g_logits += bonus
+                else:
+                    g_logits[bonus_rows] += bonus[bonus_rows]
             g_logits = g_logits / self.config.temperature
-            grads[f"Wout{t}"] += np.outer(step.h, g_logits)
-            grads[f"bout{t}"] += g_logits
-            dh = g_logits @ self.params[f"Wout{t}"].T + dh_next
+            acc[f"Wout{t}"] += h[:, :, None] * g_logits[:, None, :]
+            acc[f"bout{t}"] += g_logits
+            dh = ((g_logits[:, None, :] @ self.params[f"Wout{t}"].T)[:, 0, :]
+                  + dh_next)
             # Input at step t+1 was emb[t][action_t]; its gradient arrives
             # via dx of step t+1, handled below when we compute dx.
-            d_o = dh * step.tanh_c
-            dc = dh * step.gate_o * (1.0 - step.tanh_c ** 2) + dc_next
-            d_i = dc * step.gate_g
-            d_g = dc * step.gate_i
-            d_f = dc * step.c_prev
-            dc_next = dc * step.gate_f
+            gate_i = gates[:, :h_size]
+            gate_f = gates[:, h_size:2 * h_size]
+            gate_g = gates[:, 2 * h_size:3 * h_size]
+            gate_o = gates[:, 3 * h_size:]
+            d_o = dh * tanh_c
+            dc = dh * gate_o * (1.0 - tanh_c ** 2) + dc_next
+            d_i = dc * gate_g
+            d_g = dc * gate_i
+            d_f = dc * c_prev
+            dc_next = dc * gate_f
             dz = np.concatenate([
-                d_i * step.gate_i * (1.0 - step.gate_i),
-                d_f * step.gate_f * (1.0 - step.gate_f),
-                d_g * (1.0 - step.gate_g ** 2),
-                d_o * step.gate_o * (1.0 - step.gate_o),
-            ])
-            grads["Wx"] += np.outer(step.x, dz)
-            grads["Wh"] += np.outer(step.h_prev, dz)
-            grads["b"] += dz
-            dx = dz @ self.params["Wx"].T
+                d_i * gate_i * (1.0 - gate_i),
+                d_f * gate_f * (1.0 - gate_f),
+                d_g * (1.0 - gate_g ** 2),
+                d_o * gate_o * (1.0 - gate_o),
+            ], axis=1)
+            x = (self.params["x0"][None, :] if t == 0
+                 else self.params[f"emb{t - 1}"][actions[:, t - 1]])
+            acc["Wx"] += x[:, :, None] * dz[:, None, :]
+            acc["Wh"] += h_prev[:, :, None] * dz[:, None, :]
+            acc["b"] += dz
+            dx = (dz[:, None, :] @ self.params["Wx"].T)[:, 0, :]
             if t == 0:
-                grads["x0"] += dx
+                acc["x0"] += dx
             else:
-                prev_action = sample.steps[t - 1].action
-                grads[f"emb{t - 1}"][prev_action] += dx
-            dh_next = dz @ self.params["Wh"].T
+                acc[f"emb{t - 1}"][rows, actions[:, t - 1]] += dx
+            dh_next = (dz[:, None, :] @ self.params["Wh"].T)[:, 0, :]
+        total = np.zeros(flat.shape[1])
+        for row in flat:
+            total += row
+        grads: dict[str, np.ndarray] = {}
+        offset = 0
+        for key, value in self.params.items():
+            grads[key] = total[offset:offset + value.size].reshape(
+                value.shape)
+            offset += value.size
         return grads
 
     # ------------------------------------------------------------------

@@ -4,8 +4,9 @@ The repo's performance story rests on a stack of *bit-identity
 contracts*: the batched cost table equals the scalar oracle (PR 2),
 delta-resume HAP equals the full-reschedule oracle (PR 2), cached /
 pooled / store-warmed pricing equals direct pricing (PR 1/4),
-checkpoint-resume equals the uninterrupted run (PR 3), and the HAP
-heuristic never undercuts the exact branch-and-bound solver's optimum.
+checkpoint-resume equals the uninterrupted run (PR 3), the HAP
+heuristic never undercuts the exact branch-and-bound solver's optimum,
+and a lockstep controller batch equals sequential single samples.
 Each contract was locked down on the three hand-written presets; this
 module runs all of them — as registered **oracle pairs** — over
 scenarios manufactured by :mod:`repro.workloads.generator`, so the
@@ -557,6 +558,73 @@ def _check_checkpoint_resume(scenario: GeneratedScenario,
     return None
 
 
+def _check_controller_batch(scenario: GeneratedScenario,
+                            rng: np.random.Generator) -> str | None:
+    """Lockstep controller batches vs sequential single trajectories.
+
+    On the scenario's joint space: ``sample(count=k)`` and the NASAIC
+    hardware-only batch ``sample(count=k, prefix=joint)`` must equal
+    ``k`` sequential single samples bit for bit (actions, probabilities,
+    log-probs, entropies and the generator state afterwards), and one
+    ``k``-sample ``backward`` must equal the sum of ``k`` single-sample
+    calls.
+    """
+    from repro.core.choices import JointSearchSpace
+    from repro.core.controller import RNNController
+
+    space = JointSearchSpace(scenario.workload, scenario.allocation)
+    controller = RNNController(space.decisions,
+                               rng=new_rng(int(rng.integers(1 << 31))))
+    k = int(rng.integers(2, 8))
+    seed = int(rng.integers(1 << 31))
+    mask_fn = space.mask_for
+
+    def sample_facts(sample) -> tuple:
+        return (sample.actions, sample.log_probs.tobytes(),
+                sample.entropies.tobytes(),
+                tuple(step.probs.tobytes() for step in sample.steps))
+
+    batched_rng, single_rng = new_rng(seed), new_rng(seed)
+    joint = controller.sample(batched_rng, mask_fn=mask_fn)
+    single_joint = controller.sample(single_rng, mask_fn=mask_fn)
+    if sample_facts(joint) != sample_facts(single_joint):
+        return "joint sample diverged between the two streams"
+    forced = {pos: joint.actions[pos] for pos in space.arch_positions}
+    cases = (
+        ("free", {}, None),
+        ("prefix", forced, joint),
+    )
+    for label, pinned, prefix in cases:
+        batch = controller.sample(batched_rng, mask_fn=mask_fn,
+                                  forced_actions=pinned, count=k,
+                                  prefix=prefix)
+        singles = [controller.sample(single_rng, mask_fn=mask_fn,
+                                     forced_actions=pinned)
+                   for _ in range(k)]
+        for row, (got, want) in enumerate(zip(batch, singles)):
+            if sample_facts(got) != sample_facts(want):
+                return f"{label} batch row {row} != sequential sample"
+        if batched_rng.bit_generator.state != single_rng.bit_generator.state:
+            return f"{label} batch left the generator in another state"
+        weights = rng.normal(size=(k, len(space.decisions)))
+        betas = rng.uniform(0.0, 0.2, size=weights.shape)
+        got = controller.backward(batch, weights, betas)
+        # The singles come from separate step caches: the batch must
+        # gather them into the same rows.
+        mixed = controller.backward(singles, weights, betas)
+        want = {key: np.zeros_like(value)
+                for key, value in controller.params.items()}
+        for sample, w, b in zip(singles, weights, betas):
+            for key, grad in controller.backward(sample, w, b).items():
+                want[key] += grad
+        for key in want:
+            for name, grads in (("batch", got), ("gathered", mixed)):
+                if not np.array_equal(grads[key], want[key]):
+                    return (f"{label} {name} backward != summed single "
+                            f"backward for {key!r}")
+    return None
+
+
 def _check_exact_gap(scenario: GeneratedScenario,
                      rng: np.random.Generator) -> str | None:
     """Heuristic HAP vs the exact branch-and-bound on tiny instances.
@@ -625,6 +693,10 @@ for _pair in (
     OraclePair("checkpoint-resume",
                "resume at any round == uninterrupted run",
                _check_checkpoint_resume),
+    OraclePair("controller-batch",
+               "lockstep controller batch == sequential single samples "
+               "and summed single-sample backward passes",
+               _check_controller_batch),
     OraclePair("exact-gap",
                "heuristic HAP never undercuts the exact optimum (tiny)",
                _check_exact_gap),

@@ -40,7 +40,8 @@ class ReinforceConfig:
         gamma: Per-step reward discount ``gamma`` of Eq. 1.
         baseline_decay: EMA factor for the reward baseline ``b``.
         entropy_beta: Entropy-bonus weight on policy-owned steps.
-        grad_clip: Global L2 norm clip on the averaged gradient.
+        grad_clip: Global L2 norm clip on the averaged gradient; 0
+            turns clipping off.
     """
 
     learning_rate: float = 0.15
@@ -64,6 +65,15 @@ class ReinforceConfig:
             raise ValueError("gamma must be in [0, 1]")
         if not 0 <= self.baseline_decay < 1:
             raise ValueError("baseline_decay must be in [0, 1)")
+        if not 0 <= self.rms_decay < 1:
+            # rms_decay = 1 would pin the RMS at 0: every step lr*g/eps.
+            raise ValueError("rms_decay must be in [0, 1)")
+        if not self.rms_eps > 0:
+            raise ValueError("rms_eps must be positive")
+        if not self.entropy_beta >= 0:
+            raise ValueError("entropy_beta must be >= 0")
+        if not self.grad_clip >= 0:
+            raise ValueError("grad_clip must be >= 0 (0 turns clipping off)")
 
 
 class ReinforceTrainer:
@@ -77,6 +87,10 @@ class ReinforceTrainer:
             k: np.zeros_like(v) for k, v in controller.params.items()}
         self.baseline: float | None = None
         self.updates_applied = 0
+        t_count = len(controller.decisions)
+        # gamma^(T-1-t) per step, as Python float powers.
+        self._discount = np.array([self.config.gamma ** (t_count - 1 - t)
+                                   for t in range(t_count)])
 
     # ------------------------------------------------------------------
     # Weights per Eq. 1
@@ -95,18 +109,27 @@ class ReinforceTrainer:
             trainable: Step indices the policy owns this episode; ``None``
                 means every non-forced step.
         """
-        t_count = len(sample.log_probs)
-        advantage = reward - (self.baseline
-                              if self.baseline is not None else 0.0)
-        weights = np.zeros(t_count)
-        entropy = np.zeros(t_count)
-        for t in range(t_count):
-            if sample.steps[t].forced:
-                continue
-            if trainable is not None and t not in trainable:
-                continue
-            weights[t] = (self.config.gamma ** (t_count - 1 - t)) * advantage
-            entropy[t] = self.config.entropy_beta
+        weights, entropy = self.batch_weights([sample], [reward], trainable)
+        return weights[0], entropy[0]
+
+    def batch_weights(
+        self,
+        samples: list[ControllerSample],
+        rewards: list[float],
+        trainable: set[int] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(k, T)`` log-prob and entropy weight matrices for a batch.
+
+        Row ``k`` holds ``gamma^(T-1-t) * (R_k - b)`` and the entropy
+        bonus on the steps the policy owned, zero elsewhere.
+        """
+        base = self.baseline if self.baseline is not None else 0.0
+        advantages = np.array([reward - base for reward in rewards])
+        owned = ~np.stack([sample.forced for sample in samples])
+        if trainable is not None:
+            owned &= np.isin(np.arange(owned.shape[1]), list(trainable))
+        weights = np.where(owned, self._discount * advantages[:, None], 0.0)
+        entropy = np.where(owned, self.config.entropy_beta, 0.0)
         return weights, entropy
 
     # ------------------------------------------------------------------
@@ -132,16 +155,12 @@ class ReinforceTrainer:
         """
         if not episodes:
             raise ValueError("apply_episodes needs at least one episode")
-        grads_total: dict[str, np.ndarray] = {
-            k: np.zeros_like(v) for k, v in self.controller.params.items()}
-        advantages = []
-        for sample, reward in episodes:
-            weights, entropy = self.step_weights(sample, reward, trainable)
-            grads = self.controller.backward(sample, weights, entropy)
-            for key, grad in grads.items():
-                grads_total[key] += grad
-            base = self.baseline if self.baseline is not None else 0.0
-            advantages.append(reward - base)
+        samples = [sample for sample, _ in episodes]
+        rewards = [reward for _, reward in episodes]
+        weights, entropy = self.batch_weights(samples, rewards, trainable)
+        grads_total = self.controller.backward(samples, weights, entropy)
+        base = self.baseline if self.baseline is not None else 0.0
+        advantages = [reward - base for reward in rewards]
         scale = 1.0 / len(episodes)
         for key in grads_total:
             grads_total[key] *= scale

@@ -218,13 +218,14 @@ class NASAIC:
             self._sample_rng, mask_fn=self.space.mask_for)
         joint = self.space.decode(joint_sample.actions)
         # -- hardware-only steps (SA = 0, SH = 1) ----------------------
+        # One lockstep batch that reuses the joint sample's (forced,
+        # draw-free) architecture steps.
         forced = {pos: joint_sample.actions[pos]
                   for pos in self.space.arch_positions}
-        hw_samples = [
-            self.controller.sample(
-                self._sample_rng, mask_fn=self.space.mask_for,
-                forced_actions=forced)
-            for _ in range(self.config.hw_steps)]
+        hw_samples = self.controller.sample(
+            self._sample_rng, mask_fn=self.space.mask_for,
+            forced_actions=forced, count=self.config.hw_steps,
+            prefix=joint_sample)
         self._pending_round = (joint_sample, joint, hw_samples)
         return [(joint.networks, joint.accelerator)] + [
             (joint.networks, self.space.decode(sample.actions).accelerator)
@@ -323,33 +324,10 @@ class NASAIC:
         self._joint_updates.load_state(state["joint_updates"])
         self._hw_updates.load_state(state["hw_updates"])
         self._sample_rng = restore_rng(state["sample_rng"])
-        self._pending_joint = [
-            (self._realias(sample), reward)
-            for sample, reward in state["pending_joint"]]
+        self._pending_joint = list(state["pending_joint"])
         self._result = state["result"]
         self.trainer.load_state(state["trainer"])
         self._pending_round = None
-
-    def _realias(self, sample):
-        """Re-bind a restored sample's input caches to the live weights.
-
-        A sampled trajectory's per-step input ``x`` is a *view* of the
-        controller's parameters (``x0`` or an embedding row), so a
-        joint-batch flush backpropagates through the weights as of
-        flush time — mutated in place by every policy update since the
-        sample was drawn.  Serialisation freezes those views into
-        copies; re-aliasing them to the restored parameter arrays makes
-        the resumed flush use exactly the values the uninterrupted run
-        would, keeping the trajectory bit-identical.
-        """
-        params = self.controller.params
-        for t, step in enumerate(sample.steps):
-            if t == 0:
-                step.x = params["x0"]
-            else:
-                prev = sample.steps[t - 1].action
-                step.x = params[f"emb{t - 1}"][prev]
-        return sample
 
     # ------------------------------------------------------------------
     # Main loop (driver facade)

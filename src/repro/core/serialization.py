@@ -17,7 +17,7 @@ Three artefact families with different contracts:
   exactly, so they use pickle — same trade-off as ``torch.save``.  A
   checkpoint is a versioned envelope::
 
-      {"format": "repro-checkpoint", "version": 1,
+      {"format": "repro-checkpoint", "version": 2,
        "strategy_name": ..., "round": ..., "total_rounds": ...,
        "context_salt": ...,        # evaluation context of the service
        "store_path": ...,          # persistent store in use (or None)
@@ -68,7 +68,8 @@ __all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
            "store_index_path"]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+#: Version 2: pending controller samples hold lockstep step caches.
+CHECKPOINT_VERSION = 2
 
 STORE_INDEX_FORMAT = "repro-evalstore-index"
 STORE_INDEX_VERSION = 1

@@ -29,6 +29,19 @@ Seeding contract (relied on by ``tests/test_golden_search.py``):
    stream bit-identically.  Strategies must checkpoint *every* generator
    they own; creating a fresh generator on resume — even from the same
    seed — would replay draws and desynchronise the trajectory.
+5. Batching samples never changes the stream.  The lockstep controller
+   (:class:`repro.core.controller.RNNController`) draws ``k``
+   trajectories at once by pre-drawing ``random((k, free_steps))`` and
+   inverting each categorical CDF itself.  That equals ``k`` sequential
+   samples only because of two numpy properties:
+   ``Generator.choice(n, p=p)`` consumes exactly one ``random()`` double
+   per call and returns ``searchsorted(cdf, u, side="right")`` with
+   ``cdf = p.cumsum(); cdf /= cdf[-1]``; and ``random((k, m))`` fills
+   row-major with the doubles of ``k * m`` scalar calls.
+   ``tests/test_controller.py::TestChoiceContract`` pins both for
+   ``n = 1..129`` with masked (zero-probability) options, so a numpy
+   upgrade that breaks them fails loudly instead of silently changing
+   search trajectories.
 
 CLI seed plumbing: every search subcommand (``search``, ``evolve``,
 ``nas``, ``mc``, ``campaign``) exposes ``--seed`` and passes it verbatim

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import ControllerConfig, RNNController
 from repro.core.choices import Decision
+from repro.core.controller import _draw, _masked_softmax
+from repro.utils.rng import restore_rng
 
 
 def make_decisions():
@@ -95,6 +97,152 @@ class TestSampling:
             return None
         with pytest.raises(ValueError, match="masked out"):
             controller.sample(rng, mask_fn=mask_fn, forced_actions={0: 3})
+
+
+def sample_facts(sample):
+    """Everything a trajectory exposes, as bytes for exact comparison."""
+    return (sample.actions, sample.log_probs.tobytes(),
+            sample.entropies.tobytes(), sample.forced.tobytes(),
+            tuple(step.probs.tobytes() for step in sample.steps))
+
+
+def budget_mask(pos, actions):
+    """A history-dependent mask: option ``actions[0]`` of step 2 is off."""
+    if pos == 2:
+        mask = np.ones(5, dtype=bool)
+        mask[actions[0]] = False
+        return mask
+    return None
+
+
+class TestLockstep:
+    """``sample(count=k)`` / ``backward(list)`` == k single calls."""
+
+    @pytest.mark.parametrize("forced", [{}, {0: 1}, {0: 3, 1: 2}, {2: 4}])
+    def test_batch_equals_sequential_samples(self, controller, forced):
+        batched_rng, single_rng = (np.random.default_rng(5),
+                                   np.random.default_rng(5))
+        batch = controller.sample(batched_rng, mask_fn=budget_mask,
+                                  forced_actions=forced, count=6)
+        singles = [controller.sample(single_rng, mask_fn=budget_mask,
+                                     forced_actions=forced)
+                   for _ in range(6)]
+        assert [sample_facts(s) for s in batch] == [
+            sample_facts(s) for s in singles]
+        assert (batched_rng.bit_generator.state
+                == single_rng.bit_generator.state)
+
+    def test_prefix_reuse_is_bit_identical(self, controller):
+        rng = np.random.default_rng(8)
+        joint = controller.sample(rng, mask_fn=budget_mask)
+        forced = {0: joint.actions[0], 1: joint.actions[1]}
+        state = rng.bit_generator.state
+        reused = controller.sample(rng, mask_fn=budget_mask,
+                                   forced_actions=forced, count=4,
+                                   prefix=joint)
+        replay = restore_rng(state)
+        fresh = controller.sample(replay, mask_fn=budget_mask,
+                                  forced_actions=forced, count=4)
+        assert [sample_facts(s) for s in reused] == [
+            sample_facts(s) for s in fresh]
+        assert rng.bit_generator.state == replay.bit_generator.state
+        # The reused steps are the joint sample's caches, not copies.
+        assert reused[0].path[0][0] is joint.path[0][0]
+        assert reused[0].path[2][0] is not joint.path[2][0]
+
+    def test_prefix_stops_at_first_mismatch(self, controller):
+        rng = np.random.default_rng(8)
+        joint = controller.sample(rng)
+        other = (joint.actions[1] + 1) % 3
+        batch = controller.sample(rng, forced_actions={
+            0: joint.actions[0], 1: other}, count=2, prefix=joint)
+        assert batch[0].path[0][0] is joint.path[0][0]
+        assert batch[0].path[1][0] is not joint.path[1][0]
+        assert batch[1].actions[:2] == (joint.actions[0], other)
+
+    def test_count_zero_draws_nothing(self, controller):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert controller.sample(rng, count=0) == []
+        assert rng.bit_generator.state == state
+
+    def test_count_one_returns_list(self, controller, rng):
+        batch = controller.sample(rng, count=1)
+        assert isinstance(batch, list) and len(batch) == 1
+
+    def test_batch_backward_equals_summed_single_backward(self, controller):
+        rng = np.random.default_rng(2)
+        batch = controller.sample(rng, mask_fn=budget_mask, count=5)
+        weights = rng.normal(size=(5, 4))
+        betas = rng.uniform(0, 0.3, size=(5, 4))
+        betas[1] = 0.0  # rows with and without an entropy bonus
+        got = controller.backward(batch, weights, betas)
+        want = {key: np.zeros_like(v) for key, v in controller.params.items()}
+        for sample, w, b in zip(batch, weights, betas):
+            for key, grad in controller.backward(sample, w, b).items():
+                want[key] += grad
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_backward_reads_step_inputs_from_live_params(self, controller,
+                                                         rng):
+        """Each step's input is gathered from the parameters at backward
+        time (what the pre-lockstep parameter views read), not frozen at
+        sample time."""
+        sample = controller.sample(rng)
+        weights = np.ones(4)
+        before = controller.backward(sample, weights)["Wx"].copy()
+        controller.params["x0"] += 0.5
+        after = controller.backward(sample, weights)["Wx"]
+        assert not np.array_equal(before, after)
+
+    def test_batch_weight_shape_checked(self, controller, rng):
+        batch = controller.sample(rng, count=3)
+        with pytest.raises(ValueError, match="weights"):
+            controller.backward(batch, np.zeros(4))
+        with pytest.raises(ValueError, match="at least one"):
+            controller.backward([], np.zeros((0, 4)))
+
+
+class TestChoiceContract:
+    """The lockstep sampler's categorical draw reproduces
+    ``Generator.choice(n, p=)``: same index, same generator state.  The
+    seeding contract (:mod:`repro.utils.rng`, rule 5) rests on it, so a
+    numpy upgrade that changes ``choice`` must fail here."""
+
+    def test_predrawn_draw_matches_choice(self):
+        gen = np.random.default_rng(0)
+        for n in range(1, 130):
+            logits = gen.normal(scale=3.0, size=(4, n))
+            mask = gen.random((4, n)) < 0.7
+            mask[np.arange(4), gen.integers(n, size=4)] = True
+            mask[0] = True  # one unmasked row
+            probs = _masked_softmax(logits, mask)
+            seed = int(gen.integers(1 << 31))
+            reference = np.random.default_rng(seed)
+            want = [reference.choice(n, p=row) for row in probs]
+            lockstep = np.random.default_rng(seed)
+            got = _draw(probs, lockstep.random(4))
+            assert got.tolist() == want, n
+            assert (lockstep.bit_generator.state
+                    == reference.bit_generator.state), n
+            assert all(probs[row, got[row]] > 0 for row in range(4))
+
+    def test_predrawn_uniforms_fill_row_major(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        block = a.random((3, 5))
+        scalars = np.array([b.random() for _ in range(15)]).reshape(3, 5)
+        assert np.array_equal(block, scalars)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.6], [-0.1, 1.1],
+                                       [np.nan, 1.0]])
+    def test_validation_matches_choice(self, probs):
+        probs = np.array(probs)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, p=probs)
+        with pytest.raises(ValueError, match="probabilities"):
+            _draw(probs[None, :], np.zeros(1))
 
 
 class TestGradients:

@@ -33,7 +33,7 @@ from repro.workloads import generate_spec
 from repro.workloads.generator import ScenarioSpec
 
 EXPECTED_PAIRS = ("cost-table", "hap-modes", "evalservice", "store-warm",
-                  "checkpoint-resume", "exact-gap")
+                  "checkpoint-resume", "controller-batch", "exact-gap")
 
 
 @pytest.fixture

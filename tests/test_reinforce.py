@@ -151,3 +151,27 @@ class TestConfigValidation:
             ReinforceConfig(lr_decay=0)
         with pytest.raises(ValueError):
             ReinforceConfig(baseline_decay=1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rms_decay", 1.0), ("rms_decay", -0.1), ("rms_eps", 0.0),
+        ("rms_eps", -1e-8), ("entropy_beta", -0.01), ("grad_clip", -1.0),
+        ("grad_clip", float("nan"))])
+    def test_rejects_bad_rmsprop_entropy_and_clip(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ReinforceConfig(**{field: value})
+
+    def test_zero_grad_clip_turns_clipping_off(self):
+        controller = RNNController(
+            [Decision("a", 3, "arch")],
+            ControllerConfig(hidden_size=8, embed_size=4),
+            rng=np.random.default_rng(0))
+        clipped = ReinforceTrainer(controller, ReinforceConfig(
+            grad_clip=1e-6))
+        unclipped = ReinforceTrainer(controller, ReinforceConfig(
+            grad_clip=0.0))
+        grads = {"g": np.full(4, 10.0)}
+        clipped._clip(grads)
+        assert np.linalg.norm(grads["g"]) == pytest.approx(1e-6)
+        grads = {"g": np.full(4, 10.0)}
+        unclipped._clip(grads)
+        assert np.array_equal(grads["g"], np.full(4, 10.0))

@@ -1,8 +1,10 @@
 """Unit tests for the NASAIC search loop (small-scale runs)."""
 
+import numpy as np
 import pytest
 
 from repro.core import NASAIC, NASAICConfig
+from repro.core.controller import RNNController
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,61 @@ class TestDeterminism:
         rewards1 = [e.reward for e in r1.episodes]
         rewards2 = [e.reward for e in r2.episodes]
         assert rewards1 != rewards2
+
+
+class TestLockstepController:
+    """The lockstep controller mechanism fires in a real run."""
+
+    @pytest.mark.parametrize("episodes,joint_batch", [(7, 3), (6, 2)])
+    def test_one_sample_and_backward_call_per_batch(
+            self, monkeypatch, episodes, joint_batch):
+        from repro.workloads import w1
+        calls = {"sample": 0, "backward": 0}
+        for name in calls:
+            original = getattr(RNNController, name)
+
+            def counted(self, *args, _name=name, _original=original,
+                        **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(RNNController, name, counted)
+        NASAIC(w1(), config=NASAICConfig(
+            episodes=episodes, hw_steps=5, seed=3,
+            joint_batch=joint_batch)).run()
+        # One joint sample plus one hardware-only batch per episode (the
+        # per-trajectory engine made 1 + phi calls of each).
+        assert calls["sample"] == 2 * episodes
+        assert calls["backward"] == episodes + episodes // joint_batch
+
+    def test_step_weights_match_per_step_formula(self):
+        from repro.workloads import w1
+        search = NASAIC(w1(), config=NASAICConfig(episodes=1, seed=5))
+        trainer = search._hw_updates
+        trainer.baseline = 0.37
+        joint = search.controller.sample(search._sample_rng,
+                                         mask_fn=search.space.mask_for)
+        forced = {pos: joint.actions[pos]
+                  for pos in search.space.arch_positions}
+        batch = search.controller.sample(
+            search._sample_rng, mask_fn=search.space.mask_for,
+            forced_actions=forced, count=3, prefix=joint)
+        rewards = [-1.25, 0.5, 3.0]
+        weights, entropy = trainer.batch_weights(batch, rewards,
+                                                 trainable={14, 15, 16})
+        cfg = trainer.config
+        t_count = len(search.space.decisions)
+        for row, (sample, reward) in enumerate(zip(batch, rewards)):
+            for t in range(t_count):
+                owned = not sample.forced[t] and t in {14, 15, 16}
+                want = ((cfg.gamma ** (t_count - 1 - t))
+                        * (reward - trainer.baseline) if owned else 0.0)
+                assert weights[row, t] == want
+                assert entropy[row, t] == (cfg.entropy_beta if owned
+                                           else 0.0)
+        single, single_entropy = trainer.step_weights(batch[1], rewards[1])
+        assert np.array_equal(single, trainer.batch_weights(
+            batch, rewards)[0][1])
+        assert not single[:len(forced)].any() and single_entropy[-1] > 0
 
 
 class TestGreedyReadout:
