@@ -161,9 +161,15 @@ class JointSearchSpace:
             # zero option the reserve is 0 and the mask is unchanged).
             reserve = (alloc.num_slots - slot - 1) * min(alloc.pe_options)
             mask = alloc.pe_mask(alloc.budget.max_pes - used - reserve)
+            earlier_active = sum(
+                1 for s in range(slot) if self._pe_of(sampled, s) > 0)
+            if ((earlier_active + 1) * min(alloc.bw_options)
+                    > alloc.budget.max_bandwidth_gbps):
+                # The bandwidth budget cannot feed one more active slot
+                # even at its cheapest option (a dead end at that slot's
+                # bandwidth mask otherwise): only zero PEs remain.
+                mask = mask & (np.array(alloc.pe_options) == 0)
             is_last = slot == alloc.num_slots - 1
-            earlier_active = any(
-                self._pe_of(sampled, s) > 0 for s in range(slot))
             if is_last and not earlier_active:
                 # At least one slot must be active (a design needs PEs).
                 nonzero = np.array([p > 0 for p in alloc.pe_options])

@@ -34,20 +34,25 @@ LSTM states, probabilities, log-probs and entropies exactly;
 ``sample(count=phi, prefix=joint)`` reuses those step caches and runs
 only the remaining (hardware) steps.
 
-Order-fixed reductions.  A batch of ``k`` samples equals ``k``
-sequential single samples bit for bit, generator state included:
+Order-fixed sampling.  A batch of ``k`` samples equals ``k`` sequential
+single samples bit for bit, generator state included:
 
-- every row product is a stacked matmul ``(X[:, None, :] @ W)[:, 0, :]``,
-  whose rows are bitwise equal to the per-row vector-matrix product, also
-  for the transposed weights of the backward pass (a plain 2-D ``X @ W``
-  gemm is *not*, and neither is ``einsum``);
+- every forward row product is a stacked matmul
+  ``(X[:, None, :] @ W)[:, 0, :]``, whose rows are bitwise equal to the
+  per-row vector-matrix product (a plain 2-D ``X @ W`` gemm is *not*,
+  and neither is ``einsum``);
 - softmax max/exp/sum, entropies and the categorical CDF reduce along
   axis 1, bitwise equal to the 1-D reductions of each row;
 - sampling pre-draws ``rng.random((k, free_steps))`` in row-major order
   and inverts the CDF exactly as ``Generator.choice(n, p=)`` does (the
-  numpy property is pinned in :mod:`repro.utils.rng`);
-- the backward pass keeps one gradient accumulator per sample and adds
-  them in list order, as summing single-sample gradients would.
+  numpy property is pinned in :mod:`repro.utils.rng`).
+
+The backward pass is the one place the order is not fixed: each step's
+weight gradients are one BLAS product over the batch's rows
+(``x.T @ dz``, ``h_prev.T @ dz``, ``h.T @ g``; ``np.add.at`` for
+embedding rows), so a ``k``-sample gradient matches the sum of ``k``
+single-sample gradients to ~1e-15 relative, not bitwise (the
+``controller-batch`` fuzz pair checks 1e-12).
 
 [1] B. Zoph, Q. V. Le.  Neural Architecture Search with Reinforcement
     Learning.  ICLR 2017.
@@ -446,38 +451,24 @@ class RNNController:
         entropies = np.stack([sample.entropies for sample in samples])
         actions = np.array([sample.actions for sample in samples])
         h_size = self.config.hidden_size
-        rows = np.arange(k)
-        # One accumulator row per sample, summed in list order at the end.
-        flat = np.zeros((k, sum(v.size for v in self.params.values())))
-        acc: dict[str, np.ndarray] = {}
-        offset = 0
-        for key, value in self.params.items():
-            acc[key] = flat[:, offset:offset + value.size].reshape(
-                (k,) + value.shape)
-            offset += value.size
+        grads = {key: np.zeros_like(value)
+                 for key, value in self.params.items()}
         dh_next = np.zeros((k, h_size))
         dc_next = np.zeros((k, h_size))
         for t in range(t_count - 1, -1, -1):
             (h_prev, c_prev, gates, tanh_c, h, probs, safe_log,
              chosen) = _gather([sample.path[t] for sample in samples])
             onehot = np.zeros_like(probs)
-            onehot[rows, chosen] = 1.0
+            onehot[np.arange(k), chosen] = 1.0
             # d/dlogits of log p[a]:  onehot - p   (ascent direction)
             g_logits = weights[:, t, None] * (onehot - probs)
-            beta = betas[:, t]
-            bonus_rows = beta != 0.0
-            if bonus_rows.any():
-                bonus = beta[:, None] * (
+            if betas[:, t].any():
+                g_logits += betas[:, t, None] * (
                     -probs * (safe_log + entropies[:, t, None]))
-                if bonus_rows.all():
-                    g_logits += bonus
-                else:
-                    g_logits[bonus_rows] += bonus[bonus_rows]
             g_logits = g_logits / self.config.temperature
-            acc[f"Wout{t}"] += h[:, :, None] * g_logits[:, None, :]
-            acc[f"bout{t}"] += g_logits
-            dh = ((g_logits[:, None, :] @ self.params[f"Wout{t}"].T)[:, 0, :]
-                  + dh_next)
+            grads[f"Wout{t}"] = h.T @ g_logits
+            grads[f"bout{t}"] = g_logits.sum(axis=0)
+            dh = g_logits @ self.params[f"Wout{t}"].T + dh_next
             # Input at step t+1 was emb[t][action_t]; its gradient arrives
             # via dx of step t+1, handled below when we compute dx.
             gate_i = gates[:, :h_size]
@@ -496,26 +487,21 @@ class RNNController:
                 d_g * (1.0 - gate_g ** 2),
                 d_o * gate_o * (1.0 - gate_o),
             ], axis=1)
-            x = (self.params["x0"][None, :] if t == 0
+            x = (np.broadcast_to(self.params["x0"],
+                                 (k, self.config.embed_size)) if t == 0
                  else self.params[f"emb{t - 1}"][actions[:, t - 1]])
-            acc["Wx"] += x[:, :, None] * dz[:, None, :]
-            acc["Wh"] += h_prev[:, :, None] * dz[:, None, :]
-            acc["b"] += dz
-            dx = (dz[:, None, :] @ self.params["Wx"].T)[:, 0, :]
+            # One k-row product per step.  A single product over all
+            # (sample, step) rows is big enough for OpenBLAS to wake its
+            # worker threads, which costs ~10 ms per call on 2 vCPUs.
+            grads["Wx"] += x.T @ dz
+            grads["Wh"] += h_prev.T @ dz
+            grads["b"] += dz.sum(axis=0)
+            dx = dz @ self.params["Wx"].T
             if t == 0:
-                acc["x0"] += dx
+                grads["x0"] = dx.sum(axis=0)
             else:
-                acc[f"emb{t - 1}"][rows, actions[:, t - 1]] += dx
-            dh_next = (dz[:, None, :] @ self.params["Wh"].T)[:, 0, :]
-        total = np.zeros(flat.shape[1])
-        for row in flat:
-            total += row
-        grads: dict[str, np.ndarray] = {}
-        offset = 0
-        for key, value in self.params.items():
-            grads[key] = total[offset:offset + value.size].reshape(
-                value.shape)
-            offset += value.size
+                np.add.at(grads[f"emb{t - 1}"], actions[:, t - 1], dx)
+            dh_next = dz @ self.params["Wh"].T
         return grads
 
     # ------------------------------------------------------------------

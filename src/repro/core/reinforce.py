@@ -97,23 +97,6 @@ class ReinforceTrainer:
     # ------------------------------------------------------------------
     def step_weights(
         self,
-        sample: ControllerSample,
-        reward: float,
-        trainable: set[int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(log-prob weights, entropy weights) for one episode.
-
-        Args:
-            sample: The sampled trajectory.
-            reward: Episode reward ``R_k``.
-            trainable: Step indices the policy owns this episode; ``None``
-                means every non-forced step.
-        """
-        weights, entropy = self.batch_weights([sample], [reward], trainable)
-        return weights[0], entropy[0]
-
-    def batch_weights(
-        self,
         samples: list[ControllerSample],
         rewards: list[float],
         trainable: set[int] | None = None,
@@ -122,6 +105,12 @@ class ReinforceTrainer:
 
         Row ``k`` holds ``gamma^(T-1-t) * (R_k - b)`` and the entropy
         bonus on the steps the policy owned, zero elsewhere.
+
+        Args:
+            samples: The sampled trajectories.
+            rewards: Episode reward ``R_k`` per trajectory.
+            trainable: Step indices the policy owns this episode; ``None``
+                means every non-forced step.
         """
         base = self.baseline if self.baseline is not None else 0.0
         advantages = np.array([reward - base for reward in rewards])
@@ -147,7 +136,8 @@ class ReinforceTrainer:
         *,
         trainable: set[int] | None = None,
     ) -> float:
-        """Accumulate a batch of (sample, reward) episodes and step.
+        """Backpropagate a batch of (sample, reward) episodes in one
+        controller sweep and take one RMSProp step.
 
         Returns the mean advantage of the batch (diagnostic).  The
         baseline EMA is refreshed *after* computing advantages, matching
@@ -157,7 +147,7 @@ class ReinforceTrainer:
             raise ValueError("apply_episodes needs at least one episode")
         samples = [sample for sample, _ in episodes]
         rewards = [reward for _, reward in episodes]
-        weights, entropy = self.batch_weights(samples, rewards, trainable)
+        weights, entropy = self.step_weights(samples, rewards, trainable)
         grads_total = self.controller.backward(samples, weights, entropy)
         base = self.baseline if self.baseline is not None else 0.0
         advantages = [reward - base for reward in rewards]

@@ -1,5 +1,6 @@
 """Unit tests for the joint co-exploration decision space."""
 
+import numpy as np
 import pytest
 
 from repro.accel import AllocationSpace, Dataflow
@@ -116,6 +117,28 @@ class TestMasks:
                 actions.append(int(mask.argmax()))
         sample = space.decode(actions)
         assert sample.accelerator.total_bandwidth_gbps <= 64
+
+
+    def test_never_activates_more_slots_than_bandwidth_feeds(
+            self, workload_w1):
+        """Three slots but bandwidth for only two at the cheapest option:
+        a third active slot would leave its bandwidth mask empty."""
+        from repro.accel.accelerator import ResourceBudget
+        alloc = AllocationSpace(num_slots=3, pe_step=128, bw_step=16,
+                                budget=ResourceBudget(max_pes=512,
+                                                      max_bandwidth_gbps=32))
+        space = JointSearchSpace(workload_w1, alloc)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            actions = []
+            for pos in range(space.num_decisions):
+                mask = space.mask_for(pos, actions)
+                options = (np.flatnonzero(mask) if mask is not None
+                           else np.arange(space.decisions[pos].num_options))
+                actions.append(int(rng.choice(options)))
+            design = space.decode(actions).accelerator
+            assert design.total_bandwidth_gbps <= 32
+            assert sum(sub.num_pes > 0 for sub in design.subaccs) <= 2
 
 
 class TestDecode:

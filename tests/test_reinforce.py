@@ -22,15 +22,15 @@ class TestStepWeights:
     def test_forced_steps_zero_weight(self, setup, rng):
         controller, trainer = setup
         sample = controller.sample(rng, forced_actions={0: 1})
-        weights, _ = trainer.step_weights(sample, reward=1.0)
+        (weights,), _ = trainer.step_weights([sample], [1.0])
         assert weights[0] == 0.0
         assert weights[1] != 0.0
 
     def test_trainable_restriction(self, setup, rng):
         controller, trainer = setup
         sample = controller.sample(rng)
-        weights, _ = trainer.step_weights(sample, reward=1.0,
-                                          trainable={1})
+        (weights,), _ = trainer.step_weights([sample], [1.0],
+                                             trainable={1})
         assert weights[0] == 0.0 and weights[1] != 0.0
 
     def test_gamma_discounting(self, rng):
@@ -41,7 +41,7 @@ class TestStepWeights:
             rng=np.random.default_rng(1))
         trainer = ReinforceTrainer(controller, ReinforceConfig(gamma=0.5))
         sample = controller.sample(rng)
-        weights, _ = trainer.step_weights(sample, reward=1.0)
+        (weights,), _ = trainer.step_weights([sample], [1.0])
         # gamma^(T-1-t): earliest step discounted most
         assert weights[0] == pytest.approx(0.25)
         assert weights[1] == pytest.approx(0.5)
@@ -51,7 +51,7 @@ class TestStepWeights:
         controller, trainer = setup
         trainer.baseline = 0.4
         sample = controller.sample(rng)
-        weights, _ = trainer.step_weights(sample, reward=1.0)
+        (weights,), _ = trainer.step_weights([sample], [1.0])
         assert weights[-1] == pytest.approx(0.6)
 
 

@@ -130,8 +130,8 @@ class TestLockstepController:
             search._sample_rng, mask_fn=search.space.mask_for,
             forced_actions=forced, count=3, prefix=joint)
         rewards = [-1.25, 0.5, 3.0]
-        weights, entropy = trainer.batch_weights(batch, rewards,
-                                                 trainable={14, 15, 16})
+        weights, entropy = trainer.step_weights(batch, rewards,
+                                                trainable={14, 15, 16})
         cfg = trainer.config
         t_count = len(search.space.decisions)
         for row, (sample, reward) in enumerate(zip(batch, rewards)):
@@ -142,8 +142,9 @@ class TestLockstepController:
                 assert weights[row, t] == want
                 assert entropy[row, t] == (cfg.entropy_beta if owned
                                            else 0.0)
-        single, single_entropy = trainer.step_weights(batch[1], rewards[1])
-        assert np.array_equal(single, trainer.batch_weights(
+        (single,), (single_entropy,) = trainer.step_weights([batch[1]],
+                                                            [rewards[1]])
+        assert np.array_equal(single, trainer.step_weights(
             batch, rewards)[0][1])
         assert not single[:len(forced)].any() and single_entropy[-1] > 0
 
