@@ -13,7 +13,7 @@ Regenerating the fixture (only after an *intentional* behaviour change):
 Fixture history: regenerated once when the lockstep controller began
 reducing each step's weight gradients with one BLAS product over the
 batch's rows instead of per-sample rank-1 sums.  The gradients agree to
-~1e-15 relative, but RMSProp amplifies near-zero gradients whose sign
+~2e-15 relative, but RMSProp amplifies near-zero gradients whose sign
 flips: on this config the largest parameter difference grew from 4e-13
 to 4e-9, 1e-6 and 0.02 over episodes 1-4, and the sampled actions
 diverged from episode 5 on.  Sampling itself (and the generator stream)
