@@ -17,6 +17,10 @@ scheduler (a slot cannot run longer than the makespan; a chain is
 serial), so every feasible schedule satisfies the relaxation and the
 relaxation's optimum can only be lower.  Solved with
 ``scipy.optimize.milp``.  Tests certify ``bound <= exact <= heuristic``.
+
+scipy is imported on the first call, not with this module: it is
+optional for every CLI path (no command, search, baseline or daemon
+calls the bound), so a ``repro`` process never pays for loading it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.mapping.problem import MappingProblem
 
@@ -54,6 +57,8 @@ def energy_lower_bound(problem: MappingProblem,
     if latency_constraint <= 0:
         raise ValueError(
             f"latency constraint must be positive, got {latency_constraint}")
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     layers = problem.num_layers
     slots = problem.num_slots
     n_vars = layers * slots
