@@ -17,114 +17,65 @@ Quickstart::
     print(result.summary())
 """
 
-from repro.accel import (
-    AllocationSpace,
-    Dataflow,
-    HeterogeneousAccelerator,
-    ResourceBudget,
-    SubAccelerator,
-)
-from repro.arch import (
-    ArchitectureSpace,
-    Choice,
-    ConvLayer,
-    NetworkArch,
-    ResNetSpace,
-    UNetSpace,
-    cifar10_resnet_space,
-    nuclei_unet_space,
-    stl10_resnet_space,
-)
-from repro.core import (
-    NASAIC,
-    Campaign,
-    CampaignConfig,
-    CampaignResult,
-    EvalService,
-    EvalServiceStats,
-    Evaluator,
-    ExploredSolution,
-    JointSearchSpace,
-    NASAICConfig,
-    RNNController,
-    Scenario,
-    SearchDriver,
-    SearchResult,
-    SearchStrategy,
-    asic_then_hw_nas,
-    hardware_aware_nas,
-    monte_carlo_search,
-    run_campaign,
-    run_nas,
-    successive_nas_then_asic,
-)
-from repro.cost import CostModel, CostModelParams, LayerCost
-from repro.mapping import MappingProblem, list_schedule, solve_exact, solve_hap
-from repro.train import AccuracySurrogate, SurrogateTrainer, default_surrogate
-from repro.workloads import (
-    DesignSpecs,
-    Task,
-    Workload,
-    fig1_workload,
-    w1,
-    w2,
-    w3,
-)
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccuracySurrogate",
-    "AllocationSpace",
-    "ArchitectureSpace",
-    "Campaign",
-    "CampaignConfig",
-    "CampaignResult",
-    "Choice",
-    "ConvLayer",
-    "CostModel",
-    "CostModelParams",
-    "Dataflow",
-    "DesignSpecs",
-    "EvalService",
-    "EvalServiceStats",
-    "Evaluator",
-    "ExploredSolution",
-    "HeterogeneousAccelerator",
-    "JointSearchSpace",
-    "LayerCost",
-    "MappingProblem",
-    "NASAIC",
-    "NASAICConfig",
-    "NetworkArch",
-    "RNNController",
-    "ResNetSpace",
-    "ResourceBudget",
-    "Scenario",
-    "SearchDriver",
-    "SearchResult",
-    "SearchStrategy",
-    "SubAccelerator",
-    "SurrogateTrainer",
-    "Task",
-    "UNetSpace",
-    "Workload",
-    "asic_then_hw_nas",
-    "cifar10_resnet_space",
-    "default_surrogate",
-    "fig1_workload",
-    "hardware_aware_nas",
-    "list_schedule",
-    "monte_carlo_search",
-    "nuclei_unet_space",
-    "run_campaign",
-    "run_nas",
-    "solve_exact",
-    "solve_hap",
-    "stl10_resnet_space",
-    "successive_nas_then_asic",
-    "w1",
-    "w2",
-    "w3",
-    "__version__",
-]
+# Public name -> defining subpackage, imported on first access.
+_EXPORTS = {
+    "AllocationSpace": ".accel",
+    "Dataflow": ".accel",
+    "HeterogeneousAccelerator": ".accel",
+    "ResourceBudget": ".accel",
+    "SubAccelerator": ".accel",
+    "ArchitectureSpace": ".arch",
+    "Choice": ".arch",
+    "ConvLayer": ".arch",
+    "NetworkArch": ".arch",
+    "ResNetSpace": ".arch",
+    "UNetSpace": ".arch",
+    "cifar10_resnet_space": ".arch",
+    "nuclei_unet_space": ".arch",
+    "stl10_resnet_space": ".arch",
+    "NASAIC": ".core",
+    "Campaign": ".core",
+    "CampaignConfig": ".core",
+    "CampaignResult": ".core",
+    "EvalService": ".core",
+    "EvalServiceStats": ".core",
+    "Evaluator": ".core",
+    "ExploredSolution": ".core",
+    "JointSearchSpace": ".core",
+    "NASAICConfig": ".core",
+    "RNNController": ".core",
+    "Scenario": ".core",
+    "SearchDriver": ".core",
+    "SearchResult": ".core",
+    "SearchStrategy": ".core",
+    "asic_then_hw_nas": ".core",
+    "hardware_aware_nas": ".core",
+    "monte_carlo_search": ".core",
+    "run_campaign": ".core",
+    "run_nas": ".core",
+    "successive_nas_then_asic": ".core",
+    "CostModel": ".cost",
+    "CostModelParams": ".cost",
+    "LayerCost": ".cost",
+    "MappingProblem": ".mapping",
+    "list_schedule": ".mapping",
+    "solve_exact": ".mapping",
+    "solve_hap": ".mapping",
+    "AccuracySurrogate": ".train",
+    "SurrogateTrainer": ".train",
+    "default_surrogate": ".train",
+    "DesignSpecs": ".workloads",
+    "Task": ".workloads",
+    "Workload": ".workloads",
+    "fig1_workload": ".workloads",
+    "w1": ".workloads",
+    "w2": ".workloads",
+    "w3": ".workloads",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

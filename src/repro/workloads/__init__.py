@@ -1,37 +1,26 @@
 """Multi-task workloads: the paper's presets plus generated scenarios."""
 
-from repro.workloads.generator import (
-    SIZE_CLASSES,
-    GeneratedScenario,
-    ScenarioSpec,
-    TaskSpec,
-    generate_spec,
-    generate_specs,
-)
-from repro.workloads.presets import fig1_workload, w1, w2, w3, workload_by_name
-from repro.workloads.validation import validate_workload
-from repro.workloads.workload import (
-    DesignSpecs,
-    PenaltyBounds,
-    Task,
-    Workload,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DesignSpecs",
-    "GeneratedScenario",
-    "PenaltyBounds",
-    "SIZE_CLASSES",
-    "ScenarioSpec",
-    "Task",
-    "TaskSpec",
-    "Workload",
-    "fig1_workload",
-    "generate_spec",
-    "generate_specs",
-    "validate_workload",
-    "w1",
-    "w2",
-    "w3",
-    "workload_by_name",
-]
+# Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "SIZE_CLASSES": ".generator",
+    "GeneratedScenario": ".generator",
+    "ScenarioSpec": ".generator",
+    "TaskSpec": ".generator",
+    "generate_spec": ".generator",
+    "generate_specs": ".generator",
+    "fig1_workload": ".presets",
+    "w1": ".presets",
+    "w2": ".presets",
+    "w3": ".presets",
+    "workload_by_name": ".presets",
+    "validate_workload": ".validation",
+    "DesignSpecs": ".workload",
+    "PenaltyBounds": ".workload",
+    "Task": ".workload",
+    "Workload": ".workload",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
