@@ -1,11 +1,18 @@
-"""Legacy setuptools shim.
+"""Setuptools metadata for the ``repro`` package (sources under ``src/``).
 
-This environment ships setuptools without the ``wheel`` package, so PEP 517
-editable installs (which need ``bdist_wheel``) fail; keeping a ``setup.py``
-lets ``pip install -e .`` fall back to the legacy develop path.  All project
-metadata lives in ``pyproject.toml``.
+Install with ``pip install -e .``.  numpy is the only runtime
+dependency; scipy is needed only for the ILP energy bound
+(``repro.mapping.energy_lower_bound``), hence the ``ilp`` extra:
+``pip install -e '.[ilp]'``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    extras_require={"ilp": ["scipy"]},
+)

@@ -620,10 +620,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.server import serve
-
     if args.status:
         return _serve_status(args)
+    from repro.core.server import serve
+
     suffix = f" (store: {args.store})" if args.store else ""
     if args.workers > 1:
         suffix += f" ({args.workers} pricing workers per context)"

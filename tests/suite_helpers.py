@@ -11,6 +11,12 @@ exact same builders.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 from repro.accel import AllocationSpace
 from repro.core import Evaluator
 from repro.core.serialization import result_to_dict
@@ -59,3 +65,18 @@ def normalised_run(result, *, drop_accounting=False):
                     "pricing"):
             payload.pop(key)
     return payload
+
+
+def run_fresh_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter from the repository root,
+    with ``src`` and the root (for ``tests.*`` helpers) importable.
+
+    Cold-import tests need this: in the test process every module is
+    already loaded, so what ``import repro.cli`` pulls in cannot be seen.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], cwd=root,
+        env=env, capture_output=True, text=True, timeout=300)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from suite_helpers import run_fresh_python
 
 
 class TestParser:
@@ -351,3 +352,30 @@ class TestGeneratedCampaign:
         with pytest.raises(SystemExit, match="size class"):
             main(["campaign", "--generated", "1",
                   "--generated-classes", "mega"])
+
+
+class TestWithoutScipy:
+    def test_cli_commands_and_bound_validation_need_no_scipy(self):
+        """scipy is optional for every CLI path: only the ILP bound
+        imports it, and only after validating its arguments."""
+        result = run_fresh_python("""
+            import sys
+            sys.modules["scipy"] = None  # any scipy import now raises
+
+            from repro.cli import main
+            from repro.mapping import energy_lower_bound
+            from tests.test_schedule import tiny_problem
+
+            # 8 runs: seed 0's first 4 designs are all infeasible (exit 1).
+            assert main(["mc", "--workload", "W1", "--runs", "8",
+                         "--seed", "0"]) == 0
+            assert main(["search", "--workload", "W1", "--episodes", "2",
+                         "--hw-steps", "2", "--progress", "0"]) == 0
+            try:
+                energy_lower_bound(tiny_problem([[5]], [(0,)]), 0)
+            except ValueError as exc:
+                print("bound rejected:", exc)
+        """)
+        assert result.returncode == 0, result.stderr
+        assert "bound rejected: latency constraint must be positive" in (
+            result.stdout)
