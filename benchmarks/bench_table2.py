@@ -31,8 +31,9 @@ def test_table2(benchmark):
     # Accuracy ladder: NAS tops everything; the heterogeneous pair's
     # best network is competitive with the single-accelerator result
     # (paper: 93.23% vs 91.45%; in our calibration the single
-    # configuration is not latency-bound, so the ladder flattens — see
-    # EXPERIMENTS.md — and a 1-point tolerance absorbs REINFORCE seed
-    # variance at reduced scale).
+    # configuration is not latency-bound, so the ladder flattens — the
+    # paper's values are in the repro.experiments.table2 docstring —
+    # and a 1-point tolerance absorbs REINFORCE seed variance at
+    # reduced scale).
     assert nas.accuracies[0] >= max(hetero.accuracies) - 0.5
     assert max(hetero.accuracies) > single.accuracies[0] - 1.0

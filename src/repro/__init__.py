@@ -5,8 +5,10 @@ Reimplementation of Yang et al., DAC 2020 (arXiv:2002.04116), with every
 substrate built from scratch: the ResNet9/U-Net search spaces, the
 dataflow-template accelerator model, a MAESTRO-style analytic cost model,
 the HAP mapper/scheduler, the RNN controller with Monte-Carlo policy
-gradient, and the full baseline suite.  See DESIGN.md for the system
-inventory and EXPERIMENTS.md for paper-vs-measured results.
+gradient, and the full baseline suite.  See the README for the
+system inventory; the paper's values for each table live in the
+docstrings of :mod:`repro.experiments.table1` and
+:mod:`repro.experiments.table2`.
 
 Quickstart::
 

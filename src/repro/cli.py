@@ -382,30 +382,31 @@ def _served_context(args: argparse.Namespace, workload, rho: float, *,
     return workload, cost_model, remote
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _run_search(args: argparse.Namespace, search_class, config,
+                **run_options) -> int:
+    """Build a ``search``/``evolve`` run over a local (optionally
+    ``--store``-backed) or ``--service`` pricing tier, run it with the
+    checkpoint flags and report it; every resource the CLI opened is
+    closed on the way out."""
     workload = workload_by_name(args.workload)
-    config = NASAICConfig(
-        episodes=args.episodes, hw_steps=args.hw_steps, seed=args.seed,
-        cache_size=args.cache_size, eval_workers=args.workers)
     store = remote = None
     if args.service:
         from dataclasses import replace
 
         workload, cost_model, remote = _served_context(
             args, workload, config.rho)
-        config = replace(config, calibrate_bounds=False)
-        search = NASAIC(workload, config=config, cost_model=cost_model,
-                        evalservice=remote)
+        search = search_class(
+            workload, config=replace(config, calibrate_bounds=False),
+            cost_model=cost_model, evalservice=remote)
     else:
         store = _open_store(args)
-        search = NASAIC(workload, config=config, store=store)
+        search = search_class(workload, config=config, store=store)
     try:
         result = search.run(
-            progress_every=args.progress if args.progress > 0 else None,
             checkpoint_path=args.checkpoint,
             checkpoint_every=(args.checkpoint_every
                               if args.checkpoint else 0),
-            resume_from=args.resume)
+            resume_from=args.resume, **run_options)
     finally:
         search.close()
         if remote is not None:
@@ -418,41 +419,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0 if result.best is not None else 1
 
 
+def _cmd_search(args: argparse.Namespace) -> int:
+    config = NASAICConfig(
+        episodes=args.episodes, hw_steps=args.hw_steps, seed=args.seed,
+        cache_size=args.cache_size, eval_workers=args.workers)
+    return _run_search(
+        args, NASAIC, config,
+        progress_every=args.progress if args.progress > 0 else None)
+
+
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    workload = workload_by_name(args.workload)
     config = EvolutionConfig(
         population=args.population, generations=args.generations,
         seed=args.seed, cache_size=args.cache_size,
         eval_workers=args.workers)
-    store = remote = None
-    if args.service:
-        from dataclasses import replace
-
-        workload, cost_model, remote = _served_context(
-            args, workload, config.rho)
-        config = replace(config, calibrate_bounds=False)
-        search = EvolutionarySearch(workload, config=config,
-                                    cost_model=cost_model,
-                                    evalservice=remote)
-    else:
-        store = _open_store(args)
-        search = EvolutionarySearch(workload, config=config, store=store)
-    try:
-        result = search.run(
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=(args.checkpoint_every
-                              if args.checkpoint else 0),
-            resume_from=args.resume)
-    finally:
-        search.close()
-        if remote is not None:
-            remote.close()
-        if store is not None:
-            store.close()
-    print(result.summary())
-    if args.out:
-        print(f"saved to {save_result(result, args.out)}")
-    return 0 if result.best is not None else 1
+    return _run_search(args, EvolutionarySearch, config)
 
 
 def _generated_scenarios(args: argparse.Namespace,

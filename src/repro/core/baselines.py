@@ -19,13 +19,13 @@
 
 Every baseline loop runs through the unified
 :class:`repro.core.driver.SearchDriver` (sample-then-batch-price,
-checkpointable strategy state, per-run stats deltas), with evaluation
-services held in context-managed lifetimes so worker pools are never
-leaked on exceptions.  The chunked batching is choice-identical to the
-historical one-at-a-time loops: sampling happens entirely in
-``propose`` (before pricing) and the hardware path is RNG-free.
-:func:`hardware_aware_nas` and :func:`monte_carlo_search` additionally
-accept an injected shared service (campaign caches), like
+checkpointable strategy state, per-run stats deltas) via one helper,
+``_drive``, which closes an owned evaluation service even on
+exceptions, so worker pools are never leaked.  The chunked batching is
+choice-identical to the historical one-at-a-time loops: sampling
+happens entirely in ``propose`` (before pricing) and the hardware path
+is RNG-free.  :func:`hardware_aware_nas` and :func:`monte_carlo_search`
+additionally accept an injected shared service (campaign caches), like
 :class:`~repro.core.search.NASAIC`.
 """
 
@@ -39,9 +39,9 @@ from repro.accel.allocation import AllocationSpace
 from repro.arch.network import NetworkArch
 from repro.core.choices import JointSearchSpace
 from repro.core.controller import ControllerConfig, RNNController
-from repro.core.driver import RoundLog, SearchDriver
+from repro.core.driver import RoundLog, SearchDriver, attach_service
 from repro.core.evaluator import Evaluator, HardwareEvaluation
-from repro.core.evalservice import EvalService, verify_injected_service
+from repro.core.evalservice import EvalService
 from repro.core.reinforce import ReinforceConfig, ReinforceTrainer
 from repro.core.results import ExploredSolution, SearchResult
 from repro.core.reward import episode_reward, weighted_normalised_accuracy
@@ -120,6 +120,20 @@ def _build_search_parts(
     evaluator = Evaluator(workload, cost_model, trainer, rho=rho)
     space = JointSearchSpace(workload, allocation)
     return allocation, cost_model, surrogate, evaluator, space
+
+
+def _drive(strategy, evaluator: Evaluator,
+           evalservice: EvalService | None = None, workers: int = 0):
+    """Drive ``strategy`` to completion over an injected service (checked
+    against ``evaluator``'s context, left open) or over an owned one
+    (closed afterwards, also on exceptions)."""
+    service, owned = attach_service(evaluator, evalservice,
+                                    workers=workers)
+    try:
+        return SearchDriver(strategy, service).run()
+    finally:
+        if owned:
+            service.close()
 
 
 def _solution_from_eval(networks, hw: HardwareEvaluation, accuracies,
@@ -413,9 +427,8 @@ def brute_force_designs(
     evaluator = Evaluator(workload, cost_model, trainer=None, rho=rho)
     designs = list(allocation.enumerate_designs(
         pe_stride=pe_stride, bw_stride=bw_stride))
-    with EvalService(evaluator, workers=eval_workers) as service:
-        return SearchDriver(_DesignSweepStrategy(networks, designs),
-                            service).run()
+    return _drive(_DesignSweepStrategy(networks, designs), evaluator,
+                  workers=eval_workers)
 
 
 def monte_carlo_designs(
@@ -438,9 +451,8 @@ def monte_carlo_designs(
     evaluator = Evaluator(workload, cost_model, trainer=None, rho=rho)
     rng = new_rng(seed)
     designs = [allocation.random_design(rng) for _ in range(runs)]
-    with EvalService(evaluator, workers=eval_workers) as service:
-        return SearchDriver(_DesignSweepStrategy(networks, designs),
-                            service).run()
+    return _drive(_DesignSweepStrategy(networks, designs), evaluator,
+                  workers=eval_workers)
 
 
 def closest_to_spec_design(
@@ -546,12 +558,7 @@ def hardware_aware_nas(
     strategy = _HardwareAwareNASStrategy(
         workload, space, evaluator, space.encode_design(design),
         episodes, seed, controller_config, reinforce_config, rho)
-    if evalservice is not None:
-        verify_injected_service(evalservice, workload,
-                                cost_model.params, rho)
-        return SearchDriver(strategy, evalservice).run()
-    with EvalService(evaluator) as service:
-        return SearchDriver(strategy, service).run()
+    return _drive(strategy, evaluator, evalservice)
 
 
 # ----------------------------------------------------------------------
@@ -666,12 +673,7 @@ def monte_carlo_search(
                             rho=rho)
     strategy = _MonteCarloStrategy(workload, allocation, evaluator,
                                    runs, seed)
-    if evalservice is not None:
-        verify_injected_service(evalservice, workload,
-                                cost_model.params, rho)
-        return SearchDriver(strategy, evalservice).run()
-    with EvalService(evaluator) as service:
-        return SearchDriver(strategy, service).run()
+    return _drive(strategy, evaluator, evalservice)
 
 
 def closest_to_spec_solution(
@@ -753,7 +755,7 @@ def asic_then_hw_nas(
     The design-selection phase needs reference networks to price latency
     and energy; following the pipeline's successive nature we use the
     accuracy-only NAS winners unless ``reference_networks`` is given
-    (documented in EXPERIMENTS.md — the paper does not specify them).
+    (a choice of this reproduction — the paper does not specify them).
     """
     if reference_networks is None:
         nas = run_nas_per_task(workload, surrogate=surrogate,

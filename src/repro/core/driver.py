@@ -37,6 +37,11 @@ Checkpoint/resume: after any round the driver can serialise
 **bit-identical** to the uninterrupted one — same trajectory, same
 ``pricing`` block, same accounting (wall-clock timings aside) — which
 ``tests/test_driver.py`` asserts at every possible interruption point.
+
+The class-style searches (NASAIC, the GA and the strategy zoo) share
+one construction, run and close path, :class:`JointSearch`; the
+function-style baselines borrow the same owned-or-injected service
+decision through :func:`attach_service`.
 """
 
 from __future__ import annotations
@@ -44,11 +49,20 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
-from repro.core.evaluator import HardwareEvaluation
-from repro.core.evalservice import EvalService
+from repro.accel.allocation import AllocationSpace
+from repro.core.bounds_calibration import calibrate_penalty_bounds
+from repro.core.choices import JointSearchSpace
+from repro.core.evaluator import Evaluator, HardwareEvaluation
+from repro.core.evalservice import EvalService, verify_injected_service
+from repro.core.results import SearchResult
 from repro.core.serialization import load_checkpoint, save_checkpoint
+from repro.cost.model import CostModel
+from repro.train.surrogate import AccuracySurrogate, default_surrogate
+from repro.train.trainer import SurrogateTrainer
+from repro.workloads.workload import Workload
 
-__all__ = ["RoundLog", "SearchDriver", "SearchStrategy"]
+__all__ = ["JointSearch", "RoundLog", "SearchDriver", "SearchStrategy",
+           "attach_service"]
 
 #: One candidate: a (networks, accelerator) pair as consumed by
 #: :meth:`repro.core.evalservice.EvalService.evaluate_many`.
@@ -76,9 +90,11 @@ class RoundLog:
 class SearchStrategy(Protocol):
     """What the driver needs from an optimiser.
 
-    Implementations: :class:`repro.core.search.NASAIC` (one round = one
-    RL episode), :class:`repro.core.evolution.EvolutionarySearch` (one
-    round = one generation) and the baseline strategies in
+    Implementations: the :class:`JointSearch` subclasses —
+    :class:`repro.core.search.NASAIC` (one round = one RL episode),
+    :class:`repro.core.evolution.EvolutionarySearch` (one round = one
+    generation) and the :mod:`repro.core.strategies.zoo` strategies (one
+    round = one batch) — and the baseline strategies in
     :mod:`repro.core.baselines` (NAS-only, hardware-aware NAS,
     Monte-Carlo, design sweeps).
     """
@@ -335,3 +351,140 @@ class SearchDriver:
         self._result = None
         self._finished = False
         return self
+
+
+def attach_service(evaluator: Evaluator,
+                   evalservice: EvalService | None = None,
+                   **options) -> tuple[EvalService, bool]:
+    """The one owned-or-injected decision for every search.
+
+    Without ``evalservice`` a fresh :class:`EvalService` over
+    ``evaluator`` is built from ``options`` (``cache_size``,
+    ``workers``, ``store``) and owned by the caller.  An injected
+    (shared) service must price under the evaluator's exact context —
+    workload, cost-model parameters and rho — and stays with its owner;
+    ``options`` are then ignored.
+
+    Returns:
+        ``(service, owned)``.
+
+    Raises:
+        ValueError: If the injected service prices under a different
+            evaluation context.
+    """
+    if evalservice is None:
+        return EvalService(evaluator, **options), True
+    verify_injected_service(evalservice, evaluator.workload,
+                            evaluator.cost_model.params, evaluator.rho)
+    return evalservice, False
+
+
+class JointSearch:
+    """Construction, run and close path shared by the class-style
+    searches over the joint (architectures, accelerator) space.
+
+    Subclasses set ``strategy_name``, add their RNG streams and run state
+    after calling ``super().__init__`` and implement
+    :meth:`_default_config` plus the remaining :class:`SearchStrategy`
+    methods; every one keeps its run result in ``self._result``.
+
+    Args:
+        workload: Multi-task workload with design specs.
+        allocation: Hardware allocation space; defaults to the paper's
+            two-slot, 4096-PE, 64-GB/s configuration.
+        cost_model: MAESTRO-substitute oracle (fresh one by default).
+        surrogate: Accuracy oracle; defaults to the paper-calibrated
+            surrogate with the workload's spaces registered.
+        config: Search parameters (the subclass's default config when
+            omitted).  Must carry ``rho``, ``calibrate_bounds``,
+            ``cache_size`` and ``eval_workers``.
+        evalservice: Optional *injected* hardware-evaluation service —
+            e.g. a campaign-wide shared cache.  Must price under the
+            exact same evaluation context (verified via its salt); the
+            search then does not own it (``close`` leaves it alive) and
+            ``config.cache_size``/``config.eval_workers`` are ignored.
+        store: Optional persistent evaluation store
+            (:class:`repro.core.store.EvalStore`) attached to the
+            search's own service — the run warm-starts from designs
+            priced by earlier runs and appends its own durably.  The
+            caller owns the store.  Ignored when ``evalservice`` is
+            injected (the injected service decides its own tiers).
+    """
+
+    def __init__(
+        self,
+        workload: Workload,
+        *,
+        allocation: AllocationSpace | None = None,
+        cost_model: CostModel | None = None,
+        surrogate: AccuracySurrogate | None = None,
+        config=None,
+        evalservice: EvalService | None = None,
+        store=None,
+    ) -> None:
+        self.allocation = allocation or AllocationSpace()
+        self.config = config or self._default_config()
+        self.cost_model = cost_model or CostModel()
+        if self.config.calibrate_bounds:
+            bounds = calibrate_penalty_bounds(workload, self.cost_model,
+                                              self.allocation)
+            workload = workload.with_specs(workload.specs, bounds=bounds)
+        self.workload = workload
+        if surrogate is None:
+            surrogate = default_surrogate(
+                [task.space for task in workload.tasks])
+        self.surrogate = surrogate
+        self.trainer = SurrogateTrainer(surrogate)
+        self.evaluator = Evaluator(workload, self.cost_model, self.trainer,
+                                   rho=self.config.rho)
+        self.evalservice, self._owns_service = attach_service(
+            self.evaluator, evalservice, cache_size=self.config.cache_size,
+            workers=self.config.eval_workers, store=store)
+        self.space = JointSearchSpace(workload, self.allocation)
+
+    def _default_config(self):
+        raise NotImplementedError
+
+    def finish(self) -> SearchResult:
+        """Assemble the run record (the driver absorbs eval stats)."""
+        result = self._result
+        result.trainings_run = self.trainer.trainings_run
+        result.trainings_skipped = self.trainer.trainings_skipped
+        return result
+
+    def run(self, *, progress_every: int | None = None,
+            checkpoint_path: str | Path | None = None,
+            checkpoint_every: int = 0,
+            resume_from: str | Path | None = None) -> SearchResult:
+        """Run the search and return the full exploration record.
+
+        One trajectory per instance: the run state lives on the search
+        object, so ``run`` continues where a previous (partial) run or a
+        restored checkpoint left off.  ``resume_from`` restores a
+        checkpoint written by a previous process first and continues it
+        bit-identically; the budget of the resumed run must match.
+        """
+        driver = SearchDriver(
+            self, self.evalservice,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            progress_every=progress_every)
+        if resume_from is not None:
+            driver.restore(resume_from)
+        return driver.run()
+
+    def close(self) -> None:
+        """Close the search's own evaluation service: flush its cost
+        memo to the attached store (if any) and shut its worker pool
+        down (if any).  Use the search as a context manager to get it
+        automatically.  Injected (shared) services are left alive —
+        their owner closes them.
+        """
+        if self._owns_service:
+            self.evalservice.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -35,20 +35,12 @@ draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.accel.allocation import AllocationSpace
-from repro.core.bounds_calibration import calibrate_penalty_bounds
-from repro.core.choices import JointSearchSpace, random_genes, repair_genes
-from repro.core.driver import RoundLog, SearchDriver
-from repro.core.evaluator import Evaluator, HardwareEvaluation
-from repro.core.evalservice import EvalService, verify_injected_service
+from repro.core.choices import random_genes, repair_genes
+from repro.core.driver import JointSearch, RoundLog
+from repro.core.evaluator import HardwareEvaluation
 from repro.core.results import ExploredSolution, SearchResult
-from repro.core.store import EvalStore
 from repro.core.reward import episode_reward, weighted_normalised_accuracy
-from repro.cost.model import CostModel
-from repro.train.surrogate import AccuracySurrogate, default_surrogate
-from repro.train.trainer import SurrogateTrainer
 from repro.utils.rng import new_rng, restore_rng, rng_state
 from repro.workloads.workload import Workload
 
@@ -105,53 +97,21 @@ class _Individual:
     solution: ExploredSolution | None = None
 
 
-class EvolutionarySearch:
+class EvolutionarySearch(JointSearch):
     """GA over the joint (architectures, accelerator) genome.
 
-    Args mirror :class:`repro.core.search.NASAIC` so the two optimisers
-    are drop-in interchangeable (including ``evalservice`` injection for
-    campaign-shared caches).
+    Construction, ``run`` and ``close`` are those of
+    :class:`repro.core.driver.JointSearch`, shared with
+    :class:`repro.core.search.NASAIC`, so the two optimisers are drop-in
+    interchangeable (including ``evalservice`` injection for
+    campaign-shared caches); ``config`` defaults to
+    :class:`EvolutionConfig`.
     """
 
     strategy_name = "evolution"
 
-    def __init__(
-        self,
-        workload: Workload,
-        *,
-        allocation: AllocationSpace | None = None,
-        cost_model: CostModel | None = None,
-        surrogate: AccuracySurrogate | None = None,
-        config: EvolutionConfig | None = None,
-        evalservice: EvalService | None = None,
-        store: "EvalStore | None" = None,
-    ) -> None:
-        self.allocation = allocation or AllocationSpace()
-        self.config = config or EvolutionConfig()
-        self.cost_model = cost_model or CostModel()
-        if self.config.calibrate_bounds:
-            bounds = calibrate_penalty_bounds(workload, self.cost_model,
-                                              self.allocation)
-            workload = workload.with_specs(workload.specs, bounds=bounds)
-        self.workload = workload
-        if surrogate is None:
-            surrogate = default_surrogate(
-                [task.space for task in workload.tasks])
-        self.trainer = SurrogateTrainer(surrogate)
-        self.evaluator = Evaluator(workload, self.cost_model, self.trainer,
-                                   rho=self.config.rho)
-        if evalservice is None:
-            self.evalservice = EvalService(
-                self.evaluator, cache_size=self.config.cache_size,
-                workers=self.config.eval_workers, store=store)
-            self._owns_service = True
-        else:
-            verify_injected_service(evalservice, workload,
-                                    self.cost_model.params,
-                                    self.config.rho)
-            self.evalservice = evalservice
-            self._owns_service = False
-        self.space = JointSearchSpace(workload, self.allocation)
+    def __init__(self, workload: Workload, **kwargs) -> None:
+        super().__init__(workload, **kwargs)
         self._rng = new_rng(self.config.seed)
         # -- run state (one trajectory per instance) -------------------
         self._result = SearchResult(name=f"EA[{self.workload.name}]")
@@ -159,6 +119,9 @@ class EvolutionarySearch:
         self._generation = 0
         self._pending_round: tuple | None = None
         self._pending_elites: list[_Individual] = []
+
+    def _default_config(self) -> EvolutionConfig:
+        return EvolutionConfig()
 
     # ------------------------------------------------------------------
     # Genome operations
@@ -269,12 +232,6 @@ class EvolutionarySearch:
             f"generation {self._generation}/{self.total_rounds} "
             f"best={best}")
 
-    def finish(self) -> SearchResult:
-        """Assemble the run record (the driver absorbs eval stats)."""
-        result = self._result
-        result.trainings_run = self.trainer.trainings_run
-        return result
-
     def state(self) -> dict:
         """Snapshot every mutable piece of run state (see
         :meth:`repro.core.driver.SearchStrategy.state`)."""
@@ -295,41 +252,3 @@ class EvolutionarySearch:
         self.trainer.load_state(state["trainer"])
         self._pending_round = None
         self._pending_elites = []
-
-    # ------------------------------------------------------------------
-    # Main loop (driver facade)
-    # ------------------------------------------------------------------
-    def run(self, *, progress_every: int | None = None,
-            checkpoint_path: str | Path | None = None,
-            checkpoint_every: int = 0,
-            resume_from: str | Path | None = None) -> SearchResult:
-        """Evolve and return the full exploration record.
-
-        One trajectory per instance, like :meth:`NASAIC.run`:
-        ``resume_from`` restores a checkpoint written by a previous
-        process and continues it bit-identically.
-        """
-        driver = SearchDriver(
-            self, self.evalservice,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            progress_every=progress_every)
-        if resume_from is not None:
-            driver.restore(resume_from)
-        return driver.run()
-
-    def close(self) -> None:
-        """Release evaluation-service resources (worker pool, if any).
-
-        Only needed with ``eval_workers > 1``; use the search as a
-        context manager to get it automatically.  Injected (shared)
-        services are left alive — their owner closes them.
-        """
-        if self._owns_service:
-            self.evalservice.close()
-
-    def __enter__(self) -> "EvolutionarySearch":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

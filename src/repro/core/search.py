@@ -39,22 +39,13 @@ sampling uses sub-stream 1 of the master generator (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.accel.allocation import AllocationSpace
-from repro.core.bounds_calibration import calibrate_penalty_bounds
-from repro.core.choices import JointSearchSpace
 from repro.core.controller import ControllerConfig, RNNController
-from repro.core.driver import RoundLog, SearchDriver
-from repro.core.evaluator import Evaluator, HardwareEvaluation
-from repro.core.evalservice import EvalService, verify_injected_service
-from repro.core.store import EvalStore
+from repro.core.driver import JointSearch, RoundLog
+from repro.core.evaluator import HardwareEvaluation
 from repro.core.reinforce import ReinforceConfig, ReinforceTrainer
 from repro.core.results import EpisodeRecord, ExploredSolution, SearchResult
 from repro.core.reward import episode_reward, weighted_normalised_accuracy
-from repro.cost.model import CostModel
-from repro.train.surrogate import AccuracySurrogate, default_surrogate
-from repro.train.trainer import SurrogateTrainer
 from repro.utils.rng import new_rng, restore_rng, rng_state, spawn_rng
 from repro.workloads.workload import Workload
 
@@ -115,70 +106,20 @@ class NASAICConfig:
             raise ValueError("eval_workers must be >= 0")
 
 
-class NASAIC:
+class NASAIC(JointSearch):
     """Co-exploration of neural architectures and ASIC designs.
 
-    Args:
-        workload: Multi-task workload with design specs.
-        allocation: Hardware allocation space; defaults to the paper's
-            two-slot, 4096-PE, 64-GB/s configuration.
-        cost_model: MAESTRO-substitute oracle (fresh one by default).
-        surrogate: Accuracy oracle; defaults to the paper-calibrated
-            surrogate with the workload's spaces registered.
-        config: Exploration parameters.
-        evalservice: Optional *injected* hardware-evaluation service —
-            e.g. a campaign-wide shared cache.  Must price under the
-            exact same evaluation context (verified via its salt); the
-            search then does not own it (``close`` leaves it alive) and
-            ``config.cache_size``/``config.eval_workers`` are ignored.
-        store: Optional persistent evaluation store
-            (:class:`repro.core.store.EvalStore`) attached to the
-            search's own service — the run warm-starts from designs
-            priced by earlier runs and appends its own durably.  The
-            caller owns the store.  Ignored when ``evalservice`` is
-            injected (the injected service decides its own tiers).
+    Construction (``workload``, ``allocation``, ``cost_model``,
+    ``surrogate``, ``config``, ``evalservice``, ``store``), ``run``,
+    ``close`` and the context manager are those of
+    :class:`repro.core.driver.JointSearch`; ``config`` defaults to
+    :class:`NASAICConfig`.
     """
 
     strategy_name = "nasaic"
 
-    def __init__(
-        self,
-        workload: Workload,
-        *,
-        allocation: AllocationSpace | None = None,
-        cost_model: CostModel | None = None,
-        surrogate: AccuracySurrogate | None = None,
-        config: NASAICConfig | None = None,
-        evalservice: EvalService | None = None,
-        store: "EvalStore | None" = None,
-    ) -> None:
-        self.allocation = allocation or AllocationSpace()
-        self.config = config or NASAICConfig()
-        self.cost_model = cost_model or CostModel()
-        if self.config.calibrate_bounds:
-            bounds = calibrate_penalty_bounds(workload, self.cost_model,
-                                              self.allocation)
-            workload = workload.with_specs(workload.specs, bounds=bounds)
-        self.workload = workload
-        if surrogate is None:
-            surrogate = default_surrogate(
-                [task.space for task in workload.tasks])
-        self.surrogate = surrogate
-        self.trainer = SurrogateTrainer(surrogate)
-        self.evaluator = Evaluator(workload, self.cost_model, self.trainer,
-                                   rho=self.config.rho)
-        if evalservice is None:
-            self.evalservice = EvalService(
-                self.evaluator, cache_size=self.config.cache_size,
-                workers=self.config.eval_workers, store=store)
-            self._owns_service = True
-        else:
-            verify_injected_service(evalservice, workload,
-                                    self.cost_model.params,
-                                    self.config.rho)
-            self.evalservice = evalservice
-            self._owns_service = False
-        self.space = JointSearchSpace(workload, self.allocation)
+    def __init__(self, workload: Workload, **kwargs) -> None:
+        super().__init__(workload, **kwargs)
         master = new_rng(self.config.seed)
         self._init_rng = spawn_rng(master, 0)
         self._sample_rng = spawn_rng(master, 1)
@@ -195,6 +136,9 @@ class NASAIC:
         self._episode = 0
         self._target_episodes: int | None = None
         self._pending_round: tuple | None = None
+
+    def _default_config(self) -> NASAICConfig:
+        return NASAICConfig()
 
     # ------------------------------------------------------------------
     # SearchStrategy protocol (one round = one episode)
@@ -294,13 +238,6 @@ class NASAIC:
             f"episode {self._episode}/{self.total_rounds} "
             f"reward={record.reward:+.3f} best={best}")
 
-    def finish(self) -> SearchResult:
-        """Assemble the run record (the driver absorbs eval stats)."""
-        result = self._result
-        result.trainings_run = self.trainer.trainings_run
-        result.trainings_skipped = self.trainer.trainings_skipped
-        return result
-
     def state(self) -> dict:
         """Snapshot every mutable piece of run state (see
         :meth:`repro.core.driver.SearchStrategy.state`)."""
@@ -332,45 +269,18 @@ class NASAIC:
     # ------------------------------------------------------------------
     # Main loop (driver facade)
     # ------------------------------------------------------------------
-    def run(self, episodes: int | None = None,
-            *, progress_every: int | None = None,
-            checkpoint_path: str | Path | None = None,
-            checkpoint_every: int = 0,
-            resume_from: str | Path | None = None) -> SearchResult:
-        """Run the search and return the full exploration record.
+    def run(self, episodes: int | None = None, **kwargs) -> SearchResult:
+        """Run the search (see :meth:`JointSearch.run`); ``episodes``
+        overrides the configured budget.
 
-        One trajectory per instance: the run state lives on the search
-        object, so ``run`` continues where a previous (partial) run or a
-        restored checkpoint left off.  ``resume_from`` restores a
-        checkpoint written by a previous process first; the episode
-        budget of the resumed run must match.
+        Raises:
+            ValueError: If ``episodes`` is given and below 1.
         """
-        if episodes:
+        if episodes is not None:
+            if episodes < 1:
+                raise ValueError("episodes must be >= 1")
             self._target_episodes = episodes
-        driver = SearchDriver(
-            self, self.evalservice,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            progress_every=progress_every)
-        if resume_from is not None:
-            driver.restore(resume_from)
-        return driver.run()
-
-    def close(self) -> None:
-        """Release evaluation-service resources (worker pool, if any).
-
-        Only needed with ``eval_workers > 1``; use the search as a
-        context manager to get it automatically.  Injected (shared)
-        services are left alive — their owner closes them.
-        """
-        if self._owns_service:
-            self.evalservice.close()
-
-    def __enter__(self) -> "NASAIC":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return super().run(**kwargs)
 
     @staticmethod
     def _better_hw(candidate: HardwareEvaluation,

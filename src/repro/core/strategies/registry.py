@@ -24,8 +24,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.evolution import EvolutionConfig
-from repro.core.search import NASAICConfig
+from repro.core.evolution import EvolutionConfig, EvolutionarySearch
+from repro.core.search import NASAIC, NASAICConfig
 from repro.core.strategies.zoo import (
     BayesOptConfig,
     BayesOptSearch,
@@ -198,20 +198,17 @@ def _campaign_module():
     return campaign
 
 
-def _run_nasaic(ctx: CampaignContext):
-    campaign = _campaign_module()
-    return campaign.NASAIC(
-        ctx.workload, allocation=ctx.allocation, cost_model=ctx.cost_model,
-        surrogate=ctx.surrogate, config=ctx.config,
-        evalservice=ctx.service).run()
-
-
-def _run_evolution(ctx: CampaignContext):
-    campaign = _campaign_module()
-    return campaign.EvolutionarySearch(
-        ctx.workload, allocation=ctx.allocation, cost_model=ctx.cost_model,
-        surrogate=ctx.surrogate, config=ctx.config,
-        evalservice=ctx.service).run()
+def _search_runner(class_name: str, *, warm: bool = False):
+    """Campaign runner for a :class:`~repro.core.driver.JointSearch`
+    class; ``warm`` hands the campaign store to ``warm_store=``."""
+    def runner(ctx: CampaignContext):
+        cls = getattr(_campaign_module(), class_name)
+        options = {"warm_store": ctx.store} if warm else {}
+        return cls(
+            ctx.workload, allocation=ctx.allocation,
+            cost_model=ctx.cost_model, surrogate=ctx.surrogate,
+            config=ctx.config, evalservice=ctx.service, **options).run()
+    return runner
 
 
 def _run_mc(ctx: CampaignContext):
@@ -239,18 +236,6 @@ def _run_hw_nas(ctx: CampaignContext):
         rho=ctx.rho, evalservice=ctx.service)
 
 
-def _zoo_runner(class_name: str):
-    def runner(ctx: CampaignContext):
-        campaign = _campaign_module()
-        cls = getattr(campaign, class_name)
-        return cls(
-            ctx.workload, allocation=ctx.allocation,
-            cost_model=ctx.cost_model, surrogate=ctx.surrogate,
-            config=ctx.config, evalservice=ctx.service,
-            warm_store=ctx.store).run()
-    return runner
-
-
 # ----------------------------------------------------------------------
 # Fuzz builders for the checkpoint-resume oracle pair
 # ----------------------------------------------------------------------
@@ -267,32 +252,6 @@ def _fuzz_mc(scenario):
         scenario.workload, scenario.allocation, evaluator,
         runs=scenario.spec.mc_runs, seed=scenario.spec.seed, chunk=2)
     return strategy, EvalService(evaluator)
-
-
-def _fuzz_nasaic(scenario):
-    from repro.core.search import NASAIC
-    from repro.cost.model import CostModel
-    config = NASAICConfig(
-        episodes=3, hw_steps=1, joint_batch=1, seed=scenario.spec.seed,
-        rho=scenario.rho, calibrate_bounds=False)
-    strategy = NASAIC(
-        scenario.workload, allocation=scenario.allocation,
-        cost_model=CostModel(scenario.cost_params),
-        surrogate=scenario.build_surrogate(), config=config)
-    return strategy, strategy.evalservice
-
-
-def _fuzz_evolution(scenario):
-    from repro.core.evolution import EvolutionarySearch
-    from repro.cost.model import CostModel
-    config = EvolutionConfig(
-        population=4, generations=3, tournament=2, elite=1,
-        seed=scenario.spec.seed, rho=scenario.rho, calibrate_bounds=False)
-    strategy = EvolutionarySearch(
-        scenario.workload, allocation=scenario.allocation,
-        cost_model=CostModel(scenario.cost_params),
-        surrogate=scenario.build_surrogate(), config=config)
-    return strategy, strategy.evalservice
 
 
 def _fuzz_hw_nas(scenario):
@@ -332,7 +291,9 @@ def _fuzz_design_sweep(scenario):
     return strategy, EvalService(evaluator)
 
 
-def _fuzz_zoo(cls, make_config):
+def _fuzz_search(cls, make_config):
+    """Fuzz builder for a :class:`~repro.core.driver.JointSearch` class
+    over its own service; ``make_config(scenario)`` sizes the run."""
     def build(scenario):
         from repro.cost.model import CostModel
         strategy = cls(
@@ -344,22 +305,24 @@ def _fuzz_zoo(cls, make_config):
     return build
 
 
-def _fuzz_local(scenario):
-    return _fuzz_zoo(LocalSearch, lambda s: LocalSearchConfig(
-        rounds=3, batch=2, seed=s.spec.seed, rho=s.rho,
-        calibrate_bounds=False))(scenario)
+_fuzz_nasaic = _fuzz_search(NASAIC, lambda s: NASAICConfig(
+    episodes=3, hw_steps=1, joint_batch=1, seed=s.spec.seed, rho=s.rho,
+    calibrate_bounds=False))
 
+_fuzz_evolution = _fuzz_search(EvolutionarySearch, lambda s: EvolutionConfig(
+    population=4, generations=3, tournament=2, elite=1, seed=s.spec.seed,
+    rho=s.rho, calibrate_bounds=False))
 
-def _fuzz_bayesopt(scenario):
-    return _fuzz_zoo(BayesOptSearch, lambda s: BayesOptConfig(
-        rounds=3, batch=2, candidates=24, seed=s.spec.seed, rho=s.rho,
-        calibrate_bounds=False))(scenario)
+_fuzz_local = _fuzz_search(LocalSearch, lambda s: LocalSearchConfig(
+    rounds=3, batch=2, seed=s.spec.seed, rho=s.rho, calibrate_bounds=False))
 
+_fuzz_bayesopt = _fuzz_search(BayesOptSearch, lambda s: BayesOptConfig(
+    rounds=3, batch=2, candidates=24, seed=s.spec.seed, rho=s.rho,
+    calibrate_bounds=False))
 
-def _fuzz_ensemble(scenario):
-    return _fuzz_zoo(EnsembleSearch, lambda s: EnsembleConfig(
-        rounds=3, batch=2, candidates=24, models=3, epochs=30,
-        seed=s.spec.seed, rho=s.rho, calibrate_bounds=False))(scenario)
+_fuzz_ensemble = _fuzz_search(EnsembleSearch, lambda s: EnsembleConfig(
+    rounds=3, batch=2, candidates=24, models=3, epochs=30,
+    seed=s.spec.seed, rho=s.rho, calibrate_bounds=False))
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +335,7 @@ register_strategy(StrategySpec(
     budget_unit="episodes",
     config_factory=lambda budget, seed, rho: NASAICConfig(
         episodes=budget, seed=seed, rho=rho),
-    campaign_runner=_run_nasaic,
+    campaign_runner=_search_runner("NASAIC"),
     fuzz_builder=_fuzz_nasaic,
     checkpoint_keys=("episode", "target_episodes", "controller_params",
                      "joint_updates", "hw_updates", "sample_rng",
@@ -385,7 +348,7 @@ register_strategy(StrategySpec(
     budget_unit="generations",
     config_factory=lambda budget, seed, rho: EvolutionConfig(
         generations=budget, seed=seed, rho=rho),
-    campaign_runner=_run_evolution,
+    campaign_runner=_search_runner("EvolutionarySearch"),
     fuzz_builder=_fuzz_evolution,
     checkpoint_keys=("generation", "rng", "population", "result",
                      "trainer"),
@@ -426,7 +389,7 @@ register_strategy(StrategySpec(
     budget_unit="rounds",
     config_factory=lambda budget, seed, rho: LocalSearchConfig(
         rounds=budget, seed=seed, rho=rho),
-    campaign_runner=_zoo_runner("LocalSearch"),
+    campaign_runner=_search_runner("LocalSearch", warm=True),
     fuzz_builder=_fuzz_local,
     checkpoint_keys=("round", "sample_rng", "model_rng", "genes",
                      "rewards", "incumbent", "warm_count", "result",
@@ -440,7 +403,7 @@ register_strategy(StrategySpec(
     budget_unit="rounds",
     config_factory=lambda budget, seed, rho: BayesOptConfig(
         rounds=budget, seed=seed, rho=rho),
-    campaign_runner=_zoo_runner("BayesOptSearch"),
+    campaign_runner=_search_runner("BayesOptSearch", warm=True),
     fuzz_builder=_fuzz_bayesopt,
     checkpoint_keys=("round", "sample_rng", "model_rng", "genes",
                      "rewards", "incumbent", "warm_count", "result",
@@ -454,7 +417,7 @@ register_strategy(StrategySpec(
     budget_unit="rounds",
     config_factory=lambda budget, seed, rho: EnsembleConfig(
         rounds=budget, seed=seed, rho=rho),
-    campaign_runner=_zoo_runner("EnsembleSearch"),
+    campaign_runner=_search_runner("EnsembleSearch", warm=True),
     fuzz_builder=_fuzz_ensemble,
     checkpoint_keys=("round", "sample_rng", "model_rng", "genes",
                      "rewards", "incumbent", "warm_count", "result",

@@ -33,27 +33,19 @@ every round boundary, warm-started or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.accel.allocation import AllocationSpace
-from repro.core.bounds_calibration import calibrate_penalty_bounds
-from repro.core.choices import JointSearchSpace, random_genes, repair_genes
-from repro.core.driver import RoundLog, SearchDriver
-from repro.core.evaluator import Evaluator
-from repro.core.evalservice import EvalService, verify_injected_service
+from repro.core.choices import random_genes, repair_genes
+from repro.core.driver import JointSearch, RoundLog
 from repro.core.results import EpisodeRecord, ExploredSolution, SearchResult
 from repro.core.reward import episode_reward, weighted_normalised_accuracy
 from repro.core.store import EvalStore
-from repro.cost.model import CostModel
 from repro.train.regressors import (
     GaussianProcessRegressor,
     MLPEnsembleRegressor,
     expected_improvement,
 )
-from repro.train.surrogate import AccuracySurrogate, default_surrogate
-from repro.train.trainer import SurrogateTrainer
 from repro.utils.rng import new_rng, restore_rng, rng_state, spawn_rng
 from repro.workloads.workload import Workload
 
@@ -181,63 +173,29 @@ class EnsembleConfig:
             raise ValueError("models must be >= 1")
 
 
-class _ModelGuidedStrategy:
+class _ModelGuidedStrategy(JointSearch):
     """Shared scaffolding of the zoo strategies.
 
-    Construction mirrors :class:`repro.core.search.NASAIC` (bounds
-    calibration, owned-vs-injected service, store attachment) so the
-    zoo is drop-in interchangeable with the existing loops, including
-    campaign-shared caches.  Subclasses implement ``_propose_genes``
-    plus optional per-strategy state hooks.
+    Construction, ``run`` and ``close`` are those of
+    :class:`repro.core.driver.JointSearch` (bounds calibration,
+    owned-vs-injected service, store attachment), so the zoo is drop-in
+    interchangeable with the existing loops, including campaign-shared
+    caches; ``warm_store=`` is the zoo's one extra keyword.  Subclasses
+    implement ``_propose_genes`` plus optional per-strategy state hooks.
     """
 
     strategy_name = "model-guided"
     _label = "ModelGuided"
 
-    def __init__(
-        self,
-        workload: Workload,
-        *,
-        allocation: AllocationSpace | None = None,
-        cost_model: CostModel | None = None,
-        surrogate: AccuracySurrogate | None = None,
-        config=None,
-        evalservice: EvalService | None = None,
-        store: "EvalStore | None" = None,
-        warm_store: "EvalStore | None" = None,
-    ) -> None:
-        self.allocation = allocation or AllocationSpace()
-        self.config = config or self._default_config()
-        self.cost_model = cost_model or CostModel()
-        if self.config.calibrate_bounds:
-            bounds = calibrate_penalty_bounds(workload, self.cost_model,
-                                              self.allocation)
-            workload = workload.with_specs(workload.specs, bounds=bounds)
-        self.workload = workload
-        if surrogate is None:
-            surrogate = default_surrogate(
-                [task.space for task in workload.tasks])
-        self.surrogate = surrogate
-        self.trainer = SurrogateTrainer(surrogate)
-        self.evaluator = Evaluator(workload, self.cost_model, self.trainer,
-                                   rho=self.config.rho)
-        if evalservice is None:
-            self.evalservice = EvalService(
-                self.evaluator, cache_size=self.config.cache_size,
-                workers=self.config.eval_workers, store=store)
-            self._owns_service = True
-        else:
-            verify_injected_service(evalservice, workload,
-                                    self.cost_model.params,
-                                    self.config.rho)
-            self.evalservice = evalservice
-            self._owns_service = False
-        self.space = JointSearchSpace(workload, self.allocation)
+    def __init__(self, workload: Workload, *,
+                 warm_store: "EvalStore | None" = None, **kwargs) -> None:
+        super().__init__(workload, **kwargs)
         master = new_rng(self.config.seed)
         self._sample_rng = spawn_rng(master, 0)
         self._model_rng = spawn_rng(master, 1)
         # -- run state (one trajectory per instance) -------------------
-        self._result = SearchResult(name=f"{self._label}[{self.workload.name}]")
+        self._result = SearchResult(
+            name=f"{self._label}[{self.workload.name}]")
         self._round = 0
         self._pending: tuple | None = None
         self._genes: list[tuple[int, ...]] = []
@@ -249,9 +207,6 @@ class _ModelGuidedStrategy:
             self._warm_from_store(warm_store)
 
     # -- subclass hooks ------------------------------------------------
-    def _default_config(self):
-        raise NotImplementedError
-
     def _propose_genes(self) -> list[list[int]]:
         raise NotImplementedError
 
@@ -473,13 +428,6 @@ class _ModelGuidedStrategy:
             self._round - 1,
             f"round {self._round}/{self.total_rounds} best={best}")
 
-    def finish(self) -> SearchResult:
-        """Assemble the run record (the driver absorbs eval stats)."""
-        result = self._result
-        result.trainings_run = self.trainer.trainings_run
-        result.trainings_skipped = self.trainer.trainings_skipped
-        return result
-
     def state(self) -> dict:
         """Snapshot every mutable piece of run state — surrogate
         training set, incumbent, both RNG positions, result, trainer
@@ -511,37 +459,6 @@ class _ModelGuidedStrategy:
         self.trainer.load_state(state["trainer"])
         self._pending = None
         self._load_strategy_state(state["model"])
-
-    # -- main loop (driver facade) -------------------------------------
-    def run(self, *, progress_every: int | None = None,
-            checkpoint_path: str | Path | None = None,
-            checkpoint_every: int = 0,
-            resume_from: str | Path | None = None) -> SearchResult:
-        """Search and return the full exploration record.
-
-        One trajectory per instance, like :meth:`NASAIC.run`:
-        ``resume_from`` restores a checkpoint written by a previous
-        process and continues it bit-identically.
-        """
-        driver = SearchDriver(
-            self, self.evalservice,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            progress_every=progress_every)
-        if resume_from is not None:
-            driver.restore(resume_from)
-        return driver.run()
-
-    def close(self) -> None:
-        """Release evaluation-service resources (owned services only)."""
-        if self._owns_service:
-            self.evalservice.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class LocalSearch(_ModelGuidedStrategy):

@@ -16,6 +16,9 @@ import pytest
 
 from repro.core import (
     NASAIC,
+    BayesOptSearch,
+    EnsembleSearch,
+    LocalSearch,
     NASAICConfig,
     EvolutionConfig,
     EvolutionarySearch,
@@ -239,9 +242,86 @@ class TestValidation:
             CampaignConfig(scenarios=(
                 Scenario("W1", "mc", 5), Scenario("W1", "mc", 5)))
 
-    def test_injected_service_context_checked(self, campaign_run):
-        campaign, _ = campaign_run
-        service = next(iter(campaign.services.values()))
+
+# The five class-style searches share one construction, run and close
+# path (``repro.core.driver.JointSearch``); each is checked against the
+# same contract with its registry config at a one-round budget.
+JOINT_SEARCHES = [NASAIC, EvolutionarySearch, LocalSearch, BayesOptSearch,
+                  EnsembleSearch]
+
+
+def _joint_search(cls, **kwargs):
+    """Build ``cls`` on W1 with its registry config (uncalibrated)."""
+    from dataclasses import replace
+
+    from repro.core.strategies import strategy_spec
+
+    config = strategy_spec(cls.strategy_name).config_factory(1, 5, 10.0)
+    return cls(w1(), config=replace(config, calibrate_bounds=False),
+               **kwargs)
+
+
+def _service(rho: float = 10.0):
+    """A service over W1 under the default cost model and ``rho``."""
+    from repro.core.evalservice import EvalService
+    from repro.core.evaluator import Evaluator
+    from repro.cost.model import CostModel
+
+    return EvalService(Evaluator(w1(), CostModel(), trainer=None, rho=rho))
+
+
+@pytest.mark.parametrize("cls", JOINT_SEARCHES,
+                         ids=lambda cls: cls.strategy_name)
+class TestSearchConstruction:
+    def test_injected_service_context_checked(self, cls):
         with pytest.raises(ValueError, match="context"):
-            NASAIC(w1(), config=NASAICConfig(episodes=2, rho=3.0),
-                   evalservice=service)
+            _joint_search(cls, evalservice=_service(rho=3.0))
+
+    def test_store_ignored_when_service_injected(self, cls, tmp_path):
+        from repro.core import EvalStore
+
+        service = _service()
+        with EvalStore(tmp_path / "ignored.store") as store:
+            search = _joint_search(cls, evalservice=service, store=store)
+            assert search.evalservice is service
+            assert service.store is None
+            search.run()
+            search.close()
+            assert len(store) == 0
+
+    def test_close_flushes_owned_memo_to_store(self, cls, tmp_path):
+        from repro.core import EvalStore
+        from repro.core.store import cost_params_digest
+
+        path = tmp_path / "owned.store"
+        store = EvalStore(path)
+        search = _joint_search(cls, store=store)
+        assert search.evalservice.store is store
+        pairs = search.propose()
+        # Priced outside the driver, so only close() can flush the memo.
+        search.evalservice.evaluate_many(pairs)
+        digest = cost_params_digest(search.cost_model.params)
+        assert not store.get_memo(digest)
+        search.close()
+        store.close()
+        with EvalStore(path, read_only=True) as reopened:
+            assert reopened.get_memo(digest), "close() must flush the memo"
+            assert len(reopened) > 0
+
+    def test_close_leaves_injected_service_usable(self, cls):
+        service = _service()
+        closed = []
+        service.close = lambda: closed.append(True)
+        search = _joint_search(cls, evalservice=service)
+        pairs = search.propose()
+        search.close()
+        assert closed == [], "the injected service belongs to its owner"
+        before = service.stats.requests
+        assert len(service.evaluate_many(pairs)) == len(pairs)
+        assert service.stats.requests == before + len(pairs)
+
+    def test_context_manager_closes(self, cls):
+        calls = []
+        with _joint_search(cls) as search:
+            search.close = lambda: calls.append(True)
+        assert calls == [True]

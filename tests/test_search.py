@@ -176,3 +176,22 @@ class TestConfigValidation:
         result = NASAIC(w3(), config=NASAICConfig(
             episodes=3, hw_steps=0, seed=29)).run()
         assert len(result.episodes) == 3
+
+    @pytest.mark.parametrize("episodes", [0, -2])
+    def test_run_rejects_non_positive_episode_override(self, episodes):
+        """``run(episodes)`` validates its budget override like the
+        config does, instead of silently running 0 episodes (negative)
+        or falling back to the configured budget (0)."""
+        from repro.workloads import w1
+        search = NASAIC(w1(), config=NASAICConfig(
+            episodes=3, hw_steps=1, calibrate_bounds=False))
+        with pytest.raises(ValueError, match="episodes must be >= 1"):
+            search.run(episodes)
+        # The refused override left the configured budget in place.
+        assert len(search.run().episodes) == 3
+
+    def test_run_episode_override(self):
+        from repro.workloads import w1
+        result = NASAIC(w1(), config=NASAICConfig(
+            episodes=3, hw_steps=1, calibrate_bounds=False)).run(2)
+        assert len(result.episodes) == 2
