@@ -21,9 +21,9 @@ Two studies share this file:
     ``build(batched=False)`` per design (scalar per-pair cost oracle, no
     cross-design sharing) and ``solve_hap(incremental=False)`` (one full
     ``list_schedule`` reschedule per trial move),
-  - the fast path (the default): union-primed ``build_many`` over the
-    whole trace and delta-resume move pricing with certified prune
-    bounds,
+  - the fast path (the default): ``build_many`` over the whole trace
+    (one cost pass per dataflow, tables gathered from the cost columns)
+    and delta-resume move pricing with certified prune bounds,
 
   asserts both return **bit-identical** ``HAPResult``\\ s, and gates the
   fast-over-oracle wall-clock ratio at >= 6x.  The gate also fails
@@ -197,8 +197,8 @@ def build_design_trace(designs: int, seed: int = 5):
 
 
 def _price_fast(pairs, latency_constraint, stats=None):
-    """Fast path: union-primed ``build_many`` over the whole trace + the
-    default delta-resume solver."""
+    """Fast path: ``build_many`` over the whole trace (tables gathered
+    from the cost columns) + the default delta-resume solver."""
     cost_model = CostModel()
     problems = MappingProblem.build_many(pairs, cost_model)
     return [solve_hap(problem, latency_constraint, stats=stats)

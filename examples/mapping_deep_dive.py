@@ -64,10 +64,11 @@ def main() -> None:
                   f"({exact.explored} leaves)")
 
     print("\nschedule (HAP heuristic):")
+    schedule = list_schedule(problem, hap.assignment)
     for pos in range(problem.num_slots):
         sub = accel.subaccs[problem.active_slots[pos]]
         print(f"  {sub.describe()}:")
-        for entry in hap.schedule.by_slot(pos):
+        for entry in schedule.by_slot(pos):
             layer = problem.flat_layers[entry.flat_id]
             net = problem.networks[entry.network].dataset
             print(f"    [{entry.start:>8d} - {entry.finish:>8d}] "

@@ -46,19 +46,18 @@ def calibrate_penalty_bounds(
     networks = tuple(
         task.space.decode(task.space.largest_indices())
         for task in workload.tasks)
-    worst_latency = 0.0
-    worst_energy = 0.0
-    worst_area = 0.0
+    designs = []
     for dataflow in allocation.dataflows:
         slots = [(dataflow, allocation.budget.max_pes,
                   allocation.budget.max_bandwidth_gbps)]
         slots += [(dataflow, 0, 0)] * (allocation.num_slots - 1)
-        design = allocation.build(slots)
-        problem = MappingProblem.build(networks, design, cost_model)
+        designs.append((networks, allocation.build(slots)))
+    worst_latency = 0.0
+    worst_energy = 0.0
+    worst_area = 0.0
+    for problem in MappingProblem.build_many(designs, cost_model):
         hap = solve_hap(problem, workload.specs.latency_cycles)
-        area = cost_model.area_um2(
-            design,
-            mapped_layers=problem.mapped_layers_by_slot(hap.assignment))
+        area = problem.mapped_area_um2(hap.assignment, cost_model.params)
         worst_latency = max(worst_latency, float(hap.makespan))
         worst_energy = max(worst_energy, hap.energy_nj)
         worst_area = max(worst_area, area)

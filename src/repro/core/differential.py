@@ -192,25 +192,42 @@ def _normalised_run(result) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Oracle-pair checks
 # ----------------------------------------------------------------------
-def _check_cost_table(scenario: GeneratedScenario,
-                      rng: np.random.Generator) -> str | None:
-    """Batched cost tables vs the scalar oracle (PR 2 contract)."""
-    for index, (nets, accel) in enumerate(
-            scenario.sample_pairs(rng, scenario.spec.design_samples)):
-        batched = MappingProblem.build(
-            nets, accel, CostModel(scenario.cost_params), batched=True)
-        scalar = MappingProblem.build(
-            nets, accel, CostModel(scenario.cost_params), batched=False)
-        if not np.array_equal(batched.durations, scalar.durations):
-            cell = np.argwhere(batched.durations != scalar.durations)[0]
-            return (f"design {index}: durations[{cell[0]},{cell[1]}] "
-                    f"batched={int(batched.durations[cell[0], cell[1]])} "
-                    f"scalar={int(scalar.durations[cell[0], cell[1]])}")
-        if not np.array_equal(batched.energies, scalar.energies):
-            cell = np.argwhere(batched.energies != scalar.energies)[0]
-            return (f"design {index}: energies[{cell[0]},{cell[1]}] "
-                    f"batched={float(batched.energies[cell[0], cell[1]])!r} "
-                    f"scalar={float(scalar.energies[cell[0], cell[1]])!r}")
+def _check_batched_tables(scenario: GeneratedScenario,
+                          rng: np.random.Generator) -> str | None:
+    """Batched cost tables vs the scalar oracle, per design on a fresh
+    model and through one shared model in two ``build_many`` batches
+    (the second adds geometries and configurations to live columns);
+    buffer-sized areas vs the per-layer area oracle."""
+    params = scenario.cost_params
+    pairs = scenario.sample_pairs(rng, max(2, scenario.spec.design_samples))
+    shared = CostModel(params)
+    half = len(pairs) // 2
+    via_shared = (MappingProblem.build_many(pairs[:half], shared)
+                  + MappingProblem.build_many(pairs[half:], shared))
+    for index, ((nets, accel), shared_problem) in enumerate(
+            zip(pairs, via_shared)):
+        oracle = CostModel(params)
+        scalar = MappingProblem.build(nets, accel, oracle, batched=False)
+        alone = MappingProblem.build(nets, accel, CostModel(params))
+        for side, problem in (("batched", alone), ("shared", shared_problem)):
+            for name in ("durations", "energies", "working_sets"):
+                got, want = getattr(problem, name), getattr(scalar, name)
+                if got.shape != want.shape:
+                    return (f"design {index}: {side} {name} shape "
+                            f"{got.shape} != scalar {want.shape}")
+                if not np.array_equal(got, want):
+                    row, col = np.argwhere(got != want)[0]
+                    return (f"design {index}: {side} {name}[{row},{col}] "
+                            f"{got[row, col]!r} != scalar "
+                            f"{want[row, col]!r}")
+        assignment = tuple(int(pos) for pos in rng.integers(
+            scalar.num_slots, size=scalar.num_layers))
+        area = shared_problem.mapped_area_um2(assignment, params)
+        want_area = oracle.area_um2(
+            accel, mapped_layers=scalar.mapped_layers_by_slot(assignment))
+        if area != want_area:
+            return (f"design {index}: mapped area {area!r} != per-layer "
+                    f"oracle {want_area!r}")
     return None
 
 
@@ -676,8 +693,9 @@ def _check_exact_gap(scenario: GeneratedScenario,
 
 for _pair in (
     OraclePair("cost-table",
-               "batched cost tables == scalar oracle (bit-identical)",
-               _check_cost_table),
+               "batched and shared-memo cost tables and mapped areas == "
+               "scalar oracle (bit-identical)",
+               _check_batched_tables),
     OraclePair("hap-modes",
                "delta-resume HAP == full-reschedule oracle",
                _check_hap_modes),

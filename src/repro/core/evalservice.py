@@ -172,8 +172,9 @@ class EvalServiceStats:
         parallel_evaluations: Misses priced on the process pool.
         miss_seconds: Wall-clock spent computing misses.
         cost_memo_hits / cost_memo_misses: Cross-design cost-table memo
-            accounting (``CostModel.memo_hits`` / ``memo_misses``),
-            mirrored after every miss computation.
+            accounting (``CostModel.memo_hits`` / ``memo_misses``: table
+            cells answered from the memo / cells priced), mirrored after
+            every miss computation.
         cost_memo_entries: Memo occupancy (entries held) at the last
             mirror — in a stats *delta* this is net entries added.
         shared_hits: Hits served from entries inserted in an *earlier*
@@ -554,8 +555,8 @@ class EvalService:
             self.evaluator.hardware_evaluations += len(pairs)
             self.stats.parallel_evaluations += len(pairs)
             return evaluations
-        # Serial misses price through the batched build: one
-        # union-primed cost pass for the whole miss batch.
+        # Serial misses price through the batched build: one cost pass
+        # per dataflow for the whole miss batch.
         return self.evaluator.evaluate_hardware_many(pairs)
 
     def _sync_pricing(self) -> None:
@@ -624,8 +625,9 @@ class EvalService:
         if self.store is None or self.store.read_only:
             return 0
         cost_model = self.evaluator.cost_model
-        written = self.store.put_memo(cost_params_digest(cost_model.params),
-                                      cost_model.memo_state()["cache"])
+        digest = cost_params_digest(cost_model.params)
+        written = cost_model.drain_fresh(
+            lambda fresh: self.store.put_memo(digest, fresh))
         self._sync_store_scale()
         return written
 

@@ -94,25 +94,25 @@ class Evaluator:
         networks: tuple[NetworkArch, ...],
         accelerator: HeterogeneousAccelerator,
     ) -> HardwareEvaluation:
-        """Cost model + mapping/scheduling -> (rl, re, ra) and penalty."""
-        self._check_networks(networks)
-        problem = MappingProblem.build(networks, accelerator,
-                                       self.cost_model)
-        return self._finish_hardware(accelerator, problem)
+        """Cost model + mapping/scheduling -> (rl, re, ra) and penalty
+        (a one-design :meth:`evaluate_hardware_many` batch)."""
+        return self.evaluate_hardware_many([(networks, accelerator)])[0]
 
     def evaluate_hardware_many(
         self,
         pairs: Sequence[tuple[tuple[NetworkArch, ...],
                               HeterogeneousAccelerator]],
     ) -> list[HardwareEvaluation]:
-        """Batch hardware path over ``(networks, accelerator)`` pairs.
+        """Hardware path over a batch of ``(networks, accelerator)``
+        pairs — the one pricing path of every caller (the evaluation
+        service, the daemon's per-miss path, :meth:`evaluate_hardware`).
 
-        The cost tables of the whole batch build from one union-primed
-        pricing pass (:meth:`MappingProblem.build_many`) instead of one
-        pass per design; solves and reward assembly are per design.
-        Results are bit-identical to mapping :meth:`evaluate_hardware`
-        over the list — priming only moves pricing work, never changes
-        a value — which ``tests/test_evalservice.py`` asserts.
+        The batch's cost tables come from one
+        :meth:`MappingProblem.build_many` call: its unpriced cells are
+        priced in one pass per dataflow and every table is a gather from
+        the cost columns.  Solves and reward assembly are per design.
+        Each result is independent of how the pairs are batched
+        (``tests/test_evalservice.py``).
         """
         pairs = list(pairs)
         for networks, _accelerator in pairs:
@@ -131,13 +131,12 @@ class Evaluator:
 
     def _finish_hardware(self, accelerator: HeterogeneousAccelerator,
                          problem: MappingProblem) -> HardwareEvaluation:
-        """Solve + score one built problem (shared by both entry points)."""
+        """Solve + score one built problem."""
         specs = self.workload.specs
         hap = solve_hap(problem, specs.latency_cycles,
                         stats=self.move_stats)
-        area = self.cost_model.area_um2(
-            accelerator,
-            mapped_layers=problem.mapped_layers_by_slot(hap.assignment))
+        area = problem.mapped_area_um2(hap.assignment,
+                                       self.cost_model.params)
         penalty = hardware_penalty(hap.makespan, hap.energy_nj, area,
                                    specs, self.workload.bounds)
         feasible = specs.satisfied_by(hap.makespan, hap.energy_nj, area)

@@ -66,7 +66,8 @@ __all__ = ["FrameError", "MAX_FRAME_BYTES", "PROTOCOL_VERSION",
            "encode_frame", "read_frame", "recv_frame", "send_frame"]
 
 #: Bumped on any incompatible change to the frame or message schema.
-PROTOCOL_VERSION = 1
+#: Version 2: evaluations carry no HAP schedule.
+PROTOCOL_VERSION = 2
 
 #: Upper bound either side accepts for one frame.  Generous for real
 #: batches (a few hundred designs pickle to well under a megabyte) yet

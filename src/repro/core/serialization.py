@@ -17,7 +17,7 @@ Three artefact families with different contracts:
   exactly, so they use pickle — same trade-off as ``torch.save``.  A
   checkpoint is a versioned envelope::
 
-      {"format": "repro-checkpoint", "version": 2,
+      {"format": "repro-checkpoint", "version": 3,
        "strategy_name": ..., "round": ..., "total_rounds": ...,
        "context_salt": ...,        # evaluation context of the service
        "store_path": ...,          # persistent store in use (or None)
@@ -25,7 +25,10 @@ Three artefact families with different contracts:
        "strategy_state": {...},    # SearchStrategy.state()
        "service_state": {...}}     # EvalService.state_snapshot()
 
-  Only load checkpoints you wrote yourself (standard pickle caveat).
+  Version 3 stores the cost memo as copies of its column arrays
+  (:meth:`repro.cost.model.CostModel.memo_state`); version-2
+  checkpoints, whose memo is one record per cell, still load.  Only
+  load checkpoints you wrote yourself (standard pickle caveat).
 - **Store offset indexes** (:func:`save_store_index` /
   :func:`load_store_index`): the ``<store>.idx`` sidecar that lets
   :class:`repro.core.evalstore.EvalStore` open without unpickling every
@@ -69,7 +72,10 @@ __all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Version 2: pending controller samples hold lockstep step caches.
-CHECKPOINT_VERSION = 2
+#: Version 3: the cost memo is stored as column arrays.
+CHECKPOINT_VERSION = 3
+#: Versions :func:`load_checkpoint` reads.
+_READABLE_CHECKPOINTS = (2, 3)
 
 STORE_INDEX_FORMAT = "repro-evalstore-index"
 STORE_INDEX_VERSION = 1
@@ -337,8 +343,8 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
     if (not isinstance(record, dict)
             or record.get("format") != CHECKPOINT_FORMAT):
         raise ValueError(f"{path} is not a repro run checkpoint")
-    if record.get("version") != CHECKPOINT_VERSION:
+    if record.get("version") not in _READABLE_CHECKPOINTS:
         raise ValueError(
             f"checkpoint version {record.get('version')!r} is not "
-            f"supported (expected {CHECKPOINT_VERSION})")
+            f"supported (expected one of {_READABLE_CHECKPOINTS})")
     return record

@@ -4,7 +4,7 @@ from repro.cost.area import accelerator_area_um2, subaccelerator_area_um2
 from repro.cost.energy import (dram_bytes, dram_bytes_batch, layer_energy_nj,
                                layer_energy_nj_batch)
 from repro.cost.latency import (memory_cycles, memory_cycles_batch,
-                                roofline_latency, roofline_latency_batch)
+                                roofline_latency)
 from repro.cost.model import CostModel, LayerCost, layer_identity
 from repro.cost.params import DEFAULT_PARAMS, CostModelParams
 from repro.cost.reuse import (LayerGeometryBatch, TilingAnalysis,
@@ -29,6 +29,5 @@ __all__ = [
     "memory_cycles",
     "memory_cycles_batch",
     "roofline_latency",
-    "roofline_latency_batch",
     "subaccelerator_area_um2",
 ]

@@ -17,8 +17,7 @@ from repro.cost.params import CostModelParams
 from repro.cost.reuse import TilingAnalysis, TilingAnalysisBatch
 from repro.utils.units import gbps_to_bytes_per_cycle
 
-__all__ = ["memory_cycles", "memory_cycles_batch", "roofline_latency",
-           "roofline_latency_batch"]
+__all__ = ["memory_cycles", "memory_cycles_batch", "roofline_latency"]
 
 
 def memory_cycles(analysis: TilingAnalysis, bandwidth_gbps: int,
@@ -39,23 +38,16 @@ def roofline_latency(analysis: TilingAnalysis, bandwidth_gbps: int,
     return max(analysis.compute_cycles, mem) + params.layer_launch_cycles
 
 
-def memory_cycles_batch(analysis: TilingAnalysisBatch, bandwidth_gbps: int,
+def memory_cycles_batch(analysis: TilingAnalysisBatch,
+                        bandwidth_gbps: int | np.ndarray,
                         params: CostModelParams) -> np.ndarray:
-    """Vector twin of :func:`memory_cycles` (bit-identical per element:
-    byte counts stay below 2**52, where ``np.ceil`` of a correctly
-    rounded float64 division matches ``math.ceil``)."""
-    if bandwidth_gbps <= 0:
+    """Vector twin of :func:`memory_cycles`; ``bandwidth_gbps`` is one
+    bandwidth or an ``int64`` array with one per layer.  Bit-identical
+    per element: byte counts stay below 2**52, where ``np.ceil`` of a
+    correctly rounded float64 division matches ``math.ceil``."""
+    if np.any(np.less_equal(bandwidth_gbps, 0)):
         raise ValueError(
             f"bandwidth must be positive, got {bandwidth_gbps} GB/s")
     bytes_per_cycle = gbps_to_bytes_per_cycle(bandwidth_gbps)
     noc_bytes = analysis.total_fetches * params.elem_bytes
     return np.ceil(noc_bytes / bytes_per_cycle).astype(np.int64)
-
-
-def roofline_latency_batch(analysis: TilingAnalysisBatch,
-                           bandwidth_gbps: int,
-                           params: CostModelParams) -> np.ndarray:
-    """Vector twin of :func:`roofline_latency`."""
-    mem = memory_cycles_batch(analysis, bandwidth_gbps, params)
-    return (np.maximum(analysis.compute_cycles, mem)
-            + params.layer_launch_cycles)

@@ -3,25 +3,28 @@
 NASAIC uses MAESTRO as a black-box oracle (§IV-③): feed it a network layer
 and a sub-accelerator, get latency and energy back; feed it the accelerator
 set, get area back.  :class:`CostModel` provides exactly that interface on
-top of the analytic components in this package, with memoisation — the
-search evaluates the same (layer, sub-accelerator) pairs across thousands
-of episodes.
+top of the analytic components in this package, with memoisation held as
+array columns — the search evaluates the same (layer, sub-accelerator)
+pairs across thousands of episodes, and a batch of designs reads its
+tables with gathers.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.accel.accelerator import HeterogeneousAccelerator
+from repro.accel.dataflow import Dataflow
 from repro.accel.subaccelerator import SubAccelerator
 from repro.arch.layers import ConvLayer
 from repro.arch.network import NetworkArch
 from repro.cost.area import accelerator_area_um2
-from repro.cost.energy import dram_bytes, dram_bytes_batch, layer_energy_nj
+from repro.cost.energy import (dram_bytes, dram_bytes_batch,
+                               layer_energy_nj, layer_energy_nj_batch)
 from repro.cost.latency import (memory_cycles, memory_cycles_batch,
                                 roofline_latency)
 from repro.cost.params import DEFAULT_PARAMS, CostModelParams
@@ -73,275 +76,230 @@ class LayerCost:
                 else "compute")
 
 
+#: Fields of a priced cell held in a column's integer and float blocks,
+#: in row order.
+_INT_FIELDS = ("latency_cycles", "compute_cycles", "memory_cycles",
+               "noc_bytes", "dram_bytes", "working_set_bytes")
+_FLOAT_FIELDS = ("energy_nj", "utilization")
+_LATENCY = _INT_FIELDS.index("latency_cycles")
+_WORKING_SET = _INT_FIELDS.index("working_set_bytes")
+_ENERGY = _FLOAT_FIELDS.index("energy_nj")
+_int_fields = attrgetter(*_INT_FIELDS)
+_float_fields = attrgetter(*_FLOAT_FIELDS)
+#: A cell's state: not priced, priced here, priced and persisted (loaded
+#: from a store or already written by :meth:`CostModel.drain_fresh`).
+_UNPRICED, _FRESH, _PERSISTED = 0, 1, 2
+
+
+class _Column:
+    """Priced cells of one sub-accelerator configuration, indexed by
+    geometry id: an ``int64`` block, a ``float64`` block and a state
+    byte per cell."""
+
+    __slots__ = ("ints", "floats", "state")
+
+    def __init__(self, size: int) -> None:
+        self.ints = np.zeros((len(_INT_FIELDS), size), dtype=np.int64)
+        self.floats = np.zeros((len(_FLOAT_FIELDS), size))
+        self.state = np.zeros(size, dtype=np.uint8)
+
+    def reserve(self, size: int) -> "_Column":
+        """Grow (at least doubling) so geometry ids below ``size`` fit."""
+        old = self.state.shape[0]
+        if size > old:
+            grown = _Column(max(size, 2 * old))
+            grown.ints[:, :old], grown.floats[:, :old], grown.state[:old] = (
+                self.ints, self.floats, self.state)
+            self.ints, self.floats, self.state = (grown.ints, grown.floats,
+                                                  grown.state)
+        return self
+
+    def cost(self, gid: int) -> LayerCost:
+        return LayerCost(
+            **dict(zip(_INT_FIELDS, self.ints[:, gid].tolist())),
+            **dict(zip(_FLOAT_FIELDS, self.floats[:, gid].tolist())))
+
+
 class CostModel:
     """Memoising analytic cost oracle.
 
-    The memo is **content-keyed and cross-design**: entries are keyed by
-    :func:`layer_identity` (geometry, not name) plus the sub-accelerator
-    configuration triple.  The template space is tiny and the search
-    mutates one field at a time, so consecutively sampled designs share
-    almost all (layer, sub-accelerator) pairs; ``memo_hits`` /
-    ``memo_misses`` expose the reuse rate.
+    The memo is **content-keyed and cross-design**, held as *cost
+    columns*: every distinct :func:`layer_identity` (geometry, not name)
+    gets an integer id, and every sub-accelerator configuration
+    ``(dataflow, pes, bandwidth)`` keeps arrays of the
+    :class:`LayerCost` fields over those ids plus a priced mask.  A
+    design's HAP tables are then array gathers (:meth:`tables`), and a
+    batch's unpriced cells are priced in one vectorised pass per
+    dataflow.  ``memo_hits`` counts cells answered from the memo,
+    ``memo_misses`` cells priced.
 
     Args:
         params: Model constants; defaults to the calibrated set in
             :data:`repro.cost.params.DEFAULT_PARAMS`.
-        memo_capacity: Optional bound on the cross-design memo.  The
-            default (``None``) keeps it unbounded — bit-compatible with
-            every prior run — but long campaigns over large template
-            spaces can cap memory with an LRU bound; eviction changes
-            only *when* a pair is repriced, never its value.
     """
 
-    def __init__(self, params: CostModelParams | None = None,
-                 *, memo_capacity: int | None = None) -> None:
-        if memo_capacity is not None and memo_capacity < 1:
-            raise ValueError("memo_capacity must be >= 1 (or None)")
+    def __init__(self, params: CostModelParams | None = None) -> None:
         self.params = params or DEFAULT_PARAMS
-        self.memo_capacity = memo_capacity
-        self._layer_cache: dict[tuple, LayerCost] = (
-            {} if memo_capacity is None else OrderedDict())
+        self.clear_cache()
         self.memo_hits = 0
         self.memo_misses = 0
-        self.memo_evictions = 0
+
+    # ------------------------------------------------------------------
+    # Geometry ids and columns
+    # ------------------------------------------------------------------
+    def _geometry_ids(self, identities: Iterable[tuple]) -> np.ndarray:
+        """Integer ids of :func:`layer_identity` tuples, registering new
+        ones.
+
+        The identity rows are written as ids are assigned, so the
+        geometry table always covers every id handed out.
+        """
+        ids = self._ids
+        out = []
+        for identity in identities:
+            gid = ids.get(identity)
+            if gid is None:
+                gid = ids[identity] = len(ids)
+                if gid == self._identities.shape[0]:
+                    grown = np.zeros((2 * gid + 16, 7), dtype=np.int64)
+                    grown[:gid] = self._identities
+                    self._identities = grown
+                self._identities[gid] = identity
+            out.append(gid)
+        return np.array(out, dtype=np.intp)
+
+    def _column(self, key: tuple) -> _Column:
+        """The column of one configuration, grown to cover every id."""
+        column = self._columns.get(key)
+        if column is None:
+            column = self._columns[key] = _Column(len(self._ids))
+        return column.reserve(len(self._ids))
+
+    @staticmethod
+    def _config_key(subacc: SubAccelerator) -> tuple:
+        if not subacc.is_active:
+            raise ValueError(
+                "cost requested for an inactive sub-accelerator")
+        # dataflow.value (a str) hashes much faster than the Enum member.
+        return (subacc.dataflow.value, subacc.num_pes, subacc.bandwidth_gbps)
 
     # ------------------------------------------------------------------
     # Per-layer oracle
     # ------------------------------------------------------------------
     def layer_cost(self, layer: ConvLayer,
                    subacc: SubAccelerator) -> LayerCost:
-        """Latency/energy of one layer on one sub-accelerator (cached)."""
-        if not subacc.is_active:
-            raise ValueError(
-                f"layer {layer.name!r} mapped to an inactive sub-accelerator")
-        # dataflow.value (a str) hashes much faster than the Enum member —
-        # this key is built once per grid cell on the hot path.
-        key = (layer_identity(layer), subacc.dataflow.value, subacc.num_pes,
-               subacc.bandwidth_gbps)
-        cached = self._layer_cache.get(key)
-        if cached is not None:
+        """Latency/energy of one layer on one sub-accelerator (cached).
+
+        Priced by the scalar analyzers — the reference the batch pass is
+        held to — and stored in the same columns the batch reads.
+        """
+        key = self._config_key(subacc)
+        (gid,) = self._geometry_ids([layer_identity(layer)]).tolist()
+        column = self._column(key)
+        if column.state[gid] != _UNPRICED:
             self.memo_hits += 1
-            if self.memo_capacity is not None:  # LRU touch (bounded only)
-                self._layer_cache.move_to_end(key)
-            return cached
+            return column.cost(gid)
         self.memo_misses += 1
         analysis = analyze(layer, subacc.dataflow, subacc.num_pes,
                            self.params)
-        mem = memory_cycles(analysis, subacc.bandwidth_gbps, self.params)
-        latency = roofline_latency(analysis, subacc.bandwidth_gbps,
-                                   self.params)
-        energy = layer_energy_nj(layer, analysis, self.params)
         cost = LayerCost(
-            latency_cycles=latency,
-            energy_nj=energy,
+            latency_cycles=roofline_latency(analysis, subacc.bandwidth_gbps,
+                                            self.params),
+            energy_nj=layer_energy_nj(layer, analysis, self.params),
             compute_cycles=analysis.compute_cycles,
-            memory_cycles=mem,
+            memory_cycles=memory_cycles(analysis, subacc.bandwidth_gbps,
+                                        self.params),
             utilization=analysis.utilization,
             noc_bytes=analysis.total_fetches * self.params.elem_bytes,
             dram_bytes=dram_bytes(layer, self.params),
             working_set_bytes=(analysis.working_set_elems
                                * self.params.elem_bytes),
         )
-        self._layer_cache[key] = cost
-        self._evict_excess()
+        self._fill({(layer_identity(layer),) + key: cost}, _FRESH)
         return cost
 
     # ------------------------------------------------------------------
     # Batch oracle
     # ------------------------------------------------------------------
-    def cost_table(self, layers: Sequence[ConvLayer],
-                   subaccs: Sequence[SubAccelerator],
-                   ) -> list[list[LayerCost]]:
-        """Price the whole ``layers x subaccs`` grid; returns a row-major
-        nested list with ``grid[i][j] == layer_cost(layers[i], subaccs[j])``
-        bit for bit.
+    def tables(
+        self,
+        designs: Sequence[tuple[Sequence[ConvLayer],
+                                Sequence[SubAccelerator]]],
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(durations, energies, working_sets)`` tables, each
+        ``[layers, subaccs]``, of every ``(layers, subaccs)`` design.
 
-        Memo hits are answered from the cross-design cache; the distinct
-        misses of each column are priced in one vectorised NumPy pass
-        (deduplicated by :func:`layer_identity`, so repeated blocks cost
-        one evaluation).  This is the fast path behind
-        :meth:`repro.mapping.problem.MappingProblem.build`.
+        The cells the batch needs that are not yet priced are priced in
+        one vectorised pass per dataflow (deduplicated across the whole
+        batch, so repeated blocks and shared configurations cost one
+        evaluation); every table is then a gather from the columns.
+        Each value is bit-identical to :meth:`layer_cost`.
         """
-        layers = list(layers)
-        layer_keys = [layer_identity(layer) for layer in layers]
-        grid: list[list[LayerCost]] = [[] for _ in layers]
-        cache = self._layer_cache
-        bounded = self.memo_capacity is not None
-        # Distinct geometries of the batch, with their position in the
-        # shared arrays; the dataflow-independent terms (geometry, DRAM
-        # bytes, MAC/DRAM energy) are computed once and shared by every
-        # column, each column pricing only its own misses.
-        distinct_pos: dict[tuple, int] = {}
-        representatives: list[ConvLayer] = []
-        for row, lkey in enumerate(layer_keys):
-            if lkey not in distinct_pos:
-                distinct_pos[lkey] = len(representatives)
-                representatives.append(layers[row])
-        shared: tuple | None = None
-        for subacc in subaccs:
-            if not subacc.is_active:
-                raise ValueError(
-                    "cost table requested for an inactive sub-accelerator")
-            sub_key = (subacc.dataflow.value, subacc.num_pes,
-                       subacc.bandwidth_gbps)
-            # Hit values are captured at scan time and misses filled in
-            # from the pricing pass: the grid never re-reads the memo,
-            # so a bounded memo may evict freely underneath.
-            column: dict[tuple, LayerCost | None] = {}
-            miss_lkeys: dict[tuple, None] = {}
-            hits = 0
-            for lkey in layer_keys:
-                if lkey in column:
-                    hits += 1
-                    continue
-                key = (lkey,) + sub_key
-                cached = cache.get(key)
-                if cached is not None:
-                    hits += 1
-                    if bounded:  # LRU touch
-                        cache.move_to_end(key)
-                else:
-                    miss_lkeys[lkey] = None
-                column[lkey] = cached
-            self.memo_hits += hits
-            self.memo_misses += len(miss_lkeys)
-            if miss_lkeys:
-                if shared is None:
-                    shared = self._shared_terms(representatives)
-                if len(miss_lkeys) == len(distinct_pos):
-                    terms = shared  # cold column: avoid the subset copy
-                else:
-                    terms = self._subset_terms(
-                        shared, [distinct_pos[lkey] for lkey in miss_lkeys])
-                column.update(
-                    self._price_column(list(miss_lkeys), terms, subacc))
-                self._evict_excess()
-            for row, lkey in enumerate(layer_keys):
-                grid[row].append(column[lkey])
-        return grid
+        plans = [(self._geometry_ids(map(layer_identity, layers)),
+                  [self._config_key(sub) for sub in subaccs])
+                 for layers, subaccs in designs]
+        pending: dict[tuple, dict[int, None]] = {}
+        cells = 0
+        for gids, keys in plans:
+            cells += len(gids) * len(keys)
+            for key in keys:
+                state = self._column(key).state
+                missing = gids[state[gids] == _UNPRICED]
+                if len(missing):
+                    pending.setdefault(key, {}).update(
+                        dict.fromkeys(missing.tolist()))
+        self._price(pending)
+        priced = sum(map(len, pending.values()))
+        self._priced += priced
+        self.memo_misses += priced
+        self.memo_hits += cells - priced
+        out = []
+        for gids, keys in plans:
+            columns = [self._columns[key] for key in keys]
+            out.append(tuple(
+                np.stack([row.take(gids) for row in rows], axis=1)
+                for rows in ([c.ints[_LATENCY] for c in columns],
+                             [c.floats[_ENERGY] for c in columns],
+                             [c.ints[_WORKING_SET] for c in columns])))
+        return out
 
-    def prime_pairs(
-        self, pairs: Sequence[tuple[ConvLayer, SubAccelerator]]
-    ) -> int:
-        """Price the union of distinct (layer geometry, sub-accelerator
-        configuration) pairs into the memo — one vectorised pass per
-        distinct configuration.
-
-        The cross-design batch front door: a caller about to build many
-        :class:`~repro.mapping.problem.MappingProblem`\\ s (an
-        ``evaluate_many`` miss batch, :meth:`MappingProblem.build_many`)
-        primes the union of its pairs first, so every subsequent
-        per-design table is answered from the memo instead of running
-        one pricing pass per design.  Priced values are bit-identical to
-        the scalar oracle and to :meth:`cost_table` (same vectorised
-        pricing; the terms are elementwise, so batch composition cannot
-        change a value).  Already-memoised pairs are skipped without
-        touching hit accounting — priming is not a lookup; only the
-        misses it prices count (``memo_misses``).  Returns the number of
-        pairs priced.
-        """
-        cache = self._layer_cache
-        distinct_pos: dict[tuple, int] = {}
-        representatives: list[ConvLayer] = []
-        by_sub: dict[tuple, tuple[SubAccelerator, dict]] = {}
-        for layer, subacc in pairs:
-            if not subacc.is_active:
-                raise ValueError(
-                    "cannot prime an inactive sub-accelerator")
-            lkey = layer_identity(layer)
-            if lkey not in distinct_pos:
-                distinct_pos[lkey] = len(representatives)
-                representatives.append(layer)
-            sub_key = (subacc.dataflow.value, subacc.num_pes,
-                       subacc.bandwidth_gbps)
-            entry = by_sub.get(sub_key)
-            if entry is None:
-                entry = (subacc, {})
-                by_sub[sub_key] = entry
-            misses = entry[1]
-            if lkey not in misses and ((lkey,) + sub_key) not in cache:
-                misses[lkey] = None
-        shared: tuple | None = None
-        priced = 0
-        for _sub_key, (subacc, miss_lkeys) in by_sub.items():
-            if not miss_lkeys:
-                continue
-            if shared is None:
-                shared = self._shared_terms(representatives)
-            positions = [distinct_pos[lkey] for lkey in miss_lkeys]
-            # Unlike cost_table's single-design columns, a sub-config's
-            # first-seen key order here need not match the global
-            # representative order (its first design may introduce
-            # layers another design already registered), so the
-            # no-copy shortcut requires positions to be the identity.
-            if positions == list(range(len(representatives))):
-                terms = shared
-            else:
-                terms = self._subset_terms(shared, positions)
-            self._price_column(list(miss_lkeys), terms, subacc)
-            self.memo_misses += len(miss_lkeys)
-            priced += len(miss_lkeys)
-            self._evict_excess()
-        return priced
-
-    def _shared_terms(self, layers: list[ConvLayer]) -> tuple:
-        """Dataflow-independent arrays of a distinct-layer batch."""
+    def _price(self, pending: dict[tuple, dict[int, None]]) -> None:
+        """Price ``{config key: geometry ids}`` into the columns with one
+        :func:`analyze_batch` call per dataflow, PE count and bandwidth
+        passed per cell."""
+        by_flow: dict[str, list[tuple[tuple, list[int]]]] = {}
+        for key, gids in pending.items():
+            by_flow.setdefault(key[0], []).append((key, list(gids)))
         params = self.params
-        geometry = LayerGeometryBatch.from_layers(layers)
-        dram = dram_bytes_batch(geometry, params)
-        mac_energy = geometry.macs * params.mac_energy_nj
-        dram_energy = dram * params.dram_energy_nj_per_byte
-        return geometry, dram, mac_energy, dram_energy
-
-    @staticmethod
-    def _subset_terms(shared: tuple, rows: list[int]) -> tuple:
-        """Row-subset of :meth:`_shared_terms` output (elementwise terms,
-        so subsetting before or after pricing is bit-identical)."""
-        geometry, dram, mac_energy, dram_energy = shared
-        idx = np.array(rows)
-        return (geometry.take(idx), dram[idx], mac_energy[idx],
-                dram_energy[idx])
-
-    def _price_column(self, keys: list[tuple], shared: tuple,
-                      subacc: SubAccelerator) -> dict[tuple, LayerCost]:
-        """Vectorised pricing of the distinct layers on one
-        sub-accelerator; fills the memo and returns ``{layer key:
-        cost}`` (bit-identical to the scalar path — same operand order,
-        every integer exactly representable in float64)."""
-        params = self.params
-        geometry, dram, mac_energy, dram_energy = shared
-        analysis = analyze_batch(geometry, subacc.dataflow, subacc.num_pes,
-                                 params)
-        mem = memory_cycles_batch(analysis, subacc.bandwidth_gbps, params)
-        latency = (np.maximum(analysis.compute_cycles, mem)
-                   + params.layer_launch_cycles)
-        noc_bytes = analysis.total_fetches * params.elem_bytes
-        energy = (mac_energy
-                  + noc_bytes * params.noc_energy_nj_per_byte
-                  + dram_energy)
-        working_set = analysis.working_set_elems * params.elem_bytes
-        cache = self._layer_cache
-        sub_key = (subacc.dataflow.value, subacc.num_pes,
-                   subacc.bandwidth_gbps)
-        priced: dict[tuple, LayerCost] = {}
-        for lkey, lat, e, comp, m, util, noc, dr, ws in zip(
-                keys, latency.tolist(), energy.tolist(),
-                analysis.compute_cycles.tolist(), mem.tolist(),
-                analysis.utilization.tolist(), noc_bytes.tolist(),
-                dram.tolist(), working_set.tolist()):
-            cost = LayerCost(
-                latency_cycles=lat,
-                energy_nj=e,
-                compute_cycles=comp,
-                memory_cycles=m,
-                utilization=util,
-                noc_bytes=noc,
-                dram_bytes=dr,
-                working_set_bytes=ws,
-            )
-            cache[(lkey,) + sub_key] = cost
-            priced[lkey] = cost
-        return priced
+        for flow, entries in by_flow.items():
+            sizes = [len(gids) for _key, gids in entries]
+            ids = np.array([g for _key, gids in entries for g in gids],
+                           dtype=np.intp)
+            configs = np.repeat(np.array([key[1:] for key, _ in entries],
+                                         dtype=np.int64), sizes, axis=0)
+            geometry = LayerGeometryBatch.from_identities(
+                self._identities[ids])
+            analysis = analyze_batch(geometry, Dataflow(flow),
+                                     configs[:, 0], params)
+            mem = memory_cycles_batch(analysis, configs[:, 1], params)
+            ints = np.stack([
+                np.maximum(analysis.compute_cycles, mem)
+                + params.layer_launch_cycles,
+                analysis.compute_cycles, mem,
+                analysis.total_fetches * params.elem_bytes,
+                dram_bytes_batch(geometry, params),
+                analysis.working_set_elems * params.elem_bytes])
+            floats = np.stack([
+                layer_energy_nj_batch(geometry, analysis, params),
+                analysis.utilization])
+            start = 0
+            for (key, _gids), size in zip(entries, sizes):
+                cells = slice(start, start + size)
+                column = self._columns[key]
+                column.ints[:, ids[cells]] = ints[:, cells]
+                column.floats[:, ids[cells]] = floats[:, cells]
+                column.state[ids[cells]] = _FRESH
+                start += size
 
     def network_cost_on(self, network: NetworkArch,
                         subacc: SubAccelerator) -> tuple[int, float]:
@@ -386,58 +344,103 @@ class CostModel:
                                     glb_bytes_per_slot=glb)
 
     # ------------------------------------------------------------------
-    # Maintenance
+    # Maintenance and persistence
     # ------------------------------------------------------------------
-    def _evict_excess(self) -> None:
-        """Drop least-recently-used entries above the capacity bound."""
-        if self.memo_capacity is None:
-            return
-        cache = self._layer_cache
-        while len(cache) > self.memo_capacity:
-            cache.popitem(last=False)
-            self.memo_evictions += 1
-
     @property
     def cache_size(self) -> int:
         """Number of memoised (layer, sub-accelerator) evaluations."""
-        return len(self._layer_cache)
+        return self._priced
 
     def clear_cache(self) -> None:
         """Drop all memoised evaluations."""
-        self._layer_cache.clear()
+        self._ids: dict[tuple, int] = {}
+        self._identities = np.zeros((0, 7), dtype=np.int64)
+        self._columns: dict[tuple, _Column] = {}
+        self._priced = 0
 
     def memo_state(self) -> dict:
-        """Value snapshot of the cross-design memo (for checkpoints).
-
-        Entries are immutable :class:`LayerCost` records, so a shallow
-        dict copy plus the hit/miss counters captures the memo exactly;
-        restoring it makes a resumed run's memo accounting identical to
-        the uninterrupted run.
-        """
-        return {"cache": dict(self._layer_cache),
-                "hits": self.memo_hits,
-                "misses": self.memo_misses}
+        """Value snapshot of the memo (for checkpoints): copies of the
+        geometry table and of every column's arrays, plus the hit/miss
+        counters, so a resumed run's memo and its accounting match the
+        uninterrupted run."""
+        return {
+            "identities": list(self._ids),
+            "columns": {key: (c.ints.copy(), c.floats.copy(),
+                              c.state.copy())
+                        for key, c in self._columns.items()},
+            "hits": self.memo_hits,
+            "misses": self.memo_misses,
+        }
 
     def load_memo_state(self, state: dict) -> None:
-        """Restore a :meth:`memo_state` snapshot."""
-        self._layer_cache = (dict(state["cache"])
-                             if self.memo_capacity is None
-                             else OrderedDict(state["cache"]))
-        self._evict_excess()
+        """Restore a :meth:`memo_state` snapshot.  A version-2
+        checkpoint's ``{"cache": {key: LayerCost}}`` form is accepted
+        too; its cells load as priced but not yet persisted."""
+        self.clear_cache()
+        if "cache" in state:
+            self._fill(state["cache"], _FRESH)
+        else:
+            self._geometry_ids(state["identities"])
+            for key, (ints, floats, cell_state) in state["columns"].items():
+                column = self._columns[key] = _Column(0)
+                column.ints, column.floats = ints.copy(), floats.copy()
+                column.state = cell_state.copy()
+                self._priced += int(np.count_nonzero(cell_state))
         self.memo_hits = state["hits"]
         self.memo_misses = state["misses"]
 
     def preload_memo(self, entries: dict) -> None:
-        """Seed the memo with persisted entries (no counter changes).
+        """Seed the memo with persisted ``{(layer_identity,
+        dataflow.value, pes, bandwidth): LayerCost}`` entries (no
+        counter changes).
 
         Used when a persistent :class:`~repro.core.store.EvalStore` is
-        attached: entries priced by earlier runs under bit-equal
-        parameters are loaded so they are hits here, without polluting
-        this run's hit/miss accounting at load time.  Present keys are
-        kept (they are value-identical by construction).
+        attached: cells priced by earlier runs under bit-equal
+        parameters become hits here, and :meth:`drain_fresh` never
+        hands them back.  Cells priced here already are value-identical
+        by construction; they are marked persisted too.
         """
-        cache = self._layer_cache
-        for key, value in entries.items():
-            if key not in cache:
-                cache[key] = value
-        self._evict_excess()
+        self._fill(entries, _PERSISTED)
+
+    def _fill(self, entries: dict, state: int) -> None:
+        """Write ``{(identity, dataflow, pes, bandwidth): LayerCost}``
+        cells into the columns with the given state."""
+        by_key: dict[tuple, list] = {}
+        for (identity, *config), cost in entries.items():
+            by_key.setdefault(tuple(config), []).append((identity, cost))
+        for key, items in by_key.items():
+            rows = self._geometry_ids([identity for identity, _ in items])
+            column = self._column(key)
+            self._priced += int(np.count_nonzero(
+                column.state[rows] == _UNPRICED))
+            column.ints[:, rows] = np.array(
+                [_int_fields(cost) for _, cost in items], dtype=np.int64).T
+            column.floats[:, rows] = np.array(
+                [_float_fields(cost) for _, cost in items]).T
+            column.state[rows] = state
+
+    def drain_fresh(self, persist: Callable[[dict], int]) -> int:
+        """Hand the cells priced since the last drain to ``persist`` as
+        ``{(layer_identity, dataflow.value, pes, bandwidth): LayerCost}``
+        store records, then mark them persisted; returns what
+        ``persist`` returns.
+
+        Only reads the columns until ``persist`` succeeds, so a failed
+        write leaves the cells to the next drain, and a drain on another
+        thread than the pricing one (the daemon's writer) never races a
+        column's growth.
+        """
+        marks = []
+        for key, column in list(self._columns.items()):
+            state = column.state
+            rows = np.flatnonzero(state == _FRESH)
+            if len(rows):
+                marks.append((key, column, state, rows))
+        identities = list(self._ids)  # after the scan: covers every row
+        written = persist({(identities[gid],) + key: column.cost(gid)
+                           for key, column, _state, rows in marks
+                           for gid in rows.tolist()})
+        for _key, _column, state, rows in marks:
+            state[rows] = _PERSISTED
+        return written
+

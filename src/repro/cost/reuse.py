@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -158,7 +157,7 @@ _ANALYZERS = {
 # Batched (array-native) analysis
 # ----------------------------------------------------------------------
 # The batch path below vectorises the scalar analyzers over a set of
-# layers for one (dataflow, PE count) pair.  Bit-identity with the scalar
+# (layer, PE count) cells of one dataflow.  Bit-identity with the scalar
 # path is part of the contract (tests/test_cost_model.py): every quantity
 # involved stays far below 2**52, where int64 -> float64 conversion is
 # exact and float64 division is correctly rounded, so ``np.ceil(a / b)``
@@ -172,9 +171,8 @@ class LayerGeometryBatch:
     """Struct-of-arrays geometry for a batch of layers (all ``int64``).
 
     The batch captures exactly the :class:`~repro.arch.layers.ConvLayer`
-    quantities the analyzers read, so a whole cost-table column can be
-    priced with a handful of NumPy expressions instead of one Python
-    call per layer.
+    quantities the analyzers read, so many cells can be priced with a
+    handful of NumPy expressions instead of one Python call per layer.
     """
 
     in_channels: np.ndarray
@@ -189,12 +187,11 @@ class LayerGeometryBatch:
     weight_elems: np.ndarray
 
     @classmethod
-    def from_layers(cls, layers: Sequence[ConvLayer]) -> "LayerGeometryBatch":
-        """Gather the geometry arrays for ``layers`` (one pass)."""
-        raw = np.array(
-            [(l.in_channels, l.out_channels, l.kernel, l.stride,
-              l.in_height, l.in_width, l.transposed) for l in layers],
-            dtype=np.int64).reshape(len(layers), 7)
+    def from_identities(cls, raw: np.ndarray) -> "LayerGeometryBatch":
+        """Derive the geometry arrays from an ``(n, 7)`` ``int64`` array
+        whose rows are :func:`repro.cost.model.layer_identity` tuples
+        (in-channels, out-channels, kernel, stride, height, width,
+        transposed)."""
         c = raw[:, 0]
         k = raw[:, 1]
         kernel = raw[:, 2]
@@ -222,16 +219,6 @@ class LayerGeometryBatch:
             ofmap_elems=k * out_pixels,
             weight_elems=weight_elems,
         )
-
-    def __len__(self) -> int:
-        return int(self.in_channels.shape[0])
-
-    def take(self, indices: np.ndarray) -> "LayerGeometryBatch":
-        """Row-subset of the batch (same field order, fancy-indexed)."""
-        from dataclasses import fields
-
-        return LayerGeometryBatch(**{
-            f.name: getattr(self, f.name)[indices] for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -261,7 +248,7 @@ def _cap_arr(count: np.ndarray, cap: int) -> np.ndarray:
     return np.minimum(count, cap)
 
 
-def _batch_nvdla(g: LayerGeometryBatch, pes: int,
+def _batch_nvdla(g: LayerGeometryBatch, pes: np.ndarray,
                  cap: int) -> TilingAnalysisBatch:
     c, k = g.in_channels, g.out_channels
     ct = np.minimum(c, pes)
@@ -281,7 +268,7 @@ def _batch_nvdla(g: LayerGeometryBatch, pes: int,
     )
 
 
-def _batch_shidiannao(g: LayerGeometryBatch, pes: int,
+def _batch_shidiannao(g: LayerGeometryBatch, pes: np.ndarray,
                       cap: int) -> TilingAnalysisBatch:
     pixels = g.out_pixels
     pt = np.minimum(pixels, pes)
@@ -299,7 +286,7 @@ def _batch_shidiannao(g: LayerGeometryBatch, pes: int,
     )
 
 
-def _batch_row_stationary(g: LayerGeometryBatch, pes: int,
+def _batch_row_stationary(g: LayerGeometryBatch, pes: np.ndarray,
                           cap: int) -> TilingAnalysisBatch:
     r = g.kernel
     yo = g.out_height
@@ -331,17 +318,19 @@ _BATCH_ANALYZERS = {
 
 
 def analyze_batch(geometry: LayerGeometryBatch, dataflow: Dataflow,
-                  pes: int, params: CostModelParams) -> TilingAnalysisBatch:
+                  pes: int | np.ndarray,
+                  params: CostModelParams) -> TilingAnalysisBatch:
     """Map a whole batch of layers onto ``pes`` PEs of ``dataflow`` style.
 
-    Bit-identical to calling :func:`analyze` per layer (property held by
-    ``tests/test_cost_model.py``), but priced with a handful of
-    vectorised NumPy expressions.
+    ``pes`` is one PE count or an ``int64`` array with one count per
+    layer, so cells of several configurations share one pass.
+    Bit-identical to calling :func:`analyze` per cell (property held by
+    ``tests/test_cost_model.py``): every operation is elementwise.
 
     Raises:
-        ValueError: If ``pes`` is not positive.
+        ValueError: If any PE count is not positive.
     """
-    if pes <= 0:
+    if np.any(np.less_equal(pes, 0)):
         raise ValueError(f"cannot map layers onto {pes} PEs")
     return _BATCH_ANALYZERS[dataflow](geometry, pes, params.refetch_cap)
 

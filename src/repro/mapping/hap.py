@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mapping.problem import MappingProblem
-from repro.mapping.schedule import (MakespanEvaluator, MoveStats, Schedule,
+from repro.mapping.schedule import (MakespanEvaluator, MoveStats,
                                     list_schedule)
 
 __all__ = ["HAPResult", "solve_hap"]
@@ -61,10 +61,14 @@ __all__ = ["HAPResult", "solve_hap"]
 class HAPResult:
     """Solution of one HAP instance.
 
+    Carries no schedule: ``list_schedule(problem, result.assignment)``
+    rebuilds the one realising the assignment, and its makespan equals
+    :attr:`makespan` bit for bit (property-tested).
+
     Attributes:
         assignment: Flat layer id -> active-slot position.
-        schedule: The list schedule realising the assignment.
-        makespan: Achieved latency ``rl``, cycles.
+        makespan: Achieved latency ``rl``, cycles — the solver's final
+            rebase of the assignment.
         energy_nj: Achieved energy ``re``, nJ — a fresh energy-table sum
             over the final assignment (bit-stable across solver modes).
         feasible: Whether ``makespan <= latency_constraint``.
@@ -82,7 +86,6 @@ class HAPResult:
     """
 
     assignment: tuple[int, ...]
-    schedule: Schedule
     makespan: int
     energy_nj: float
     feasible: bool
@@ -357,15 +360,16 @@ def solve_hap(problem: MappingProblem,
         # Degenerate instance: a single active sub-accelerator admits
         # exactly one assignment, so both phases are no-ops.  Identical
         # to the general path (which would seed with this assignment and
-        # find no single-layer moves), priced without building a solver.
+        # find no single-layer moves), priced without building a solver:
+        # one slot runs every layer back to back, so the list schedule's
+        # makespan is the sum of the durations.
         assignment = (0,) * problem.num_layers
-        schedule = list_schedule(problem, assignment, validate=False)
+        makespan = int(problem.durations.sum())
         energy = problem.assignment_energy(assignment, validate=False)
-        feasible = schedule.makespan <= latency_constraint
+        feasible = makespan <= latency_constraint
         return HAPResult(
             assignment=assignment,
-            schedule=schedule,
-            makespan=schedule.makespan,
+            makespan=makespan,
             energy_nj=energy,
             feasible=feasible,
             latency_constraint=latency_constraint,
@@ -388,7 +392,6 @@ def solve_hap(problem: MappingProblem,
             sorted_scan=incremental)
     if stats is not None and incremental:
         stats.absorb(pricer.stats)
-    schedule = list_schedule(problem, tuple(assignment), validate=False)
     energy = problem.assignment_energy(tuple(assignment), validate=False)
     if trajectory:
         # The trajectory is delta-summed; its endpoint describes the
@@ -398,10 +401,9 @@ def solve_hap(problem: MappingProblem,
         trajectory[-1] = energy
     return HAPResult(
         assignment=tuple(assignment),
-        schedule=schedule,
-        makespan=schedule.makespan,
+        makespan=makespan,
         energy_nj=energy,
-        feasible=schedule.makespan <= latency_constraint,
+        feasible=makespan <= latency_constraint,
         latency_constraint=latency_constraint,
         refinement_energies=tuple(trajectory),
     )

@@ -7,7 +7,9 @@ a latency constraint ``LS``, choose an assignment (and schedule) that
 minimises energy subject to makespan <= ``LS``.
 
 :class:`MappingProblem` materialises the cost tables by querying the
-MAESTRO-substitute oracle for every (layer, active sub-accelerator) pair.
+MAESTRO-substitute oracle for every (layer, active sub-accelerator) pair;
+:meth:`MappingProblem.build_many` does so for a whole batch of designs
+with array gathers from the oracle's cost columns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import numpy as np
 from repro.accel.accelerator import HeterogeneousAccelerator
 from repro.arch.layers import ConvLayer
 from repro.arch.network import NetworkArch
+from repro.cost.area import accelerator_area_um2
 from repro.cost.model import CostModel
+from repro.cost.params import CostModelParams
 
 __all__ = ["MappingProblem"]
 
@@ -39,6 +43,9 @@ class MappingProblem:
         chains: Per-network tuples of flat layer ids in execution order.
         layer_net: Flat layer id -> owning network index.
         flat_layers: Flat layer id -> the layer record.
+        working_sets: ``[num_layers, num_active_slots]`` global-buffer
+            bytes each layer needs on each slot (sizes the buffers in
+            :meth:`mapped_area_um2`); ``None`` for hand-built tables.
     """
 
     networks: tuple[NetworkArch, ...]
@@ -49,6 +56,7 @@ class MappingProblem:
     chains: tuple[tuple[int, ...], ...]
     layer_net: tuple[int, ...]
     flat_layers: tuple[ConvLayer, ...]
+    working_sets: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -62,58 +70,29 @@ class MappingProblem:
         """Query the cost oracle and assemble the HAP tables.
 
         Args:
-            batched: Price the whole ``layers x active-slot`` grid through
-                :meth:`repro.cost.model.CostModel.cost_table` — one
-                vectorised pass over the memo misses — instead of one
-                scalar oracle call per cell.  Both paths produce
-                bit-identical tables (``tests/test_cost_model.py``);
-                ``False`` keeps the scalar reference around for
-                benchmarking the batch win.
+            batched: Build through :meth:`build_many` (a one-design
+                batch).  ``False`` is the scalar reference: one
+                :meth:`~repro.cost.model.CostModel.layer_cost` call per
+                cell.  Both produce bit-identical tables
+                (``tests/test_cost_model.py``, the ``cost-table`` fuzz
+                pair).
         """
-        networks = tuple(networks)
-        if not networks:
-            raise ValueError("a mapping problem needs at least one network")
-        active = tuple(i for i, s in enumerate(accelerator.subaccs)
-                       if s.is_active)
-        flat_layers: list[ConvLayer] = []
-        layer_net: list[int] = []
-        chains: list[tuple[int, ...]] = []
-        for net_idx, network in enumerate(networks):
-            chain = []
-            for layer in network.layers:
-                chain.append(len(flat_layers))
-                flat_layers.append(layer)
-                layer_net.append(net_idx)
-            chains.append(tuple(chain))
-        num_layers = len(flat_layers)
         if batched:
-            grid = cost_model.cost_table(
-                flat_layers, [accelerator.subaccs[slot] for slot in active])
-            durations = np.array(
-                [[cost.latency_cycles for cost in row] for row in grid],
-                dtype=np.int64).reshape(num_layers, len(active))
-            energies = np.array(
-                [[cost.energy_nj for cost in row] for row in grid],
-                dtype=np.float64).reshape(num_layers, len(active))
-        else:
-            durations = np.zeros((num_layers, len(active)), dtype=np.int64)
-            energies = np.zeros((num_layers, len(active)), dtype=np.float64)
-            for flat_id, layer in enumerate(flat_layers):
-                for pos, slot in enumerate(active):
-                    cost = cost_model.layer_cost(layer,
-                                                 accelerator.subaccs[slot])
-                    durations[flat_id, pos] = cost.latency_cycles
-                    energies[flat_id, pos] = cost.energy_nj
-        return cls(
-            networks=networks,
-            accelerator=accelerator,
-            active_slots=active,
-            durations=durations,
-            energies=energies,
-            chains=tuple(chains),
-            layer_net=tuple(layer_net),
-            flat_layers=tuple(flat_layers),
-        )
+            return cls.build_many([(networks, accelerator)], cost_model)[0]
+        fields = _flatten(networks, accelerator)
+        subaccs = [accelerator.subaccs[s] for s in fields["active_slots"]]
+        grid = [[cost_model.layer_cost(layer, sub) for sub in subaccs]
+                for layer in fields["flat_layers"]]
+        shape = (len(grid), len(subaccs))
+
+        def table(name: str, dtype: type) -> np.ndarray:
+            return np.array([[getattr(cost, name) for cost in row]
+                             for row in grid], dtype=dtype).reshape(shape)
+
+        return cls(durations=table("latency_cycles", np.int64),
+                   energies=table("energy_nj", np.float64),
+                   working_sets=table("working_set_bytes", np.int64),
+                   **fields)
 
     @classmethod
     def build_many(
@@ -123,33 +102,31 @@ class MappingProblem:
         *,
         batched: bool = True,
     ) -> list["MappingProblem"]:
-        """Build one problem per ``(networks, accelerator)`` design,
-        priming the cost memo with the **union** of the batch's distinct
-        (layer geometry, sub-accelerator) pairs first.
+        """Build one problem per ``(networks, accelerator)`` design.
 
-        One vectorised pricing pass per distinct sub-accelerator
-        configuration covers the whole generation
-        (:meth:`repro.cost.model.CostModel.prime_pairs`); every
-        per-design :meth:`build` is then answered from the memo.  The
-        returned problems are bit-identical to building each design
-        separately — priming changes *when* a pair is priced, never its
-        value.  ``batched=False`` skips priming and builds each design
-        through the scalar reference path.
+        The batch entry point: the cells the batch needs that the cost
+        model has not priced yet are priced in one vectorised pass per
+        dataflow, and every design's duration, energy and working-set
+        tables are gathers from the cost columns
+        (:meth:`repro.cost.model.CostModel.tables`).  The problems are
+        bit-identical to the scalar reference; ``batched=False`` builds
+        each design through it.
         """
-        designs = list(designs)
-        if batched and len(designs) > 1:
-            pairs: list[tuple[ConvLayer, object]] = []
-            for networks, accelerator in designs:
-                active = [sub for sub in accelerator.subaccs
-                          if sub.is_active]
-                for network in networks:
-                    for layer in network.layers:
-                        for subacc in active:
-                            pairs.append((layer, subacc))
-            cost_model.prime_pairs(pairs)
-        return [cls.build(networks, accelerator, cost_model,
-                          batched=batched)
-                for networks, accelerator in designs]
+        if not batched:
+            return [cls.build(networks, accelerator, cost_model,
+                              batched=False)
+                    for networks, accelerator in designs]
+        layouts = [_flatten(networks, accelerator)
+                   for networks, accelerator in designs]
+        tables = cost_model.tables([
+            (fields["flat_layers"],
+             [fields["accelerator"].subaccs[slot]
+              for slot in fields["active_slots"]])
+            for fields in layouts])
+        return [cls(durations=durations, energies=energies,
+                    working_sets=working_sets, **fields)
+                for fields, (durations, energies, working_sets)
+                in zip(layouts, tables)]
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -213,10 +190,46 @@ class MappingProblem:
             grouped[self.active_slots[pos]].append(self.flat_layers[flat_id])
         return grouped
 
+    def mapped_area_um2(self, assignment: tuple[int, ...],
+                        params: CostModelParams) -> float:
+        """Accelerator area with each active slot's global buffer sized
+        to the largest working set among the layers ``assignment`` maps
+        to it (slots left empty keep the default buffer) — read from
+        the :attr:`working_sets` table."""
+        picked = self.working_sets[self._row_index, list(assignment)]
+        largest: dict[int, int] = {}
+        for pos, size in zip(assignment, picked.tolist()):
+            if size > largest.get(pos, -1):
+                largest[pos] = size
+        return accelerator_area_um2(
+            self.accelerator, params,
+            glb_bytes_per_slot={self.active_slots[pos]: size
+                                for pos, size in largest.items()})
+
     def min_latency_assignment(self) -> tuple[int, ...]:
         """Per-layer latency-greedy assignment (HAP heuristic seed)."""
         return tuple(int(i) for i in np.argmin(self.durations, axis=1))
 
-    def min_energy_assignment(self) -> tuple[int, ...]:
-        """Per-layer energy-greedy assignment (unconstrained optimum)."""
-        return tuple(int(i) for i in np.argmin(self.energies, axis=1))
+
+def _flatten(networks, accelerator: HeterogeneousAccelerator) -> dict:
+    """Every :class:`MappingProblem` field except the cost tables."""
+    networks = tuple(networks)
+    if not networks:
+        raise ValueError("a mapping problem needs at least one network")
+    flat_layers: list[ConvLayer] = []
+    layer_net: list[int] = []
+    chains: list[tuple[int, ...]] = []
+    for net_idx, network in enumerate(networks):
+        start = len(flat_layers)
+        flat_layers.extend(network.layers)
+        layer_net.extend([net_idx] * (len(flat_layers) - start))
+        chains.append(tuple(range(start, len(flat_layers))))
+    return dict(
+        networks=networks,
+        accelerator=accelerator,
+        active_slots=tuple(i for i, s in enumerate(accelerator.subaccs)
+                           if s.is_active),
+        chains=tuple(chains),
+        layer_net=tuple(layer_net),
+        flat_layers=tuple(flat_layers),
+    )

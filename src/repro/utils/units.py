@@ -8,15 +8,18 @@ the units of the paper's Table I.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["CYCLES_PER_SECOND", "gbps_to_bytes_per_cycle", "um2_to_mm2"]
 
 #: Accelerator clock frequency (Hz); 1 GHz per the MAESTRO convention.
 CYCLES_PER_SECOND: float = 1e9
 
 
-def gbps_to_bytes_per_cycle(gbps: float) -> float:
-    """Convert NoC bandwidth in GB/s to bytes per clock cycle at 1 GHz."""
-    if gbps < 0:
+def gbps_to_bytes_per_cycle(gbps: float | np.ndarray) -> float | np.ndarray:
+    """Convert NoC bandwidth in GB/s (one value or an array) to bytes per
+    clock cycle at 1 GHz."""
+    if np.any(np.less(gbps, 0)):
         raise ValueError(f"bandwidth must be non-negative, got {gbps}")
     return gbps * 1e9 / CYCLES_PER_SECOND
 

@@ -5,6 +5,7 @@ search exploits (DESIGN.md §5): dataflow affinities, PE/bandwidth
 monotonicity, and the Table I magnitude calibration.
 """
 
+import numpy as np
 import pytest
 
 from repro.accel import Dataflow, SubAccelerator
@@ -14,6 +15,7 @@ from repro.cost import (
     CostModelParams,
     DEFAULT_PARAMS,
     analyze,
+    layer_identity,
 )
 
 
@@ -169,26 +171,52 @@ class TestLayerCost:
             sum(c.energy_nj for c in per_layer))
 
 
+def _scalar_tables(layers, subaccs):
+    """(durations, energies, working sets) from the scalar oracle on a
+    fresh model."""
+    scalar = CostModel()
+    grid = [[scalar.layer_cost(layer, sub) for sub in subaccs]
+            for layer in layers]
+    return tuple(
+        np.array([[getattr(cost, name) for cost in row] for row in grid])
+        for name in ("latency_cycles", "energy_nj", "working_set_bytes"))
+
+
+def _assert_tables_equal(got, want):
+    for got_table, want_table in zip(got, want):
+        assert got_table.dtype == want_table.dtype
+        assert np.array_equal(got_table, want_table)
+
+
 class TestBatchCostTable:
-    """The array-native batch path and its cross-design memo (PR 2)."""
+    """The batch path: cost columns filled one vectorised pass per
+    dataflow and read by gathers (``CostModel.tables``, behind
+    ``MappingProblem.build_many``)."""
+
+    SUBACCS = (SubAccelerator(Dataflow.NVDLA, 2048, 32),
+               SubAccelerator(Dataflow.SHIDIANNAO, 1024, 16),
+               SubAccelerator(Dataflow.ROW_STATIONARY, 777, 13))
 
     def _layers(self, cifar_net_small, unet_net_mid):
         return tuple(cifar_net_small.layers) + tuple(unet_net_mid.layers)
 
     def test_cost_table_bit_identical_to_scalar_oracle(
             self, cifar_net_small, unet_net_mid):
-        """Every LayerCost field of the vectorised grid equals the scalar
-        per-pair oracle exactly — computed on separate fresh models so
+        """Every table cell of the vectorised pass equals the scalar
+        per-pair oracle exactly, and so does every LayerCost field read
+        back from the columns — computed on separate fresh models so
         neither path can lean on the other's memo."""
         layers = self._layers(cifar_net_small, unet_net_mid)
-        subaccs = [SubAccelerator(Dataflow.NVDLA, 2048, 32),
-                   SubAccelerator(Dataflow.SHIDIANNAO, 1024, 16),
-                   SubAccelerator(Dataflow.ROW_STATIONARY, 777, 13)]
-        grid = CostModel().cost_table(layers, subaccs)
+        model = CostModel()
+        (tables,) = model.tables([(layers, self.SUBACCS)])
+        _assert_tables_equal(tables, _scalar_tables(layers, self.SUBACCS))
         scalar = CostModel()
-        for i, layer in enumerate(layers):
-            for j, sub in enumerate(subaccs):
-                assert grid[i][j] == scalar.layer_cost(layer, sub), (i, j)
+        misses = model.memo_misses
+        for layer in layers:
+            for sub in self.SUBACCS:
+                assert model.layer_cost(layer, sub) == \
+                    scalar.layer_cost(layer, sub)
+        assert model.memo_misses == misses
 
     def test_memo_shared_across_designs(self, cifar_net_small):
         """Consecutive designs that share sub-accelerator configs reprice
@@ -197,52 +225,65 @@ class TestBatchCostTable:
         model = CostModel()
         sub_a = SubAccelerator(Dataflow.NVDLA, 2048, 32)
         sub_b = SubAccelerator(Dataflow.SHIDIANNAO, 1024, 16)
-        model.cost_table(layers, [sub_a, sub_b])
+        model.tables([(layers, [sub_a, sub_b])])
         misses_after_first = model.memo_misses
         # Second "design" mutates one slot; the other column is all hits.
         sub_c = SubAccelerator(Dataflow.SHIDIANNAO, 512, 16)
-        model.cost_table(layers, [sub_a, sub_c])
+        model.tables([(layers, [sub_a, sub_c])])
         assert model.memo_misses <= misses_after_first + len(layers)
         # Third design repeats the first: zero new misses.
         before = model.memo_misses
-        model.cost_table(layers, [sub_a, sub_b])
+        model.tables([(layers, [sub_a, sub_b])])
         assert model.memo_misses == before
 
     def test_memo_shared_between_scalar_and_batch_paths(
             self, cifar_net_small):
-        """layer_cost and cost_table fill the same memo (same keys), so
-        mixing the paths never reprices a pair."""
+        """layer_cost and the batch pass fill the same columns, so
+        mixing the paths never reprices a pair — in either order."""
         layers = tuple(cifar_net_small.layers)
         sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
         model = CostModel()
-        model.cost_table(layers, [sub])
+        model.tables([(layers, [sub])])
         before = model.memo_misses
         for layer in layers:
             model.layer_cost(layer, sub)
         assert model.memo_misses == before
+        other = SubAccelerator(Dataflow.NVDLA, 512, 32)
+        for layer in layers:
+            model.layer_cost(layer, other)
+        before = model.memo_misses
+        model.tables([(layers, [other])])
+        assert model.memo_misses == before
 
-    def test_prime_pairs_order_independent_across_designs(self):
-        """A sub-config whose first design lists shared layers in a
-        different order than the batch's global first-seen order must
-        still price every key with its own geometry (regression: the
-        cold-column no-copy shortcut paired global-order term rows
-        with per-config-order keys, swapping two layers' costs —
-        found by the `evalservice` fuzz pair)."""
+    def test_hits_and_misses_count_cells(self, cifar_net_small):
+        """A batch counts every cell it needs: cells priced are misses
+        (once, however many designs share them), the rest are hits."""
+        layers = tuple(cifar_net_small.layers)
+        distinct = len({layer_identity(layer) for layer in layers})
+        sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
+        model = CostModel()
+        model.tables([(layers, [sub, sub]), (layers, [sub])])
+        assert model.memo_misses == distinct
+        assert model.memo_hits == 3 * len(layers) - distinct
+        assert model.cache_size == distinct
+
+    def test_batch_order_independent_across_designs(self):
+        """A configuration whose first design lists shared layers in a
+        different order than the batch's first-seen geometry order must
+        still price every cell with its own geometry (regression: union
+        priming once paired global-order geometry rows with
+        per-configuration keys, swapping two layers' costs — found by
+        the `evalservice` fuzz pair)."""
         a, b = HIGH_RES_LIGHT, LOW_RES_HEAVY
         sub1 = SubAccelerator(Dataflow.NVDLA, 1024, 32)
         sub2 = SubAccelerator(Dataflow.SHIDIANNAO, 512, 16)
         model = CostModel()
-        # sub2 first appears with the layers in reversed order, so its
-        # miss-key order (b, a) differs from the representatives (a, b).
-        model.prime_pairs([(a, sub1), (b, sub1), (b, sub2), (a, sub2)])
+        # sub2 first appears with the layers in reversed order.
+        got = model.tables([((a, b), [sub1]), ((b, a), [sub2]),
+                            ((a, b), [sub1, sub2])])
         assert model.memo_misses == 4
-        scalar = CostModel()
-        for layer in (a, b):
-            for sub in (sub1, sub2):
-                assert (model.layer_cost(layer, sub)
-                        == scalar.layer_cost(layer, sub))
-        # Priming filled the memo: the lookups above were all hits.
-        assert model.memo_misses == 4
+        _assert_tables_equal(got[1], _scalar_tables((b, a), [sub2]))
+        _assert_tables_equal(got[2], _scalar_tables((a, b), [sub1, sub2]))
 
     def test_memo_keyed_by_geometry_not_name(self):
         """Two layers with identical geometry but different names share
@@ -257,6 +298,23 @@ class TestBatchCostTable:
         assert cost_a == cost_b
         assert (model.memo_hits, model.memo_misses) == (1, 1)
 
+    def test_new_geometries_between_batches_stay_exact(
+            self, cifar_net_small, unet_net_mid):
+        """Geometries and configurations added after the columns exist
+        (stale-geometry regression: a geometry table refreshed only when
+        its capacity grew priced a later batch's new ids from stale
+        rows).  Each batch brings one new geometry, most without any
+        growth, on old and new configurations."""
+        model = CostModel()
+        layers = self._layers(cifar_net_small, unet_net_mid) + tuple(
+            conv(c, 2 * c, 8) for c in (3, 5, 7, 9, 11))
+        extra_sub = SubAccelerator(Dataflow.NVDLA, 96, 3)
+        for count in range(1, len(layers) + 1):
+            subaccs = self.SUBACCS[count % 3:] + (extra_sub,) * (count > 20)
+            batch = layers[:count]
+            (tables,) = model.tables([(batch, subaccs)])
+            _assert_tables_equal(tables, _scalar_tables(batch, subaccs))
+
     def test_batched_problem_build_matches_scalar(
             self, cifar_net_small, unet_net_mid, small_accel):
         """MappingProblem.build's default batched tables equal the scalar
@@ -266,14 +324,80 @@ class TestBatchCostTable:
         batched = MappingProblem.build(nets, small_accel, CostModel())
         scalar = MappingProblem.build(nets, small_accel, CostModel(),
                                       batched=False)
-        assert (batched.durations == scalar.durations).all()
-        assert (batched.energies == scalar.energies).all()
+        for name in ("durations", "energies", "working_sets"):
+            assert np.array_equal(getattr(batched, name),
+                                  getattr(scalar, name)), name
 
     def test_inactive_subacc_rejected(self, cifar_net_small):
         with pytest.raises(ValueError, match="inactive"):
-            CostModel().cost_table(
-                tuple(cifar_net_small.layers),
-                [SubAccelerator(Dataflow.NVDLA, 0, 0)])
+            CostModel().tables([(tuple(cifar_net_small.layers),
+                                 [SubAccelerator(Dataflow.NVDLA, 0, 0)])])
+
+
+class TestMemoPersistence:
+    """Checkpoint snapshots and store records of the cost columns."""
+
+    def test_snapshot_restores_columns_and_counters(self, cifar_net_small):
+        layers = tuple(cifar_net_small.layers)
+        subaccs = TestBatchCostTable.SUBACCS
+        model = CostModel()
+        want = model.tables([(layers, subaccs)])
+        state = model.memo_state()
+        model.tables([(layers + (HIGH_RES_LIGHT,), subaccs)])  # mutate
+        restored = CostModel()
+        restored.load_memo_state(state)
+        assert (restored.memo_hits, restored.memo_misses) == \
+            (state["hits"], state["misses"])
+        _assert_tables_equal(restored.tables([(layers, subaccs)])[0],
+                             want[0])
+        assert restored.memo_misses == state["misses"]
+
+    def test_version_2_snapshot_loads(self, cifar_net_small):
+        """A version-2 checkpoint holds one LayerCost per cell."""
+        layers = tuple(cifar_net_small.layers)
+        sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
+        scalar = CostModel()
+        cache = {(layer_identity(layer), "dla", 1024, 32):
+                 scalar.layer_cost(layer, sub) for layer in layers}
+        model = CostModel()
+        model.load_memo_state({"cache": cache, "hits": 3, "misses": 4})
+        assert model.cache_size == len(cache)
+        _assert_tables_equal(model.tables([(layers, [sub])])[0],
+                             _scalar_tables(layers, [sub]))
+        assert model.memo_misses == 4
+        # Cells from an old checkpoint were never known to be persisted.
+        assert model.drain_fresh(dict) == cache
+
+    def test_drain_hands_out_fresh_cells_once(self, cifar_net_small):
+        layers = tuple(cifar_net_small.layers)
+        sub = SubAccelerator(Dataflow.SHIDIANNAO, 512, 16)
+        model = CostModel()
+        model.tables([(layers, [sub])])
+        first = model.drain_fresh(dict)
+        assert len(first) == model.cache_size
+        scalar = CostModel()
+        assert first == {(layer_identity(layer), "shi", 512, 16):
+                         scalar.layer_cost(layer, sub) for layer in layers}
+        assert model.drain_fresh(dict) == {}
+        # Preloaded cells are persisted already: never handed out.
+        warm = CostModel()
+        warm.preload_memo(first)
+        assert warm.cache_size == len(first)
+        warm.tables([(layers + (LOW_RES_HEAVY,), [sub])])
+        assert set(warm.drain_fresh(dict)) == {
+            (layer_identity(LOW_RES_HEAVY), "shi", 512, 16)}
+
+    def test_failed_write_keeps_cells_fresh(self, cifar_net_small):
+        model = CostModel()
+        model.tables([(tuple(cifar_net_small.layers),
+                       [SubAccelerator(Dataflow.NVDLA, 1024, 32)])])
+
+        def broken(entries):
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            model.drain_fresh(broken)
+        assert len(model.drain_fresh(dict)) == model.cache_size
 
 
 class TestAreaModel:
@@ -340,66 +464,21 @@ class TestCalibration:
 
 
 class TestMemoBound:
-    """The optional LRU bound on the cross-design memo: bounded and
-    unbounded models price bit-identically; only memory differs."""
+    """What the memo holds: one priced cell per (geometry,
+    configuration), reported as its occupancy."""
 
-    def _layers(self, cifar_net_small, unet_net_mid):
-        return tuple(cifar_net_small.layers) + tuple(unet_net_mid.layers)
-
-    def test_default_is_unbounded(self):
-        assert CostModel().memo_capacity is None
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="memo_capacity"):
-            CostModel(memo_capacity=0)
-        with pytest.raises(ValueError, match="memo_capacity"):
-            CostModel(memo_capacity=-5)
-
-    def test_occupancy_never_exceeds_capacity(self, cifar_net_small,
-                                              unet_net_mid):
-        layers = self._layers(cifar_net_small, unet_net_mid)
-        subaccs = [SubAccelerator(Dataflow.NVDLA, 2048, 32),
-                   SubAccelerator(Dataflow.SHIDIANNAO, 1024, 16),
-                   SubAccelerator(Dataflow.ROW_STATIONARY, 777, 13)]
-        model = CostModel(memo_capacity=5)
-        model.cost_table(layers, subaccs)
-        assert model.cache_size <= 5
-        assert model.memo_evictions > 0
-        for layer in layers:
-            model.layer_cost(layer, subaccs[0])
-        assert model.cache_size <= 5
-
-    def test_bounded_results_bit_identical(self, cifar_net_small,
-                                           unet_net_mid):
-        layers = self._layers(cifar_net_small, unet_net_mid)
-        subaccs = [SubAccelerator(Dataflow.NVDLA, 2048, 32),
-                   SubAccelerator(Dataflow.SHIDIANNAO, 1024, 16)]
-        unbounded = CostModel().cost_table(layers, subaccs)
-        bounded = CostModel(memo_capacity=3).cost_table(layers, subaccs)
-        assert bounded == unbounded
-        # Scalar path under heavy eviction stays exact too.
-        tight = CostModel(memo_capacity=1)
-        scalar = CostModel()
-        for layer in layers:
-            for sub in subaccs:
-                assert tight.layer_cost(layer, sub) == \
-                    scalar.layer_cost(layer, sub)
-
-    def test_lru_policy_keeps_recent_entries(self):
-        a, b, c = (conv(16, 32, 32), conv(32, 64, 16), conv(64, 64, 8))
-        sub = SubAccelerator(Dataflow.NVDLA, 1024, 16)
-        model = CostModel(memo_capacity=2)
-        model.layer_cost(a, sub)
-        model.layer_cost(b, sub)
-        model.layer_cost(a, sub)  # touch a: b is now the LRU entry
-        model.layer_cost(c, sub)  # evicts b
-        hits = model.memo_hits
-        model.layer_cost(a, sub)
-        model.layer_cost(c, sub)
-        assert model.memo_hits == hits + 2  # a and c survived
-        misses = model.memo_misses
-        model.layer_cost(b, sub)
-        assert model.memo_misses == misses + 1  # b was evicted
+    def test_occupancy_counts_distinct_cells(self, cifar_net_small):
+        layers = tuple(cifar_net_small.layers)
+        distinct = len({layer_identity(layer) for layer in layers})
+        model = CostModel()
+        subs = [SubAccelerator(Dataflow.NVDLA, 1024, 32),
+                SubAccelerator(Dataflow.SHIDIANNAO, 1024, 32)]
+        model.tables([(layers, subs), (layers, subs[:1])])
+        assert model.cache_size == 2 * distinct
+        model.layer_cost(HIGH_RES_LIGHT, subs[0])
+        assert model.cache_size == 2 * distinct + (
+            layer_identity(HIGH_RES_LIGHT)
+            not in {layer_identity(layer) for layer in layers})
 
     def test_occupancy_surfaced_in_pricing_summary(self, cifar_net_small):
         from repro.core import EvalServiceStats

@@ -193,6 +193,40 @@ class TestCheckpointResume:
         driver2 = SearchDriver(strategy2, service2).restore(path)
         assert normalised(driver2.run()) == reference
 
+    def test_version_2_checkpoint_resumes_bit_identical(
+            self, tmp_path, nasaic_reference):
+        """Checkpoints written before the cost memo became column arrays
+        (format version 2: one LayerCost per memo cell, evaluations
+        whose HAPResult still pickles a schedule) resume exactly."""
+        import pickle
+
+        from repro.cost import CostModel
+        from repro.mapping.schedule import Schedule
+
+        path = tmp_path / "run.ckpt"
+        partial = fresh_nasaic()
+        driver = SearchDriver(partial, partial.evalservice,
+                              checkpoint_path=path)
+        driver.run(max_rounds=2)
+        driver.save_checkpoint()
+        record = pickle.loads(path.read_bytes())
+        assert record["version"] == 3
+        state = record["service_state"]
+        memo = CostModel()
+        memo.load_memo_state(state["cost_memo"])
+        cache = memo.drain_fresh(dict)
+        assert len(cache) == memo.cache_size > 0
+        state["cost_memo"] = {"cache": cache,
+                              "hits": state["cost_memo"]["hits"],
+                              "misses": state["cost_memo"]["misses"]}
+        for evaluation in state["cache"].values():
+            object.__setattr__(evaluation.hap, "schedule", Schedule(
+                entries=(), makespan=evaluation.hap.makespan))
+        record["version"] = 2
+        path.write_bytes(pickle.dumps(record))
+        result = fresh_nasaic().run(resume_from=path)
+        assert normalised(result) == nasaic_reference
+
     def test_periodic_checkpoints_written(self, tmp_path):
         path = tmp_path / "periodic.ckpt"
         search = fresh_nasaic()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mapping import MappingProblem, solve_exact, solve_hap
+from repro.mapping import MappingProblem, list_schedule, solve_exact, solve_hap
 from tests.test_schedule import tiny_problem
 
 
@@ -149,7 +149,9 @@ class TestOnRealCostModel:
         prob = MappingProblem.build((cifar_net_small,), small_accel,
                                     cost_model)
         res = solve_hap(prob, latency_constraint=10**9)
-        for entry in res.schedule.entries:
+        schedule = list_schedule(prob, res.assignment)
+        assert schedule.makespan == res.makespan
+        for entry in schedule.entries:
             assert entry.slot_pos == res.assignment[entry.flat_id]
 
     def test_theorem_energy_check(self, cost_model, cifar_net_small,

@@ -11,7 +11,7 @@ on randomly generated instances:
 - delta-resume ``trial_move`` pricing is exact, its cutoff results are
   certified, and its prune bounds are sound;
 - ``solve_hap(..., incremental=True)`` and ``incremental=False`` return
-  identical results (same moves chosen, same schedule);
+  identical results (same moves chosen, same makespan);
 - whenever the solver reports feasible, the makespan fits ``LS``;
 - the energy trajectory across refinement iterations is monotone
   non-increasing (the refinement phase only ever accepts savings).
@@ -264,18 +264,32 @@ class TestSolverProperties:
     @_SETTINGS
     @given(seed=st.integers(0, 10_000))
     def test_feasible_implies_makespan_within_ls(self, seed):
+        """Results carry no schedule: in both solver modes, for feasible
+        and infeasible budgets and single-slot instances, the reported
+        makespan (the pricer's final rebase) is the returned
+        assignment's ``list_schedule`` makespan, and it decides
+        feasibility."""
         problem = random_problem(seed)
         rng = np.random.default_rng(seed + 5)
         budget = budget_for(problem, rng)
-        result = solve_hap(problem, budget)
-        if result.feasible:
-            assert result.makespan <= budget
-        else:
-            assert result.makespan > budget
-        # The reported makespan always matches the reported schedule.
-        assert result.makespan == result.schedule.makespan
-        assert (result.makespan
-                == list_schedule(problem, result.assignment).makespan)
+        for incremental in (True, False):
+            result = solve_hap(problem, budget, incremental=incremental)
+            assert not hasattr(result, "schedule")
+            assert type(result.makespan) is int
+            assert (result.makespan
+                    == list_schedule(problem, result.assignment).makespan)
+            assert result.feasible == (result.makespan <= budget)
+
+    @pytest.mark.parametrize("budget", [5, 10**6])
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_single_slot_makespan(self, budget, incremental):
+        """The single-slot branch sums the durations instead of
+        scheduling; chains interleave but one slot serialises them."""
+        problem = tiny_problem([[7], [0], [3], [9], [4]], [(0, 1), (2, 3, 4)])
+        result = solve_hap(problem, budget, incremental=incremental)
+        assert result.makespan == \
+            list_schedule(problem, result.assignment).makespan == 23
+        assert result.feasible == (budget >= 23)
 
     @_SETTINGS
     @given(seed=st.integers(0, 10_000))

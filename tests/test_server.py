@@ -195,6 +195,21 @@ class TestServedPricing:
                 assert not reply["ok"]
                 assert "version" in reply["error"]
 
+    def test_hello_from_version_1_names_both_versions(self, workload):
+        """Version 1 shipped evaluations with a HAP schedule; a client
+        still speaking it is refused, and the error says which version
+        it sent and which one the daemon speaks."""
+        assert PROTOCOL_VERSION == 2
+        with serve_in_thread() as server:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            with sock:
+                sock.connect(str(server.socket_path))
+                send_frame(sock, {"op": "hello", "version": 1})
+                reply = recv_frame(sock)
+                assert not reply["ok"]
+                assert "version 1 " in reply["error"]
+                assert "speaks 2" in reply["error"]
+
     def test_submit_before_hello_is_refused(self, workload):
         with serve_in_thread() as server:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

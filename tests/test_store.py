@@ -582,6 +582,42 @@ class TestServiceTier:
             store.get_memo(digest))
 
 
+    def test_record_with_a_schedule_still_answers(self, tmp_path,
+                                                  workload):
+        """Stores written while evaluations still carried the HAP list
+        schedule hold HAPResults that pickle a ``schedule`` field; such
+        a record is answered through EvalService and equals fresh
+        pricing."""
+        import dataclasses
+
+        from repro.accel import AllocationSpace
+        from repro.core.evalservice import design_content
+        from repro.mapping import MappingProblem, list_schedule
+        from repro.utils.rng import new_rng
+
+        rng = new_rng(9)
+        nets = tuple(t.space.decode(t.space.random_indices(rng))
+                     for t in workload.tasks)
+        pair = (nets, AllocationSpace().random_design(rng))
+        fresh = make_evaluator(workload).evaluate_hardware(*pair)
+        hap = dataclasses.replace(fresh.hap)
+        problem = MappingProblem.build(*pair, CostModel())
+        object.__setattr__(hap, "schedule",
+                           list_schedule(problem, hap.assignment))
+        old_layout = dataclasses.replace(fresh, hap=hap)
+        assert "schedule" in vars(pickle.loads(pickle.dumps(old_layout)).hap)
+        key = design_content(*pair)
+        path = tmp_path / "s.bin"
+        with EvalStore(path) as store:
+            writer = EvalService(make_evaluator(workload))
+            store.put_many([(writer.context_salt, writer.store_digest(key),
+                             key, old_layout)])
+        with EvalStore(path) as store:
+            service = EvalService(make_evaluator(workload), store=store)
+            assert service.evaluate_many([pair]) == [fresh]
+            assert (service.stats.store_hits, service.stats.misses) == (1, 0)
+
+
 # ----------------------------------------------------------------------
 # Whole-search warm start
 # ----------------------------------------------------------------------
