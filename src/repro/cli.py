@@ -288,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "submits past it are refused with a "
                               "retryable error (default: 256)")
     p_serve.add_argument("--workers", type=_nonnegative_int, default=0,
-                         help="process-pool width for miss "
-                              "computation, one pool per hosted "
-                              "context (0/1 = price misses on the "
-                              "single compute thread; default: 0)")
+                         help="worker-pool width of each hosted "
+                              "context's evaluation service (0/1 = "
+                              "price each submit's misses as one "
+                              "serial batch on the compute thread; "
+                              "default: 0)")
 
     p_store = sub.add_parser(
         "store",
@@ -622,6 +623,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"durable bytes, quarantined {note['quarantined_bytes']} "
               f"torn bytes to {note['sidecar']} ({note['detail']})")
     counters = server.counters
+    restarts = sum(service.stats.pool_restarts
+                   for service in server.services.values())
     print(f"daemon stopped"
           + (" (forced)" if server.aborted else "")
           + f": {counters['connections']} connections, "
@@ -635,8 +638,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
              if counters["refused_busy"] else "")
           + (f", {counters['computed_parallel']} priced on workers"
              if counters["computed_parallel"] else "")
-          + (f", {counters['pool_restarts']} pool restarts"
-             if counters["pool_restarts"] else "")
+          + (f", {restarts} pool restarts" if restarts else "")
           + (f", {counters['shed']} clients shed"
              if counters["shed"] else "")
           + (f", {counters['persist_errors']} persist ERRORS"

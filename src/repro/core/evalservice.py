@@ -15,7 +15,11 @@ DANCE, which both amortise the evaluator to make co-search tractable):
   cross-run comparison (golden tests snapshot these digests);
 - a **batch API** (:meth:`EvalService.evaluate_many`) that deduplicates
   a batch, prices the misses — optionally on a process pool when
-  ``workers > 1`` — and returns results in request order;
+  ``workers > 1`` — and returns results in request order.  Every
+  caller, the pricing daemon included, prices through one miss path:
+  :meth:`~EvalService.lookup_tiers` (LRU, then store),
+  :meth:`~EvalService.compute_batch` (the pool or one serial
+  ``evaluate_hardware_many`` call) and :meth:`~EvalService.admit_miss`;
 - a **persistent second tier** (:class:`repro.core.store.EvalStore`,
   optional): misses in the in-memory LRU fall through to the disk
   store, and computed misses are appended durably, so a later run —
@@ -40,6 +44,7 @@ from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from repro.accel.accelerator import HeterogeneousAccelerator
 from repro.arch.network import NetworkArch
@@ -51,8 +56,8 @@ from repro.utils.hashing import stable_hash
 from repro.utils.pool import pool_context
 from repro.workloads.workload import Workload
 
-__all__ = ["EvalService", "EvalServiceStats", "design_content",
-           "design_digest", "evaluation_context_salt",
+__all__ = ["EvalService", "EvalServiceStats", "PricedBatch",
+           "design_content", "design_digest", "evaluation_context_salt",
            "verify_injected_service"]
 
 #: Pairs submitted to :meth:`EvalService.evaluate_many`.
@@ -158,6 +163,23 @@ def _eval_in_worker(pair: _Pair) -> HardwareEvaluation:
     assert _WORKER_EVALUATOR is not None, "pool initializer did not run"
     networks, accelerator = pair
     return _WORKER_EVALUATOR.evaluate_hardware(networks, accelerator)
+
+
+class PricedBatch(NamedTuple):
+    """What one :meth:`EvalService.compute_batch` call priced.
+
+    Attributes:
+        evaluations: One evaluation per submitted pair, in order.
+        seconds: Wall-clock of the whole batch.
+        parallel: Designs priced on the worker pool (0 or all of them).
+        pool_restarts: 1 if the pool broke and the batch was repriced
+            serially, else 0.
+    """
+
+    evaluations: list[HardwareEvaluation]
+    seconds: float
+    parallel: int
+    pool_restarts: int
 
 
 @dataclass
@@ -322,9 +344,12 @@ class EvalService:
         evaluator: The wrapped evaluator (its training path is untouched;
             only ``evaluate_hardware`` goes through the service).
         cache_size: Maximum LRU entries; 0 disables caching entirely.
-        workers: Process-pool width for :meth:`evaluate_many` misses.
-            ``0``/``1`` price misses serially in-process (default — the
-            right choice on single-core machines and for short batches).
+        workers: Process-pool width for miss batches
+            (:meth:`compute_batch`, used by :meth:`evaluate_many` and by
+            the pricing daemon's hosted services).  ``0``/``1`` price
+            misses serially in-process (default — the right choice on
+            single-core machines and for short batches).  The pool is
+            built lazily at the first large-enough batch.
         parallel_threshold: Minimum number of *distinct* misses in one
             batch before the pool is used; smaller batches stay serial
             to avoid IPC overhead.
@@ -382,33 +407,17 @@ class EvalService:
         return design_digest(networks, accelerator, salt=self._salt)
 
     # ------------------------------------------------------------------
-    # Single evaluation
+    # The miss path: lookup_tiers -> compute_batch -> admit_miss
     # ------------------------------------------------------------------
     def evaluate_hardware(
         self,
         networks: tuple[NetworkArch, ...],
         accelerator: HeterogeneousAccelerator,
     ) -> HardwareEvaluation:
-        """Cached drop-in for ``Evaluator.evaluate_hardware``."""
-        key = design_content(networks, accelerator)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        cached = self._lookup_store(key)
-        if cached is not None:
-            return cached
-        started = time.perf_counter()
-        evaluation = self.evaluator.evaluate_hardware(networks, accelerator)
-        self.stats.miss_seconds += time.perf_counter() - started
-        self.stats.misses += 1
-        self._sync_pricing()
-        self._store(key, evaluation)
-        self._persist([(key, (networks, accelerator), evaluation)])
-        return evaluation
+        """Cached drop-in for ``Evaluator.evaluate_hardware`` (a
+        one-pair :meth:`evaluate_many` batch)."""
+        return self.evaluate_many([(networks, accelerator)])[0]
 
-    # ------------------------------------------------------------------
-    # Batch evaluation
-    # ------------------------------------------------------------------
     def evaluate_many(self, pairs: list[_Pair]) -> list[HardwareEvaluation]:
         """Evaluate a batch, pricing distinct misses (possibly) in parallel.
 
@@ -420,52 +429,41 @@ class EvalService:
         intra-batch duplicates.
         """
         self.stats.batches += 1
-        if self.cache_size == 0:
-            return self._evaluate_many_uncached(list(pairs))
+        pairs = list(pairs)
         keys = [design_content(nets, accel) for nets, accel in pairs]
-        results: dict[tuple, HardwareEvaluation] = {}
-        miss_keys: list[tuple] = []
-        miss_pairs: list[_Pair] = []
-        for key, pair in zip(keys, pairs):
-            if key in results:
+        results: list[HardwareEvaluation | None] = [None] * len(pairs)
+        # key -> slot whose result answers it (intra-batch dedup).
+        first: dict[tuple, int] = {}
+        miss_slots: list[int] = []
+        for slot, key in enumerate(keys):
+            if self.cache_size and key in first:
                 self.stats.hits += 1
                 continue
-            cached = self._lookup(key)
-            if cached is None:
-                cached = self._lookup_store(key)
-            if cached is not None:
-                results[key] = cached
-            else:
-                self.stats.misses += 1
-                results[key] = None  # type: ignore[assignment]
-                miss_keys.append(key)
-                miss_pairs.append(pair)
-        if miss_pairs:
-            started = time.perf_counter()
-            evaluations = self._compute_batch(miss_pairs)
-            self.stats.miss_seconds += time.perf_counter() - started
-            self._sync_pricing()
-            for key, evaluation in zip(miss_keys, evaluations):
-                results[key] = evaluation
-                self._store(key, evaluation)
-            self._persist(zip(miss_keys, miss_pairs, evaluations))
-        return [results[key] for key in keys]
+            first[key] = slot
+            results[slot], _tier = self.lookup_tiers(key)
+            if results[slot] is None:
+                miss_slots.append(slot)
+        if miss_slots:
+            miss_keys = [keys[slot] for slot in miss_slots]
+            priced = self.compute_batch([pairs[slot] for slot in miss_slots])
+            self.admit_miss(miss_keys, priced)
+            for slot, evaluation in zip(miss_slots, priced.evaluations):
+                results[slot] = evaluation
+            self._persist(zip(miss_keys, priced.evaluations))
+        return [results[slot] if results[slot] is not None
+                else results[first[key]]
+                for slot, key in enumerate(keys)]
 
-    # ------------------------------------------------------------------
-    # Server seams
-    # ------------------------------------------------------------------
     def lookup_tiers(self, key: tuple
                      ) -> tuple[HardwareEvaluation | None, str | None]:
-        """Tiered lookup without computing: ``(evaluation, tier)``.
+        """The one tier walk: ``(evaluation, tier)`` without computing.
 
-        The seam :class:`repro.core.server.PricingServer` prices
-        through — it walks the same LRU-then-store tiers as
-        :meth:`evaluate_many` (with identical stats accounting) but
-        leaves the miss computation to the caller, which runs it on an
-        executor and feeds the result back via :meth:`admit_miss`.
-        ``tier`` is ``"hit"`` (LRU), ``"shared"`` (LRU entry from an
-        earlier generation — for the daemon, typically another
-        client's), ``"store"`` (persistent tier) or ``None`` (miss).
+        LRU first, then the persistent store, with the hit accounting
+        of both.  ``tier`` is ``"hit"`` (LRU), ``"shared"`` (LRU entry
+        from an earlier generation — for the daemon, typically another
+        client's), ``"store"`` (persistent tier) or ``None`` (miss: the
+        caller prices it with :meth:`compute_batch` and records it with
+        :meth:`admit_miss`).
         """
         shared_before = self.stats.shared_hits
         cached = self._lookup(key)
@@ -478,58 +476,21 @@ class EvalService:
             return cached, "store"
         return None, None
 
-    def admit_miss(self, key: tuple, evaluation: HardwareEvaluation,
-                   seconds: float) -> None:
-        """Record one externally computed miss (the inverse seam of
-        :meth:`lookup_tiers`): counts the miss and its wall-clock,
-        mirrors the pricing counters and inserts the evaluation into
-        the LRU.  Persistence stays with the caller — the server
-        serialises all store appends through its single writer task.
+    def compute_batch(self, pairs: list[_Pair]) -> PricedBatch:
+        """The one compute step: price a batch of misses.
+
+        Batches of at least ``parallel_threshold`` pairs go to the
+        worker pool when ``workers > 1``; everything else is one serial
+        ``evaluate_hardware_many`` call (one cost pass per dataflow for
+        the whole batch).  A broken pool (worker OOM-killed) is dropped,
+        rebuilt lazily, and the batch repriced serially — pricing is
+        deterministic, so the answers are identical.
+
+        Touches no :attr:`stats` and no cache: the daemon runs this on
+        its compute thread and hands the result to :meth:`admit_miss`
+        on its event-loop thread.
         """
-        self.stats.misses += 1
-        self.stats.miss_seconds += seconds
-        self._sync_pricing()
-        self._store(key, evaluation)
-
-    def store_digest(self, key: tuple) -> str:
-        """Public alias of :meth:`_key_digest` for callers that manage
-        persistence themselves (the serving layer)."""
-        return self._key_digest(key)
-
-    def _evaluate_many_uncached(self,
-                                pairs: list[_Pair]
-                                ) -> list[HardwareEvaluation]:
-        """The ``cache_size=0`` batch path: no LRU, store tier only."""
-        results: list[HardwareEvaluation | None] = [None] * len(pairs)
-        miss_slots: list[int] = []
-        miss_keys: list[tuple] = []
-        miss_pairs: list[_Pair] = []
-        for slot, pair in enumerate(pairs):
-            found = None
-            if self.store is not None:
-                key = design_content(*pair)
-                found = self._lookup_store(key)
-            else:
-                key = None
-            if found is not None:
-                results[slot] = found
-            else:
-                self.stats.misses += 1
-                miss_slots.append(slot)
-                miss_keys.append(key)
-                miss_pairs.append(pair)
-        if miss_pairs:
-            started = time.perf_counter()
-            evaluations = self._compute_batch(miss_pairs)
-            self.stats.miss_seconds += time.perf_counter() - started
-            self._sync_pricing()
-            for slot, evaluation in zip(miss_slots, evaluations):
-                results[slot] = evaluation
-            if self.store is not None:
-                self._persist(zip(miss_keys, miss_pairs, evaluations))
-        return results  # type: ignore[return-value]
-
-    def _compute_batch(self, pairs: list[_Pair]) -> list[HardwareEvaluation]:
+        started = time.perf_counter()
         if self.workers > 1 and len(pairs) >= self.parallel_threshold:
             pool = self._ensure_pool()
             # Chunk to amortise per-item pickling on large sweeps.
@@ -538,26 +499,46 @@ class EvalService:
                 evaluations = list(pool.map(_eval_in_worker, pairs,
                                             chunksize=chunksize))
             except BrokenProcessPool:
-                # A worker died (OOM kill, hard crash).  Pricing is
-                # deterministic, so the batch is safely repriced
-                # serially in-process; the pool is dropped and rebuilt
-                # lazily on the next parallel batch.
-                pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                self.stats.pool_restarts += 1
+                self.shutdown_pool(wait=False)
                 warnings.warn(
                     f"evaluation worker pool broke mid-batch; repricing "
                     f"{len(pairs)} designs serially and rebuilding the "
                     f"pool", RuntimeWarning, stacklevel=3)
-                return self.evaluator.evaluate_hardware_many(pairs)
+                evaluations = self.evaluator.evaluate_hardware_many(pairs)
+                return PricedBatch(evaluations,
+                                   time.perf_counter() - started, 0, 1)
             # Workers run their own cost models; mirror the invocation
             # count so `Evaluator.hardware_evaluations` stays truthful.
             self.evaluator.hardware_evaluations += len(pairs)
-            self.stats.parallel_evaluations += len(pairs)
-            return evaluations
-        # Serial misses price through the batched build: one cost pass
-        # per dataflow for the whole miss batch.
-        return self.evaluator.evaluate_hardware_many(pairs)
+            return PricedBatch(evaluations, time.perf_counter() - started,
+                               len(pairs), 0)
+        evaluations = self.evaluator.evaluate_hardware_many(pairs)
+        return PricedBatch(evaluations, time.perf_counter() - started,
+                           0, 0)
+
+    def admit_miss(self, keys: list[tuple], priced: PricedBatch) -> None:
+        """The one admission step: record a :meth:`compute_batch`
+        result for ``keys`` (in the same order).
+
+        Counts the misses, their wall-clock and the pool accounting,
+        mirrors the pricing counters and inserts every evaluation into
+        the LRU.  Persistence stays with the caller: ``evaluate_many``
+        appends through :meth:`_persist`, the daemon through its single
+        writer task.
+        """
+        stats = self.stats
+        stats.misses += len(keys)
+        stats.miss_seconds += priced.seconds
+        stats.parallel_evaluations += priced.parallel
+        stats.pool_restarts += priced.pool_restarts
+        self._sync_pricing()
+        for key, evaluation in zip(keys, priced.evaluations):
+            self._store(key, evaluation)
+
+    def store_digest(self, key: tuple) -> str:
+        """Public alias of :meth:`_key_digest` for callers that manage
+        persistence themselves (the serving layer)."""
+        return self._key_digest(key)
 
     def _sync_pricing(self) -> None:
         """Mirror the evaluator's cumulative uncached-pricing counters
@@ -658,13 +639,14 @@ class EvalService:
         """
         return format(stable_hash(key, salt=self._salt), "016x")
 
-    def _persist(self, triples) -> None:
-        """Append computed misses to the store (one fsync per batch)."""
+    def _persist(self, priced) -> None:
+        """Append computed ``(key, evaluation)`` misses to the store
+        (one fsync per batch)."""
         if self.store is None or self.store.read_only:
             return
         self.store.put_many(
             (self._salt, self._key_digest(key), key, evaluation)
-            for key, _pair, evaluation in triples)
+            for key, evaluation in priced)
         self._sync_store_scale()
 
     # ------------------------------------------------------------------
@@ -776,13 +758,19 @@ class EvalService:
                 initargs=initargs)
         return self._pool
 
+    def shutdown_pool(self, *, wait: bool = True) -> None:
+        """Shut the worker pool down (idempotent; a later large batch
+        rebuilds it).  ``wait=False`` also cancels queued work — the
+        broken-pool and forced-exit paths."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
+            self._pool = None
+
     def close(self) -> None:
         """Flush the store tier and shut the worker pool down
         (idempotent; the store itself stays open for its owner)."""
         self.flush_store()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self.shutdown_pool()
 
     def __enter__(self) -> "EvalService":
         return self

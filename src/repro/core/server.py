@@ -16,20 +16,19 @@ Architecture (one asyncio loop, two single-thread executors):
   context salt, exactly like campaign sharing, so equal-context
   clients share one cache and differing contexts can never poison
   each other (entries are salt-namespaced).
-- **Single compute thread, optional worker pool.**  Evaluators are not
-  thread-safe, so by default all miss computation runs on a one-thread
-  executor; the event loop stays free to serve cache hits and accept
-  connections while a miss prices.  Cache/stats mutations happen only
-  on the loop thread (executor callbacks), keeping the service
-  single-threaded in effect.  ``workers > 1`` adds one process pool
-  per hosted context (the same initializer-built per-worker evaluators
-  :class:`~repro.core.evalservice.EvalService` uses), so distinct
-  misses of one context price concurrently; coalescing still happens
-  on the loop thread *before* dispatch, so each distinct in-flight
-  design is computed exactly once no matter how many workers run.  A
-  broken pool (worker OOM-killed) is dropped, its in-flight misses
-  repriced on the serial thread, and the pool rebuilt lazily —
-  mirroring the service's own fault tolerance.
+- **One miss path, one compute thread.**  The daemon prices exactly
+  as a local :class:`~repro.core.evalservice.EvalService` does: each
+  design walks the hosted service's ``lookup_tiers``; a submit's fresh
+  misses go to a one-thread compute executor as *one* job through the
+  service's ``compute_batch`` (its worker pool when the service has
+  ``workers > 1``, one serial ``evaluate_hardware_many`` call
+  otherwise); the result comes back to the loop thread for
+  ``admit_miss``.  Evaluators are not thread-safe, so the single
+  compute thread is the only place pricing runs; the event loop stays
+  free to serve hits and accept connections meanwhile, and cache and
+  stats writes happen only on the loop thread.  Coalescing happens on
+  the loop thread *before* dispatch, so each distinct in-flight design
+  is computed exactly once however the batch is priced.
 - **Cross-client coalescing.**  An in-flight future map keyed by
   ``(salt, content key)``: when client B submits a design client A is
   currently pricing, B awaits A's future instead of recomputing —
@@ -64,6 +63,8 @@ Hardening (one faulty client must never take the daemon down):
 - **Compute isolation.**  A design whose pricing raises (poisoned
   input) answers a per-request error frame; the daemon, its other
   connections and coalesced siblings of *other* designs are untouched.
+  A batch that raises is repriced design by design, so only the
+  raising design fails and its batch siblings still resolve.
 - **Status probing.**  A pre-handshake ``status`` op
   (``repro serve --status``) reports uptime, hosted services,
   in-flight and queued work, counters and store occupancy.
@@ -84,16 +85,13 @@ import socket
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.evaluator import Evaluator
 from repro.core.evalservice import (
     EvalService,
-    _eval_in_worker,
-    _init_worker,
     design_content,
     evaluation_context_salt,
 )
@@ -107,22 +105,8 @@ from repro.core.protocol import (
 )
 from repro.core.store import EvalStore
 from repro.cost.model import CostModel
-from repro.utils.pool import pool_context
 
 __all__ = ["PricingServer", "serve", "serve_in_thread"]
-
-
-def _timed_eval_in_worker(pair):
-    """Worker-side pricing with its own wall-clock, so ``miss_seconds``
-    reflects compute time, not pool queue wait."""
-    started = time.perf_counter()
-    return _eval_in_worker(pair), time.perf_counter() - started
-
-
-def _warm_worker() -> None:
-    """No-op warmup task: forces a pool worker to spawn and run its
-    initializer (evaluator construction) ahead of the first miss."""
-    return None
 
 
 class PricingServer:
@@ -148,14 +132,17 @@ class PricingServer:
         max_inflight: Bound on concurrently queued miss computations;
             submits needing more are refused with a ``retryable`` error
             frame.
-        workers: Process-pool width for miss computation (``repro
-            serve --workers``).  ``0``/``1`` price every miss on the
-            single compute thread (default).  ``> 1`` builds one pool
-            per hosted context, lazily at its first miss; distinct
-            in-flight designs still coalesce on the loop thread before
-            dispatch, so the single-compute guarantee is unchanged.
-            Fault-injection hooks live in the daemon process, so a
-            ``fault_injector`` keeps computation on the serial thread.
+        workers: ``workers`` of every hosted
+            :class:`~repro.core.evalservice.EvalService` (``repro serve
+            --workers``).  ``0``/``1`` price each submit's misses in
+            one serial batch on the compute thread (default).  ``> 1``
+            gives each hosted context its own worker pool, built
+            lazily at its first batch of at least the service's
+            ``parallel_threshold`` misses.  Distinct in-flight designs
+            coalesce on the loop thread before dispatch, so the
+            single-compute guarantee is unchanged.  Fault-injection
+            hooks live in the daemon process, so with a
+            ``fault_injector`` the hosted services get ``workers=0``.
         fault_injector: Test-only :class:`repro.core.faults.\
 FaultInjector` hooked into the reply/batch/compute/append seams.
         maintenance_interval: Seconds between idle-path store
@@ -198,12 +185,8 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                          "computed_parallel": 0, "coalesced": 0,
                          "persisted": 0, "persist_errors": 0,
                          "compute_errors": 0, "refused_busy": 0,
-                         "shed": 0, "pool_restarts": 0,
-                         "compactions": 0, "compacted_records": 0}
-        #: context salt -> lazily built miss-computation process pool.
-        self._pools: dict[str, ProcessPoolExecutor] = {}
-        #: context salt -> pool initializer args (recorded at hello).
-        self._pool_args: dict[str, tuple] = {}
+                         "shed": 0, "compactions": 0,
+                         "compacted_records": 0}
         #: context salt -> cross-client coalesced submits (the hosted
         #: service's own stats cannot see coalescing — it happens on
         #: the in-flight map before the service is asked anything).
@@ -381,9 +364,8 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             # otherwise leave the handle open (and the store locked)
             # until GC.  Both calls are idempotent no-ops on the
             # normal paths, which already wound down.
-            for pool in self._pools.values():
-                pool.shutdown(wait=False, cancel_futures=True)
-            self._pools.clear()
+            for service in self.services.values():
+                service.shutdown_pool(wait=False)
             if self._write is not None:
                 self._write.shutdown(wait=True, cancel_futures=True)
             if self.store is not None:
@@ -424,11 +406,10 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 # Injected crash mid-flush: stop flushing, close out —
                 # the next open recovers the torn tail.
                 self.aborted = True
-        for pool in self._pools.values():
-            pool.shutdown(wait=True)
-        self._pools.clear()
         if self._compute is not None:
             self._compute.shutdown(wait=True)
+        for service in self.services.values():
+            service.shutdown_pool()
         if self._write is not None:
             self._write.shutdown(wait=True)
         if self.store is not None:
@@ -472,9 +453,8 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             if not future.done():
                 future.cancel()
         self._inflight.clear()
-        for pool in self._pools.values():
-            pool.shutdown(wait=False, cancel_futures=True)
-        self._pools.clear()
+        for service in self.services.values():
+            service.shutdown_pool(wait=False)
         if self._compute is not None:
             self._compute.shutdown(wait=False, cancel_futures=True)
         if self._write is not None:
@@ -630,19 +610,10 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         if service is None:
             evaluator = Evaluator(workload, CostModel(params),
                                   trainer=None, rho=rho)
-            service = EvalService(evaluator,
-                                  cache_size=self.cache_size,
-                                  store=self.store)
+            service = EvalService(
+                evaluator, cache_size=self.cache_size, store=self.store,
+                workers=self.workers if self._injector is None else 0)
             self.services[salt] = service
-            if self.workers > 1:
-                self._pool_args[salt] = (workload, params, rho)
-                # Warm the pool now: workers fork and build their
-                # evaluators while the client is still assembling its
-                # first batch, instead of on the first miss's clock.
-                pool = self._pool_for(salt)
-                if pool is not None:
-                    for _ in range(self.workers):
-                        pool.submit(_warm_worker)
         else:
             # Same accounting as campaign sharing: entries priced
             # before this client joined count as *shared* reuse.
@@ -728,6 +699,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         results: dict[tuple, object] = {}
         first_tier: dict[tuple, str] = {}
         awaited: dict[tuple, asyncio.Future] = {}
+        fresh: list[tuple[tuple, tuple]] = []
         for key, pair, _handle in resolved:
             if key in first_tier:
                 # Intra-batch duplicate: the first occurrence answers
@@ -751,19 +723,20 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 self._coalesced_by_salt[salt] = \
                     self._coalesced_by_salt.get(salt, 0) + 1
                 continue
-            if len(self._inflight) >= self.max_inflight:
-                # Refuse loudly instead of ballooning; computations
-                # already spawned for this batch run to completion and
-                # land in the cache, so the retried submit is cheaper.
+            if len(self._inflight) + len(fresh) >= self.max_inflight:
+                # Refuse loudly instead of ballooning; the misses this
+                # submit already claimed are still priced and land in
+                # the cache, so the retried submit is cheaper.
+                self._price_misses(service, fresh)
                 self.counters["refused_busy"] += 1
                 return {"ok": False, "id": request.get("id"),
                         "retryable": True,
                         "error": f"pricing daemon at capacity "
                                  f"({len(self._inflight)} computations "
                                  f"in flight); retry with backoff"}
-            awaited[key] = self._spawn_compute(service, inflight_key,
-                                               key, pair)
+            fresh.append((key, pair))
             first_tier[key] = "miss"
+        awaited.update(self._price_misses(service, fresh))
         miss_seconds = 0.0
         if awaited:
             # return_exceptions: one poisoned design must not leave
@@ -810,126 +783,96 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             self._reply_blobs[address] = blob
         return blob
 
-    def _pool_for(self, salt: str) -> ProcessPoolExecutor | None:
-        """This context's miss-computation pool, built lazily.
+    def _price_misses(self, service: EvalService,
+                      misses: list[tuple[tuple, tuple]]
+                      ) -> dict[tuple, asyncio.Future]:
+        """Price one submit's fresh misses as one compute-thread job.
 
-        ``None`` routes the miss to the serial compute thread: workers
-        disabled, the context unknown (no hello recorded initargs), or
-        a fault injector present — injection hooks live in the daemon
-        process, so chaos runs keep the serial path's exact semantics.
+        Each miss gets its own in-flight future, registered before this
+        returns, so later submits (any client) coalesce onto it.  The
+        job calls the fault injector's ``on_compute`` per design in
+        request order, then prices the survivors through the hosted
+        service's :meth:`~repro.core.evalservice.EvalService.\
+compute_batch`; if that raises, it reprices them one by one, so only
+        the raising design fails.  Admission, persistence and future
+        resolution happen back on the loop thread.
         """
-        if self.workers <= 1 or self._injector is not None:
-            return None
-        pool = self._pools.get(salt)
-        if pool is None:
-            initargs = self._pool_args.get(salt)
-            if initargs is None:
-                return None
-            ctx = pool_context(
-                require_picklable=(_init_worker, _eval_in_worker,
-                                   *initargs))
-            pool = ProcessPoolExecutor(max_workers=self.workers,
-                                       mp_context=ctx,
-                                       initializer=_init_worker,
-                                       initargs=initargs)
-            self._pools[salt] = pool
-        return pool
-
-    def _drop_pool(self, salt: str) -> None:
-        """Discard a broken pool (rebuilt lazily on the next miss)."""
-        broken = self._pools.pop(salt, None)
-        if broken is not None:
-            self.counters["pool_restarts"] += 1
-            broken.shutdown(wait=False, cancel_futures=True)
-
-    def _spawn_compute(self, service: EvalService,
-                       inflight_key: tuple[str, tuple], key: tuple,
-                       pair) -> asyncio.Future:
-        """Price one miss — on this context's worker pool when enabled,
-        else on the compute thread; resolve a loop-side future every
-        coalesced awaiter shares."""
-        future = self._loop.create_future()
-        self._inflight[inflight_key] = future
+        if not misses:
+            return {}
         salt = service.context_salt
+        futures: dict[tuple, asyncio.Future] = {}
+        for key, _pair in misses:
+            future = self._loop.create_future()
+            # A compute that fails after its only awaiter disconnected
+            # (or was refused) must not surface "exception never
+            # retrieved".
+            future.add_done_callback(
+                lambda f: f.exception() if not f.cancelled() else None)
+            self._inflight[(salt, key)] = future
+            futures[key] = future
+        injector = self._injector
 
         def compute():
-            if self._injector is not None:
-                self._injector.on_compute(key)
-            started = time.perf_counter()
-            networks, accelerator = pair
-            evaluation = service.evaluator.evaluate_hardware(
-                networks, accelerator)
-            return evaluation, time.perf_counter() - started
-
-        task = None
-        pooled = pool = self._pool_for(salt)
-        if pool is not None:
+            failed: dict[tuple, BaseException] = {}
+            ready = []
+            for key, pair in misses:
+                try:
+                    if injector is not None:
+                        injector.on_compute(key)
+                except Exception as exc:
+                    failed[key] = exc
+                else:
+                    ready.append((key, pair))
+            if not ready:
+                return [], failed
+            keys = [key for key, _pair in ready]
             try:
-                task = self._loop.run_in_executor(
-                    pool, _timed_eval_in_worker, pair)
-            except BrokenProcessPool:
-                # The pool broke between misses; reprice serially and
-                # let the next miss rebuild it.
-                self._drop_pool(salt)
-                pooled = None
-        if task is None:
-            task = self._loop.run_in_executor(self._compute, compute)
+                return [(keys, service.compute_batch(
+                    [pair for _key, pair in ready]))], failed
+            except Exception:
+                # Pricing is deterministic: the designs priced alone
+                # answer exactly as in the batch.
+                priced = []
+                for key, pair in ready:
+                    try:
+                        priced.append(([key], service.compute_batch([pair])))
+                    except Exception as exc:
+                        failed[key] = exc
+                return priced, failed
 
         def finish(task: asyncio.Future) -> None:
             # Runs on the loop thread: cache/stats mutation is safe.
-            nonlocal pooled
-            if future.done():  # aborted while computing
-                self._inflight.pop(inflight_key, None)
+            for key in futures:
+                self._inflight.pop((salt, key), None)
+            if task.cancelled() or self._aborted:
                 if not task.cancelled():
                     task.exception()  # mark retrieved
-                return
-            if task.cancelled():
-                self._inflight.pop(inflight_key, None)
-                future.cancel()
+                for future in futures.values():
+                    future.cancel()
                 return
             exc = task.exception()
-            if isinstance(exc, BrokenProcessPool) and pooled is not None:
-                # A worker died (OOM kill, hard crash) mid-computation.
-                # Pricing is deterministic, so this miss repriced on
-                # the serial thread answers identically; the in-flight
-                # entry stays registered, so late submits still
-                # coalesce onto the retry instead of recomputing.
-                self._drop_pool(salt)
-                pooled = None
-                try:
-                    retry = self._loop.run_in_executor(self._compute,
-                                                       compute)
-                except RuntimeError as error:  # shut down mid-retry
-                    self._inflight.pop(inflight_key, None)
-                    future.set_exception(error)
-                    return
-                retry.add_done_callback(finish)
-                return
-            self._inflight.pop(inflight_key, None)
             if exc is not None:
-                future.set_exception(exc)
+                for future in futures.values():
+                    future.set_exception(exc)
                 return
-            evaluation, seconds = task.result()
-            service.admit_miss(key, evaluation, seconds)
-            self.counters["computed"] += 1
-            if pooled is not None:
-                self.counters["computed_parallel"] += 1
-                # The worker ran its own evaluator; mirror the
-                # invocation so `hardware_evaluations` stays truthful
-                # (same accounting as EvalService's pool path).
-                service.evaluator.hardware_evaluations += 1
-            if self.store is not None:
-                self._persist_queue.put_nowait(
-                    (service.context_salt,
-                     service.store_digest(key), key, evaluation))
-            future.set_result((evaluation, seconds))
+            priced, failed = task.result()
+            for keys, batch in priced:
+                service.admit_miss(keys, batch)
+                self.counters["computed"] += len(keys)
+                self.counters["computed_parallel"] += batch.parallel
+                seconds = batch.seconds / len(keys)
+                for key, evaluation in zip(keys, batch.evaluations):
+                    if self.store is not None:
+                        self._persist_queue.put_nowait(
+                            (salt, service.store_digest(key), key,
+                             evaluation))
+                    futures[key].set_result((evaluation, seconds))
+            for key, exc in failed.items():
+                futures[key].set_exception(exc)
 
-        task.add_done_callback(finish)
-        # A compute that fails after its only awaiter disconnected (or
-        # was refused) must not surface "exception never retrieved".
-        future.add_done_callback(
-            lambda f: f.exception() if not f.cancelled() else None)
-        return future
+        self._loop.run_in_executor(self._compute,
+                                   compute).add_done_callback(finish)
+        return futures
 
     async def _drain_persist_queue(self) -> None:
         """The single writer task: all store appends flow through here

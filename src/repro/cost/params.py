@@ -8,7 +8,7 @@ ranges (latency ~1e5-1e6 cycles, energy ~1e9 nJ, area ~1e9 um^2) and so
 that every ordering the search exploits is preserved (more PEs => lower
 latency & higher area; more bandwidth => lower memory-bound latency;
 DRAM traffic dominates energy per byte).  They are not a silicon sign-off
-model; see DESIGN.md §5-6.
+model; :mod:`repro.cost.model` describes the oracle role.
 """
 
 from __future__ import annotations
@@ -67,5 +67,5 @@ class CostModelParams:
             raise ValueError("layer_launch_cycles must be non-negative")
 
 
-#: Calibration used throughout the reproduction (see DESIGN.md §6).
+#: Calibration used throughout the reproduction (see the module docstring).
 DEFAULT_PARAMS = CostModelParams()

@@ -1,6 +1,6 @@
 """Sensitivity analysis over NASAIC's own hyperparameters.
 
-DESIGN.md calls out the framework's design choices — the penalty weight
+NASAIC has three design choices of its own — the penalty weight
 ``rho`` (Eq. 4), the hardware-exploration depth ``phi`` (§IV-②) and the
 episode budget ``beta`` — and this harness quantifies how the search
 outcome responds to each, holding everything else fixed.  Expected

@@ -3,7 +3,7 @@
 The paper mentions the optimal HAP instantiation via Integer Linear
 Programming but runs the heuristic for speed.  This module provides the
 optimal reference for *small* instances so tests can certify the
-heuristic's solution quality (DESIGN.md ablation A).
+heuristic's solution quality (Ablation A in ``benchmarks/bench_hap.py``).
 
 The search branches on the assignment of each flat layer in order and
 prunes on an admissible energy bound (sum of per-layer minimum remaining

@@ -4,7 +4,7 @@ The real datasets (CIFAR-10, STL-10, 2018 Data Science Bowl "Nuclei")
 enter the co-exploration only through (a) their input geometry, which
 shapes the searched networks' layers, and (b) the accuracy each
 architecture can reach, which the surrogate models (see
-:mod:`repro.train.surrogate` and DESIGN.md §5).  A descriptor captures
+:mod:`repro.train.surrogate`).  A descriptor captures
 exactly those observable properties.
 """
 

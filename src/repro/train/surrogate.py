@@ -1,4 +1,4 @@
-"""Accuracy surrogate — the substitute for GPU training (DESIGN.md §5).
+"""Accuracy surrogate — the substitute for GPU training.
 
 The paper trains every sampled architecture from scratch and validates it
 (§IV-③, "Training and validating").  This environment has no GPU and no

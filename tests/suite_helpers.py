@@ -25,6 +25,15 @@ from repro.train import SurrogateTrainer, default_surrogate
 from repro.utils.rng import new_rng
 
 
+def die_in_worker(pair):
+    """Stand-in pool worker body: hard process death (OOM-kill shaped).
+
+    Patched over ``repro.core.evalservice._eval_in_worker`` before a
+    pool forks, so every worker dies on its first task.
+    """
+    os._exit(13)
+
+
 def build_hw_evaluator(workload, *, cost_model=None, rho=10.0,
                        surrogate=None):
     """Evaluator with a surrogate trainer over the workload's spaces.

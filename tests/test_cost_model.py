@@ -1,8 +1,8 @@
 """Unit tests for the MAESTRO-substitute cost model.
 
 Beyond correctness of the arithmetic, these tests pin the *orderings* the
-search exploits (DESIGN.md §5): dataflow affinities, PE/bandwidth
-monotonicity, and the Table I magnitude calibration.
+search exploits (see :mod:`repro.cost.params`): dataflow affinities,
+PE/bandwidth monotonicity, and the Table I magnitude calibration.
 """
 
 import numpy as np
@@ -439,7 +439,7 @@ class TestAreaModel:
 
 
 class TestCalibration:
-    """Magnitude calibration against Table I (DESIGN.md §6)."""
+    """Magnitude calibration against Table I (:mod:`repro.cost.params`)."""
 
     def test_table1_design_area_magnitude(self, cost_model):
         from repro.accel import HeterogeneousAccelerator

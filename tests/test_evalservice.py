@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from suite_helpers import build_hw_evaluator as make_evaluator
-from suite_helpers import sample_design_pairs
+from suite_helpers import die_in_worker, sample_design_pairs
 from repro.accel import AllocationSpace
 from repro.core import EvalService, Evaluator, design_digest
 from repro.cost import CostModel
@@ -220,12 +220,6 @@ class TestParallel:
         service.close()
 
 
-def _die_in_worker(pair):
-    """Stand-in worker body: hard process death (OOM-kill shaped)."""
-    import os
-    os._exit(13)
-
-
 class TestPoolResilience:
     def test_broken_pool_reprices_serially_then_rebuilds(
             self, workload, alloc, pairs, monkeypatch):
@@ -240,7 +234,7 @@ class TestPoolResilience:
             # worker dies on its first task.
             monkeypatch.setattr(
                 "repro.core.evalservice._eval_in_worker",
-                _die_in_worker)
+                die_in_worker)
             with pytest.warns(RuntimeWarning, match="pool broke"):
                 got = service.evaluate_many(pairs)
             assert got == want

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for core invariants.
 
-These cover the invariants DESIGN.md §6 commits to: cost-model
+These cover the invariants the reproduction relies on: cost-model
 monotonicity and positivity, scheduler feasibility, HAP constraint
 compliance, allocation-budget safety, penalty correctness, and
 genotype round-trips — each over randomly drawn instances rather than

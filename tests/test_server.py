@@ -17,18 +17,20 @@ import socket
 import struct
 import threading
 import time
+import warnings
 
 import pytest
 
-from suite_helpers import sample_design_pairs
+from suite_helpers import die_in_worker, sample_design_pairs
 from repro.core.client import (
     DaemonBusyError,
     RemoteEvalService,
     parse_endpoint,
     probe_status,
 )
-from repro.core.evalservice import EvalService
+from repro.core.evalservice import EvalService, design_content
 from repro.core.evaluator import Evaluator
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -59,6 +61,56 @@ def make_evaluator(workload):
 def make_client(server, workload, **kwargs) -> RemoteEvalService:
     return RemoteEvalService(server.socket_path, workload,
                              make_params(), RHO, **kwargs)
+
+
+def wait_until(predicate, timeout: float = 30.0) -> None:
+    """Poll ``predicate`` until it holds (fails the test on timeout)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail("condition not reached in time")
+        time.sleep(0.01)
+
+
+def direct_prices(workload, pairs) -> list:
+    evaluator = make_evaluator(workload)
+    return [evaluator.evaluate_hardware(*pair) for pair in pairs]
+
+
+def gate_batches(server, gate: threading.Event, fail_on=None) -> list:
+    """Hold the hosted service's batch pricing until ``gate`` opens.
+
+    Returns the list the batch sizes are recorded in; a batch holding
+    ``fail_on`` (a design pair) raises instead of pricing.
+    """
+    poison = design_content(*fail_on) if fail_on is not None else None
+    (service,) = server.services.values()
+    real = service.evaluator.evaluate_hardware_many
+    sizes: list[int] = []
+
+    def gated(batch):
+        sizes.append(len(batch))
+        gate.wait(timeout=30)
+        if any(design_content(*pair) == poison for pair in batch):
+            raise ValueError("design cannot be priced")
+        return real(batch)
+
+    service.evaluator.evaluate_hardware_many = gated
+    return sizes
+
+
+def in_thread(outcomes: dict, name: str, fn) -> threading.Thread:
+    """Run ``fn`` on a thread; its result or exception lands in
+    ``outcomes[name]``."""
+    def run() -> None:
+        try:
+            outcomes[name] = fn()
+        except Exception as exc:  # surfaced by the test's asserts
+            outcomes[name] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
 
 
 @pytest.fixture(scope="module")
@@ -304,14 +356,14 @@ class TestCoalescing:
                 # slow enough that every racer lands mid-flight.
                 first.ping()
                 (service,) = server.services.values()
-                real = service.evaluator.evaluate_hardware
+                real = service.evaluator.evaluate_hardware_many
 
-                def slow(nets, accel):
+                def slow(batch):
                     gate.wait(timeout=30)
                     time.sleep(0.2)
-                    return real(nets, accel)
+                    return real(batch)
 
-                service.evaluator.evaluate_hardware = slow
+                service.evaluator.evaluate_hardware_many = slow
                 results: list = [None] * clients
                 errors: list = []
 
@@ -344,6 +396,100 @@ class TestCoalescing:
             miss_tiers += stats.misses
         assert miss_tiers == 1  # exactly one client paid the miss
 
+    def test_submit_misses_priced_as_one_batch(self, workload, pairs):
+        """A submit's k fresh misses reach the evaluator as one k-pair
+        batch; a second client coalescing onto one of them gets the
+        bit-identical answer, and each design is computed once."""
+        gate = threading.Event()
+        outcomes: dict = {}
+        with serve_in_thread() as server:
+            first = make_client(server, workload)
+            second = make_client(server, workload)
+            try:
+                first.ping()
+                sizes = gate_batches(server, gate)
+                threads = [in_thread(outcomes, "first",
+                                     lambda: first.evaluate_many(
+                                         pairs[:3]))]
+                wait_until(lambda: len(server._inflight) == 3)
+                threads.append(in_thread(
+                    outcomes, "second",
+                    lambda: second.evaluate_many(pairs[1:2])))
+                wait_until(lambda: server.counters["coalesced"] == 1)
+                gate.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                gate.set()
+                first.close()
+                second.close()
+            assert sizes == [3]
+            assert server.counters["computed"] == 3
+        want = direct_prices(workload, pairs[:3])
+        assert outcomes["first"] == want
+        assert outcomes["second"] == [want[1]]
+
+    def test_poisoned_design_fails_only_its_own_request(self, workload,
+                                                        pairs):
+        """An injected poison on the middle design of a three-miss
+        submit fails that submit alone; its batch siblings still answer
+        a second client coalesced onto them, and the daemon serves on."""
+        injector = FaultInjector(FaultPlan(poison_computes=(1,)))
+        gate = threading.Event()
+        outcomes: dict = {}
+        with serve_in_thread(fault_injector=injector) as server:
+            first = make_client(server, workload)
+            second = make_client(server, workload)
+            try:
+                first.ping()
+                sizes = gate_batches(server, gate)
+                threads = [in_thread(outcomes, "first",
+                                     lambda: first.evaluate_many(
+                                         pairs[:3]))]
+                wait_until(lambda: len(server._inflight) == 3)
+                threads.append(in_thread(
+                    outcomes, "second",
+                    lambda: second.evaluate_many([pairs[0], pairs[2]])))
+                wait_until(lambda: server.counters["coalesced"] == 2)
+                gate.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                gate.set()
+                first.close()
+                second.close()
+            assert sizes == [2]  # the poisoned design never priced
+            assert server.counters["compute_errors"] == 1
+            want = direct_prices(workload, pairs[:3])
+            with make_client(server, workload) as healthy:
+                assert healthy.evaluate_many(pairs[:3]) == want
+        assert isinstance(outcomes["first"], RuntimeError)
+        assert "pricing failed for 1 of 3" in str(outcomes["first"])
+        assert outcomes["second"] == [want[0], want[2]]
+
+    def test_raising_batch_is_repriced_design_by_design(self, workload,
+                                                        pairs):
+        """A batch whose pricing raises is repriced one design at a
+        time, so only the design that raises fails; its siblings are
+        admitted and later served as hits."""
+        gate = threading.Event()
+        gate.set()
+        with serve_in_thread() as server:
+            with make_client(server, workload) as client:
+                client.ping()
+                sizes = gate_batches(server, gate, fail_on=pairs[1])
+                with pytest.raises(RuntimeError,
+                                   match="pricing failed for 1 of 3"):
+                    client.evaluate_many(pairs[:3])
+                assert sizes == [3, 1, 1, 1]
+                assert server.counters["computed"] == 2
+                assert server.counters["compute_errors"] == 1
+                got = client.evaluate_many([pairs[0], pairs[2]])
+                assert client.stats.misses == 0
+            assert sizes == [3, 1, 1, 1]
+        want = direct_prices(workload, [pairs[0], pairs[2]])
+        assert got == want
+
 
 # ----------------------------------------------------------------------
 # Worker-pool miss computation (--workers)
@@ -361,8 +507,35 @@ class TestWorkerPool:
                 got = client.evaluate_many(trace)
             assert server.counters["computed"] == len(pairs)
             assert server.counters["computed_parallel"] == len(pairs)
-            assert server.counters["pool_restarts"] == 0
+            (service,) = server.services.values()
+            assert service.stats.pool_restarts == 0
         assert got == want
+
+    def test_broken_pool_reprices_serially(self, workload, pairs,
+                                           monkeypatch):
+        """A pool worker killed mid-batch breaks the hosted service's
+        pool: the batch is repriced serially (bit-identical), counted
+        in the service's ``pool_restarts``, and the next large batch
+        runs on a rebuilt pool."""
+        monkeypatch.setattr("repro.core.evalservice._eval_in_worker",
+                            die_in_worker)
+        fresh = sample_design_pairs(workload, n=4, seed=29)
+        with serve_in_thread(workers=2) as server:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with make_client(server, workload) as client:
+                    got = client.evaluate_many(pairs)
+            (service,) = server.services.values()
+            assert service.stats.pool_restarts == 1
+            assert server.counters["computed"] == len(pairs)
+            assert server.counters["computed_parallel"] == 0
+            monkeypatch.undo()
+            with make_client(server, workload) as client:
+                healed = client.evaluate_many(fresh)
+            assert server.counters["computed_parallel"] == len(fresh)
+            assert service.stats.pool_restarts == 1
+        assert got == direct_prices(workload, pairs)
+        assert healed == direct_prices(workload, fresh)
 
     def test_pooled_compute_stays_exactly_once(self, workload, pairs):
         """Concurrent clients over one design pool with workers on:
@@ -429,14 +602,14 @@ class TestWorkerPool:
             try:
                 first.ping()
                 (service,) = server.services.values()
-                real = service.evaluator.evaluate_hardware
+                real = service.evaluator.evaluate_hardware_many
 
-                def slow(nets, accel):
+                def slow(batch):
                     gate.wait(timeout=30)
                     time.sleep(0.2)
-                    return real(nets, accel)
+                    return real(batch)
 
-                service.evaluator.evaluate_hardware = slow
+                service.evaluator.evaluate_hardware_many = slow
                 errors: list = []
 
                 def run() -> None:
@@ -636,13 +809,13 @@ class TestHardening:
             try:
                 first.ping()
                 (service,) = server.services.values()
-                real = service.evaluator.evaluate_hardware
+                real = service.evaluator.evaluate_hardware_many
 
-                def slow(nets, accel):
+                def slow(batch):
                     gate.wait(timeout=30)
-                    return real(nets, accel)
+                    return real(batch)
 
-                service.evaluator.evaluate_hardware = slow
+                service.evaluator.evaluate_hardware_many = slow
                 client = make_client(server, workload, retries=2,
                                      backoff=0.01)
                 with pytest.raises(DaemonBusyError,
@@ -696,13 +869,13 @@ class TestHardening:
             try:
                 first.evaluate_many(pairs[:1])
                 (service,) = server.services.values()
-                real = service.evaluator.evaluate_hardware
+                real = service.evaluator.evaluate_hardware_many
 
-                def slow(nets, accel):
+                def slow(batch):
                     gate.wait(timeout=30)
-                    return real(nets, accel)
+                    return real(batch)
 
-                service.evaluator.evaluate_hardware = slow
+                service.evaluator.evaluate_hardware_many = slow
                 sock = socket.socket(socket.AF_UNIX,
                                      socket.SOCK_STREAM)
                 with sock:

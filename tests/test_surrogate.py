@@ -86,7 +86,7 @@ class TestLandscape:
 
     def test_width_without_depth_discounted(self, surrogate, cifar_space):
         """The multiplicative coupling: all-width/no-depth must score
-        well below the full architecture (DESIGN.md §5)."""
+        well below the full architecture (:mod:`repro.train.surrogate`)."""
         wide_shallow = cifar_space.decode(cifar_space.indices_of(
             (64, 256, 0, 256, 0, 256, 0)))
         full = cifar_space.decode(cifar_space.largest_indices())
