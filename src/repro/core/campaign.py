@@ -559,13 +559,14 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
 
 
 def save_campaign(result: CampaignResult, path: str | Path) -> Path:
-    """Write the consolidated campaign JSON to ``path`` (atomic: an
-    interrupted run never leaves a truncated campaign file)."""
+    """Write the consolidated campaign JSON to ``path``, compact (atomic:
+    an interrupted run never leaves a truncated campaign file)."""
     import json
 
     from repro.core.serialization import durable_replace
 
-    blob = json.dumps(campaign_to_dict(result), indent=2).encode("utf-8")
+    blob = json.dumps(campaign_to_dict(result),
+                      separators=(",", ":")).encode("utf-8")
     return durable_replace(path, blob)
 
 

@@ -109,6 +109,14 @@ class JointSearchSpace:
                 name=f"slot{slot}.bw",
                 num_options=len(allocation.bw_options), kind="hw"))
         self.decisions: tuple[Decision, ...] = tuple(decisions)
+        # Budget-masked positions -> (is_pe, slot), and the masks they
+        # produced, keyed by the budget quantities each one depends on.
+        self._masked_slot: dict[int, tuple[bool, int]] = {
+            **{pos: (True, slot)
+               for slot, pos in enumerate(self._pe_positions)},
+            **{pos: (False, slot)
+               for slot, pos in enumerate(self._bw_positions)}}
+        self._mask_memo: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Segment views
@@ -150,49 +158,65 @@ class JointSearchSpace:
         unconstrained (``None``); PE and bandwidth decisions are masked to
         the remaining budget so that ``sum(pe) <= NP`` and
         ``sum(bw) <= BW`` hold for every completed sample.
+
+        Masks are memoised on the budget quantities they depend on — a
+        PE mask on (slot, PEs used, earlier active slots), a bandwidth
+        mask on (slot activity, remaining bandwidth) — so the memo is
+        bounded by the option counts.  The returned arrays are shared
+        and read-only.  Errors are raised, never memoised.
         """
-        alloc = self.allocation
-        if position in self._pe_positions:
-            slot = self._pe_positions.index(position)
-            used = sum(self._pe_of(sampled, s) for s in range(slot))
-            # Reserve the cheapest option for every later slot: spaces
-            # whose PE options cannot be zero force every slot active,
-            # so a greedy early slot must not starve the rest (with a
-            # zero option the reserve is 0 and the mask is unchanged).
-            reserve = (alloc.num_slots - slot - 1) * min(alloc.pe_options)
-            mask = alloc.pe_mask(alloc.budget.max_pes - used - reserve)
-            earlier_active = sum(
-                1 for s in range(slot) if self._pe_of(sampled, s) > 0)
-            if ((earlier_active + 1) * min(alloc.bw_options)
-                    > alloc.budget.max_bandwidth_gbps):
-                # The bandwidth budget cannot feed one more active slot
-                # even at its cheapest option (a dead end at that slot's
-                # bandwidth mask otherwise): only zero PEs remain.
-                mask = mask & (np.array(alloc.pe_options) == 0)
-            is_last = slot == alloc.num_slots - 1
-            if is_last and not earlier_active:
-                # At least one slot must be active (a design needs PEs).
-                nonzero = np.array([p > 0 for p in alloc.pe_options])
-                combined = mask & nonzero
-                if not combined.any():
-                    raise ValueError(
-                        "budget exhausted before any slot became active")
-                return combined
-            return mask
-        if position in self._bw_positions:
-            slot = self._bw_positions.index(position)
-            if self._pe_of(sampled, slot) == 0:
-                return alloc.bw_mask(0, slot_active=False)
+        masked = self._masked_slot.get(position)
+        if masked is None:
+            return None
+        is_pe, slot = masked
+        if is_pe:
+            pes = [self._pe_of(sampled, s) for s in range(slot)]
+            key = (True, slot, sum(pes), sum(1 for p in pes if p > 0))
+        elif self._pe_of(sampled, slot) == 0:
+            key = (False, False, 0)
+        else:
             used = sum(
                 self._bw_of(sampled, s) for s in range(slot)
                 if self._pe_of(sampled, s) > 0)
             later_active = sum(
-                1 for s in range(slot + 1, alloc.num_slots)
+                1 for s in range(slot + 1, self.allocation.num_slots)
                 if self._pe_of(sampled, s) > 0)
-            reserve = later_active * alloc.bw_step
-            remaining = alloc.budget.max_bandwidth_gbps - used - reserve
-            return alloc.bw_mask(remaining, slot_active=True)
-        return None
+            remaining = (self.allocation.budget.max_bandwidth_gbps - used
+                         - later_active * self.allocation.bw_step)
+            key = (False, True, remaining)
+        mask = self._mask_memo.get(key)
+        if mask is None:
+            mask = (self._pe_mask(*key[1:]) if is_pe
+                    else self.allocation.bw_mask(key[2],
+                                                 slot_active=key[1]))
+            mask.flags.writeable = False
+            self._mask_memo[key] = mask
+        return mask
+
+    def _pe_mask(self, slot: int, used: int,
+                 earlier_active: int) -> np.ndarray:
+        """PE option mask of ``slot`` after ``used`` PEs went to
+        ``earlier_active`` of the slots before it."""
+        alloc = self.allocation
+        # Reserve the cheapest option for every later slot: spaces whose
+        # PE options cannot be zero force every slot active, so a greedy
+        # early slot must not starve the rest (with a zero option the
+        # reserve is 0 and the mask is unchanged).
+        reserve = (alloc.num_slots - slot - 1) * min(alloc.pe_options)
+        mask = alloc.pe_mask(alloc.budget.max_pes - used - reserve)
+        if ((earlier_active + 1) * min(alloc.bw_options)
+                > alloc.budget.max_bandwidth_gbps):
+            # The bandwidth budget cannot feed one more active slot even
+            # at its cheapest option (a dead end at that slot's bandwidth
+            # mask otherwise): only zero PEs remain.
+            mask = mask & (np.array(alloc.pe_options) == 0)
+        if slot == alloc.num_slots - 1 and not earlier_active:
+            # At least one slot must be active (a design needs PEs).
+            mask = mask & np.array([p > 0 for p in alloc.pe_options])
+            if not mask.any():
+                raise ValueError(
+                    "budget exhausted before any slot became active")
+        return mask
 
     def _pe_of(self, sampled: list[int], slot: int) -> int:
         position = self._pe_positions[slot]
@@ -214,25 +238,33 @@ class JointSearchSpace:
     def decode(self, actions: tuple[int, ...] | list[int]) -> JointSample:
         """Decode a complete action vector into networks + accelerator."""
         actions = tuple(int(a) for a in actions)
+        self._check_length(actions)
+        networks = tuple(
+            task.space.decode(actions[self._task_slices[t_idx]])
+            for t_idx, task in enumerate(self.workload.tasks))
+        return JointSample(actions=actions, networks=networks,
+                           accelerator=self.decode_accelerator(actions))
+
+    def decode_accelerator(
+        self, actions: tuple[int, ...] | list[int]
+    ) -> HeterogeneousAccelerator:
+        """Decode only the hardware segments of a complete action
+        vector (``decode(actions).accelerator`` without building the
+        networks)."""
+        self._check_length(actions)
+        alloc = self.allocation
+        slots = []
+        for slot in range(alloc.num_slots):
+            dataflow = alloc.dataflows[actions[self._df_positions[slot]]]
+            pes = alloc.pe_options[actions[self._pe_positions[slot]]]
+            bw = alloc.bw_options[actions[self._bw_positions[slot]]]
+            slots.append((dataflow, pes, bw if pes > 0 else 0))
+        return alloc.build(slots)
+
+    def _check_length(self, actions: tuple[int, ...] | list[int]) -> None:
         if len(actions) != self.num_decisions:
             raise ValueError(
                 f"expected {self.num_decisions} actions, got {len(actions)}")
-        networks = []
-        for t_idx, task in enumerate(self.workload.tasks):
-            sl = self._task_slices[t_idx]
-            networks.append(task.space.decode(actions[sl]))
-        slots = []
-        for slot in range(self.allocation.num_slots):
-            dataflow = self.allocation.dataflows[
-                actions[self._df_positions[slot]]]
-            pes = self.allocation.pe_options[
-                actions[self._pe_positions[slot]]]
-            bw = self.allocation.bw_options[
-                actions[self._bw_positions[slot]]]
-            slots.append((dataflow, pes, bw if pes > 0 else 0))
-        accelerator = self.allocation.build(slots)
-        return JointSample(actions=actions, networks=tuple(networks),
-                           accelerator=accelerator)
 
     def encode_design(
         self, accelerator: HeterogeneousAccelerator

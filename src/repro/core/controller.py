@@ -52,7 +52,18 @@ weight gradients are one BLAS product over the batch's rows
 (``x.T @ dz``, ``h_prev.T @ dz``, ``h.T @ g``; ``np.add.at`` for
 embedding rows), so a ``k``-sample gradient matches the sum of ``k``
 single-sample gradients to ~2e-15 relative, not bitwise (the
-``controller-batch`` fuzz pair checks 1e-12).
+``controller-batch`` fuzz pair checks 1e-12).  Steps whose log-prob and
+entropy weights are all zero (the forced architecture steps of a
+hardware-only batch) skip the output head: their gradient there is
+exactly zero and ``dh`` passes through unchanged.
+
+Flat parameters.  Every parameter lives in one contiguous float64
+vector, and ``params[k]`` is a :class:`FlatParams` view into it, so the
+optimizer updates the whole set with a few vector operations.  Update
+parameters in place (``params[k] += d``, ``params[k][...] = v``); a
+rebinding assignment raises, because a new array would be detached
+from the buffer.  :meth:`RNNController.backward` returns its gradient
+in the same layout.
 
 [1] B. Zoph, Q. V. Le.  Neural Architecture Search with Reinforcement
     Learning.  ICLR 2017.
@@ -60,7 +71,8 @@ single-sample gradients to ~2e-15 relative, not bitwise (the
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import math
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +80,8 @@ import numpy as np
 from repro.core.choices import Decision
 from repro.utils.rng import new_rng
 
-__all__ = ["ControllerConfig", "ControllerSample", "RNNController"]
+__all__ = ["ControllerConfig", "ControllerSample", "FlatParams",
+           "RNNController"]
 
 MaskFn = Callable[[int, list[int]], np.ndarray | None]
 
@@ -174,6 +187,56 @@ class ControllerSample:
             for (cache, row), forced in zip(self.path, self.forced)]
 
 
+class FlatParams(Mapping[str, np.ndarray]):
+    """Named arrays that are views into one contiguous float64 vector.
+
+    Args:
+        shapes: Key -> shape, in buffer order.
+        flat: The backing vector; a zero vector when omitted.
+
+    Item assignment accepts only the key's own view, which is what an
+    augmented assignment (``params[k] += d``) stores back; anything
+    else would detach the key from :attr:`flat` and raises.
+    """
+
+    __slots__ = ("flat", "_views")
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]],
+                 flat: np.ndarray | None = None) -> None:
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        elif flat.shape != (sum(sizes),):
+            raise ValueError(f"flat buffer of shape {flat.shape} does not "
+                             f"hold {sum(sizes)} parameters")
+        self.flat = flat
+        self._views: dict[str, np.ndarray] = {}
+        start = 0
+        for (key, shape), size in zip(shapes.items(), sizes):
+            self._views[key] = flat[start:start + size].reshape(shape)
+            start += size
+
+    def like(self, flat: np.ndarray | None = None) -> FlatParams:
+        """Views with this layout into ``flat`` (default: zeros)."""
+        return FlatParams({k: v.shape for k, v in self._views.items()},
+                          flat)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._views[key]
+
+    def __setitem__(self, key: str, value: np.ndarray) -> None:
+        if value is not self._views[key]:
+            raise TypeError(
+                f"{key!r} is a view into the flat buffer: update it in "
+                f"place (params[{key!r}][...] = value)")
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Branch-free logistic, elementwise equal to ``1/(1+exp(-z))`` for
     ``z >= 0`` and ``exp(z)/(1+exp(z))`` otherwise."""
@@ -242,19 +305,17 @@ class RNNController:
         h, e = self.config.hidden_size, self.config.embed_size
         s = self.config.init_scale
 
-        def init(*shape: int) -> np.ndarray:
-            return rng.uniform(-s, s, size=shape)
-
-        self.params: dict[str, np.ndarray] = {
-            "x0": init(e),
-            "Wx": init(e, 4 * h),
-            "Wh": init(h, 4 * h),
-            "b": np.zeros(4 * h),
-        }
+        shapes = {"x0": (e,), "Wx": (e, 4 * h), "Wh": (h, 4 * h),
+                  "b": (4 * h,)}
         for idx, decision in enumerate(self.decisions):
-            self.params[f"emb{idx}"] = init(decision.num_options, e)
-            self.params[f"Wout{idx}"] = init(h, decision.num_options)
-            self.params[f"bout{idx}"] = np.zeros(decision.num_options)
+            shapes[f"emb{idx}"] = (decision.num_options, e)
+            shapes[f"Wout{idx}"] = (h, decision.num_options)
+            shapes[f"bout{idx}"] = (decision.num_options,)
+        self.params = FlatParams(shapes)
+        # Weights draw in key order; biases stay zero.
+        for key, view in self.params.items():
+            if key != "b" and not key.startswith("bout"):
+                view[...] = rng.uniform(-s, s, size=view.shape)
 
     # ------------------------------------------------------------------
     # Forward / sampling
@@ -365,9 +426,8 @@ class RNNController:
             else:
                 chosen = _draw(probs, uniforms[:, column])
                 column += 1
-            log_probs[:, t] = np.log(probs[rows, chosen])
-            safe_log = np.where(probs > 0, np.log(
-                np.where(probs > 0, probs, 1.0)), 0.0)
+            safe_log = np.log(np.where(probs > 0, probs, 1.0))
+            log_probs[:, t] = safe_log[rows, chosen]
             entropies[:, t] = -(probs * safe_log).sum(axis=1)
             caches.append(_StepCache(
                 h_prev=h, c_prev=c, gates=gates, c=c_new, tanh_c=tanh_c,
@@ -417,7 +477,7 @@ class RNNController:
         samples: ControllerSample | Sequence[ControllerSample],
         logprob_weights: np.ndarray,
         entropy_weights: np.ndarray | None = None,
-    ) -> dict[str, np.ndarray]:
+    ) -> FlatParams:
         """Gradients of ``sum_k sum_t w_kt log pi(a_kt) + beta_kt H_kt``
         w.r.t. params, summed over the samples in one reverse sweep.
 
@@ -425,6 +485,8 @@ class RNNController:
         advantage, zero on forced steps); ``beta`` adds an optional
         entropy bonus that keeps exploration alive.  A single sample
         takes ``(T,)`` weights, a list of ``k`` samples ``(k, T)``.
+        The gradient has the parameters' layout: per-key views into one
+        flat vector (:attr:`FlatParams.flat`).
         """
         single = isinstance(samples, ControllerSample)
         if single:
@@ -451,24 +513,26 @@ class RNNController:
         entropies = np.stack([sample.entropies for sample in samples])
         actions = np.array([sample.actions for sample in samples])
         h_size = self.config.hidden_size
-        grads = {key: np.zeros_like(value)
-                 for key, value in self.params.items()}
+        grads = self.params.like()
+        g_wx, g_wh, g_b = grads["Wx"], grads["Wh"], grads["b"]
         dh_next = np.zeros((k, h_size))
         dc_next = np.zeros((k, h_size))
         for t in range(t_count - 1, -1, -1):
             (h_prev, c_prev, gates, tanh_c, h, probs, safe_log,
              chosen) = _gather([sample.path[t] for sample in samples])
-            onehot = np.zeros_like(probs)
-            onehot[np.arange(k), chosen] = 1.0
-            # d/dlogits of log p[a]:  onehot - p   (ascent direction)
-            g_logits = weights[:, t, None] * (onehot - probs)
-            if betas[:, t].any():
-                g_logits += betas[:, t, None] * (
-                    -probs * (safe_log + entropies[:, t, None]))
-            g_logits = g_logits / self.config.temperature
-            grads[f"Wout{t}"] = h.T @ g_logits
-            grads[f"bout{t}"] = g_logits.sum(axis=0)
-            dh = g_logits @ self.params[f"Wout{t}"].T + dh_next
+            dh = dh_next
+            if weights[:, t].any() or betas[:, t].any():
+                onehot = np.zeros_like(probs)
+                onehot[np.arange(k), chosen] = 1.0
+                # d/dlogits of log p[a]:  onehot - p   (ascent direction)
+                g_logits = weights[:, t, None] * (onehot - probs)
+                if betas[:, t].any():
+                    g_logits += betas[:, t, None] * (
+                        -probs * (safe_log + entropies[:, t, None]))
+                g_logits = g_logits / self.config.temperature
+                grads[f"Wout{t}"][...] = h.T @ g_logits
+                grads[f"bout{t}"][...] = g_logits.sum(axis=0)
+                dh = g_logits @ self.params[f"Wout{t}"].T + dh_next
             # Input at step t+1 was emb[t][action_t]; its gradient arrives
             # via dx of step t+1, handled below when we compute dx.
             gate_i = gates[:, :h_size]
@@ -493,12 +557,12 @@ class RNNController:
             # One k-row product per step.  A single product over all
             # (sample, step) rows is big enough for OpenBLAS to wake its
             # worker threads, which costs ~10 ms per call on 2 vCPUs.
-            grads["Wx"] += x.T @ dz
-            grads["Wh"] += h_prev.T @ dz
-            grads["b"] += dz.sum(axis=0)
+            g_wx += x.T @ dz
+            g_wh += h_prev.T @ dz
+            g_b += dz.sum(axis=0)
             dx = dz @ self.params["Wx"].T
             if t == 0:
-                grads["x0"] = dx.sum(axis=0)
+                grads["x0"][...] = dx.sum(axis=0)
             else:
                 np.add.at(grads[f"emb{t - 1}"], actions[:, t - 1], dx)
             dh_next = dz @ self.params["Wh"].T
@@ -509,14 +573,16 @@ class RNNController:
     # ------------------------------------------------------------------
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
-        return sum(v.size for v in self.params.values())
+        return self.params.flat.size
 
     def clone_params(self) -> dict[str, np.ndarray]:
-        """Deep copy of the current parameters (for tests/checkpoints)."""
+        """Per-key copies of the current parameters (for
+        tests/checkpoints)."""
         return {k: v.copy() for k, v in self.params.items()}
 
-    def load_params(self, params: dict[str, np.ndarray]) -> None:
-        """Restore parameters from :meth:`clone_params`."""
+    def load_params(self, params: Mapping[str, np.ndarray]) -> None:
+        """Copy parameters from :meth:`clone_params` into the flat
+        buffer; shapes must match exactly (no broadcasting)."""
         if set(params) != set(self.params):
             raise ValueError("parameter keys do not match this controller")
         for key, value in params.items():
@@ -524,7 +590,8 @@ class RNNController:
                 raise ValueError(
                     f"shape mismatch for {key!r}: {value.shape} vs "
                     f"{self.params[key].shape}")
-            self.params[key] = value.copy()
+        for key, value in params.items():
+            self.params[key][...] = value
 
     # ------------------------------------------------------------------
     # Checkpointing

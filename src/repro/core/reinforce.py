@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.controller import ControllerSample, RNNController
+from repro.core.controller import ControllerSample, FlatParams, RNNController
 
 __all__ = ["ReinforceConfig", "ReinforceTrainer"]
 
@@ -83,8 +83,8 @@ class ReinforceTrainer:
                  config: ReinforceConfig | None = None) -> None:
         self.controller = controller
         self.config = config or ReinforceConfig()
-        self._rms: dict[str, np.ndarray] = {
-            k: np.zeros_like(v) for k, v in controller.params.items()}
+        # RMSProp second moments, in the parameters' flat layout.
+        self._rms = controller.params.like()
         self.baseline: float | None = None
         self.updates_applied = 0
         t_count = len(controller.decisions)
@@ -139,6 +139,10 @@ class ReinforceTrainer:
         """Backpropagate a batch of (sample, reward) episodes in one
         controller sweep and take one RMSProp step.
 
+        The step runs on the flat parameter, gradient and moment
+        vectors; every operation is elementwise except the clip norm,
+        which keeps the per-key summation order (see :meth:`_clip`).
+
         Returns the mean advantage of the batch (diagnostic).  The
         baseline EMA is refreshed *after* computing advantages, matching
         the usual REINFORCE-with-moving-baseline order.
@@ -148,20 +152,17 @@ class ReinforceTrainer:
         samples = [sample for sample, _ in episodes]
         rewards = [reward for _, reward in episodes]
         weights, entropy = self.step_weights(samples, rewards, trainable)
-        grads_total = self.controller.backward(samples, weights, entropy)
+        grads = self.controller.backward(samples, weights, entropy)
         base = self.baseline if self.baseline is not None else 0.0
         advantages = [reward - base for reward in rewards]
-        scale = 1.0 / len(episodes)
-        for key in grads_total:
-            grads_total[key] *= scale
-        self._clip(grads_total)
-        lr = self.learning_rate
-        for key, grad in grads_total.items():
-            rms = self._rms[key]
-            rms *= self.config.rms_decay
-            rms += (1.0 - self.config.rms_decay) * grad * grad
-            self.controller.params[key] += (
-                lr * grad / (np.sqrt(rms) + self.config.rms_eps))
+        grad = grads.flat
+        grad *= 1.0 / len(episodes)
+        self._clip(grads)
+        rms = self._rms.flat
+        rms *= self.config.rms_decay
+        rms += (1.0 - self.config.rms_decay) * grad * grad
+        self.controller.params.flat += (
+            self.learning_rate * grad / (np.sqrt(rms) + self.config.rms_eps))
         mean_reward = float(np.mean([r for _, r in episodes]))
         if self.baseline is None:
             self.baseline = mean_reward
@@ -187,18 +188,30 @@ class ReinforceTrainer:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state` snapshot."""
+        """Restore a :meth:`state` snapshot, copying the moments into
+        the flat buffer; shapes must match exactly (no broadcasting)."""
         if set(state["rms"]) != set(self._rms):
             raise ValueError("RMSProp state keys do not match this "
                              "trainer's controller")
-        self._rms = {k: v.copy() for k, v in state["rms"].items()}
+        for key, value in state["rms"].items():
+            if value.shape != self._rms[key].shape:
+                raise ValueError(
+                    f"RMSProp shape mismatch for {key!r}: {value.shape} "
+                    f"vs {self._rms[key].shape}")
+        for key, value in state["rms"].items():
+            self._rms[key][...] = value
         self.baseline = state["baseline"]
         self.updates_applied = state["updates_applied"]
 
-    def _clip(self, grads: dict[str, np.ndarray]) -> None:
+    def _clip(self, grads: FlatParams) -> None:
+        """Scale ``grads`` in place to global L2 norm ``grad_clip``.
+
+        The squared norm is summed key by key, in key order, over views
+        of one flat square: the order of a per-key loop, so clip
+        decisions do not depend on the flat layout.
+        """
+        squares = grads.like(grads.flat * grads.flat)
         total = float(np.sqrt(sum(
-            float((g * g).sum()) for g in grads.values())))
+            float(square.sum()) for square in squares.values())))
         if total > self.config.grad_clip > 0:
-            factor = self.config.grad_clip / total
-            for key in grads:
-                grads[key] *= factor
+            grads.flat *= self.config.grad_clip / total

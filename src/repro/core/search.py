@@ -172,7 +172,7 @@ class NASAIC(JointSearch):
             prefix=joint_sample)
         self._pending_round = (joint_sample, joint, hw_samples)
         return [(joint.networks, joint.accelerator)] + [
-            (joint.networks, self.space.decode(sample.actions).accelerator)
+            (joint.networks, self.space.decode_accelerator(sample.actions))
             for sample in hw_samples]
 
     def observe(self, evaluations) -> RoundLog:

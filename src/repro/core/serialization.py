@@ -215,9 +215,11 @@ def result_to_dict(result: SearchResult) -> dict[str, Any]:
 
 
 def save_result(result: SearchResult, path: str | Path) -> Path:
-    """Write a search run to ``path`` as indented JSON (atomic: an
-    interrupted write never leaves a truncated file behind)."""
-    blob = json.dumps(result_to_dict(result), indent=2).encode("utf-8")
+    """Write a search run to ``path`` as compact JSON (atomic: an
+    interrupted write never leaves a truncated file behind).  Compact
+    separators keep ``json`` on its C encoder; ``indent`` would not."""
+    blob = json.dumps(result_to_dict(result),
+                      separators=(",", ":")).encode("utf-8")
     return durable_replace(path, blob)
 
 

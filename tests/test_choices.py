@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel import AllocationSpace, Dataflow
 from repro.core import JointSearchSpace
+from repro.core.choices import random_genes
 
 
 @pytest.fixture
@@ -176,3 +179,97 @@ class TestDecode:
                    for pos in range(joint_w3.num_decisions)]
         sample = joint_w3.decode(actions)
         assert sample.accelerator.is_single
+
+
+@pytest.fixture(scope="module")
+def masked_spaces():
+    """Preset and generated spaces, with and without empty slots."""
+    from repro.accel.accelerator import ResourceBudget
+    from repro.workloads import w1
+    from repro.workloads.generator import generate_spec
+
+    workload_w1 = w1()
+
+    spaces = [
+        JointSearchSpace(workload_w1, AllocationSpace()),
+        JointSearchSpace(workload_w1, AllocationSpace(
+            num_slots=3, pe_step=128, bw_step=16, allow_empty_slots=False,
+            budget=ResourceBudget(max_pes=512, max_bandwidth_gbps=64))),
+    ]
+    wanted = {True: 2, False: 3}
+    for seed in range(200):
+        spec = generate_spec(seed, "tiny")
+        if wanted[spec.allow_empty_slots]:
+            wanted[spec.allow_empty_slots] -= 1
+            scenario = spec.materialize()
+            spaces.append(JointSearchSpace(scenario.workload,
+                                           scenario.allocation))
+    assert not any(wanted.values())
+    return spaces
+
+
+def mask_or_error(space, position, prefix):
+    try:
+        return space.mask_for(position, prefix)
+    except ValueError as exc:
+        return exc
+
+
+class TestMaskMemo:
+    """``mask_for`` memoises masks on budget quantities: it must answer
+    what a fresh (empty-memo) space answers, for budget-valid prefixes
+    and for arbitrary ones (crossover genes before repair)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_memo_equals_uncached(self, masked_spaces, data):
+        space = data.draw(st.sampled_from(masked_spaces))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        genes = random_genes(space, rng)
+        if data.draw(st.booleans()):
+            # Unmasked genes: over-budget prefixes must raise each time.
+            genes = [int(rng.integers(d.num_options))
+                     for d in space.decisions]
+        position = data.draw(st.integers(0, space.num_decisions - 1))
+        prefix = genes[:position]
+        fresh = JointSearchSpace(space.workload, space.allocation)
+        want = mask_or_error(fresh, position, prefix)
+        for _ in range(2):  # the second call reads the memo
+            got = mask_or_error(space, position, prefix)
+            if isinstance(want, ValueError):
+                assert isinstance(got, ValueError)
+                assert str(got) == str(want)
+            elif want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = not got[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_decode_accelerator_matches_decode(self, masked_spaces, data):
+        space = data.draw(st.sampled_from(masked_spaces))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        genes = random_genes(space, rng)
+        assert space.decode_accelerator(genes) == space.decode(
+            genes).accelerator
+
+    def test_budget_error_raised_on_every_call(self, workload_w1):
+        alloc = AllocationSpace(num_slots=3)
+        space = JointSearchSpace(workload_w1, alloc)
+        pe0, pe1, pe2 = (space.slot_positions(s)[1] for s in range(3))
+        prefix = [0] * pe2
+        top = len(alloc.pe_options) - 1
+        prefix[pe0] = prefix[pe1] = top  # both earlier slots take it all
+        for _ in range(3):
+            with pytest.raises(ValueError, match="budget"):
+                space.mask_for(pe2, prefix)
+        prefix[pe1] = 0
+        assert space.mask_for(pe2, prefix).tolist() == [True] + [
+            False] * top
+
+    def test_decode_accelerator_wrong_length(self, joint_w3):
+        with pytest.raises(ValueError, match="actions"):
+            joint_w3.decode_accelerator((0,))

@@ -321,7 +321,7 @@ class TestGradients:
         skew = np.random.default_rng(5)
         for t, decision in enumerate(controller.decisions):
             controller.params[f"Wout{t}"] *= 20.0
-            controller.params[f"bout{t}"] = skew.normal(
+            controller.params[f"bout{t}"][...] = skew.normal(
                 scale=1.5, size=decision.num_options)
         batch = controller.sample(np.random.default_rng(11), mask_fn=(
             lambda pos, _a: np.array([True, False, True, True, True])
@@ -372,6 +372,37 @@ class TestGradients:
         grads = controller.backward(sample, np.zeros(4))
         for key, grad in grads.items():
             assert not grad.any(), key
+
+    @pytest.mark.parametrize("key", ["Wout2", "bout2", "Wh", "x0"])
+    def test_zero_weight_steps_keep_entropy_gradient(self, key):
+        """Steps 0 and 2 carry no log-prob weight; step 2 still has an
+        entropy bonus, so only step 0's head may be skipped."""
+        controller = RNNController(
+            make_decisions(), ControllerConfig(hidden_size=8, embed_size=6),
+            rng=np.random.default_rng(4))
+        batch = controller.sample(np.random.default_rng(2), count=2)
+        weights = np.array([[0.0, 0.3, 0.0, 0.5], [0.0, -0.2, 0.0, 0.1]])
+        betas = np.array([[0.0, 0.0, 0.6, 0.2], [0.0, 0.1, 0.9, 0.0]])
+        grads = controller.backward(batch, weights, betas)
+        assert not grads["Wout0"].any() and not grads["bout0"].any()
+
+        def objective():
+            return sum(TestGradients.replay_log_prob(controller, sample, w, b)
+                       for sample, w, b in zip(batch, weights, betas))
+
+        param = controller.params[key]
+        eps = 1e-6
+        for flat in (0, param.size // 2, param.size - 1):
+            idx = np.unravel_index(flat, param.shape)
+            original = param[idx]
+            param[idx] = original + eps
+            up = objective()
+            param[idx] = original - eps
+            down = objective()
+            param[idx] = original
+            assert grads[key][idx] == pytest.approx(
+                (up - down) / (2 * eps), rel=1e-4, abs=1e-7)
+        assert grads["Wout2"].any()
 
     def test_weight_shape_checked(self, controller, rng):
         sample = controller.sample(rng)
