@@ -14,6 +14,7 @@ allocations (the paper's explored designs use multiples of 32 PEs and
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -170,21 +171,25 @@ class AllocationSpace:
             reserve_bw = 0 if self.allow_empty_slots \
                 else remaining * self.bw_step
             dataflow = self.dataflows[int(rng.integers(len(self.dataflows)))]
-            pe_candidates = [p for p in self._pe_options
-                             if p <= pes_left - reserve_pe]
+            # The option tuples are sorted, so the affordable candidates
+            # are a prefix: count them instead of filtering.
+            pe_options = self._pe_options
+            first = 0
+            count = bisect_right(pe_options, pes_left - reserve_pe)
             if slot == 0:
-                pe_candidates = [p for p in pe_candidates if p > 0] or [
-                    self.pe_step]
-            pes = int(pe_candidates[int(rng.integers(len(pe_candidates)))])
+                # Forced active: skip a leading zero option.
+                first = bisect_right(pe_options, 0, hi=count)
+                if first == count:
+                    pe_options, first, count = (self.pe_step,), 0, 1
+            pes = int(pe_options[first + int(rng.integers(count - first))])
             if pes == 0:
                 slots.append((dataflow, 0, 0))
                 continue
-            bw_candidates = [b for b in self._bw_options
-                             if b <= bw_left - reserve_bw]
-            if not bw_candidates:
+            count = bisect_right(self._bw_options, bw_left - reserve_bw)
+            if not count:
                 slots.append((dataflow, 0, 0))
                 continue
-            bw = int(bw_candidates[int(rng.integers(len(bw_candidates)))])
+            bw = int(self._bw_options[int(rng.integers(count))])
             pes_left -= pes
             bw_left -= bw
             slots.append((dataflow, pes, bw))

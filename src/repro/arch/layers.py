@@ -15,10 +15,11 @@ enlarged output resolution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-__all__ = ["ConvLayer", "dense_layer"]
+__all__ = ["ConvLayer", "conv_layer", "dense_layer"]
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,22 @@ class ConvLayer:
                 f"({self.macs / 1e6:.1f} MMACs)")
 
 
+@functools.lru_cache(maxsize=65536)
+def conv_layer(name: str, in_channels: int, out_channels: int, kernel: int,
+               stride: int, in_height: int, in_width: int,
+               transposed: bool = False) -> ConvLayer:
+    """The shared :class:`ConvLayer` of one (name, geometry).
+
+    Layers are frozen, so every network decoded with the same layer
+    reuses one object instead of re-validating a new one — the search
+    spaces decode thousands of networks from a few hundred distinct
+    layers.  The memo lives here, not on a space, because spaces are
+    pickled into checkpoints and daemon handshakes.
+    """
+    return ConvLayer(name, in_channels, out_channels, kernel, stride,
+                     in_height, in_width, transposed)
+
+
 def dense_layer(name: str, in_features: int, out_features: int) -> ConvLayer:
     """Model a fully-connected layer as a 1x1 convolution on a 1x1 map.
 
@@ -127,12 +144,4 @@ def dense_layer(name: str, in_features: int, out_features: int) -> ConvLayer:
     spatial position, which lets the cost model treat classifier heads
     uniformly with convolutional trunks.
     """
-    return ConvLayer(
-        name=name,
-        in_channels=in_features,
-        out_channels=out_features,
-        kernel=1,
-        stride=1,
-        in_height=1,
-        in_width=1,
-    )
+    return conv_layer(name, in_features, out_features, 1, 1, 1, 1)

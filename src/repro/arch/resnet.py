@@ -18,7 +18,7 @@ per-block maximum convolution count to 3 and the maximum filter count to
 
 from __future__ import annotations
 
-from repro.arch.layers import ConvLayer, dense_layer
+from repro.arch.layers import ConvLayer, conv_layer, dense_layer
 from repro.arch.network import NetworkArch
 from repro.arch.space import ArchitectureSpace, Choice
 
@@ -79,47 +79,24 @@ class ResNetSpace(ArchitectureSpace):
     def decode(self, indices: tuple[int, ...]) -> NetworkArch:
         values = self.values(indices)
         stem_filters = values[0]
+        # conv_layer(name, in, out, kernel, stride, height, width).
         layers: list[ConvLayer] = [
-            ConvLayer(
-                name="stem",
-                in_channels=self.in_channels,
-                out_channels=stem_filters,
-                kernel=3,
-                stride=1,
-                in_height=self.input_hw,
-                in_width=self.input_hw,
-            )
+            conv_layer("stem", self.in_channels, stem_filters, 3, 1,
+                       self.input_hw, self.input_hw)
         ]
         resolution = self.input_hw
         channels = stem_filters
         for block in range(1, self.num_blocks + 1):
             filters = values[2 * block - 1]
             skips = values[2 * block]
-            layers.append(
-                ConvLayer(
-                    name=f"b{block}.down",
-                    in_channels=channels,
-                    out_channels=filters,
-                    kernel=3,
-                    stride=2,
-                    in_height=resolution,
-                    in_width=resolution,
-                )
-            )
+            layers.append(conv_layer(f"b{block}.down", channels, filters,
+                                     3, 2, resolution, resolution))
             resolution = layers[-1].out_height
             channels = filters
             for skip in range(skips):
-                layers.append(
-                    ConvLayer(
-                        name=f"b{block}.res{skip}",
-                        in_channels=channels,
-                        out_channels=channels,
-                        kernel=3,
-                        stride=1,
-                        in_height=resolution,
-                        in_width=resolution,
-                    )
-                )
+                layers.append(conv_layer(f"b{block}.res{skip}", channels,
+                                         channels, 3, 1, resolution,
+                                         resolution))
         layers.append(dense_layer("classifier", channels, self.num_classes))
         return NetworkArch(
             name=f"{self.backbone}-{self.dataset}",

@@ -112,6 +112,28 @@ class ArchitectureSpace(abc.ABC):
             )
         return tuple(c.index_of(v) for c, v in zip(self.choices, values))
 
+    def genotype_indices(self, genotype: tuple[int, ...]
+                         ) -> tuple[int, ...]:
+        """Index vector that decodes to a network with ``genotype``.
+
+        Inverse of the ``genotype`` a decoded network carries.  A
+        canonical genotype may be shorter than the choice list (U-Net
+        drops the filter choices of levels deeper than its height); the
+        missing trailing choices take their first option, and any
+        padding decodes to the same network.
+
+        Raises:
+            ValueError: If ``genotype`` is longer than the choice list
+                or holds a value outside its choice.
+        """
+        choices = self.choices
+        if len(genotype) > len(choices):
+            raise ValueError(
+                f"{self.backbone} space has {len(choices)} decisions, "
+                f"genotype has {len(genotype)} values")
+        return self.indices_of(tuple(genotype) + tuple(
+            choice.options[0] for choice in choices[len(genotype):]))
+
     def smallest_indices(self) -> tuple[int, ...]:
         """Genotype of the smallest network (per-choice minimum value).
 

@@ -25,7 +25,7 @@ Structure at height ``h`` (input ``128x128`` Nuclei crops):
 
 from __future__ import annotations
 
-from repro.arch.layers import ConvLayer
+from repro.arch.layers import ConvLayer, conv_layer
 from repro.arch.network import NetworkArch
 from repro.arch.space import ArchitectureSpace, Choice
 
@@ -94,57 +94,43 @@ class UNetSpace(ArchitectureSpace):
         layers: list[ConvLayer] = []
         resolution = self.input_hw
         channels = self.in_channels
+        # conv_layer(name, in, out, kernel, stride, height, width,
+        # transposed); the map is square, so height == width.
         # Encoder: two convs per level, then stride-2 downsample.
         for level in range(1, height + 1):
             fn = filters[level - 1]
-            layers.append(ConvLayer(
-                name=f"enc{level}.conv0", in_channels=channels,
-                out_channels=fn, kernel=3, stride=1,
-                in_height=resolution, in_width=resolution))
-            layers.append(ConvLayer(
-                name=f"enc{level}.conv1", in_channels=fn,
-                out_channels=fn, kernel=3, stride=1,
-                in_height=resolution, in_width=resolution))
-            layers.append(ConvLayer(
-                name=f"enc{level}.down", in_channels=fn,
-                out_channels=fn, kernel=3, stride=2,
-                in_height=resolution, in_width=resolution))
+            hw = (resolution, resolution)
+            layers.append(conv_layer(f"enc{level}.conv0", channels, fn,
+                                     3, 1, *hw))
+            layers.append(conv_layer(f"enc{level}.conv1", fn, fn, 3, 1,
+                                     *hw))
+            layers.append(conv_layer(f"enc{level}.down", fn, fn, 3, 2,
+                                     *hw))
             channels = fn
             resolution //= 2
         # Bottleneck at 2x the deepest level's filters.
         bottleneck = 2 * filters[height - 1]
-        layers.append(ConvLayer(
-            name="mid.conv0", in_channels=channels,
-            out_channels=bottleneck, kernel=3, stride=1,
-            in_height=resolution, in_width=resolution))
-        layers.append(ConvLayer(
-            name="mid.conv1", in_channels=bottleneck,
-            out_channels=bottleneck, kernel=3, stride=1,
-            in_height=resolution, in_width=resolution))
+        hw = (resolution, resolution)
+        layers.append(conv_layer("mid.conv0", channels, bottleneck, 3, 1,
+                                 *hw))
+        layers.append(conv_layer("mid.conv1", bottleneck, bottleneck, 3, 1,
+                                 *hw))
         channels = bottleneck
         # Decoder: upsample, then two convs; first conv sees the skip
         # concatenation so its input channel count is fn (up) + fn (skip).
         for level in range(height, 0, -1):
             fn = filters[level - 1]
-            layers.append(ConvLayer(
-                name=f"dec{level}.up", in_channels=channels,
-                out_channels=fn, kernel=2, stride=2,
-                in_height=resolution, in_width=resolution,
-                transposed=True))
+            layers.append(conv_layer(f"dec{level}.up", channels, fn, 2, 2,
+                                     resolution, resolution, True))
             resolution *= 2
-            layers.append(ConvLayer(
-                name=f"dec{level}.conv0", in_channels=2 * fn,
-                out_channels=fn, kernel=3, stride=1,
-                in_height=resolution, in_width=resolution))
-            layers.append(ConvLayer(
-                name=f"dec{level}.conv1", in_channels=fn,
-                out_channels=fn, kernel=3, stride=1,
-                in_height=resolution, in_width=resolution))
+            hw = (resolution, resolution)
+            layers.append(conv_layer(f"dec{level}.conv0", 2 * fn, fn, 3, 1,
+                                     *hw))
+            layers.append(conv_layer(f"dec{level}.conv1", fn, fn, 3, 1,
+                                     *hw))
             channels = fn
-        layers.append(ConvLayer(
-            name="head", in_channels=channels, out_channels=1,
-            kernel=1, stride=1,
-            in_height=resolution, in_width=resolution))
+        layers.append(conv_layer("head", channels, 1, 1, 1, resolution,
+                                 resolution))
         return NetworkArch(
             name=f"{self.backbone}-{self.dataset}",
             backbone=self.backbone,

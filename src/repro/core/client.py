@@ -8,6 +8,13 @@ same surface search code already consumes — ``evaluate_many``,
 SearchDriver`, the strategies and the campaign runner adopt the served
 tier through plain injection, with zero strategy changes.
 
+Designs travel as :func:`repro.core.codec.encode_key` content keys and
+evaluations come back as :func:`repro.core.codec.encode_evaluation`
+bytes, which the client decodes with the accelerator of its own
+request pair — so a served evaluation equals direct pricing by
+dataclass equality, and nothing the daemon sends is unpickled outside
+the protocol's allow-list.
+
 Differences from a local :class:`repro.core.evalservice.EvalService`:
 
 - The cache and the store live in the daemon and are shared across
@@ -31,11 +38,11 @@ Every request runs under a per-reply deadline (``timeout``) and a
 bounded retry budget (``retries``) with exponential backoff + jitter.
 A connection-level failure — dropped socket, timed-out reply, daemon
 restart, frame garbage — tears down the connection and transparently
-reconnects: re-handshake, salt re-verified, and (because design
-handles are per-connection server state) the submit entries rebuilt
-from the full designs.  Resubmission is safe: pricing is deterministic
-and the daemon coalesces duplicates, so a retried request returns
-bit-identical evaluations.  A ``retryable`` refusal from the daemon
+reconnects: re-handshake, salt re-verified, same submit resent (a
+submit is a list of content keys, which hold on any connection).
+Resubmission is safe: pricing is deterministic and the daemon
+coalesces duplicates, so a retried request returns bit-identical
+evaluations.  A ``retryable`` refusal from the daemon
 (bounded in-flight queue at capacity) backs off on the *same*
 connection.
 
@@ -50,12 +57,12 @@ Without a fallback the error propagates — loudly, never silently.
 
 from __future__ import annotations
 
-import pickle
 import random
 import socket
 import time
 from pathlib import Path
 
+from repro.core.codec import decode_evaluation, encode_key
 from repro.core.evalservice import (
     EvalServiceStats,
     design_content,
@@ -205,11 +212,6 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
         #: Local fallback service once degraded, else ``None``.
         self._local = None
         self._stats_base: EvalServiceStats | None = None
-        # Designs already shipped on this connection, by content key:
-        # repeats submit the server-issued int handle instead of the
-        # full (kilobyte) design pickle.  Reset on every (re)connect —
-        # handles are per-connection server state.
-        self._handles: dict[tuple, int] = {}
         self._sock: socket.socket | None = None
         try:
             self._with_retry(None)
@@ -224,8 +226,6 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
     def _connect(self) -> None:
         """(Re)connect: fresh socket, handshake, salt verification.
 
-        The per-connection handle table is reset — the daemon issues
-        handles per connection, so stale ones would misprice designs.
         Any failure closes the socket (no fd leak on the handshake or
         salt-mismatch paths).
         """
@@ -257,7 +257,6 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
         finally:
             if not ok:
                 sock.close()
-        self._handles = {}
         self._sock = sock
         if self._ever_connected:
             self.stats.reconnects += 1
@@ -302,12 +301,11 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
                    self._backoff * (2 ** max(0, attempt - 1)))
         time.sleep(base * (0.5 + self._jitter.random()))
 
-    def _with_retry(self, build_request) -> dict | None:
+    def _with_retry(self, request: dict | None) -> dict | None:
         """Run one request under the retry budget.
 
-        ``build_request`` is called fresh per attempt (``None`` means
-        "just ensure connected") because a reconnect resets the handle
-        table — stale handles must never be resubmitted.  Retryable:
+        ``request`` is resent on every attempt (``None`` means "just
+        ensure connected").  Retryable:
         connection-level failures (``OSError`` including timeouts,
         :class:`FrameError`, a closed stream) which reconnect, and
         :class:`DaemonBusyError` which backs off on the live
@@ -322,9 +320,9 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
             try:
                 if self._sock is None:
                     self._connect()
-                if build_request is None:
+                if request is None:
                     return None
-                return self._call_on(self._sock, build_request())
+                return self._call_on(self._sock, request)
             except DaemonBusyError:
                 # The connection is healthy; just back off and resend.
                 attempt += 1
@@ -425,9 +423,8 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
         """Price a batch through the daemon, preserving order.
 
         Chunked to respect the frame-size guard; stats are mirrored
-        from the tiers the daemon reports for each request.  Retries
-        rebuild the submit entries fresh (handles are per-connection);
-        an exhausted retry budget degrades to local pricing when a
+        from the tiers the daemon reports for each request.  An
+        exhausted retry budget degrades to local pricing when a
         fallback was configured, else raises.
         """
         pairs = list(pairs)
@@ -439,18 +436,12 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
         evaluations: list = []
         for start in range(0, len(pairs), self._submit_chunk):
             chunk = pairs[start:start + self._submit_chunk]
-            keys = [design_content(*pair) for pair in chunk]
             self._request_id += 1
-            request_id = self._request_id
-
-            def build_request() -> dict:
-                entries = [self._handles.get(key, pair)
-                           for key, pair in zip(keys, chunk)]
-                return {"op": "submit", "id": request_id,
-                        "pairs": entries}
-
+            request = {"op": "submit", "id": self._request_id,
+                       "keys": [encode_key(design_content(*pair))
+                                for pair in chunk]}
             try:
-                reply = self._with_retry(build_request)
+                reply = self._with_retry(request)
             except (ConnectionError, FrameError, OSError, RuntimeError,
                     ValueError) as exc:
                 if self._fallback != "local":
@@ -464,17 +455,31 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
                 result = self._local.evaluate_many(pairs)
                 self._refresh_degraded_stats()
                 return result
-            if reply.get("id") != request_id:
+            if reply.get("id") != request["id"]:
                 raise ConnectionError(
                     f"pricing daemon answered request "
                     f"{reply.get('id')!r} out of order (expected "
-                    f"{request_id}) — stream desynchronised")
-            for key, handle in zip(keys, reply["handles"]):
-                self._handles[key] = handle
-            evaluations.extend(pickle.loads(blob)
-                               for blob in reply["evaluations"])
+                    f"{request['id']}) — stream desynchronised")
+            evaluations.extend(self._decode_reply(reply, chunk))
             self._absorb(reply["tiers"], reply["miss_seconds"])
         return evaluations
+
+    def _decode_reply(self, reply: dict, chunk: list) -> list:
+        """Evaluations of one submit reply, each decoded with the
+        accelerator of its own request pair."""
+        blobs = reply.get("evaluations")
+        if not isinstance(blobs, list) or len(blobs) != len(chunk):
+            raise ConnectionError(
+                f"pricing daemon at {self.socket_path} answered a "
+                f"{len(chunk)}-design submit with a malformed evaluation "
+                f"list")
+        try:
+            return [decode_evaluation(blob, accelerator)
+                    for blob, (_networks, accelerator) in zip(blobs, chunk)]
+        except ValueError as exc:
+            raise ConnectionError(
+                f"pricing daemon at {self.socket_path} sent an "
+                f"undecodable evaluation: {exc}") from exc
 
     def bump_generation(self) -> None:
         """Open a new cache generation in the hosted service, so
@@ -482,7 +487,7 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
         if self._local is not None:
             self._local.bump_generation()
             return
-        self._with_retry(lambda: {"op": "bump_generation"})
+        self._with_retry({"op": "bump_generation"})
 
     def flush_store(self) -> int:
         """Ask the daemon to flush the hosted service's cost memo."""
@@ -490,7 +495,7 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
             flushed = self._local.flush_store()
             self._refresh_degraded_stats()
             return flushed
-        reply = self._with_retry(lambda: {"op": "flush"})
+        reply = self._with_retry({"op": "flush"})
         return int(reply.get("flushed", 0))
 
     def state_snapshot(self) -> dict:
@@ -519,13 +524,16 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
     # Daemon management
     # ------------------------------------------------------------------
     def server_stats(self) -> dict:
-        """The daemon's view: hosted-service stats snapshot,
-        ``cache_len``, server counters, store occupancy."""
+        """The daemon's view: hosted-service stats snapshot (as an
+        :class:`EvalServiceStats`), ``cache_len``, server counters,
+        store occupancy."""
         if self._local is not None:
             raise ConnectionError(
                 "client is degraded to local pricing; the daemon is "
                 "unreachable")
-        return self._with_retry(lambda: {"op": "stats"})
+        reply = self._with_retry({"op": "stats"})
+        reply["stats"] = EvalServiceStats(**reply["stats"])
+        return reply
 
     def ping(self) -> int:
         """Round-trip liveness check; returns the daemon's protocol
@@ -534,7 +542,7 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
             raise ConnectionError(
                 "client is degraded to local pricing; the daemon is "
                 "unreachable")
-        return int(self._with_retry(lambda: {"op": "ping"})["version"])
+        return int(self._with_retry({"op": "ping"})["version"])
 
     def shutdown_server(self) -> None:
         """Ask the daemon to shut down gracefully (drain + flush).

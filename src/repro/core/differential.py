@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.driver import SearchDriver
 from repro.core.evaluator import Evaluator
-from repro.core.evalservice import EvalService
+from repro.core.evalservice import EvalService, design_content
 from repro.core.serialization import durable_replace, result_to_dict
 from repro.core.store import EvalStore
 from repro.cost.model import CostModel
@@ -315,15 +315,22 @@ def _check_store_compact(scenario: GeneratedScenario,
                          rng: np.random.Generator) -> str | None:
     """Compacted store == original store, answer for answer.
 
-    Builds a store with real pricing traffic plus the records
-    compaction exists to drop — digest-shadowed duplicate evaluations
-    and per-digest chains of memo records — then asserts that after
+    Builds a mixed-format store with real pricing traffic — a version-1
+    file (pickled records) that a current writer upgrades and extends
+    with codec records — plus the records compaction exists to drop:
+    digest-shadowed duplicate evaluations in both record formats and
+    per-digest chains of memo records.  Then asserts that after
     :meth:`EvalStore.compact` every surviving answer (evaluations and
     merged memo entries) is bit-identical to the uncompacted original,
-    both through the live store and through a cold reopen, and that a
-    second compaction is a no-op.
+    both through the live store and through a cold reopen, that the
+    compacted file carries the current magic, and that a second
+    compaction is a no-op.
     """
+    import pickle
     import shutil
+    import struct
+
+    from repro.core.store import STORE_MAGIC
 
     pairs = scenario.sample_pairs(rng, scenario.spec.design_samples)
 
@@ -331,25 +338,43 @@ def _check_store_compact(scenario: GeneratedScenario,
         return Evaluator(scenario.workload, CostModel(scenario.cost_params),
                          trainer=None, rho=scenario.rho)
 
+    def v1_body(record: dict) -> bytes:
+        return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "store.bin"
+        chunk = max(1, len(pairs) // 3)
+        # The opening chunk as a version-1 file, written the way code
+        # before the codec records wrote it.
+        legacy = EvalService(evaluator())
+        opening = pairs[:chunk]
+        keys = [design_content(*pair) for pair in opening]
+        bodies = [v1_body({"kind": "eval", "salt": legacy.context_salt,
+                           "digest": legacy._key_digest(key), "key": key,
+                           "evaluation": evaluation})
+                  for key, evaluation in zip(keys,
+                                             legacy.evaluate_many(opening))]
+        path.write_bytes(b"repro-evalstore v1\n" + b"".join(
+            struct.pack("<Q", len(body)) + body for body in bodies))
         with EvalStore(path) as store:
             with EvalService(evaluator(), store=store) as writer:
                 # Chunked pricing: each flush appends another memo
                 # record per params digest — superseded-record fodder.
-                chunk = max(1, len(pairs) // 3)
                 for start in range(0, len(pairs), chunk):
                     writer.evaluate_many(pairs[start:start + chunk])
                     writer.flush_store()
             # Digest-shadowed duplicates: re-append a sample of the
             # records verbatim, bypassing put_many's dedup (as an
-            # older or misbehaving writer session would have).
+            # older or misbehaving writer session would have), half in
+            # each record format.
             records = [record for record in store.iter_records()
                        if record.get("kind") == "eval"]
             duplicates = [records[int(pick)] for pick in
                           rng.integers(len(records),
                                        size=min(4, len(records)))]
-            store._append_records(duplicates)
+            store._append_records(duplicates[::2])
+            store._append_bodies([v1_body(record)
+                                  for record in duplicates[1::2]])
         original = Path(tmp) / "original.bin"
         shutil.copyfile(path, original)
 
@@ -381,6 +406,8 @@ def _check_store_compact(scenario: GeneratedScenario,
             second = store.compact()
             if second["bytes_after"] != second["bytes_before"]:
                 return "second compaction was not a no-op"
+            if not path.read_bytes().startswith(STORE_MAGIC):
+                return "compacted store does not carry the current magic"
 
         # A cold reopen must serve the same bits (the rewritten file
         # and its fresh offset index, not this process's caches).
@@ -460,7 +487,6 @@ def _check_chaos_serve(scenario: GeneratedScenario,
     the daemon died mid-append).
     """
     from repro.core.client import RemoteEvalService
-    from repro.core.evalservice import design_content
     from repro.core.faults import FaultInjector, FaultPlan
     from repro.core.server import serve_in_thread
 

@@ -48,6 +48,7 @@ from typing import NamedTuple
 
 from repro.accel.accelerator import HeterogeneousAccelerator
 from repro.arch.network import NetworkArch
+from repro.core.codec import accelerator_from_key
 from repro.core.evaluator import Evaluator, HardwareEvaluation
 from repro.core.store import EvalStore, cost_params_digest
 from repro.cost.model import CostModel
@@ -58,7 +59,7 @@ from repro.workloads.workload import Workload
 
 __all__ = ["EvalService", "EvalServiceStats", "PricedBatch",
            "design_content", "design_digest", "evaluation_context_salt",
-           "verify_injected_service"]
+           "rebuild_design", "verify_injected_service"]
 
 #: Pairs submitted to :meth:`EvalService.evaluate_many`.
 _Pair = tuple[tuple[NetworkArch, ...], HeterogeneousAccelerator]
@@ -84,6 +85,43 @@ def design_content(networks: tuple[NetworkArch, ...],
               for sub in accelerator.subaccs),
         (accelerator.budget.max_pes, accelerator.budget.max_bandwidth_gbps),
     )
+
+
+def rebuild_design(workload: Workload, key: tuple) -> _Pair:
+    """Inverse of :func:`design_content` under ``workload``.
+
+    Each task's network is decoded from its identity through the task's
+    search space (:meth:`~repro.arch.space.ArchitectureSpace.\
+genotype_indices`), the accelerator from the key's slots and budget.
+
+    Raises:
+        ValueError: If the key does not describe a design of this
+            workload — wrong task count, a backbone or dataset that is
+            not the task's, a genotype value outside its space, an
+            invalid accelerator — or if the rebuilt pair's content is
+            not exactly ``key`` (for example a non-canonical genotype).
+    """
+    identities, _slots, _budget = key
+    tasks = workload.tasks
+    if len(identities) != len(tasks):
+        raise ValueError(f"key holds {len(identities)} networks, the "
+                         f"workload has {len(tasks)} tasks")
+    try:
+        networks = []
+        for task, (backbone, dataset, genotype) in zip(tasks, identities):
+            space = task.space
+            if (backbone, dataset) != (space.backbone, space.dataset):
+                raise ValueError(
+                    f"key names {backbone}/{dataset}, task {task.name!r} "
+                    f"is {space.backbone}/{space.dataset}")
+            networks.append(space.decode(space.genotype_indices(genotype)))
+        pair = (tuple(networks), accelerator_from_key(key))
+    except (IndexError, TypeError) as exc:
+        raise ValueError(f"key does not decode: {exc}") from exc
+    if design_content(*pair) != key:
+        raise ValueError("key is not the content of the design it "
+                         "decodes to")
+    return pair
 
 
 def design_digest(networks: tuple[NetworkArch, ...],
@@ -435,46 +473,55 @@ class EvalService:
         # key -> slot whose result answers it (intra-batch dedup).
         first: dict[tuple, int] = {}
         miss_slots: list[int] = []
+        digests: list[str | None] = []
         for slot, key in enumerate(keys):
             if self.cache_size and key in first:
                 self.stats.hits += 1
                 continue
             first[key] = slot
-            results[slot], _tier = self.lookup_tiers(key)
+            results[slot], _tier, digest = self.lookup_tiers(key)
             if results[slot] is None:
                 miss_slots.append(slot)
+                digests.append(digest)
         if miss_slots:
             miss_keys = [keys[slot] for slot in miss_slots]
             priced = self.compute_batch([pairs[slot] for slot in miss_slots])
             self.admit_miss(miss_keys, priced)
             for slot, evaluation in zip(miss_slots, priced.evaluations):
                 results[slot] = evaluation
-            self._persist(zip(miss_keys, priced.evaluations))
+            self._persist(zip(miss_keys, digests, priced.evaluations))
         return [results[slot] if results[slot] is not None
                 else results[first[key]]
                 for slot, key in enumerate(keys)]
 
     def lookup_tiers(self, key: tuple
-                     ) -> tuple[HardwareEvaluation | None, str | None]:
-        """The one tier walk: ``(evaluation, tier)`` without computing.
+                     ) -> tuple[HardwareEvaluation | None, str | None,
+                                str | None]:
+        """The one tier walk: ``(evaluation, tier, digest)`` without
+        computing.
 
         LRU first, then the persistent store, with the hit accounting
         of both.  ``tier`` is ``"hit"`` (LRU), ``"shared"`` (LRU entry
         from an earlier generation — for the daemon, typically another
         client's), ``"store"`` (persistent tier) or ``None`` (miss: the
         caller prices it with :meth:`compute_batch` and records it with
-        :meth:`admit_miss`).
+        :meth:`admit_miss`).  ``digest`` is the store-bucket digest the
+        store lookup hashed (``None`` when the store was not asked), so
+        a caller persisting the miss does not hash the key again.
         """
         shared_before = self.stats.shared_hits
         cached = self._lookup(key)
         if cached is not None:
             tier = ("shared" if self.stats.shared_hits > shared_before
                     else "hit")
-            return cached, tier
-        cached = self._lookup_store(key)
+            return cached, tier, None
+        if self.store is None:
+            return None, None, None
+        digest = self._key_digest(key)
+        cached = self._lookup_store(key, digest)
         if cached is not None:
-            return cached, "store"
-        return None, None
+            return cached, "store", digest
+        return None, None, digest
 
     def compute_batch(self, pairs: list[_Pair]) -> PricedBatch:
         """The one compute step: price a batch of misses.
@@ -534,11 +581,6 @@ class EvalService:
         self._sync_pricing()
         for key, evaluation in zip(keys, priced.evaluations):
             self._store(key, evaluation)
-
-    def store_digest(self, key: tuple) -> str:
-        """Public alias of :meth:`_key_digest` for callers that manage
-        persistence themselves (the serving layer)."""
-        return self._key_digest(key)
 
     def _sync_pricing(self) -> None:
         """Mirror the evaluator's cumulative uncached-pricing counters
@@ -612,11 +654,10 @@ class EvalService:
         self._sync_store_scale()
         return written
 
-    def _lookup_store(self, key: tuple) -> HardwareEvaluation | None:
+    def _lookup_store(self, key: tuple,
+                      digest: str) -> HardwareEvaluation | None:
         """Second-tier lookup: LRU missed, ask the persistent store."""
-        if self.store is None:
-            return None
-        evaluation = self.store.get(self._salt, self._key_digest(key), key)
+        evaluation = self.store.get(self._salt, digest, key)
         if evaluation is None:
             return None
         self.stats.hits += 1
@@ -640,13 +681,13 @@ class EvalService:
         return format(stable_hash(key, salt=self._salt), "016x")
 
     def _persist(self, priced) -> None:
-        """Append computed ``(key, evaluation)`` misses to the store
-        (one fsync per batch)."""
+        """Append computed ``(key, digest, evaluation)`` misses to the
+        store (one fsync per batch)."""
         if self.store is None or self.store.read_only:
             return
         self.store.put_many(
-            (self._salt, self._key_digest(key), key, evaluation)
-            for key, evaluation in priced)
+            (self._salt, digest, key, evaluation)
+            for key, digest, evaluation in priced)
         self._sync_store_scale()
 
     # ------------------------------------------------------------------

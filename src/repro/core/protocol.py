@@ -1,22 +1,31 @@
 """Wire protocol of the pricing daemon (``repro serve``).
 
-One frame = one length-prefixed pickle.  The framing layer is shared by
-the asyncio server (:mod:`repro.core.server`) and the synchronous
+One frame = one length-prefixed payload.  The framing layer is shared
+by the asyncio server (:mod:`repro.core.server`) and the synchronous
 client (:mod:`repro.core.client`); both sides validate the length
 prefix against :data:`MAX_FRAME_BYTES` before trusting it, so a
 malformed or hostile frame fails loudly instead of allocating
 gigabytes or desynchronising the stream.
 
-Frame layout::
+Frame layout (protocol version 3)::
 
-    <u64 little-endian payload length> <pickled payload>
+    <u64 little-endian payload length> <payload>
 
-The payload is a plain dictionary.  Requests carry an ``op`` plus
-op-specific fields; responses carry ``ok`` (bool) plus either the
-result fields or an ``error`` string.  The handshake (``hello``)
-carries :data:`PROTOCOL_VERSION` — a version mismatch is refused
-before anything else is interpreted, so the protocol can evolve
-without silently mispricing across daemon/client skew.
+The payload is a plain dictionary serialised with pickle and read back
+through an *allow-listed* unpickler (:func:`_decode_payload`): it
+resolves only the classes in :data:`ALLOWED_CLASSES` — the workload
+and cost-parameter types a ``hello`` carries — and refuses every other
+global (``os.system``, ``builtins.eval``, any ``__reduce__`` gadget)
+with :class:`FrameError` before anything runs.  Designs and
+evaluations never travel as pickled objects: they ride as opaque
+``bytes`` in the :mod:`repro.core.codec` encodings.
+
+Requests carry an ``op`` plus op-specific fields; responses carry
+``ok`` (bool) plus either the result fields or an ``error`` string.
+The handshake (``hello``) carries :data:`PROTOCOL_VERSION` — a version
+mismatch is refused before anything else is interpreted, so the
+protocol can evolve without silently mispricing across daemon/client
+skew.
 
 Ops (client -> server):
 
@@ -25,25 +34,26 @@ Ops (client -> server):
   (or reuses) the hosted service for that context and replies with its
   ``salt``; the client compares it against the locally computed
   :func:`repro.core.evalservice.evaluation_context_salt`, making
-  pickling drift impossible to miss.
-- ``submit``: ``{"op", "id", "pairs"}`` — price a batch.  Each entry
-  is either a full ``(networks, accelerator)`` pair or an ``int``
-  *handle* from an earlier reply on this connection: repeat-heavy
-  traces ship a few bytes per repeat instead of re-pickling kilobyte
-  design objects (the dominant cost of the served hit path).  The
-  reply carries ``evaluations`` (request order, each one *pickled
-  separately* so the server can serve repeats from a blob cache
-  without re-pickling), ``handles`` (one per entry, for the client's
-  next submit), per-request ``tiers`` (``"hit" | "shared" | "store" |
-  "miss" | "coalesced"``) and the batch's ``miss_seconds`` so the
-  client mirrors honest stats.
+  pickling drift impossible to miss.  The workload and cost parameters
+  are the only pickled objects left on the wire.
+- ``submit``: ``{"op", "id", "keys"}`` — price a batch.  Each entry is
+  one design's content key in the :func:`repro.core.codec.encode_key`
+  layout.  The daemon looks keys up without building any object and
+  rebuilds ``(networks, accelerator)`` only for misses, refusing an
+  entry whose rebuilt pair does not reproduce its key.  The reply
+  carries ``evaluations`` (request order, each one
+  :func:`repro.core.codec.encode_evaluation` bytes, which the client
+  decodes with the accelerator of its own request pair), per-request
+  ``tiers`` (``"hit" | "shared" | "store" | "miss" | "coalesced"``) and
+  the batch's ``miss_seconds`` so the client mirrors honest stats.
 - ``status``: ``{"op"}`` — pre-handshake liveness/occupancy probe
   (``repro serve --status``): uptime, hosted services, in-flight and
   queued work, counters, store occupancy.  Needs no evaluation
   context, so monitoring never pays a handshake.
 - ``stats`` / ``bump_generation`` / ``flush`` / ``ping`` /
   ``shutdown``: service management; see :class:`repro.core.server.\
-PricingServer`.
+PricingServer`.  ``stats`` answers with plain dictionaries (the
+  hosted service's counters as a field -> value map).
 
 Error frames carry ``ok: False`` and an ``error`` string; a frame with
 ``retryable: True`` (the daemon's bounded in-flight queue refusing at
@@ -51,23 +61,42 @@ capacity) tells the client the *connection* is healthy and the request
 should be retried with backoff, while every other refusal is terminal
 for that request.
 
-Like the checkpoint format, frames use pickle: evaluations must
-round-trip bit-identically, and the socket is a *local* Unix socket
-owned by the same user — only connect to daemons you started yourself.
+The socket is a *local* Unix socket owned by the same user.  The
+allow-list bounds what a peer's bytes can do to the daemon to
+building those few plain data classes; it is not an authentication
+scheme.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 from typing import Any
 
-__all__ = ["FrameError", "MAX_FRAME_BYTES", "PROTOCOL_VERSION",
-           "encode_frame", "read_frame", "recv_frame", "send_frame"]
+__all__ = ["ALLOWED_CLASSES", "FrameError", "MAX_FRAME_BYTES",
+           "PROTOCOL_VERSION", "encode_frame", "read_frame", "recv_frame",
+           "send_frame"]
 
 #: Bumped on any incompatible change to the frame or message schema.
-#: Version 2: evaluations carry no HAP schedule.
-PROTOCOL_VERSION = 2
+#: Version 2: evaluations carry no HAP schedule.  Version 3: submits
+#: carry codec-encoded content keys, replies codec-encoded evaluations,
+#: and frames are read through the allow-listed unpickler.
+PROTOCOL_VERSION = 3
+
+#: The only globals a frame may reference: what a ``hello`` ships
+#: (workload, its tasks and search spaces, cost parameters).  Every
+#: other payload is built from pickle's primitive opcodes alone.
+ALLOWED_CLASSES = frozenset({
+    ("repro.arch.resnet", "ResNetSpace"),
+    ("repro.arch.space", "Choice"),
+    ("repro.arch.unet", "UNetSpace"),
+    ("repro.cost.params", "CostModelParams"),
+    ("repro.workloads.workload", "DesignSpecs"),
+    ("repro.workloads.workload", "PenaltyBounds"),
+    ("repro.workloads.workload", "Task"),
+    ("repro.workloads.workload", "Workload"),
+})
 
 #: Upper bound either side accepts for one frame.  Generous for real
 #: batches (a few hundred designs pickle to well under a megabyte) yet
@@ -81,7 +110,19 @@ _LEN = struct.Struct("<Q")
 
 
 class FrameError(ValueError):
-    """A frame violated the protocol (oversized, truncated, unpicklable)."""
+    """A frame violated the protocol (oversized, truncated, unpicklable,
+    or referencing a class outside :data:`ALLOWED_CLASSES`)."""
+
+
+class _AllowListUnpickler(pickle.Unpickler):
+    """Unpickler that resolves only :data:`ALLOWED_CLASSES`."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) not in ALLOWED_CLASSES:
+            raise FrameError(
+                f"frame references {module}.{name}, which the protocol "
+                f"does not allow")
+        return super().find_class(module, name)
 
 
 def encode_frame(payload: Any, *,
@@ -119,7 +160,9 @@ def _decode_payload(blob: bytes, length: int) -> Any:
         raise FrameError(
             f"truncated frame body ({len(blob)} of {length} bytes)")
     try:
-        return pickle.loads(blob)
+        return _AllowListUnpickler(io.BytesIO(blob)).load()
+    except FrameError:
+        raise
     except Exception as exc:
         raise FrameError(f"unpicklable frame body: {exc}") from exc
 

@@ -29,6 +29,14 @@ Architecture (one asyncio loop, two single-thread executors):
   stats writes happen only on the loop thread.  Coalescing happens on
   the loop thread *before* dispatch, so each distinct in-flight design
   is computed exactly once however the batch is priced.
+- **Keys in, numbers out.**  Submits carry
+  :func:`repro.core.codec.encode_key` content keys, which walk the
+  tiers as plain tuples; only a miss rebuilds its ``(networks,
+  accelerator)`` pair, through the hosted service's workload
+  (:func:`repro.core.evalservice.rebuild_design`), and an entry whose
+  rebuilt pair does not reproduce its key is refused before anything
+  is priced.  Replies carry :func:`repro.core.codec.encode_evaluation`
+  bytes.
 - **Cross-client coalescing.**  An in-flight future map keyed by
   ``(salt, content key)``: when client B submits a design client A is
   currently pricing, B awaits A's future instead of recomputing —
@@ -60,6 +68,9 @@ Hardening (one faulty client must never take the daemon down):
 - **Bounded in-flight queue.**  Past ``max_inflight`` queued
   computations, submits are refused loudly with a ``retryable`` error
   frame the client backs off on — memory stays bounded under storm.
+- **Hostile frames.**  Frames are read through the protocol's
+  allow-listed unpickler, and any request that raises while being
+  served answers an error frame instead of killing its handler.
 - **Compute isolation.**  A design whose pricing raises (poisoned
   input) answers a per-request error frame; the daemon, its other
   connections and coalesced siblings of *other* designs are untouched.
@@ -78,7 +89,7 @@ oracle pairs in :mod:`repro.core.differential` and
 from __future__ import annotations
 
 import asyncio
-import pickle
+import dataclasses
 import shutil
 import signal
 import socket
@@ -89,11 +100,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.core.codec import decode_key, encode_evaluation
 from repro.core.evaluator import Evaluator
 from repro.core.evalservice import (
     EvalService,
-    design_content,
     evaluation_context_salt,
+    rebuild_design,
 )
 from repro.core.faults import TornWriteError
 from repro.core.protocol import (
@@ -192,11 +204,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         #: the in-flight map before the service is asked anything).
         self._coalesced_by_salt: dict[str, int] = {}
         self._inflight: dict[tuple[str, tuple], asyncio.Future] = {}
-        # Evaluations pickled once, served many times: the hit path of
-        # a repeat-heavy trace is dominated by (re)pickling reply
-        # objects, so replies are cached as blobs per (salt, key).
-        self._reply_blobs: dict[tuple[str, tuple], bytes] = {}
-        self._reply_blob_cap = 16384
         self._persist_queue: asyncio.Queue | None = None
         self._compute: ThreadPoolExecutor | None = None
         self._write: ThreadPoolExecutor | None = None
@@ -496,10 +503,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         self.counters["connections"] += 1
         self._client_writers.add(writer)
         service: EvalService | None = None
-        # Connection-local design handles: entry i is the (key, pair)
-        # this client first submitted as handle i, so its repeats ride
-        # as ints instead of re-pickled kilobyte design objects.
-        handles: list[tuple[tuple, tuple]] = []
         try:
             while True:
                 try:
@@ -513,7 +516,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 except asyncio.TimeoutError:
                     # Idle past the read deadline: shed the connection
                     # (the client reconnects transparently if it is
-                    # still alive — handles are re-registered).
+                    # still alive).
                     self.counters["shed"] += 1
                     return
                 except (FrameError,
@@ -525,8 +528,17 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                     return
                 if request is None:
                     return  # clean disconnect between frames
-                response = await self._dispatch(request, service,
-                                                handles)
+                try:
+                    response = await self._dispatch(request, service)
+                except (ConnectionResetError, BrokenPipeError):
+                    raise
+                except Exception as exc:
+                    # A request the handlers did not anticipate (odd
+                    # field types from a hostile peer) answers an error
+                    # frame; it never takes the connection handler down.
+                    response = {"ok": False,
+                                "error": f"request failed: "
+                                         f"{type(exc).__name__}: {exc}"}
                 if isinstance(response, tuple):  # hello binds a service
                     service, response = response
                 await self._reply(writer, response)
@@ -552,8 +564,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                     asyncio.CancelledError):
                 pass
 
-    async def _dispatch(self, request, service: EvalService | None,
-                        handles: list):
+    async def _dispatch(self, request, service: EvalService | None):
         if not isinstance(request, dict) or "op" not in request:
             return {"ok": False,
                     "error": "malformed request (expected a dict "
@@ -571,7 +582,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             return {"ok": False,
                     "error": f"op {op!r} before a successful hello"}
         if op == "submit":
-            return await self._handle_submit(service, request, handles)
+            return await self._handle_submit(service, request)
         if op == "stats":
             return self._handle_stats(service)
         if op == "bump_generation":
@@ -603,13 +614,14 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             params = request["cost_params"]
             rho = request["rho"]
             salt = evaluation_context_salt(workload, params, rho)
+            service = self.services.get(salt)
+            evaluator = (Evaluator(workload, CostModel(params),
+                                   trainer=None, rho=rho)
+                         if service is None else None)
         except Exception as exc:
             return None, {"ok": False,
                           "error": f"bad hello payload: {exc}"}
-        service = self.services.get(salt)
         if service is None:
-            evaluator = Evaluator(workload, CostModel(params),
-                                  trainer=None, rho=rho)
             service = EvalService(
                 evaluator, cache_size=self.cache_size, store=self.store,
                 workers=self.workers if self._injector is None else 0)
@@ -663,51 +675,37 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
     # ------------------------------------------------------------------
     # Pricing
     # ------------------------------------------------------------------
-    async def _handle_submit(self, service: EvalService, request,
-                             handles: list):
+    async def _handle_submit(self, service: EvalService, request):
         if self._injector is not None \
                 and self._injector.on_server_batch():
             # Injected daemon kill: crash semantics, mid-request.
             self._force_event.set()
             raise ConnectionResetError("fault injection: daemon killed")
-        entries = request.get("pairs")
+        entries = request.get("keys")
         if not isinstance(entries, list):
-            return {"ok": False, "error": "submit without a pairs list"}
-        resolved: list[tuple[tuple, tuple, int]] = []
-        try:
-            for entry in entries:
-                if isinstance(entry, int):
-                    if not 0 <= entry < len(handles):
-                        return {"ok": False, "id": request.get("id"),
-                                "error": "unknown design handle "
-                                         f"{entry} (this connection "
-                                         f"issued {len(handles)})"}
-                    key, pair = handles[entry]
-                    resolved.append((key, pair, entry))
-                else:
-                    networks, accelerator = entry
-                    pair = (networks, accelerator)
-                    key = design_content(networks, accelerator)
-                    handles.append((key, pair))
-                    resolved.append((key, pair, len(handles) - 1))
-        except Exception as exc:
             return {"ok": False, "id": request.get("id"),
-                    "error": f"malformed design entry: {exc}"}
+                    "error": "submit without a keys list"}
+        try:
+            keys = [decode_key(entry) for entry in entries]
+        except ValueError as exc:
+            return {"ok": False, "id": request.get("id"),
+                    "error": f"malformed design key: {exc}"}
         self.counters["batches"] += 1
         service.stats.batches += 1
         salt = service.context_salt
+        workload = service.evaluator.workload
         results: dict[tuple, object] = {}
         first_tier: dict[tuple, str] = {}
         awaited: dict[tuple, asyncio.Future] = {}
-        fresh: list[tuple[tuple, tuple]] = []
-        for key, pair, _handle in resolved:
+        fresh: list[tuple[tuple, tuple, str | None]] = []
+        for key in keys:
             if key in first_tier:
                 # Intra-batch duplicate: the first occurrence answers
                 # for all of them (counted as a hit, mirroring
                 # EvalService.evaluate_many).
                 service.stats.hits += 1
                 continue
-            evaluation, tier = service.lookup_tiers(key)
+            evaluation, tier, digest = service.lookup_tiers(key)
             if evaluation is not None:
                 results[key] = evaluation
                 first_tier[key] = tier
@@ -723,6 +721,13 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 self._coalesced_by_salt[salt] = \
                     self._coalesced_by_salt.get(salt, 0) + 1
                 continue
+            try:
+                pair = rebuild_design(workload, key)
+            except ValueError as exc:
+                # Nothing of this submit has been priced yet: refuse it
+                # whole rather than price a key that names no design.
+                return {"ok": False, "id": request.get("id"),
+                        "error": f"design key refused: {exc}"}
             if len(self._inflight) + len(fresh) >= self.max_inflight:
                 # Refuse loudly instead of ballooning; the misses this
                 # submit already claimed are still priced and land in
@@ -734,7 +739,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                         "error": f"pricing daemon at capacity "
                                  f"({len(self._inflight)} computations "
                                  f"in flight); retry with backoff"}
-            fresh.append((key, pair))
+            fresh.append((key, pair, digest))
             first_tier[key] = "miss"
         awaited.update(self._price_misses(service, fresh))
         miss_seconds = 0.0
@@ -759,34 +764,27 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                         "error": f"pricing failed for {len(failures)} "
                                  f"of {len(awaited)} designs (first: "
                                  f"{type(exc).__name__}: {exc})"}
+        blobs = {key: self._reply_blob(evaluation)
+                 for key, evaluation in results.items()}
         seen: set[tuple] = set()
         tiers = []
-        for key, _pair, _handle in resolved:
+        for key in keys:
             tiers.append(first_tier[key] if key not in seen else "hit")
             seen.add(key)
         return {"ok": True, "id": request.get("id"),
-                "evaluations": [
-                    self._reply_blob(salt, key, results[key])
-                    for key, _pair, _handle in resolved],
-                "handles": [handle for _key, _pair, handle in resolved],
+                "evaluations": [blobs[key] for key in keys],
                 "tiers": tiers, "miss_seconds": miss_seconds}
 
-    def _reply_blob(self, salt: str, key: tuple, evaluation) -> bytes:
-        """The evaluation pickled once per design (FIFO-capped cache)."""
-        address = (salt, key)
-        blob = self._reply_blobs.get(address)
-        if blob is None:
-            blob = pickle.dumps(evaluation,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            while len(self._reply_blobs) >= self._reply_blob_cap:
-                self._reply_blobs.pop(next(iter(self._reply_blobs)))
-            self._reply_blobs[address] = blob
-        return blob
+    def _reply_blob(self, evaluation) -> bytes:
+        """One evaluation in the wire's codec layout (the accelerator
+        stays with the client's request pair)."""
+        return encode_evaluation(evaluation)
 
     def _price_misses(self, service: EvalService,
-                      misses: list[tuple[tuple, tuple]]
+                      misses: list[tuple[tuple, tuple, str | None]]
                       ) -> dict[tuple, asyncio.Future]:
-        """Price one submit's fresh misses as one compute-thread job.
+        """Price one submit's fresh ``(key, pair, store digest)`` misses
+        as one compute-thread job.
 
         Each miss gets its own in-flight future, registered before this
         returns, so later submits (any client) coalesce onto it.  The
@@ -794,14 +792,16 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         request order, then prices the survivors through the hosted
         service's :meth:`~repro.core.evalservice.EvalService.\
 compute_batch`; if that raises, it reprices them one by one, so only
-        the raising design fails.  Admission, persistence and future
-        resolution happen back on the loop thread.
+        the raising design fails.  Admission, persistence (under the
+        digest the store lookup already hashed) and future resolution
+        happen back on the loop thread.
         """
         if not misses:
             return {}
         salt = service.context_salt
         futures: dict[tuple, asyncio.Future] = {}
-        for key, _pair in misses:
+        digests: dict[tuple, str | None] = {}
+        for key, _pair, digest in misses:
             future = self._loop.create_future()
             # A compute that fails after its only awaiter disconnected
             # (or was refused) must not surface "exception never
@@ -810,12 +810,13 @@ compute_batch`; if that raises, it reprices them one by one, so only
                 lambda f: f.exception() if not f.cancelled() else None)
             self._inflight[(salt, key)] = future
             futures[key] = future
+            digests[key] = digest
         injector = self._injector
 
         def compute():
             failed: dict[tuple, BaseException] = {}
             ready = []
-            for key, pair in misses:
+            for key, pair, _digest in misses:
                 try:
                     if injector is not None:
                         injector.on_compute(key)
@@ -864,8 +865,7 @@ compute_batch`; if that raises, it reprices them one by one, so only
                 for key, evaluation in zip(keys, batch.evaluations):
                     if self.store is not None:
                         self._persist_queue.put_nowait(
-                            (salt, service.store_digest(key), key,
-                             evaluation))
+                            (salt, digests[key], key, evaluation))
                     futures[key].set_result((evaluation, seconds))
             for key, exc in failed.items():
                 futures[key].set_exception(exc)
@@ -937,7 +937,7 @@ compute_batch`; if that raises, it reprices them one by one, so only
 
     def _handle_stats(self, service: EvalService):
         return {"ok": True,
-                "stats": service.stats.snapshot(),
+                "stats": dataclasses.asdict(service.stats),
                 "cache_len": service.cache_len,
                 "services": len(self.services),
                 "server": dict(self.counters),

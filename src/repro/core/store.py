@@ -23,11 +23,28 @@ Design:
   parameters, rho), entries are only ever reused under an exactly equal
   context — the same guarantee PR 3's shared campaign services rely on.
 - **Durable appends.**  The file is a magic header plus length-prefixed
-  pickled records; every append goes through
+  records; every append goes through
   :func:`repro.core.serialization.durable_append` (flush + fsync), so a
   priced design survives the process that priced it.  A truncated or
   corrupted file is rejected with a clear error on open — never
   silently half-loaded.
+- **Record formats (file version 2).**  An evaluation record whose
+  value is a :class:`~repro.core.evaluator.HardwareEvaluation` — every
+  record the pricing tier writes — is a codec record: a ``0x02`` tag,
+  the salt and digest, the :func:`repro.core.codec.encode_key` content
+  key and the :func:`repro.core.codec.encode_evaluation` numbers.
+  :meth:`EvalStore.get` decodes it with the accelerator rebuilt from
+  the key (:func:`repro.core.codec.accelerator_from_key`), so no
+  pickled design object is persisted.  Memo records, and evaluation
+  records holding any other value, stay pickled dictionaries (their
+  first byte is pickle's ``0x80``).
+- **Version-1 files.**  Files headed ``repro-evalstore v1`` hold only
+  pickled records; they are read as before and answer bit-identically.
+  A writer never appends under the v1 magic: before its first append it
+  rewrites the header to ``repro-evalstore v2`` in place (same length,
+  fsynced), and :meth:`EvalStore.compact` always writes a v2 header.
+  Code that predates version 2 refuses a v2 file by its magic instead
+  of misreading it.
 - **Offset index + lazy records.**  A ``<name>.idx`` sidecar
   (:func:`repro.core.serialization.save_store_index`) holds a sorted
   ``(bucket hash, file offset)`` table, so opening a store reads a
@@ -68,7 +85,7 @@ Design:
 
 The store is infrastructure beneath the exactness contracts: a warm
 start changes *where* an evaluation's bits come from, never what they
-are (pickle round-trips the records exactly), which
+are (the codec and pickle both round-trip records exactly), which
 ``tests/test_store.py``, the ``store-compact`` differential pair and
 ``benchmarks/bench_store.py`` pin down.
 """
@@ -91,6 +108,9 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
+from repro.core.codec import (accelerator_from_key, decode_evaluation,
+                              decode_key, encode_evaluation, encode_key)
+from repro.core.evaluator import HardwareEvaluation
 from repro.core.serialization import (_fsync_directory, durable_append,
                                       durable_replace, load_store_index,
                                       save_store_index, store_index_path)
@@ -100,11 +120,22 @@ __all__ = ["EvalStore", "STORE_MAGIC", "STORE_VERSION",
            "cost_params_digest"]
 
 #: File magic; bumping :data:`STORE_VERSION` changes this line.
-STORE_VERSION = 1
-STORE_MAGIC = b"repro-evalstore v1\n"
+STORE_VERSION = 2
+STORE_MAGIC = b"repro-evalstore v2\n"
+#: Magic of version-1 files (pickled records only): still read, and
+#: upgraded in place before the first append.
+_V1_MAGIC = b"repro-evalstore v1\n"
+assert len(_V1_MAGIC) == len(STORE_MAGIC)
 
 #: struct format of the record length prefix (little-endian u64).
 _LEN = struct.Struct("<Q")
+
+#: First byte of a codec evaluation record.  Pickled records start with
+#: pickle's PROTO opcode (0x80), so the two never collide.
+_CODEC_TAG = 0x02
+#: Codec record head: tag, then the byte lengths of salt, digest and
+#: encoded key; the encoded evaluation fills the rest of the record.
+_CODEC_HEAD = struct.Struct("<BHHH")
 
 #: Store-file bytes hashed into the index staleness stamp.  The window
 #: always includes the end of the covered prefix, so any truncation,
@@ -137,6 +168,51 @@ def _bucket_hash(salt: str, digest: str) -> int:
     cost a decode, never a wrong answer.
     """
     return stable_hash((salt, digest), salt="evalstore-bucket")
+
+
+def _encode_record(record: dict) -> bytes:
+    """One record body: codec layout for priced evaluations, pickle for
+    memo records and any other evaluation value."""
+    evaluation = record.get("evaluation")
+    if record["kind"] == "eval" and isinstance(evaluation,
+                                               HardwareEvaluation):
+        salt = record["salt"].encode("utf-8")
+        digest = record["digest"].encode("utf-8")
+        key = encode_key(record["key"])
+        return b"".join((
+            _CODEC_HEAD.pack(_CODEC_TAG, len(salt), len(digest), len(key)),
+            salt, digest, key, encode_evaluation(evaluation)))
+    return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _decode_record(body: bytes) -> dict:
+    """Inverse of :func:`_encode_record`, also reading version-1 records
+    (raises ``ValueError`` on anything that is not a store record)."""
+    if body[:1] == bytes((_CODEC_TAG,)):
+        try:
+            _tag, salt_len, digest_len, key_len = \
+                _CODEC_HEAD.unpack_from(body, 0)
+        except struct.error as exc:
+            raise ValueError(f"truncated codec record: {exc}") from exc
+        pos = _CODEC_HEAD.size
+        salt = body[pos:pos + salt_len].decode("utf-8")
+        pos += salt_len
+        digest = body[pos:pos + digest_len].decode("utf-8")
+        pos += digest_len
+        if pos + key_len > len(body):
+            raise ValueError("truncated codec record")
+        key = decode_key(body[pos:pos + key_len])
+        evaluation = decode_evaluation(body[pos + key_len:],
+                                       accelerator_from_key(key))
+        return {"kind": "eval", "salt": salt, "digest": digest, "key": key,
+                "evaluation": evaluation}
+    try:
+        record = pickle.loads(body)
+    except Exception as exc:
+        raise ValueError(f"unreadable record: {exc}") from exc
+    if not isinstance(record, dict) or "kind" not in record:
+        raise ValueError("record is not a store record")
+    return record
 
 
 class EvalStore:
@@ -250,6 +326,8 @@ FaultInjector` hooked into the append path (torn-write injection).
         self._idx_handle = None
         self._append_failed = False
         self._idx_dirty = False
+        #: True while the file still carries the version-1 magic.
+        self._v1_header = False
         #: True when the last load trusted the ``.idx`` sidecar.
         self.index_used = False
         #: Records decoded by load-time scans (0 on an index-fresh
@@ -364,8 +442,10 @@ FaultInjector` hooked into the append path (torn-write injection).
             # is an empty store, not corruption.
             return
         head = reader.read(len(STORE_MAGIC))
-        if head != STORE_MAGIC:
-            if self._recover and STORE_MAGIC.startswith(head):
+        self._v1_header = head == _V1_MAGIC
+        if head != STORE_MAGIC and not self._v1_header:
+            if self._recover and (STORE_MAGIC.startswith(head)
+                                  or _V1_MAGIC.startswith(head)):
                 # A crash during the very first append flushed only
                 # part of the header: nothing durable was promised.
                 self._quarantine_tail(reader, 0, "torn file header")
@@ -472,13 +552,10 @@ FaultInjector` hooked into the append path (torn-write injection).
                 if len(blob) < length:
                     raise self._corrupt("truncated record body")
                 try:
-                    record = pickle.loads(blob)
-                except Exception as exc:
-                    raise self._corrupt(
-                        f"unreadable record: {exc}") from exc
+                    record = _decode_record(blob)
+                except ValueError as exc:
+                    raise self._corrupt(str(exc)) from exc
                 offset += length
-                if not isinstance(record, dict) or "kind" not in record:
-                    raise self._corrupt("record is not a store record")
                 self._index_record(record, record_start)
                 self.scanned_records += 1
             except ValueError as exc:
@@ -574,7 +651,7 @@ FaultInjector` hooked into the append path (torn-write injection).
         return self._reader
 
     def _decode_raw(self, offset: int) -> dict:
-        """``pread`` + unpickle the record at ``offset`` (positioned
+        """``pread`` + decode the record at ``offset`` (positioned
         reads: safe under concurrent lookups, no seek state)."""
         fd = self._ensure_reader().fileno()
         prefix = os.pread(fd, _LEN.size, offset)
@@ -590,14 +667,10 @@ FaultInjector` hooked into the append path (torn-write injection).
             raise self._corrupt(
                 f"record at offset {offset} is truncated")
         try:
-            record = pickle.loads(body)
-        except Exception as exc:
-            raise self._corrupt(
-                f"unreadable record at offset {offset}: {exc}") from exc
-        if not isinstance(record, dict):
-            raise self._corrupt(
-                f"record at offset {offset} is not a store record")
-        return record
+            return _decode_record(body)
+        except ValueError as exc:
+            raise self._corrupt(f"record at offset {offset}: {exc}") \
+                from exc
 
     def _record_at(self, offset: int, *, cache: bool = True) -> dict:
         if cache:
@@ -791,8 +864,14 @@ FaultInjector` hooked into the append path (torn-write injection).
 
     def _append_records(self, records: list[dict]) -> list[int]:
         """Durably append ``records``; returns their file offsets."""
+        return self._append_bodies([_encode_record(record)
+                                    for record in records])
+
+    def _append_bodies(self, bodies: list[bytes]) -> list[int]:
+        """Durably append encoded record bodies (one fsync); returns
+        their file offsets."""
         self._ensure_writable()
-        if not records:
+        if not bodies:
             return []
         if self._append_failed:
             # The previous append died part-way (disk full, torn
@@ -804,6 +883,8 @@ FaultInjector` hooked into the append path (torn-write injection).
                 pass
             self._size_bytes = os.fstat(self._handle.fileno()).st_size
             self._append_failed = False
+        if self._v1_header:
+            self._upgrade_header()
         base = self._size_bytes
         header = b""
         if self._needs_magic:
@@ -812,8 +893,7 @@ FaultInjector` hooked into the append path (torn-write injection).
         frames = []
         offsets = []
         position = base
-        for record in records:
-            blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        for blob in bodies:
             frames.append(_LEN.pack(len(blob)) + blob)
             offsets.append(position)
             position += _LEN.size + len(blob)
@@ -833,6 +913,25 @@ FaultInjector` hooked into the append path (torn-write injection).
         self._size_bytes = position
         self._idx_dirty = True
         return offsets
+
+    def _upgrade_header(self) -> None:
+        """Rewrite a version-1 magic as the version-2 one, durably,
+        before this writer's first append.
+
+        The magics have the same length and differ in one byte, so the
+        rewrite cannot tear a record; the append handle is ``O_APPEND``
+        (whose ``pwrite`` appends on Linux), hence the separate
+        descriptor.
+        """
+        fd = os.open(self.path, os.O_WRONLY)
+        try:
+            os.pwrite(fd, STORE_MAGIC, 0)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self._v1_header = False
+        # The sidecar's tail hash may cover the header: restamp it.
+        self._idx_dirty = True
 
     def _index_appended(self, record: dict, offset: int) -> None:
         """Index a record that just became durable at ``offset`` (the
@@ -1081,6 +1180,7 @@ FaultInjector` hooked into the append path (torn-write injection).
         self._shadowed = 0
         self._size_bytes = position
         self._needs_magic = False
+        self._v1_header = False
         self._idx_dirty = True
         self._write_index()
         report["bytes_after"] = position

@@ -257,10 +257,9 @@ class _ModelGuidedStrategy(JointSearch):
         """Invert :func:`repro.core.evalservice.design_content` to a genome.
 
         Returns ``None`` for records that do not fit this run's spaces
-        (different tasks, allocation options, or budget).  U-Net
-        genotypes are canonical (unused depth levels dropped), so the
-        missing trailing choices are padded with each choice's first
-        option — any padding decodes to the same network.
+        (different tasks, allocation options, or budget).  Canonical
+        (shortened) U-Net genotypes are padded by
+        :meth:`~repro.arch.space.ArchitectureSpace.genotype_indices`.
         """
         identities, slots, budget_key = key
         alloc = self.allocation
@@ -275,12 +274,8 @@ class _ModelGuidedStrategy(JointSearch):
                 if (backbone != space.backbone
                         or dataset != space.dataset):
                     return None
-                choices = space.choices
-                values = (tuple(genotype)
-                          + tuple(c.options[0]
-                                  for c in choices[len(genotype):]))
                 genes[self.space.task_slice(t)] = list(
-                    space.indices_of(values))
+                    space.genotype_indices(genotype))
             dataflow_values = [d.value for d in alloc.dataflows]
             for slot, (df_value, pes, bw) in enumerate(slots):
                 df_pos, pe_pos, bw_pos = self.space.slot_positions(slot)

@@ -20,6 +20,8 @@ import time
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from suite_helpers import die_in_worker, sample_design_pairs
 from repro.core.client import (
@@ -28,13 +30,19 @@ from repro.core.client import (
     parse_endpoint,
     probe_status,
 )
-from repro.core.evalservice import EvalService, design_content
+from repro.core.codec import encode_key
+from repro.core.evalservice import (
+    EvalService,
+    design_content,
+    evaluation_context_salt,
+)
 from repro.core.evaluator import Evaluator
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameError,
+    _decode_payload,
     encode_frame,
     read_frame,
     recv_frame,
@@ -70,6 +78,33 @@ def wait_until(predicate, timeout: float = 30.0) -> None:
         if time.monotonic() > deadline:
             pytest.fail("condition not reached in time")
         time.sleep(0.01)
+
+
+class Gadget:
+    """Pickles as a call of ``fn(arg)`` — the classic pickle exploit."""
+
+    def __init__(self, fn, arg) -> None:
+        self.fn, self.arg = fn, arg
+
+    def __reduce__(self):
+        return self.fn, (self.arg,)
+
+
+def raw_session(server, workload) -> socket.socket:
+    """A raw connection that completed a valid hello."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30)
+    sock.connect(str(server.socket_path))
+    send_frame(sock, {"op": "hello", "version": PROTOCOL_VERSION,
+                      "workload": workload, "cost_params": make_params(),
+                      "rho": RHO})
+    assert recv_frame(sock)["ok"]
+    return sock
+
+
+def wire_keys(pairs) -> list[bytes]:
+    """Submit entries for ``pairs``: their encoded content keys."""
+    return [encode_key(design_content(*pair)) for pair in pairs]
 
 
 def direct_prices(workload, pairs) -> list:
@@ -194,6 +229,29 @@ class TestFraming:
             with pytest.raises(FrameError, match="unpicklable"):
                 recv_frame(right)
 
+    def test_allow_list_refuses_code_execution(self, tmp_path):
+        """A pickle whose reduce calls ``os.system`` or
+        ``builtins.eval`` is refused by its global, before it runs."""
+        marker = tmp_path / "pwned"
+        for gadget in (Gadget(os.system, f"touch {marker}"),
+                       Gadget(eval, f"open({str(marker)!r}, 'w')")):
+            blob = pickle.dumps({"op": "ping", "x": gadget})
+            with pytest.raises(FrameError, match="does not allow"):
+                _decode_payload(blob, len(blob))
+        assert not marker.exists()
+
+    def test_allow_list_admits_the_hello_payload(self, workload):
+        hello = {"op": "hello", "version": PROTOCOL_VERSION,
+                 "workload": workload, "cost_params": make_params(),
+                 "rho": RHO}
+        blob = pickle.dumps(hello, protocol=pickle.HIGHEST_PROTOCOL)
+        decoded = _decode_payload(blob, len(blob))
+        # Search spaces compare by identity; the context salt is the
+        # value contract the handshake checks.
+        assert evaluation_context_salt(
+            decoded["workload"], decoded["cost_params"], decoded["rho"]
+        ) == evaluation_context_salt(workload, make_params(), RHO)
+
     def test_endpoint_parsing(self):
         assert str(parse_endpoint("unix:///run/x.sock")) == "/run/x.sock"
         assert str(parse_endpoint("/tmp/y.sock")) == "/tmp/y.sock"
@@ -248,26 +306,28 @@ class TestServedPricing:
                 assert "version" in reply["error"]
 
     def test_hello_from_version_1_names_both_versions(self, workload):
-        """Version 1 shipped evaluations with a HAP schedule; a client
-        still speaking it is refused, and the error says which version
-        it sent and which one the daemon speaks."""
-        assert PROTOCOL_VERSION == 2
+        """Version 1 shipped evaluations with a HAP schedule and
+        version 2 pickled designs and evaluations; a client still
+        speaking either is refused, and the error says which version it
+        sent and which one the daemon speaks."""
+        assert PROTOCOL_VERSION == 3
         with serve_in_thread() as server:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            with sock:
-                sock.connect(str(server.socket_path))
-                send_frame(sock, {"op": "hello", "version": 1})
-                reply = recv_frame(sock)
-                assert not reply["ok"]
-                assert "version 1 " in reply["error"]
-                assert "speaks 2" in reply["error"]
+            for old in (1, 2):
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                with sock:
+                    sock.connect(str(server.socket_path))
+                    send_frame(sock, {"op": "hello", "version": old})
+                    reply = recv_frame(sock)
+                    assert not reply["ok"]
+                    assert f"version {old} " in reply["error"]
+                    assert "speaks 3" in reply["error"]
 
     def test_submit_before_hello_is_refused(self, workload):
         with serve_in_thread() as server:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             with sock:
                 sock.connect(str(server.socket_path))
-                send_frame(sock, {"op": "submit", "pairs": []})
+                send_frame(sock, {"op": "submit", "keys": []})
                 reply = recv_frame(sock)
                 assert not reply["ok"]
                 assert "before a successful hello" in reply["error"]
@@ -312,7 +372,7 @@ class TestServedPricing:
                                   "rho": RHO})
                 assert recv_frame(sock)["ok"]
                 send_frame(sock, {"op": "submit", "id": 1,
-                                  "pairs": pairs})
+                                  "keys": wire_keys(pairs)})
                 # Hang up without reading the reply.
             deadline = time.monotonic() + 30
             with make_client(server, workload) as client:
@@ -640,6 +700,46 @@ class TestWorkerPool:
 # Store integration
 # ----------------------------------------------------------------------
 class TestDaemonStore:
+    @pytest.mark.parametrize("corrupt", ["genotype", "backbone",
+                                         "dataset", "truncated"])
+    def test_key_not_naming_a_design_is_refused(
+            self, tmp_path, workload, pairs, corrupt):
+        """A key whose rebuilt pair differs (a genotype value outside
+        the space, a backbone or dataset that is not the task's) or
+        that does not decode is refused with an error frame; nothing
+        is priced or persisted and the daemon serves on."""
+        store_path = tmp_path / "store.bin"
+        identities, slots, budget = design_content(*pairs[0])
+        (backbone, dataset, genotype), *rest = identities
+        if corrupt == "genotype":
+            identities = ((backbone, dataset, (5,) + genotype[1:]), *rest)
+        elif corrupt == "backbone":
+            identities = (("unet", dataset, genotype), *rest)
+        elif corrupt == "dataset":
+            identities = ((backbone, "stl10", genotype), *rest)
+        blob = encode_key((tuple(identities), slots, budget))
+        if corrupt == "truncated":
+            blob = blob[:-1]
+        with serve_in_thread(store_path=store_path) as server:
+            with make_client(server, workload) as client:
+                client.evaluate_many(pairs[1:2])
+            wait_until(lambda: server.counters["persisted"] == 1)
+            server_bytes = store_path.read_bytes()
+            with raw_session(server, workload) as sock:
+                send_frame(sock, {"op": "submit", "id": 7,
+                                  "keys": wire_keys(pairs[2:3]) + [blob]})
+                reply = recv_frame(sock)
+                assert not reply["ok"]
+                assert reply["id"] == 7
+                assert ("refused" in reply["error"]
+                        or "malformed" in reply["error"])
+                assert server.counters["computed"] == 1
+                assert store_path.read_bytes() == server_bytes
+                # The connection stays usable for a good submit.
+                send_frame(sock, {"op": "submit", "id": 8,
+                                  "keys": wire_keys(pairs[1:2])})
+                assert recv_frame(sock)["ok"]
+
     def test_priced_work_persists_and_warm_restarts(
             self, tmp_path, workload, pairs):
         store_path = tmp_path / "store.bin"
@@ -887,7 +987,7 @@ class TestHardening:
                                       "rho": RHO})
                     assert recv_frame(sock)["ok"]
                     send_frame(sock, {"op": "submit", "id": 1,
-                                      "pairs": pairs[1:2]})
+                                      "keys": wire_keys(pairs[1:2])})
                     deadline = time.monotonic() + 30
                     while time.monotonic() < deadline:
                         if len(server._inflight) > 0:
@@ -1015,3 +1115,90 @@ class TestHardening:
                     break
                 time.sleep(0.05)
             assert fd_count() <= baseline
+
+
+# ----------------------------------------------------------------------
+# Hostile frames
+# ----------------------------------------------------------------------
+_WRONG_TYPED = st.dictionaries(
+    st.sampled_from(["op", "id", "keys", "version", "workload", "rho"]),
+    st.one_of(st.none(), st.integers(), st.text(max_size=8),
+              st.binary(max_size=16), st.lists(st.binary(max_size=40),
+                                               max_size=3),
+              st.sampled_from(["hello", "submit", "stats", "flush",
+                               "bump_generation"])),
+    max_size=4)
+
+
+def _hostile_frames():
+    return st.one_of(
+        st.binary(max_size=200).map(lambda body: ("body", body)),
+        st.binary(min_size=1, max_size=64).map(lambda body: ("cut", body)),
+        st.integers(MAX_FRAME_BYTES + 1, 2 ** 64 - 1).map(
+            lambda size: ("huge", size)),
+        st.one_of(_WRONG_TYPED, st.lists(st.integers(), max_size=3),
+                  st.integers(), st.text(max_size=10)).map(
+            lambda payload: ("typed", payload)),
+        st.sampled_from(["system", "eval"]).map(lambda g: ("gadget", g)),
+        st.lists(st.binary(max_size=150), min_size=1, max_size=3).map(
+            lambda keys: ("keys", keys)))
+
+
+@pytest.fixture(scope="module")
+def hostile_daemon(tmp_path_factory, workload, pairs):
+    """One store-backed daemon (with priced entries on disk) that every
+    hostile frame is thrown at."""
+    root = tmp_path_factory.mktemp("hostile")
+    store_path = root / "store.bin"
+    with serve_in_thread(store_path=store_path) as server:
+        with make_client(server, workload) as client:
+            client.evaluate_many(pairs[:2])
+        wait_until(lambda: server.counters["persisted"] == 2)
+        yield server, store_path, root / "pwned"
+
+
+class TestHostileFrames:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(frame=_hostile_frames())
+    def test_every_hostile_frame_gets_an_error_frame(
+            self, hostile_daemon, workload, pairs, frame):
+        """Arbitrary, truncated, oversized, wrong-typed and gadget
+        frames, and submits of malformed codec keys, each answer an
+        error frame; nothing runs, nothing is persisted, and the daemon
+        keeps serving."""
+        server, store_path, marker = hostile_daemon
+        before = store_path.read_bytes()
+        kind, value = frame
+        if kind == "keys":
+            sock = raw_session(server, workload)
+            good = wire_keys(pairs[:1])[0]
+            send_frame(sock, {"op": "submit", "id": 1,
+                              "keys": [good[:len(key) % len(good)] + key
+                                       for key in value]})
+        else:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(30)
+            sock.connect(str(server.socket_path))
+            if kind == "body":
+                sock.sendall(struct.pack("<Q", len(value)) + value)
+            elif kind == "cut":
+                sock.sendall(struct.pack("<Q", len(value) + 5) + value)
+                sock.shutdown(socket.SHUT_WR)
+            elif kind == "huge":
+                sock.sendall(struct.pack("<Q", value))
+            elif kind == "typed":
+                send_frame(sock, value)
+            else:
+                fn = os.system if value == "system" else eval
+                arg = (f"touch {marker}" if value == "system"
+                       else f"open({str(marker)!r}, 'w')")
+                send_frame(sock, {"op": "ping", "x": Gadget(fn, arg)})
+        with sock:
+            reply = recv_frame(sock)
+        assert isinstance(reply, dict) and reply["ok"] is False, reply
+        assert not marker.exists()
+        assert store_path.read_bytes() == before
+        with make_client(server, workload) as client:
+            assert client.evaluate_many(pairs[:1]) == direct_prices(
+                workload, pairs[:1])

@@ -29,6 +29,9 @@ from repro.core import (
     cost_params_digest,
 )
 from repro.core.store import STORE_MAGIC
+
+#: Header of a version-1 store (every record pickled).
+V1_MAGIC = b"repro-evalstore v1\n"
 from repro.cost import CostModel
 from repro.workloads import w1
 
@@ -586,12 +589,12 @@ class TestServiceTier:
                                                   workload):
         """Stores written while evaluations still carried the HAP list
         schedule hold HAPResults that pickle a ``schedule`` field; such
-        a record is answered through EvalService and equals fresh
-        pricing."""
+        a (version-1, pickled) record is answered through EvalService
+        and equals fresh pricing."""
         import dataclasses
 
         from repro.accel import AllocationSpace
-        from repro.core.evalservice import design_content
+        from repro.core.evalservice import design_content, design_digest
         from repro.mapping import MappingProblem, list_schedule
         from repro.utils.rng import new_rng
 
@@ -608,14 +611,116 @@ class TestServiceTier:
         assert "schedule" in vars(pickle.loads(pickle.dumps(old_layout)).hap)
         key = design_content(*pair)
         path = tmp_path / "s.bin"
-        with EvalStore(path) as store:
-            writer = EvalService(make_evaluator(workload))
-            store.put_many([(writer.context_salt, writer.store_digest(key),
-                             key, old_layout)])
+        salt = EvalService(make_evaluator(workload)).context_salt
+        path.write_bytes(V1_MAGIC + raw_record(
+            salt, design_digest(*pair, salt=salt), key, old_layout))
         with EvalStore(path) as store:
             service = EvalService(make_evaluator(workload), store=store)
             assert service.evaluate_many([pair]) == [fresh]
             assert (service.stats.store_hits, service.stats.misses) == (1, 0)
+
+
+class TestRecordFormats:
+    """Version-2 files hold codec records; version-1 files (every record
+    pickled) still answer bit-identically, upgrade their magic before a
+    writer appends, and compact into version-2 files."""
+
+    @staticmethod
+    def priced(workload, n=4, seed=5):
+        from suite_helpers import sample_design_pairs
+        from repro.core.evalservice import design_content, design_digest
+
+        pairs = sample_design_pairs(workload, n=n, seed=seed)
+        service = EvalService(make_evaluator(workload))
+        evaluations = service.evaluate_many(pairs)
+        salt = service.context_salt
+        return [(salt, design_digest(*pair, salt=salt),
+                 design_content(*pair), evaluation)
+                for pair, evaluation in zip(pairs, evaluations)]
+
+    def v1_store(self, tmp_path, entries):
+        path = tmp_path / "v1.bin"
+        path.write_bytes(V1_MAGIC + b"".join(
+            raw_record(*entry) for entry in entries))
+        return path
+
+    def test_new_files_carry_codec_records_not_pickled_designs(
+            self, tmp_path, workload):
+        entries = self.priced(workload)
+        path = tmp_path / "v2.bin"
+        with EvalStore(path) as store:
+            store.put_many(entries)
+        data = path.read_bytes()
+        assert data.startswith(STORE_MAGIC)
+        assert data[len(STORE_MAGIC) + 8] == 0x02  # first record's tag
+        for name in (b"HeterogeneousAccelerator", b"NetworkArch",
+                     b"HardwareEvaluation"):
+            assert name not in data
+        with EvalStore(path, read_only=True) as reopened:
+            for salt, digest, key, evaluation in entries:
+                assert reopened.get(salt, digest, key) == evaluation
+
+    def test_version_1_store_answers_bit_identically(self, tmp_path,
+                                                     workload):
+        entries = self.priced(workload)
+        path = self.v1_store(tmp_path, entries)
+        with EvalStore(path, read_only=True) as store:
+            assert len(store) == len(entries)
+            for salt, digest, key, evaluation in entries:
+                got = store.get(salt, digest, key)
+                assert got == evaluation
+                assert pickle.dumps(got) == pickle.dumps(evaluation)
+        assert path.read_bytes().startswith(V1_MAGIC), \
+            "a reader must not rewrite the file"
+
+    def test_writer_upgrades_the_magic_before_appending(self, tmp_path,
+                                                        workload):
+        entries = self.priced(workload, n=6)
+        path = self.v1_store(tmp_path, entries[:3])
+        original = path.read_bytes()
+        with EvalStore(path) as store:
+            assert path.read_bytes() == original, \
+                "opening for writing alone changes nothing"
+            assert store.put_many(entries[3:]) == 3
+        data = path.read_bytes()
+        assert data.startswith(STORE_MAGIC)
+        # The version-1 records stay byte-exact behind the new magic.
+        assert data[len(STORE_MAGIC):len(original)] == \
+            original[len(V1_MAGIC):]
+        with EvalStore(path, read_only=True) as reopened:
+            assert len(reopened) == 6
+            for salt, digest, key, evaluation in entries:
+                assert reopened.get(salt, digest, key) == evaluation
+
+    def test_version_1_store_compacts_into_version_2(self, tmp_path,
+                                                     workload):
+        entries = self.priced(workload)
+        path = tmp_path / "v1.bin"
+        path.write_bytes(V1_MAGIC + b"".join(
+            raw_record(*entry) for entry in entries + entries[:2]))
+        with EvalStore(path) as store:
+            assert store.redundant_records == 2
+            report = store.compact()
+            assert report["eval_duplicates_dropped"] == 2
+        data = path.read_bytes()
+        assert data == STORE_MAGIC + b"".join(
+            raw_record(*entry) for entry in entries), \
+            "compaction copies version-1 records byte-exact"
+        with EvalStore(path, read_only=True) as reopened:
+            for salt, digest, key, evaluation in entries:
+                assert reopened.get(salt, digest, key) == evaluation
+
+    def test_truncated_codec_record_is_corruption(self, tmp_path,
+                                                  workload):
+        (entry,) = self.priced(workload, n=1)
+        path = tmp_path / "v2.bin"
+        with EvalStore(path) as store:
+            store.put_many([entry])
+        data = path.read_bytes()
+        body = data[len(STORE_MAGIC) + 8:-1]
+        path.write_bytes(STORE_MAGIC + struct.pack("<Q", len(body)) + body)
+        with pytest.raises(ValueError, match="corrupted"):
+            EvalStore(path)
 
 
 # ----------------------------------------------------------------------
