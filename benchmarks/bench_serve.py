@@ -15,8 +15,8 @@ requests every design K x S times.  The evaluation context is
 deliberately heavyweight (three network chains from two workloads
 under a tight latency constraint, the regime the co-exploration paper
 actually searches in), so a miss costs real HAP solver work — the
-thing a shared cache amortises and ``--workers`` parallelises.  Three
-harnesses differ only in sharing:
+thing a shared cache amortises.  Two harnesses differ only in
+sharing:
 
 - **private** (the status quo): K threads, each session with its own
   fresh in-process :class:`~repro.core.evalservice.EvalService`.
@@ -28,20 +28,14 @@ harnesses differ only in sharing:
   daemon; the fleet computes each design once (D computations —
   coalescing and the shared LRU absorb everything else, across
   clients and sessions alike).
-- **served + workers**: the served harness against a fresh cold
-  daemon started with ``--workers`` — misses price on a process pool
-  instead of the single compute thread, while the in-flight map still
-  dedups before dispatch (the single-compute guarantee is checked on
-  this datapoint too).
 
 Gates (asserted on every attempt):
 
 - **bit-identity** — every served evaluation equals the in-process
-  reference, for every client and request, on both daemons;
-- **single-compute** — each daemon's ``computed`` counter equals the
-  number of distinct designs (cross-client coalescing worked, with
-  and without workers);
-- **>= 2x aggregate throughput** — both served fleets finish the
+  reference, for every client and request;
+- **single-compute** — the daemon's ``computed`` counter equals the
+  number of distinct designs (cross-client coalescing worked);
+- **>= 2x aggregate throughput** — the served fleet finishes the
   trace at least ``SPEEDUP_GATE`` times faster than the private-cache
   fleet (best of ``ATTEMPTS``, so scheduler hiccups on shared runners
   do not flake).
@@ -59,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import tempfile
 import threading
@@ -81,7 +74,6 @@ DISTINCT, DISTINCT_QUICK = 80, 30
 SUBMIT_BATCH = 16  # designs per evaluate_many call, like driver rounds
 SPEEDUP_GATE = 2.0
 ATTEMPTS = 3
-WORKERS = max(2, min(4, os.cpu_count() or 2))
 
 
 def bench_workload():
@@ -197,25 +189,9 @@ def run_attempt(workload, pool: list, traces: list[list],
             computed = server.counters["computed"]
             coalesced = server.counters["coalesced"]
 
-    # Same fleet against a fresh cold daemon with a worker pool:
-    # misses price concurrently, coalescing must still dedup them.
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        with serve_in_thread(store_path=Path(tmp) / "store.bin",
-                             workers=WORKERS) as server:
-
-            def workers_service(_client: int) -> RemoteEvalService:
-                return RemoteEvalService(server.socket_path, workload,
-                                         params, 10.0)
-
-            workers_results, workers_s = run_fleet(workers_service,
-                                                   traces)
-            computed_workers = server.counters["computed"]
-            computed_parallel = server.counters["computed_parallel"]
-
     requests = SESSIONS * sum(len(trace) for trace in traces)
     for results, label in ((private_results, "private"),
-                           (served_results, "served"),
-                           (workers_results, "served-workers")):
+                           (served_results, "served")):
         for client, (trace, sessions) in enumerate(
                 zip(traces, results)):
             for session, evaluations in enumerate(sessions):
@@ -228,10 +204,6 @@ def run_attempt(workload, pool: list, traces: list[list],
     assert computed == len(pool), (
         f"daemon computed {computed} misses for {len(pool)} distinct "
         "designs — cross-client coalescing failed to deduplicate")
-    assert computed_workers == len(pool), (
-        f"workers daemon computed {computed_workers} misses for "
-        f"{len(pool)} distinct designs — coalescing must dedup "
-        "before pool dispatch")
     return {
         "clients": len(traces),
         "sessions": SESSIONS,
@@ -239,18 +211,11 @@ def run_attempt(workload, pool: list, traces: list[list],
         "requests": requests,
         "private_s": private_s,
         "served_s": served_s,
-        "served_workers_s": workers_s,
         "speedup": private_s / served_s if served_s > 0 else float("inf"),
-        "speedup_workers": (private_s / workers_s
-                            if workers_s > 0 else float("inf")),
         "private_throughput_rps": requests / private_s,
         "served_throughput_rps": requests / served_s,
-        "served_workers_throughput_rps": requests / workers_s,
-        "workers": WORKERS,
         "computed": computed,
         "coalesced": coalesced,
-        "computed_workers": computed_workers,
-        "computed_parallel": computed_parallel,
     }
 
 
@@ -264,11 +229,9 @@ def run_benchmark(quick: bool = False) -> dict:
     best: dict | None = None
     for attempt in range(ATTEMPTS):
         report = run_attempt(workload, pool, traces, want)
-        score = min(report["speedup"], report["speedup_workers"])
-        if best is None or score > min(best["speedup"],
-                                       best["speedup_workers"]):
+        if best is None or report["speedup"] > best["speedup"]:
             best = report
-        if min(best["speedup"], best["speedup_workers"]) >= SPEEDUP_GATE:
+        if best["speedup"] >= SPEEDUP_GATE:
             break
     best["attempts"] = attempt + 1
     return best
@@ -288,16 +251,10 @@ def render(report: dict) -> str:
         f"({report['served_throughput_rps']:.0f} req/s); "
         f"{report['speedup']:.2f}x aggregate (gate >= "
         f"{SPEEDUP_GATE:.1f}x, best of {report['attempts']})\n"
-        f"daemon --workers {report['workers']}: "
-        f"{report['served_workers_s'] * 1e3:.0f} ms "
-        f"({report['served_workers_throughput_rps']:.0f} req/s); "
-        f"{report['speedup_workers']:.2f}x aggregate, "
-        f"{report['computed_parallel']} misses priced on workers\n"
         f"daemon computed {report['computed']} misses "
-        f"({report['coalesced']} coalesced mid-flight; "
-        f"{report['computed_workers']} with workers — still one "
-        "compute per distinct design); every evaluation "
-        "bit-identical to in-process")
+        f"({report['coalesced']} coalesced mid-flight — one compute "
+        "per distinct design); every evaluation bit-identical to "
+        "in-process")
 
 
 def to_json(report: dict) -> dict:
@@ -305,26 +262,20 @@ def to_json(report: dict) -> dict:
     return {
         **{key: report[key] for key in (
             "clients", "sessions", "distinct_designs", "requests",
-            "computed", "coalesced", "speedup", "attempts",
-            "workers", "speedup_workers", "computed_workers",
-            "computed_parallel")},
+            "computed", "coalesced", "speedup", "attempts")},
         "private_ms": report["private_s"] * 1e3,
         "served_ms": report["served_s"] * 1e3,
-        "served_workers_ms": report["served_workers_s"] * 1e3,
         "private_throughput_rps": report["private_throughput_rps"],
         "served_throughput_rps": report["served_throughput_rps"],
-        "served_workers_throughput_rps":
-            report["served_workers_throughput_rps"],
-        "gate": (f"served fleets (serial and --workers) >= "
-                 f"{SPEEDUP_GATE}x private fleet, computed == "
-                 "distinct designs on both daemons, evaluations "
+        "gate": (f"served fleet >= {SPEEDUP_GATE}x private fleet, "
+                 "computed == distinct designs, evaluations "
                  "bit-identical"),
     }
 
 
 def test_served_multi_client(benchmark=None):
     """Acceptance: bit-identity and single-compute (asserted inside
-    run_benchmark), both served fleets >= 2x private-cache fleet."""
+    run_benchmark), served fleet >= 2x private-cache fleet."""
     if benchmark is not None:
         from benchmarks.conftest import run_once, write_json, write_report
 
@@ -334,7 +285,6 @@ def test_served_multi_client(benchmark=None):
     else:
         report = run_benchmark()
     assert report["speedup"] >= SPEEDUP_GATE, render(report)
-    assert report["speedup_workers"] >= SPEEDUP_GATE, render(report)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -350,12 +300,9 @@ def main(argv: list[str] | None = None) -> int:
         write_json("serve", to_json(report))
     except ImportError:  # pragma: no cover - repo root not on sys.path
         pass
-    worst = min(report["speedup"], report["speedup_workers"])
-    if worst < SPEEDUP_GATE:
-        print(f"FAIL: served aggregate speedup {worst:.2f}x "
-              f"(serial {report['speedup']:.2f}x, --workers "
-              f"{report['speedup_workers']:.2f}x) below the "
-              f"{SPEEDUP_GATE:.1f}x gate", file=sys.stderr)
+    if report["speedup"] < SPEEDUP_GATE:
+        print(f"FAIL: served aggregate speedup {report['speedup']:.2f}x "
+              f"below the {SPEEDUP_GATE:.1f}x gate", file=sys.stderr)
         return 1
     return 0
 

@@ -118,9 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-size", type=_nonnegative_int, default=4096,
                        help="hardware evaluation LRU capacity "
                             "(0 disables caching; default: 4096)")
-        p.add_argument("--workers", type=_nonnegative_int, default=0,
-                       help="process-pool width for batched hardware "
-                            "evaluations (0/1 = serial; default: 0)")
         p.add_argument("--store", default=None,
                        help="persistent evaluation store: warm-start "
                             "from designs priced by earlier runs and "
@@ -204,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--rho", type=float, default=10.0)
     p_campaign.add_argument("--cache-size", type=_nonnegative_int,
                             default=4096)
-    p_campaign.add_argument("--eval-workers", type=_nonnegative_int,
-                            default=0,
-                            help="pool width inside each evaluation "
-                                 "service (default: 0)")
     p_campaign.add_argument("--workers", type=_nonnegative_int, default=0,
                             help="scenario-level pool width; > 1 runs "
                                  "scenarios in parallel with isolated "
@@ -287,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bound on queued miss computations; "
                               "submits past it are refused with a "
                               "retryable error (default: 256)")
-    p_serve.add_argument("--workers", type=_nonnegative_int, default=0,
-                         help="worker-pool width of each hosted "
-                              "context's evaluation service (0/1 = "
-                              "price each submit's misses as one "
-                              "serial batch on the compute thread; "
-                              "default: 0)")
 
     p_store = sub.add_parser(
         "store",
@@ -423,7 +410,7 @@ def _run_search(args: argparse.Namespace, search_class, config,
 def _cmd_search(args: argparse.Namespace) -> int:
     config = NASAICConfig(
         episodes=args.episodes, hw_steps=args.hw_steps, seed=args.seed,
-        cache_size=args.cache_size, eval_workers=args.workers)
+        cache_size=args.cache_size)
     return _run_search(
         args, NASAIC, config,
         progress_every=args.progress if args.progress > 0 else None)
@@ -432,8 +419,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_evolve(args: argparse.Namespace) -> int:
     config = EvolutionConfig(
         population=args.population, generations=args.generations,
-        seed=args.seed, cache_size=args.cache_size,
-        eval_workers=args.workers)
+        seed=args.seed, cache_size=args.cache_size)
     return _run_search(args, EvolutionarySearch, config)
 
 
@@ -492,8 +478,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         scenarios += _generated_scenarios(args, strategies, budgets)
     result = run_campaign(CampaignConfig(
         scenarios=scenarios, cache_size=args.cache_size,
-        eval_workers=args.eval_workers, workers=args.workers,
-        store_path=args.store))
+        workers=args.workers, store_path=args.store))
     print(format_campaign(result))
     if args.out:
         print(f"saved to {save_campaign(result, args.out)}")
@@ -607,24 +592,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.server import serve
 
     suffix = f" (store: {args.store})" if args.store else ""
-    if args.workers > 1:
-        suffix += f" ({args.workers} pricing workers per context)"
     print(f"pricing daemon listening on unix://{args.socket}{suffix}",
           flush=True)
     server = serve(args.socket, store_path=args.store,
                    cache_size=args.cache_size,
                    read_timeout=args.read_timeout,
                    write_timeout=args.write_timeout,
-                   max_inflight=args.max_inflight,
-                   workers=args.workers)
+                   max_inflight=args.max_inflight)
     if server.store is not None and server.store.recovered:
         note = server.store.recovered
         print(f"store recovered on startup: kept {note['kept_bytes']} "
               f"durable bytes, quarantined {note['quarantined_bytes']} "
               f"torn bytes to {note['sidecar']} ({note['detail']})")
     counters = server.counters
-    restarts = sum(service.stats.pool_restarts
-                   for service in server.services.values())
     print(f"daemon stopped"
           + (" (forced)" if server.aborted else "")
           + f": {counters['connections']} connections, "
@@ -636,9 +616,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
              if counters["compute_errors"] else "")
           + (f", {counters['refused_busy']} refused busy"
              if counters["refused_busy"] else "")
-          + (f", {counters['computed_parallel']} priced on workers"
-             if counters["computed_parallel"] else "")
-          + (f", {restarts} pool restarts" if restarts else "")
           + (f", {counters['shed']} clients shed"
              if counters["shed"] else "")
           + (f", {counters['persist_errors']} persist ERRORS"
@@ -656,13 +633,10 @@ def _serve_status(args: argparse.Namespace) -> int:
         print(f"no pricing daemon reachable at {args.socket}: {exc}")
         return 1
     counters = status.get("counters", {})
-    workers = status.get("workers", 0)
     print(f"pricing daemon at unix://{args.socket}: up "
           f"{status.get('uptime_seconds', 0.0):.0f}s, "
           f"{status.get('services', 0)} hosted contexts, "
-          + (f"{workers} pricing workers per context, "
-             if workers > 1 else "")
-          + f"{status.get('inflight', 0)} computations in flight, "
+          f"{status.get('inflight', 0)} computations in flight, "
           f"{status.get('persist_queue', 0)} queued appends")
     for salt, ctx in sorted(status.get("contexts", {}).items()):
         print(f"  context {salt[:12]}: {ctx['requests']} requests, "

@@ -21,7 +21,7 @@ Every baseline loop runs through the unified
 :class:`repro.core.driver.SearchDriver` (sample-then-batch-price,
 checkpointable strategy state, per-run stats deltas) via one helper,
 ``_drive``, which closes an owned evaluation service even on
-exceptions, so worker pools are never leaked.  The chunked batching is
+exceptions, so its store memo is always flushed.  The chunked batching is
 choice-identical to the historical one-at-a-time loops: sampling
 happens entirely in ``propose`` (before pricing) and the hardware path
 is RNG-free.  :func:`hardware_aware_nas` and :func:`monte_carlo_search`
@@ -123,12 +123,11 @@ def _build_search_parts(
 
 
 def _drive(strategy, evaluator: Evaluator,
-           evalservice: EvalService | None = None, workers: int = 0):
+           evalservice: EvalService | None = None):
     """Drive ``strategy`` to completion over an injected service (checked
     against ``evaluator``'s context, left open) or over an owned one
     (closed afterwards, also on exceptions)."""
-    service, owned = attach_service(evaluator, evalservice,
-                                    workers=workers)
+    service, owned = attach_service(evaluator, evalservice)
     try:
         return SearchDriver(strategy, service).run()
     finally:
@@ -364,7 +363,8 @@ class _DesignSweepStrategy:
     strategy_name = "design-sweep"
 
     #: Default pairs per round; bounds peak memory on 10k-run sweeps
-    #: while keeping per-round batches large enough to amortise pool IPC.
+    #: while keeping per-round batches large enough that one cost pass
+    #: per dataflow covers many designs.
     DEFAULT_CHUNK = 256
 
     def __init__(self, networks: tuple[NetworkArch, ...],
@@ -419,7 +419,6 @@ def brute_force_designs(
     pe_stride: int = 512,
     bw_stride: int = 16,
     rho: float = 10.0,
-    eval_workers: int = 0,
 ) -> list[HardwareEvaluation]:
     """Exhaustive grid sweep of designs for fixed networks (NAS->ASIC)."""
     allocation = allocation or AllocationSpace()
@@ -427,8 +426,7 @@ def brute_force_designs(
     evaluator = Evaluator(workload, cost_model, trainer=None, rho=rho)
     designs = list(allocation.enumerate_designs(
         pe_stride=pe_stride, bw_stride=bw_stride))
-    return _drive(_DesignSweepStrategy(networks, designs), evaluator,
-                  workers=eval_workers)
+    return _drive(_DesignSweepStrategy(networks, designs), evaluator)
 
 
 def monte_carlo_designs(
@@ -440,19 +438,17 @@ def monte_carlo_designs(
     runs: int = 10_000,
     seed: int = 13,
     rho: float = 10.0,
-    eval_workers: int = 0,
 ) -> list[HardwareEvaluation]:
     """Monte-Carlo hardware search for fixed networks (ASIC->HW-NAS, 1st
     phase; the paper uses 10,000 runs).  The design sampler is drained
     before evaluation (sampling is RNG-driven, pricing is not), so
-    repeated designs hit the cache and misses can run on a pool."""
+    repeated designs hit the cache and misses are priced in batches."""
     allocation = allocation or AllocationSpace()
     cost_model = cost_model or CostModel()
     evaluator = Evaluator(workload, cost_model, trainer=None, rho=rho)
     rng = new_rng(seed)
     designs = [allocation.random_design(rng) for _ in range(runs)]
-    return _drive(_DesignSweepStrategy(networks, designs), evaluator,
-                  workers=eval_workers)
+    return _drive(_DesignSweepStrategy(networks, designs), evaluator)
 
 
 def closest_to_spec_design(

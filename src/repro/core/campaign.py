@@ -173,8 +173,6 @@ class CampaignConfig:
     Attributes:
         scenarios: The grid, executed in order (sequential mode).
         cache_size: LRU capacity of every shared evaluation service.
-        eval_workers: Process-pool width *inside* each service (batched
-            hardware pricing); independent of ``workers``.
         workers: Scenario-level process-pool width.  ``0``/``1`` runs
             sequentially with shared caches (the default, and the right
             choice whenever cross-scenario reuse matters more than
@@ -194,7 +192,6 @@ class CampaignConfig:
 
     scenarios: tuple[Scenario, ...]
     cache_size: int = 4096
-    eval_workers: int = 0
     workers: int = 0
     store_path: str | Path | None = None
 
@@ -204,8 +201,8 @@ class CampaignConfig:
         names = [s.name for s in self.scenarios]
         if len(set(names)) != len(names):
             raise ValueError(f"scenario names are not unique: {names}")
-        if self.cache_size < 0 or self.eval_workers < 0 or self.workers < 0:
-            raise ValueError("cache_size/eval_workers/workers must be >= 0")
+        if self.cache_size < 0 or self.workers < 0:
+            raise ValueError("cache_size/workers must be >= 0")
 
 
 @dataclass
@@ -377,8 +374,7 @@ class Campaign:
         # below, so the pool stays single-writer per file.
         main_path = (str(self.store.path)
                      if self.store is not None else None)
-        jobs = [(scenario, self.config.cache_size,
-                 self.config.eval_workers, self.cost_model.params,
+        jobs = [(scenario, self.config.cache_size, self.cost_model.params,
                  main_path,
                  f"{main_path}.shard{index}" if main_path else None)
                 for index, scenario in enumerate(self.config.scenarios)]
@@ -398,7 +394,7 @@ class Campaign:
             if self.store is not None:
                 self.store.upgrade_lock()
         if self.store is not None:
-            for _, _, _, _, _, shard_path in jobs:
+            for *_, shard_path in jobs:
                 shard = Path(shard_path)
                 if shard.exists():
                     # The lazy shard is streamed record-by-record into
@@ -448,7 +444,6 @@ class Campaign:
                                   trainer=None, rho=rho)
             service = EvalService(evaluator,
                                   cache_size=self.config.cache_size,
-                                  workers=self.config.eval_workers,
                                   store=self.store)
             self.services[salt] = service
         return service
@@ -517,8 +512,7 @@ def _run_scenario_isolated(job: tuple) -> ScenarioOutcome:
     priced before the pool launched, while appends never race another
     writer.  The parent merges the shards afterwards.
     """
-    (scenario, cache_size, eval_workers, cost_params,
-     store_path, shard_path) = job
+    scenario, cache_size, cost_params, store_path, shard_path = job
     store = None
     if store_path is not None:
         parent = (EvalStore(store_path, read_only=True)
@@ -526,8 +520,7 @@ def _run_scenario_isolated(job: tuple) -> ScenarioOutcome:
         store = EvalStore(shard_path, parent=parent)
     try:
         with Campaign(CampaignConfig(scenarios=(scenario,),
-                                     cache_size=cache_size,
-                                     eval_workers=eval_workers),
+                                     cache_size=cache_size),
                       cost_model=CostModel(cost_params),
                       store=store) as campaign:
             return campaign.run().outcomes[0]

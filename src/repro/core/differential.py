@@ -3,7 +3,7 @@
 The repo's performance story rests on a stack of *bit-identity
 contracts*: the batched cost table equals the scalar oracle (PR 2),
 delta-resume HAP equals the full-reschedule oracle (PR 2), cached /
-pooled / store-warmed pricing equals direct pricing (PR 1/4),
+store-warmed pricing equals direct pricing (PR 1/4),
 checkpoint-resume equals the uninterrupted run (PR 3), and the HAP
 heuristic never undercuts the exact branch-and-bound solver's optimum.
 A lockstep controller batch likewise equals sequential single samples.

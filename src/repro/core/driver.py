@@ -359,8 +359,8 @@ def attach_service(evaluator: Evaluator,
     """The one owned-or-injected decision for every search.
 
     Without ``evalservice`` a fresh :class:`EvalService` over
-    ``evaluator`` is built from ``options`` (``cache_size``,
-    ``workers``, ``store``) and owned by the caller.  An injected
+    ``evaluator`` is built from ``options`` (``cache_size``, ``store``)
+    and owned by the caller.  An injected
     (shared) service must price under the evaluator's exact context —
     workload, cost-model parameters and rho — and stays with its owner;
     ``options`` are then ignored.
@@ -396,13 +396,13 @@ class JointSearch:
         surrogate: Accuracy oracle; defaults to the paper-calibrated
             surrogate with the workload's spaces registered.
         config: Search parameters (the subclass's default config when
-            omitted).  Must carry ``rho``, ``calibrate_bounds``,
-            ``cache_size`` and ``eval_workers``.
+            omitted).  Must carry ``rho``, ``calibrate_bounds`` and
+            ``cache_size``.
         evalservice: Optional *injected* hardware-evaluation service —
             e.g. a campaign-wide shared cache.  Must price under the
             exact same evaluation context (verified via its salt); the
             search then does not own it (``close`` leaves it alive) and
-            ``config.cache_size``/``config.eval_workers`` are ignored.
+            ``config.cache_size`` is ignored.
         store: Optional persistent evaluation store
             (:class:`repro.core.store.EvalStore`) attached to the
             search's own service — the run warm-starts from designs
@@ -439,7 +439,7 @@ class JointSearch:
                                    rho=self.config.rho)
         self.evalservice, self._owns_service = attach_service(
             self.evaluator, evalservice, cache_size=self.config.cache_size,
-            workers=self.config.eval_workers, store=store)
+            store=store)
         self.space = JointSearchSpace(workload, self.allocation)
 
     def _default_config(self):
@@ -475,9 +475,8 @@ class JointSearch:
 
     def close(self) -> None:
         """Close the search's own evaluation service: flush its cost
-        memo to the attached store (if any) and shut its worker pool
-        down (if any).  Use the search as a context manager to get it
-        automatically.  Injected (shared) services are left alive —
+        memo to the attached store (if any).  Use the search as a
+        context manager to get it automatically.  Injected (shared) services are left alive —
         their owner closes them.
         """
         if self._owns_service:

@@ -1,4 +1,4 @@
-"""Cached, parallel evaluation service for the hardware hot path.
+"""Cached, batched evaluation service for the hardware hot path.
 
 Every sampled design in the NASAIC loop prices hardware through
 :meth:`repro.core.evaluator.Evaluator.evaluate_hardware` — cost model +
@@ -14,12 +14,12 @@ DANCE, which both amortise the evaluator to make co-search tractable):
   :func:`repro.utils.hashing.stable_hash` for fixtures, logs and
   cross-run comparison (golden tests snapshot these digests);
 - a **batch API** (:meth:`EvalService.evaluate_many`) that deduplicates
-  a batch, prices the misses — optionally on a process pool when
-  ``workers > 1`` — and returns results in request order.  Every
-  caller, the pricing daemon included, prices through one miss path:
-  :meth:`~EvalService.lookup_tiers` (LRU, then store),
-  :meth:`~EvalService.compute_batch` (the pool or one serial
-  ``evaluate_hardware_many`` call) and :meth:`~EvalService.admit_miss`;
+  a batch, prices the misses in one ``evaluate_hardware_many`` call
+  (one cost pass per dataflow for the whole batch) and returns results
+  in request order.  Every caller, the pricing daemon included, prices
+  through one miss path: :meth:`~EvalService.lookup_tiers` (LRU, then
+  store), :meth:`~EvalService.compute_batch` and
+  :meth:`~EvalService.admit_miss`;
 - a **persistent second tier** (:class:`repro.core.store.EvalStore`,
   optional): misses in the in-memory LRU fall through to the disk
   store, and computed misses are appended durably, so a later run —
@@ -29,8 +29,10 @@ DANCE, which both amortise the evaluator to make co-search tractable):
 - **hit/miss/timing statistics** (:class:`EvalServiceStats`) surfaced
   through :class:`repro.core.results.SearchResult` and the CLI.
 
-Determinism: the hardware path is RNG-free and store records round-trip
-through pickle exactly, so cached, serial, parallel and warm-started
+Determinism: the hardware path is RNG-free and the store writes
+evaluations as :mod:`repro.core.codec` records, whose IEEE doubles
+decode to the exact numbers priced (pickled records in version-1 files
+round-trip exactly too), so cached, computed and warm-started
 evaluations of the same pair are bit-identical — asserted by
 ``tests/test_evalservice.py`` / ``tests/test_store.py`` and exploited
 by the golden search test.
@@ -39,10 +41,7 @@ by the golden search test.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -51,10 +50,8 @@ from repro.arch.network import NetworkArch
 from repro.core.codec import accelerator_from_key
 from repro.core.evaluator import Evaluator, HardwareEvaluation
 from repro.core.store import EvalStore, cost_params_digest
-from repro.cost.model import CostModel
 from repro.cost.params import CostModelParams
 from repro.utils.hashing import stable_hash
-from repro.utils.pool import pool_context
 from repro.workloads.workload import Workload
 
 __all__ = ["EvalService", "EvalServiceStats", "PricedBatch",
@@ -183,41 +180,16 @@ def verify_injected_service(service: "EvalService", workload: Workload,
             "parameters or rho differ)")
 
 
-# ----------------------------------------------------------------------
-# Worker-process plumbing
-# ----------------------------------------------------------------------
-#: Per-worker hardware-path evaluator, built once by the pool initializer.
-_WORKER_EVALUATOR: Evaluator | None = None
-
-
-def _init_worker(workload: Workload, params: CostModelParams,
-                 rho: float) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = Evaluator(workload, CostModel(params),
-                                  trainer=None, rho=rho)
-
-
-def _eval_in_worker(pair: _Pair) -> HardwareEvaluation:
-    assert _WORKER_EVALUATOR is not None, "pool initializer did not run"
-    networks, accelerator = pair
-    return _WORKER_EVALUATOR.evaluate_hardware(networks, accelerator)
-
-
 class PricedBatch(NamedTuple):
     """What one :meth:`EvalService.compute_batch` call priced.
 
     Attributes:
         evaluations: One evaluation per submitted pair, in order.
         seconds: Wall-clock of the whole batch.
-        parallel: Designs priced on the worker pool (0 or all of them).
-        pool_restarts: 1 if the pool broke and the batch was repriced
-            serially, else 0.
     """
 
     evaluations: list[HardwareEvaluation]
     seconds: float
-    parallel: int
-    pool_restarts: int
 
 
 @dataclass
@@ -229,7 +201,6 @@ class EvalServiceStats:
         misses: Requests that ran the cost model + HAP solver.
         evictions: Entries dropped by the LRU policy.
         batches: ``evaluate_many`` invocations.
-        parallel_evaluations: Misses priced on the process pool.
         miss_seconds: Wall-clock spent computing misses.
         cost_memo_hits / cost_memo_misses: Cross-design cost-table memo
             accounting (``CostModel.memo_hits`` / ``memo_misses``: table
@@ -249,14 +220,9 @@ class EvalServiceStats:
         hap_steps_saved / hap_steps_replayed:
             HAP single-move pricing counters aggregated across every
             solve this service ran (see
-            :class:`repro.mapping.schedule.MoveStats`).  Misses priced
-            on a worker pool run their own solvers, so their inner-loop
-            counters are not reflected here (the cache accounting still
-            is).
+            :class:`repro.mapping.schedule.MoveStats`).
         hap_batched_rounds: Always 0; kept because the repository
             benchmark (``perfbench/scenarios.py``) reads it.
-        pool_restarts: Times a broken process pool was rebuilt and its
-            batch repriced serially (fault tolerance, not a hot path).
         retries / reconnects / degraded: Fault counters mirrored by
             :class:`repro.core.client.RemoteEvalService` — request
             retries, transparent reconnects, and whether the client
@@ -275,7 +241,6 @@ class EvalServiceStats:
     misses: int = 0
     evictions: int = 0
     batches: int = 0
-    parallel_evaluations: int = 0
     shared_hits: int = 0
     store_hits: int = 0
     miss_seconds: float = 0.0
@@ -288,7 +253,6 @@ class EvalServiceStats:
     hap_steps_saved: int = 0
     hap_steps_replayed: int = 0
     hap_batched_rounds: int = 0  # constant; read by perfbench/scenarios.py
-    pool_restarts: int = 0
     retries: int = 0
     reconnects: int = 0
     degraded: int = 0
@@ -359,8 +323,6 @@ class EvalServiceStats:
         pruned_pct = self.hap_moves_pruned / moves if moves else 0.0
         steps = self.hap_steps_saved + self.hap_steps_replayed
         saved_pct = self.hap_steps_saved / steps if steps else 0.0
-        restarts = (f"; {self.pool_restarts} pool restarts"
-                    if self.pool_restarts else "")
         store = ""
         if self.store_entries or self.store_bytes:
             store = (f"; store {self.store_entries} entries, "
@@ -372,7 +334,7 @@ class EvalServiceStats:
                 f"HAP moves {moves} priced, "
                 f"{self.hap_moves_pruned} pruned ({pruned_pct:.1%}), "
                 f"{self.hap_moves_resumed} resumed "
-                f"({saved_pct:.1%} steps skipped){restarts}{store}")
+                f"({saved_pct:.1%} steps skipped){store}")
 
 
 class EvalService:
@@ -382,15 +344,6 @@ class EvalService:
         evaluator: The wrapped evaluator (its training path is untouched;
             only ``evaluate_hardware`` goes through the service).
         cache_size: Maximum LRU entries; 0 disables caching entirely.
-        workers: Process-pool width for miss batches
-            (:meth:`compute_batch`, used by :meth:`evaluate_many` and by
-            the pricing daemon's hosted services).  ``0``/``1`` price
-            misses serially in-process (default — the right choice on
-            single-core machines and for short batches).  The pool is
-            built lazily at the first large-enough batch.
-        parallel_threshold: Minimum number of *distinct* misses in one
-            batch before the pool is used; smaller batches stay serial
-            to avoid IPC overhead.
         store: Optional persistent second tier
             (:class:`repro.core.store.EvalStore`).  LRU misses fall
             through to it and computed misses are appended durably.
@@ -400,16 +353,11 @@ class EvalService:
     """
 
     def __init__(self, evaluator: Evaluator, *, cache_size: int = 4096,
-                 workers: int = 0, parallel_threshold: int = 4,
                  store: EvalStore | None = None) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         self.evaluator = evaluator
         self.cache_size = cache_size
-        self.workers = workers
-        self.parallel_threshold = max(1, parallel_threshold)
         self.stats = EvalServiceStats()
         self._cache: OrderedDict[tuple, HardwareEvaluation] = OrderedDict()
         #: Generation an entry was inserted in (for shared-cache
@@ -419,7 +367,6 @@ class EvalService:
         self._salt = _context_salt(evaluator.workload,
                                    evaluator.cost_model.params,
                                    evaluator.rho)
-        self._pool: Executor | None = None
         self.store: EvalStore | None = None
         if store is not None:
             self.attach_store(store)
@@ -457,7 +404,7 @@ class EvalService:
         return self.evaluate_many([(networks, accelerator)])[0]
 
     def evaluate_many(self, pairs: list[_Pair]) -> list[HardwareEvaluation]:
-        """Evaluate a batch, pricing distinct misses (possibly) in parallel.
+        """Evaluate a batch, pricing its distinct misses in one pass.
 
         Results come back in request order; duplicate pairs within one
         batch are priced once (the first occurrence is the miss, the
@@ -524,51 +471,23 @@ class EvalService:
         return None, None, digest
 
     def compute_batch(self, pairs: list[_Pair]) -> PricedBatch:
-        """The one compute step: price a batch of misses.
-
-        Batches of at least ``parallel_threshold`` pairs go to the
-        worker pool when ``workers > 1``; everything else is one serial
+        """The one compute step: price a batch of misses with one
         ``evaluate_hardware_many`` call (one cost pass per dataflow for
-        the whole batch).  A broken pool (worker OOM-killed) is dropped,
-        rebuilt lazily, and the batch repriced serially — pricing is
-        deterministic, so the answers are identical.
+        the whole batch).
 
         Touches no :attr:`stats` and no cache: the daemon runs this on
         its compute thread and hands the result to :meth:`admit_miss`
         on its event-loop thread.
         """
         started = time.perf_counter()
-        if self.workers > 1 and len(pairs) >= self.parallel_threshold:
-            pool = self._ensure_pool()
-            # Chunk to amortise per-item pickling on large sweeps.
-            chunksize = max(1, len(pairs) // (self.workers * 4))
-            try:
-                evaluations = list(pool.map(_eval_in_worker, pairs,
-                                            chunksize=chunksize))
-            except BrokenProcessPool:
-                self.shutdown_pool(wait=False)
-                warnings.warn(
-                    f"evaluation worker pool broke mid-batch; repricing "
-                    f"{len(pairs)} designs serially and rebuilding the "
-                    f"pool", RuntimeWarning, stacklevel=3)
-                evaluations = self.evaluator.evaluate_hardware_many(pairs)
-                return PricedBatch(evaluations,
-                                   time.perf_counter() - started, 0, 1)
-            # Workers run their own cost models; mirror the invocation
-            # count so `Evaluator.hardware_evaluations` stays truthful.
-            self.evaluator.hardware_evaluations += len(pairs)
-            return PricedBatch(evaluations, time.perf_counter() - started,
-                               len(pairs), 0)
         evaluations = self.evaluator.evaluate_hardware_many(pairs)
-        return PricedBatch(evaluations, time.perf_counter() - started,
-                           0, 0)
+        return PricedBatch(evaluations, time.perf_counter() - started)
 
     def admit_miss(self, keys: list[tuple], priced: PricedBatch) -> None:
         """The one admission step: record a :meth:`compute_batch`
         result for ``keys`` (in the same order).
 
-        Counts the misses, their wall-clock and the pool accounting,
-        mirrors the pricing counters and inserts every evaluation into
+        Counts the misses and their wall-clock, mirrors the pricing counters and inserts every evaluation into
         the LRU.  Persistence stays with the caller: ``evaluate_many``
         appends through :meth:`_persist`, the daemon through its single
         writer task.
@@ -576,8 +495,6 @@ class EvalService:
         stats = self.stats
         stats.misses += len(keys)
         stats.miss_seconds += priced.seconds
-        stats.parallel_evaluations += priced.parallel
-        stats.pool_restarts += priced.pool_restarts
         self._sync_pricing()
         for key, evaluation in zip(keys, priced.evaluations):
             self._store(key, evaluation)
@@ -589,8 +506,7 @@ class EvalService:
         The wrapped evaluator and cost model are exclusive to this
         service on the search paths, so mirroring their running totals
         after each miss keeps the stats consistent without double
-        bookkeeping.  Pool workers hold their own evaluators; their
-        inner-loop counters stay in the worker processes.
+        bookkeeping.
         """
         stats = self.stats
         moves = self.evaluator.move_stats
@@ -777,41 +693,12 @@ class EvalService:
         self.evaluator.cost_model.load_memo_state(state["cost_memo"])
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            initargs = (self.evaluator.workload,
-                        self.evaluator.cost_model.params,
-                        self.evaluator.rho)
-            # Fork keeps worker start-up cheap and inherits loaded
-            # modules; platforms without it get the default start
-            # method after a picklability check (spawn ships state by
-            # pickling), failing with a clear message rather than an
-            # opaque PicklingError inside the pool.
-            ctx = pool_context(
-                require_picklable=(_init_worker, _eval_in_worker,
-                                   *initargs))
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=initargs)
-        return self._pool
-
-    def shutdown_pool(self, *, wait: bool = True) -> None:
-        """Shut the worker pool down (idempotent; a later large batch
-        rebuilds it).  ``wait=False`` also cancels queued work — the
-        broken-pool and forced-exit paths."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=not wait)
-            self._pool = None
-
     def close(self) -> None:
-        """Flush the store tier and shut the worker pool down
-        (idempotent; the store itself stays open for its owner)."""
+        """Flush the store tier (idempotent; the store itself stays
+        open for its owner)."""
         self.flush_store()
-        self.shutdown_pool()
 
     def __enter__(self) -> "EvalService":
         return self

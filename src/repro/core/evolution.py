@@ -22,7 +22,7 @@ the search implements the :class:`~repro.core.driver.SearchStrategy`
 protocol — one round is one generation, :meth:`EvolutionarySearch.propose`
 breeds the whole cohort first (tournament selection reads only the
 previous generation's fitness, and breeding never consults evaluation
-results), the driver prices it as one cached/parallel batch and
+results), the driver prices it as one cached batch and
 :meth:`EvolutionarySearch.observe` finishes the fitness assignment — the
 RNG stream and every fitness value are identical to the one-at-a-time
 formulation.  The driver adds checkpoint/resume on top.
@@ -62,8 +62,6 @@ class EvolutionConfig:
         calibrate_bounds: Use the paper-faithful exploration penalty
             bounds (see :mod:`repro.core.bounds_calibration`).
         cache_size: LRU capacity of the hardware evaluation cache.
-        eval_workers: Process-pool width for generation batches
-            (0/1 = serial).
     """
 
     population: int = 40
@@ -75,7 +73,6 @@ class EvolutionConfig:
     seed: int = 7
     calibrate_bounds: bool = True
     cache_size: int = 4096
-    eval_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.population < 2:

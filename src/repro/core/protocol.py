@@ -7,7 +7,7 @@ prefix against :data:`MAX_FRAME_BYTES` before trusting it, so a
 malformed or hostile frame fails loudly instead of allocating
 gigabytes or desynchronising the stream.
 
-Frame layout (protocol version 3)::
+Frame layout (protocol version 4)::
 
     <u64 little-endian payload length> <payload>
 
@@ -81,8 +81,11 @@ __all__ = ["ALLOWED_CLASSES", "FrameError", "MAX_FRAME_BYTES",
 #: Bumped on any incompatible change to the frame or message schema.
 #: Version 2: evaluations carry no HAP schedule.  Version 3: submits
 #: carry codec-encoded content keys, replies codec-encoded evaluations,
-#: and frames are read through the allow-listed unpickler.
-PROTOCOL_VERSION = 3
+#: and frames are read through the allow-listed unpickler.  Version 4:
+#: the ``stats`` reply and the ``status`` report no longer carry the
+#: worker-pool counters, so a version-3 client could not rebuild the
+#: stats it receives.
+PROTOCOL_VERSION = 4
 
 #: The only globals a frame may reference: what a ``hello`` ships
 #: (workload, its tasks and search spaces, cost parameters).  Every

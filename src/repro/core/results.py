@@ -82,14 +82,12 @@ class SearchResult:
         hap_moves_priced / hap_moves_pruned / hap_moves_resumed /
         hap_steps_saved / hap_steps_replayed: HAP move-pricing
             accounting — certified-bound prunes and delta-resume reuse
-            inside the uncached solves (zero on worker-pool misses,
-            whose counters stay in the worker processes).
+            inside the uncached solves.
         degraded: Whether a remote pricing client fell back to local
             pricing mid-run (results stay bit-identical; the flag makes
             the fault visible in the run record).
-        pricing_retries / pricing_reconnects / pool_restarts: Fault
-            counters — request retries and transparent reconnects of a
-            remote client, and broken-pool rebuilds of a local service.
+        pricing_retries / pricing_reconnects: Fault counters — request
+            retries and transparent reconnects of a remote client.
     """
 
     name: str
@@ -113,7 +111,6 @@ class SearchResult:
     degraded: bool = False
     pricing_retries: int = 0
     pricing_reconnects: int = 0
-    pool_restarts: int = 0
 
     def absorb_eval_stats(self, stats) -> None:
         """Copy an :class:`~repro.core.evalservice.EvalServiceStats`
@@ -136,7 +133,6 @@ class SearchResult:
         self.degraded = bool(getattr(stats, "degraded", 0))
         self.pricing_retries = int(getattr(stats, "retries", 0))
         self.pricing_reconnects = int(getattr(stats, "reconnects", 0))
-        self.pool_restarts = int(getattr(stats, "pool_restarts", 0))
 
     def record(self, solution: ExploredSolution) -> None:
         """Add a solution and refresh the incumbent best."""
@@ -184,7 +180,7 @@ class SearchResult:
                 f"{self.hap_moves_resumed} delta-resumed "
                 f"({saved:.1%} simulation steps skipped)")
         if self.degraded or self.pricing_retries \
-                or self.pricing_reconnects or self.pool_restarts:
+                or self.pricing_reconnects:
             flags = []
             if self.degraded:
                 flags.append("DEGRADED to local pricing")
@@ -192,8 +188,6 @@ class SearchResult:
                 flags.append(f"{self.pricing_retries} retries")
             if self.pricing_reconnects:
                 flags.append(f"{self.pricing_reconnects} reconnects")
-            if self.pool_restarts:
-                flags.append(f"{self.pool_restarts} pool restarts")
             lines.append("pricing faults: " + ", ".join(flags))
         if self.best is not None:
             lines.append("best: " + self.best.describe())

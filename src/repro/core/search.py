@@ -23,7 +23,7 @@ The loop itself is owned by :class:`repro.core.driver.SearchDriver`:
 NASAIC implements the :class:`~repro.core.driver.SearchStrategy`
 protocol — one round is one episode, :meth:`NASAIC.propose` samples the
 joint design plus the ``phi`` hardware-only designs up front, the driver
-prices them as one (cached, optionally parallel) batch and
+prices them as one cached batch and
 :meth:`NASAIC.observe` applies the controller updates and the training
 path.  This changes neither the sampling RNG stream nor any evaluation
 result (the hardware path is deterministic); the golden regression test
@@ -75,8 +75,6 @@ class NASAICConfig:
             :mod:`repro.core.bounds_calibration`) before searching.
         cache_size: LRU capacity of the hardware evaluation cache
             (0 disables caching).
-        eval_workers: Process-pool width for batched hardware
-            evaluations; 0/1 keeps the batch serial in-process.
         controller: RNN controller hyperparameters.
         reinforce: Policy-gradient hyperparameters.
     """
@@ -89,7 +87,6 @@ class NASAICConfig:
     prune_infeasible: bool = True
     calibrate_bounds: bool = True
     cache_size: int = 4096
-    eval_workers: int = 0
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     reinforce: ReinforceConfig = field(default_factory=ReinforceConfig)
 
@@ -102,8 +99,6 @@ class NASAICConfig:
             raise ValueError("joint_batch must be >= 1")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if self.eval_workers < 0:
-            raise ValueError("eval_workers must be >= 0")
 
 
 class NASAIC(JointSearch):

@@ -209,7 +209,6 @@ def result_to_dict(result: SearchResult) -> dict[str, Any]:
             "degraded": result.degraded,
             "retries": result.pricing_retries,
             "reconnects": result.pricing_reconnects,
-            "pool_restarts": result.pool_restarts,
         },
     }
 

@@ -20,10 +20,8 @@ Architecture (one asyncio loop, two single-thread executors):
   as a local :class:`~repro.core.evalservice.EvalService` does: each
   design walks the hosted service's ``lookup_tiers``; a submit's fresh
   misses go to a one-thread compute executor as *one* job through the
-  service's ``compute_batch`` (its worker pool when the service has
-  ``workers > 1``, one serial ``evaluate_hardware_many`` call
-  otherwise); the result comes back to the loop thread for
-  ``admit_miss``.  Evaluators are not thread-safe, so the single
+  service's ``compute_batch`` (one ``evaluate_hardware_many`` call);
+  the result comes back to the loop thread for ``admit_miss``.  Evaluators are not thread-safe, so the single
   compute thread is the only place pricing runs; the event loop stays
   free to serve hits and accept connections meanwhile, and cache and
   stats writes happen only on the loop thread.  Coalescing happens on
@@ -144,17 +142,6 @@ class PricingServer:
         max_inflight: Bound on concurrently queued miss computations;
             submits needing more are refused with a ``retryable`` error
             frame.
-        workers: ``workers`` of every hosted
-            :class:`~repro.core.evalservice.EvalService` (``repro serve
-            --workers``).  ``0``/``1`` price each submit's misses in
-            one serial batch on the compute thread (default).  ``> 1``
-            gives each hosted context its own worker pool, built
-            lazily at its first batch of at least the service's
-            ``parallel_threshold`` misses.  Distinct in-flight designs
-            coalesce on the loop thread before dispatch, so the
-            single-compute guarantee is unchanged.  Fault-injection
-            hooks live in the daemon process, so with a
-            ``fault_injector`` the hosted services get ``workers=0``.
         fault_injector: Test-only :class:`repro.core.faults.\
 FaultInjector` hooked into the reply/batch/compute/append seams.
         maintenance_interval: Seconds between idle-path store
@@ -174,7 +161,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                  read_timeout: float | None = None,
                  write_timeout: float | None = 60.0,
                  max_inflight: int = 256,
-                 workers: int = 0,
                  fault_injector=None,
                  maintenance_interval: float | None = 300.0,
                  compact_min_redundant: int = 256) -> None:
@@ -186,7 +172,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         self.read_timeout = read_timeout
         self.write_timeout = write_timeout
         self.max_inflight = max(1, max_inflight)
-        self.workers = max(0, workers)
         self.maintenance_interval = maintenance_interval
         self.compact_min_redundant = max(1, compact_min_redundant)
         self._injector = fault_injector
@@ -194,7 +179,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         #: context salt -> hosted service (inspectable in tests).
         self.services: dict[str, EvalService] = {}
         self.counters = {"connections": 0, "batches": 0, "computed": 0,
-                         "computed_parallel": 0, "coalesced": 0,
+                         "coalesced": 0,
                          "persisted": 0, "persist_errors": 0,
                          "compute_errors": 0, "refused_busy": 0,
                          "shed": 0, "compactions": 0,
@@ -371,8 +356,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             # otherwise leave the handle open (and the store locked)
             # until GC.  Both calls are idempotent no-ops on the
             # normal paths, which already wound down.
-            for service in self.services.values():
-                service.shutdown_pool(wait=False)
             if self._write is not None:
                 self._write.shutdown(wait=True, cancel_futures=True)
             if self.store is not None:
@@ -415,8 +398,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 self.aborted = True
         if self._compute is not None:
             self._compute.shutdown(wait=True)
-        for service in self.services.values():
-            service.shutdown_pool()
         if self._write is not None:
             self._write.shutdown(wait=True)
         if self.store is not None:
@@ -460,8 +441,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             if not future.done():
                 future.cancel()
         self._inflight.clear()
-        for service in self.services.values():
-            service.shutdown_pool(wait=False)
         if self._compute is not None:
             self._compute.shutdown(wait=False, cancel_futures=True)
         if self._write is not None:
@@ -623,8 +602,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                           "error": f"bad hello payload: {exc}"}
         if service is None:
             service = EvalService(
-                evaluator, cache_size=self.cache_size, store=self.store,
-                workers=self.workers if self._injector is None else 0)
+                evaluator, cache_size=self.cache_size, store=self.store)
             self.services[salt] = service
         else:
             # Same accounting as campaign sharing: entries priced
@@ -651,7 +629,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         return {"ok": True, "version": PROTOCOL_VERSION,
                 "uptime_seconds": time.monotonic() - self._started_at,
                 "services": len(self.services),
-                "workers": self.workers,
                 "contexts": {
                     salt: {"requests": service.stats.requests,
                            "hits": service.stats.hits,
@@ -860,7 +837,6 @@ compute_batch`; if that raises, it reprices them one by one, so only
             for keys, batch in priced:
                 service.admit_miss(keys, batch)
                 self.counters["computed"] += len(keys)
-                self.counters["computed_parallel"] += batch.parallel
                 seconds = batch.seconds / len(keys)
                 for key, evaluation in zip(keys, batch.evaluations):
                     if self.store is not None:
@@ -952,8 +928,7 @@ def serve(socket_path: str | Path, *,
           cache_size: int = 4096,
           read_timeout: float | None = None,
           write_timeout: float | None = 60.0,
-          max_inflight: int = 256,
-          workers: int = 0) -> PricingServer:
+          max_inflight: int = 256) -> PricingServer:
     """Run a pricing daemon until SIGTERM/SIGINT (blocking; a second
     signal forces immediate exit).
 
@@ -964,8 +939,7 @@ def serve(socket_path: str | Path, *,
                            cache_size=cache_size,
                            read_timeout=read_timeout,
                            write_timeout=write_timeout,
-                           max_inflight=max_inflight,
-                           workers=workers)
+                           max_inflight=max_inflight)
     asyncio.run(server.run_async(install_signals=True))
     return server
 
@@ -978,7 +952,6 @@ def serve_in_thread(socket_path: str | Path | None = None, *,
                     read_timeout: float | None = None,
                     write_timeout: float | None = 60.0,
                     max_inflight: int = 256,
-                    workers: int = 0,
                     fault_injector=None,
                     maintenance_interval: float | None = 300.0,
                     compact_min_redundant: int = 256):
@@ -1001,7 +974,6 @@ def serve_in_thread(socket_path: str | Path | None = None, *,
                            read_timeout=read_timeout,
                            write_timeout=write_timeout,
                            max_inflight=max_inflight,
-                           workers=workers,
                            fault_injector=fault_injector,
                            maintenance_interval=maintenance_interval,
                            compact_min_redundant=compact_min_redundant)

@@ -66,8 +66,6 @@ def _common_validate(config) -> None:
         raise ValueError("batch must be >= 1")
     if config.cache_size < 0:
         raise ValueError("cache_size must be >= 0")
-    if config.eval_workers < 0:
-        raise ValueError("eval_workers must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class LocalSearchConfig:
         calibrate_bounds: Use the paper-faithful exploration penalty
             bounds (see :mod:`repro.core.bounds_calibration`).
         cache_size: LRU capacity of the owned service's cache.
-        eval_workers: Process-pool width of the owned service.
     """
 
     rounds: int = 25
@@ -94,7 +91,6 @@ class LocalSearchConfig:
     seed: int = 11
     calibrate_bounds: bool = True
     cache_size: int = 4096
-    eval_workers: int = 0
 
     def __post_init__(self) -> None:
         _common_validate(self)
@@ -113,7 +109,7 @@ class BayesOptConfig:
         xi: EI exploration margin.
         lengthscale: GP kernel lengthscale (features live in [0, 1]).
         noise: GP observation-noise variance.
-        rho / seed / calibrate_bounds / cache_size / eval_workers: As in
+        rho / seed / calibrate_bounds / cache_size: As in
             :class:`LocalSearchConfig`.
     """
 
@@ -127,7 +123,6 @@ class BayesOptConfig:
     seed: int = 23
     calibrate_bounds: bool = True
     cache_size: int = 4096
-    eval_workers: int = 0
 
     def __post_init__(self) -> None:
         _common_validate(self)
@@ -147,7 +142,7 @@ class EnsembleConfig:
             :class:`repro.train.regressors.MLPEnsembleRegressor`).
         beta: Weight of the variance penalty in the
             mean-minus-variance acquisition.
-        rho / seed / calibrate_bounds / cache_size / eval_workers: As in
+        rho / seed / calibrate_bounds / cache_size: As in
             :class:`LocalSearchConfig`.
     """
 
@@ -163,7 +158,6 @@ class EnsembleConfig:
     seed: int = 29
     calibrate_bounds: bool = True
     cache_size: int = 4096
-    eval_workers: int = 0
 
     def __post_init__(self) -> None:
         _common_validate(self)

@@ -1,10 +1,12 @@
-"""Process-pool start-method selection shared by every pool user.
+"""Process-pool start-method selection for the campaign's scenario pool.
 
-The evaluation service and the campaign runner both fan work out over
-:class:`concurrent.futures.ProcessPoolExecutor`.  Fork is the preferred
-start method — workers inherit loaded modules, so start-up is cheap and
-nothing needs to pickle — but it does not exist everywhere (Windows has
-no fork; macOS defaults to spawn for good reasons).  Hard-coding
+The campaign runner (:mod:`repro.core.campaign`, ``repro campaign
+--workers``) fans whole scenarios out over
+:class:`concurrent.futures.ProcessPoolExecutor`; it is the package's
+only process pool.  Fork is the preferred start method — workers
+inherit loaded modules, so start-up is cheap and nothing needs to
+pickle — but it does not exist everywhere (Windows has no fork; macOS
+defaults to spawn for good reasons).  Hard-coding
 ``get_context("fork")`` therefore crashes ``--workers > 1`` on those
 platforms.
 

@@ -20,8 +20,8 @@ Seeding contract (relied on by ``tests/test_golden_search.py``):
 3. Evaluation is RNG-free: the hardware path (cost model + HAP) and the
    surrogate accuracy landscape (:func:`repro.utils.hashing.stable_hash`
    jitter) are pure functions of their inputs.  This is what lets the
-   evaluation service cache, batch and parallelise evaluations without
-   changing search trajectories.
+   evaluation service cache and batch evaluations, and the campaign
+   run scenarios in parallel, without changing search trajectories.
 4. Checkpoint/resume never re-seeds.  The unified search driver
    (:mod:`repro.core.driver`) snapshots every live generator's exact
    stream position with :func:`rng_state` and restores it with

@@ -183,6 +183,62 @@ class TestStrategies:
         assert names == ["W1/mc/b5/s7/rho5", "W1/mc/b5/s7"]
 
 
+class TestPoolStartMethod:
+    """``campaign --workers > 1`` must not assume fork exists (Windows,
+    macOS spawn default): fall back to an available start method when
+    the jobs pickle, otherwise fail with a clear message."""
+
+    @staticmethod
+    def _spawn_only(monkeypatch):
+        """Make this process look like a spawn-default platform: asking
+        for fork raises, the default context is spawn."""
+        import multiprocessing
+
+        real_get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return real_get_context(method or "spawn")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+
+    def test_falls_back_when_fork_unavailable(self, monkeypatch):
+        from repro.utils.pool import pool_context
+
+        self._spawn_only(monkeypatch)
+        context = pool_context(require_picklable=(int, "payload"))
+        assert context.get_start_method() == "spawn"
+
+    def test_unpicklable_closure_fails_clearly(self, monkeypatch):
+        from repro.utils.pool import pool_context
+
+        self._spawn_only(monkeypatch)
+        with pytest.raises(RuntimeError, match="not picklable"):
+            pool_context(require_picklable=(lambda: None,))
+
+    def test_fork_preferred_when_available(self):
+        from repro.utils.pool import pool_context
+
+        # The unpicklable closure is irrelevant under fork (state is
+        # inherited, not shipped), so this must not raise on POSIX.
+        context = pool_context(require_picklable=(lambda: None,))
+        assert context.get_start_method() == "fork"
+
+    def test_campaign_pool_works_without_fork(self, monkeypatch):
+        scenarios = (
+            Scenario("W1", "mc", 6, seed=5),
+            Scenario("W1", "mc", 6, seed=7),
+        )
+        sequential = run_campaign(CampaignConfig(scenarios=scenarios))
+        self._spawn_only(monkeypatch)
+        pooled = run_campaign(CampaignConfig(scenarios=scenarios,
+                                             workers=2))
+        assert len(pooled.outcomes) == len(scenarios)
+        for a, b in zip(sequential.outcomes, pooled.outcomes):
+            assert run_shape(a.result) == run_shape(b.result)
+
+
 class TestCrashFlush:
     def test_scenario_crash_mid_grid_flushes_store(self, tmp_path,
                                                    monkeypatch):

@@ -116,16 +116,27 @@ class TestCommands:
 class TestNonNegativeArgs:
     @pytest.mark.parametrize("argv", [
         ["search", "--cache-size", "-1"],
-        ["search", "--workers", "-2"],
+        ["search", "--service-retries", "-2"],
         ["evolve", "--cache-size", "-1"],
         ["campaign", "--cache-size", "-1"],
-        ["campaign", "--eval-workers", "-1"],
+        ["serve", "--socket", "/tmp/p.sock", "--max-inflight", "-1"],
         ["campaign", "--workers", "-3"],
     ])
     def test_negative_counts_rejected_by_parser(self, argv, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--workers", "2"],
+        ["evolve", "--workers", "2"],
+        ["campaign", "--eval-workers", "2"],
+        ["serve", "--socket", "/tmp/p.sock", "--workers", "2"],
+    ])
+    def test_per_batch_pool_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_zero_cache_size_still_allowed(self):
         args = build_parser().parse_args(["search", "--cache-size", "0"])

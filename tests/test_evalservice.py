@@ -1,9 +1,8 @@
-"""EvalService: cache-key soundness, accounting, parallel equality.
+"""EvalService: cache-key soundness, accounting, bit-identity.
 
 These tests lock down the evaluation service so future optimisation of
-the hardware hot path cannot silently change results: cached, uncached,
-serial and process-pool evaluations of the same design must stay
-bit-identical (`HardwareEvaluation` is a nest of frozen dataclasses, so
+the hardware hot path cannot silently change results: cached and
+uncached evaluations of the same design must stay bit-identical (`HardwareEvaluation` is a nest of frozen dataclasses, so
 `==` is full structural equality).
 """
 
@@ -14,7 +13,7 @@ import dataclasses
 import pytest
 
 from suite_helpers import build_hw_evaluator as make_evaluator
-from suite_helpers import die_in_worker, sample_design_pairs
+from suite_helpers import sample_design_pairs
 from repro.accel import AllocationSpace
 from repro.core import EvalService, Evaluator, design_digest
 from repro.cost import CostModel
@@ -191,74 +190,18 @@ class TestBitIdentity:
         assert evaluation == dataclasses.replace(evaluation)
 
 
-class TestParallel:
-    def test_parallel_equals_serial(self, workload, pairs):
-        serial = EvalService(make_evaluator(workload))
-        expected = serial.evaluate_many(pairs)
-        with EvalService(make_evaluator(workload), workers=2,
-                         parallel_threshold=2) as parallel:
-            got = parallel.evaluate_many(pairs)
-            assert parallel.stats.parallel_evaluations == len(pairs)
-        assert got == expected
-
-    def test_parallel_counts_mirrored(self, workload, pairs):
-        evaluator = make_evaluator(workload)
-        with EvalService(evaluator, workers=2,
-                         parallel_threshold=2) as service:
-            service.evaluate_many(pairs)
-        assert evaluator.hardware_evaluations == len(pairs)
-
-    def test_small_batches_stay_serial(self, workload, pairs):
-        with EvalService(make_evaluator(workload), workers=2,
-                         parallel_threshold=64) as service:
-            service.evaluate_many(pairs)
-            assert service.stats.parallel_evaluations == 0
-
-    def test_close_is_idempotent(self, workload):
-        service = EvalService(make_evaluator(workload), workers=2)
+class TestLifecycle:
+    def test_close_is_idempotent(self, workload, pairs):
+        service = EvalService(make_evaluator(workload))
+        service.evaluate_many(pairs)
         service.close()
         service.close()
-
-
-class TestPoolResilience:
-    def test_broken_pool_reprices_serially_then_rebuilds(
-            self, workload, alloc, pairs, monkeypatch):
-        """A worker dying mid-batch breaks the pool; the batch must be
-        repriced serially (bit-identical — pricing is deterministic)
-        and the next parallel batch must run on a rebuilt pool."""
-        with EvalService(make_evaluator(workload)) as serial:
-            want = serial.evaluate_many(pairs)
-        with EvalService(make_evaluator(workload), workers=2,
-                         parallel_threshold=2) as service:
-            # Fork inherits the monkeypatched module global, so every
-            # worker dies on its first task.
-            monkeypatch.setattr(
-                "repro.core.evalservice._eval_in_worker",
-                die_in_worker)
-            with pytest.warns(RuntimeWarning, match="pool broke"):
-                got = service.evaluate_many(pairs)
-            assert got == want
-            assert service.stats.pool_restarts == 1
-            assert "1 pool restarts" in service.stats.pricing_summary()
-            # Heal the worker body: the next parallel batch rebuilds
-            # the pool lazily and prices in it again.
-            monkeypatch.undo()
-            fresh = sample_pairs(workload, alloc, 4, seed=23)
-            with EvalService(make_evaluator(workload)) as serial:
-                fresh_want = serial.evaluate_many(fresh)
-            assert service.evaluate_many(fresh) == fresh_want
-            assert service.stats.parallel_evaluations == len(fresh)
-            assert service.stats.pool_restarts == 1
 
 
 class TestValidation:
     def test_negative_cache_size_rejected(self, workload):
         with pytest.raises(ValueError, match="cache_size"):
             EvalService(make_evaluator(workload), cache_size=-1)
-
-    def test_negative_workers_rejected(self, workload):
-        with pytest.raises(ValueError, match="workers"):
-            EvalService(make_evaluator(workload), workers=-1)
 
     def test_trainerless_evaluator_guards_training_path(self, workload):
         evaluator = Evaluator(workload, CostModel(), trainer=None)
@@ -309,60 +252,6 @@ class TestGenerations:
         assert stats_before.misses == service.stats.misses
         assert fresh.evaluator.cost_model.memo_misses \
             == service.evaluator.cost_model.memo_misses
-
-
-class TestPoolStartMethod:
-    """``--workers > 1`` must not assume fork exists (Windows, macOS
-    spawn default): fall back to an available start method when the
-    closures pickle, otherwise fail with a clear message."""
-
-    @staticmethod
-    def _spawn_only(monkeypatch):
-        """Make this process look like a spawn-default platform: asking
-        for fork raises, the default context is spawn."""
-        import multiprocessing
-
-        real_get_context = multiprocessing.get_context
-
-        def no_fork(method=None):
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return real_get_context(method or "spawn")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-
-    def test_falls_back_when_fork_unavailable(self, monkeypatch):
-        from repro.utils.pool import pool_context
-
-        self._spawn_only(monkeypatch)
-        context = pool_context(require_picklable=(int, "payload"))
-        assert context.get_start_method() == "spawn"
-
-    def test_unpicklable_closure_fails_clearly(self, monkeypatch):
-        from repro.utils.pool import pool_context
-
-        self._spawn_only(monkeypatch)
-        with pytest.raises(RuntimeError, match="not picklable"):
-            pool_context(require_picklable=(lambda: None,))
-
-    def test_fork_preferred_when_available(self):
-        from repro.utils.pool import pool_context
-
-        # The unpicklable closure is irrelevant under fork (state is
-        # inherited, not shipped), so this must not raise on POSIX.
-        context = pool_context(require_picklable=(lambda: None,))
-        assert context.get_start_method() == "fork"
-
-    def test_service_pool_works_without_fork(self, workload, alloc,
-                                             monkeypatch):
-        self._spawn_only(monkeypatch)
-        batch = sample_pairs(workload, alloc, 4, seed=21)
-        reference = [make_evaluator(workload).evaluate_hardware(*pair)
-                     for pair in batch]
-        with EvalService(make_evaluator(workload), workers=2,
-                         parallel_threshold=2) as service:
-            assert service.evaluate_many(batch) == reference
-            assert service.stats.parallel_evaluations == len(batch)
 
 
 class TestEvictionRobustness:

@@ -17,13 +17,12 @@ import socket
 import struct
 import threading
 import time
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from suite_helpers import die_in_worker, sample_design_pairs
+from suite_helpers import sample_design_pairs
 from repro.core.client import (
     DaemonBusyError,
     RemoteEvalService,
@@ -306,13 +305,14 @@ class TestServedPricing:
                 assert "version" in reply["error"]
 
     def test_hello_from_version_1_names_both_versions(self, workload):
-        """Version 1 shipped evaluations with a HAP schedule and
-        version 2 pickled designs and evaluations; a client still
-        speaking either is refused, and the error says which version it
-        sent and which one the daemon speaks."""
-        assert PROTOCOL_VERSION == 3
+        """Version 1 shipped evaluations with a HAP schedule, version 2
+        pickled designs and evaluations, and version 3 carried the
+        worker-pool stats fields; a client still speaking any of them is
+        refused, and the error says which version it sent and which one
+        the daemon speaks."""
+        assert PROTOCOL_VERSION == 4
         with serve_in_thread() as server:
-            for old in (1, 2):
+            for old in (1, 2, 3):
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
                 with sock:
                     sock.connect(str(server.socket_path))
@@ -320,7 +320,7 @@ class TestServedPricing:
                     reply = recv_frame(sock)
                     assert not reply["ok"]
                     assert f"version {old} " in reply["error"]
-                    assert "speaks 3" in reply["error"]
+                    assert "speaks 4" in reply["error"]
 
     def test_submit_before_hello_is_refused(self, workload):
         with serve_in_thread() as server:
@@ -550,61 +550,15 @@ class TestCoalescing:
         want = direct_prices(workload, [pairs[0], pairs[2]])
         assert got == want
 
-
-# ----------------------------------------------------------------------
-# Worker-pool miss computation (--workers)
-# ----------------------------------------------------------------------
-class TestWorkerPool:
-    def test_pooled_misses_are_bit_identical(self, workload, pairs):
-        """workers=2 prices misses in worker processes; every answer
-        equals the in-process reference and repeats hit the shared
-        LRU exactly as on the serial path."""
-        trace = pairs + pairs[::-1]
-        with EvalService(make_evaluator(workload)) as local:
-            want = local.evaluate_many(trace)
-        with serve_in_thread(workers=2) as server:
-            with make_client(server, workload) as client:
-                got = client.evaluate_many(trace)
-            assert server.counters["computed"] == len(pairs)
-            assert server.counters["computed_parallel"] == len(pairs)
-            (service,) = server.services.values()
-            assert service.stats.pool_restarts == 0
-        assert got == want
-
-    def test_broken_pool_reprices_serially(self, workload, pairs,
-                                           monkeypatch):
-        """A pool worker killed mid-batch breaks the hosted service's
-        pool: the batch is repriced serially (bit-identical), counted
-        in the service's ``pool_restarts``, and the next large batch
-        runs on a rebuilt pool."""
-        monkeypatch.setattr("repro.core.evalservice._eval_in_worker",
-                            die_in_worker)
-        fresh = sample_design_pairs(workload, n=4, seed=29)
-        with serve_in_thread(workers=2) as server:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                with make_client(server, workload) as client:
-                    got = client.evaluate_many(pairs)
-            (service,) = server.services.values()
-            assert service.stats.pool_restarts == 1
-            assert server.counters["computed"] == len(pairs)
-            assert server.counters["computed_parallel"] == 0
-            monkeypatch.undo()
-            with make_client(server, workload) as client:
-                healed = client.evaluate_many(fresh)
-            assert server.counters["computed_parallel"] == len(fresh)
-            assert service.stats.pool_restarts == 1
-        assert got == direct_prices(workload, pairs)
-        assert healed == direct_prices(workload, fresh)
-
-    def test_pooled_compute_stays_exactly_once(self, workload, pairs):
-        """Concurrent clients over one design pool with workers on:
-        the in-flight map dedups before pool dispatch, so each
+    def test_concurrent_clients_compute_each_design_once(self, workload,
+                                                         pairs):
+        """Concurrent clients over one multi-design pool, racing
+        ungated: the in-flight map dedups before dispatch, so each
         distinct design is computed exactly once fleet-wide."""
         clients = 4
         results: list = [None] * clients
         errors: list = []
-        with serve_in_thread(workers=2) as server:
+        with serve_in_thread() as server:
 
             def run(slot: int) -> None:
                 try:
@@ -626,30 +580,23 @@ class TestWorkerPool:
         for evaluations in results:
             assert evaluations == want
 
-    def test_status_reports_workers_and_context_breakdown(
-            self, workload, pairs):
-        with serve_in_thread(workers=2) as server:
+
+# ----------------------------------------------------------------------
+# Per-context status breakdown
+# ----------------------------------------------------------------------
+class TestContextBreakdown:
+    def test_status_reports_context_breakdown(self, workload, pairs):
+        with serve_in_thread() as server:
             with make_client(server, workload) as client:
                 client.evaluate_many(pairs[:2] + pairs[:2])
             status = probe_status(server.socket_path)
-            assert status["workers"] == 2
+            assert "workers" not in status
             (context,) = status["contexts"].values()
             assert context["requests"] == 4
             assert context["hits"] == 2
             assert context["store_hits"] == 0
             assert context["coalesced"] == 0
             assert context["hit_rate"] == 0.5
-
-    def test_serial_daemon_status_reports_zero_workers(
-            self, workload, pairs):
-        with serve_in_thread() as server:
-            with make_client(server, workload) as client:
-                client.evaluate_many(pairs[:1])
-            status = probe_status(server.socket_path)
-            assert status["workers"] == 0
-            (context,) = status["contexts"].values()
-            assert context["requests"] == 1
-            assert server.counters["computed_parallel"] == 0
 
     def test_coalesced_submits_attributed_to_context(self, workload,
                                                      pairs):
