@@ -123,8 +123,7 @@ def render(report: dict) -> str:
                f"{report['trace_len']} requests)"))
     return (f"{table}\n"
             f"speedup: {report['speedup']:.1f}x "
-            f"(gate: >= {MIN_SPEEDUP:.0f}x)   {stats.summary()}\n"
-            f"{stats.pricing_summary()}")
+            f"(gate: >= {MIN_SPEEDUP:.0f}x)\n{stats.summary()}")
 
 
 def to_json(report: dict) -> dict:

@@ -135,15 +135,6 @@ def _drive(strategy, evaluator: Evaluator,
             service.close()
 
 
-def _solution_from_eval(networks, hw: HardwareEvaluation, accuracies,
-                        weighted: float) -> ExploredSolution:
-    return ExploredSolution(
-        networks=networks, accelerator=hw.accelerator,
-        latency_cycles=hw.latency_cycles, energy_nj=hw.energy_nj,
-        area_um2=hw.area_um2, feasible=hw.feasible,
-        accuracies=accuracies, weighted_accuracy=weighted)
-
-
 # ----------------------------------------------------------------------
 # Conventional NAS (architecture only)
 # ----------------------------------------------------------------------
@@ -505,8 +496,8 @@ class _HardwareAwareNASStrategy(_ControllerEpisodeStrategy):
         weighted = weighted_normalised_accuracy(self.workload, accuracies)
         reward = episode_reward(weighted, hw.penalty, self.rho)
         self.updates.apply_episodes([(sample, reward)])
-        self._result.record(_solution_from_eval(joint.networks, hw,
-                                                accuracies, weighted))
+        self._result.record(ExploredSolution.priced(
+            joint.networks, hw, accuracies, weighted))
         self._episode += 1
         return RoundLog(
             self._episode - 1,
@@ -618,8 +609,8 @@ class _MonteCarloStrategy:
             accuracies = self.evaluator.train_networks(networks)
             weighted = weighted_normalised_accuracy(self.workload,
                                                     accuracies)
-            self._result.record(_solution_from_eval(networks, hw,
-                                                    accuracies, weighted))
+            self._result.record(ExploredSolution.priced(
+                networks, hw, accuracies, weighted))
         return RoundLog(
             self._sampled // self.chunk,
             f"samples {self._sampled}/{self.runs}")
@@ -699,8 +690,9 @@ class PipelineResult:
 
     @property
     def solution(self) -> ExploredSolution:
-        return _solution_from_eval(self.networks, self.hardware,
-                                   self.accuracies, self.weighted_accuracy)
+        return ExploredSolution.priced(self.networks, self.hardware,
+                                       self.accuracies,
+                                       self.weighted_accuracy)
 
 
 def successive_nas_then_asic(

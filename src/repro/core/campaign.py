@@ -458,10 +458,15 @@ class Campaign:
         if self.services:
             stats = [service.stats for service in self.services.values()]
             entries = sum(s.cache_len for s in self.services.values())
+            # Every service prices through the campaign's one cost model.
+            memo_hits = self.cost_model.memo_hits
+            memo_misses = self.cost_model.memo_misses
         else:  # pool mode: aggregate the per-scenario deltas
             stats = [o.eval_stats for o in outcomes
                      if o.eval_stats is not None]
             entries = 0
+            memo_hits = sum(s.cost_memo_hits for s in stats)
+            memo_misses = sum(s.cost_memo_misses for s in stats)
         requests = sum(s.requests for s in stats)
         hits = sum(s.hits for s in stats)
         shared = sum(s.shared_hits for s in stats)
@@ -481,8 +486,8 @@ class Campaign:
                               if self.store is not None else 0),
             "store_bytes": (self.store.size_bytes
                             if self.store is not None else 0),
-            "cost_memo_hits": self.cost_model.memo_hits,
-            "cost_memo_misses": self.cost_model.memo_misses,
+            "cost_memo_hits": memo_hits,
+            "cost_memo_misses": memo_misses,
         }
 
     # ------------------------------------------------------------------

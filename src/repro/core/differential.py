@@ -185,7 +185,7 @@ def _hap_facts(result) -> tuple:
 
 def _normalised_run(result) -> dict[str, Any]:
     """Run record with the only wall-clock field zeroed."""
-    result.eval_seconds = 0.0
+    result.pricing.miss_seconds = 0.0
     return result_to_dict(result)
 
 

@@ -19,8 +19,8 @@ Split of responsibilities:
   sample-then-batch-price pattern (all of a round's candidates are
   proposed before any is priced, so batching never perturbs an RNG
   stream), the evaluation-service lifecycle, per-run stats attribution
-  (stats deltas absorbed into the result so shared campaign caches
-  still yield per-run accounting), progress events, and
+  (the stats delta becomes the result's ``pricing`` record, so shared
+  campaign caches still yield per-run accounting), progress events, and
   **checkpoint/resume**.
 
 Round protocol (one ``step()``)::
@@ -124,7 +124,7 @@ class SearchStrategy(Protocol):
         ...
 
     def finish(self) -> Any:
-        """Assemble the run's result (the driver absorbs eval stats)."""
+        """Assemble the run's result (the driver sets its ``pricing``)."""
         ...
 
     def state(self) -> dict:
@@ -255,19 +255,19 @@ class SearchDriver:
         return self.finish()
 
     def finish(self) -> Any:
-        """Assemble the result once and absorb this run's eval stats.
+        """Assemble the result once and set its ``pricing`` record.
 
-        Stats are absorbed as a *delta* against the service's counters
-        at driver start, so runs sharing one campaign-wide service still
-        report their own budget (`hardware_evaluations`, cache and
-        pricing counters) rather than the cache's lifetime totals.
+        The record is a *delta* against the service's counters at
+        driver start, so runs sharing one campaign-wide service still
+        report their own budget (requests, cache and pricing counters)
+        rather than the cache's lifetime totals.
         """
         if not self._finished:
             result = self.strategy.finish()
-            if self.service is not None and hasattr(result,
-                                                    "absorb_eval_stats"):
-                result.absorb_eval_stats(
-                    self.service.stats.delta(self._stats_start))
+            if self.service is not None and isinstance(result,
+                                                       SearchResult):
+                result.pricing = self.service.stats.delta(
+                    self._stats_start)
             self._result = result
             self._finished = True
         return self._result
@@ -446,7 +446,7 @@ class JointSearch:
         raise NotImplementedError
 
     def finish(self) -> SearchResult:
-        """Assemble the run record (the driver absorbs eval stats)."""
+        """Assemble the run record (the driver sets its ``pricing``)."""
         result = self._result
         result.trainings_run = self.trainer.trainings_run
         result.trainings_skipped = self.trainer.trainings_skipped

@@ -26,8 +26,10 @@ DANCE, which both amortise the evaluator to make co-search tractable):
   same process or a fresh session — warm-starts from prior pricing
   (``stats.store_hits``).  Store entries are salt-namespaced and
   key-checked, so reuse is sound exactly like campaign cache sharing;
-- **hit/miss/timing statistics** (:class:`EvalServiceStats`) surfaced
-  through :class:`repro.core.results.SearchResult` and the CLI.
+- **hit/miss/timing statistics** (:class:`EvalServiceStats`): a run's
+  delta is its :attr:`repro.core.results.SearchResult.pricing` record,
+  rendered by :meth:`EvalServiceStats.summary` and written to the run
+  JSON.
 
 Determinism: the hardware path is RNG-free and the store writes
 evaluations as :mod:`repro.core.codec` records, whose IEEE doubles
@@ -291,7 +293,7 @@ class EvalServiceStats:
 
         Used by :class:`repro.core.driver.SearchDriver` to attribute a
         *shared* service's accounting to one run: the driver snapshots
-        the stats when it starts and absorbs only the delta, so campaign
+        the stats when it starts and records only the delta, so campaign
         scenarios sharing one cache still report per-run numbers.
         """
         diff = EvalServiceStats(**{
@@ -309,32 +311,40 @@ class EvalServiceStats:
         return diff
 
     def summary(self) -> str:
-        """One-line human-readable account."""
+        """Human-readable account: cache line, pricing line and, when a
+        remote client hit faults, a fault line.  The store gauges are
+        left out, so a store-backed run summarises like a storeless
+        one."""
         store = (f", {self.store_hits} from store"
                  if self.store_hits else "")
-        return (f"evaluation cache: {self.hits} hits / {self.misses} misses "
-                f"({self.hit_rate:.1%} hit rate{store}, "
-                f"~{self.seconds_saved:.2f}s saved, "
-                f"{self.miss_seconds:.2f}s computing)")
-
-    def pricing_summary(self) -> str:
-        """One-line account of the uncached-pricing fast paths."""
+        lines = [
+            f"evaluation cache: {self.hits} hits / {self.misses} misses "
+            f"({self.hit_rate:.1%} hit rate{store}, "
+            f"~{self.seconds_saved:.2f}s saved, "
+            f"{self.miss_seconds:.2f}s computing)"]
         moves = self.hap_moves_priced
         pruned_pct = self.hap_moves_pruned / moves if moves else 0.0
         steps = self.hap_steps_saved + self.hap_steps_replayed
         saved_pct = self.hap_steps_saved / steps if steps else 0.0
-        store = ""
-        if self.store_entries or self.store_bytes:
-            store = (f"; store {self.store_entries} entries, "
-                     f"{self.store_bytes} B on disk")
-        return (f"pricing: cost memo {self.cost_memo_hits} hits / "
-                f"{self.cost_memo_misses} misses "
-                f"({self.cost_memo_rate:.1%} reuse, "
-                f"{self.cost_memo_entries} entries held); "
-                f"HAP moves {moves} priced, "
-                f"{self.hap_moves_pruned} pruned ({pruned_pct:.1%}), "
-                f"{self.hap_moves_resumed} resumed "
-                f"({saved_pct:.1%} steps skipped){store}")
+        lines.append(
+            f"pricing: cost memo {self.cost_memo_hits} hits / "
+            f"{self.cost_memo_misses} misses "
+            f"({self.cost_memo_rate:.1%} reuse, "
+            f"{self.cost_memo_entries} entries held); "
+            f"HAP moves {moves} priced, "
+            f"{self.hap_moves_pruned} pruned ({pruned_pct:.1%}), "
+            f"{self.hap_moves_resumed} resumed "
+            f"({saved_pct:.1%} steps skipped)")
+        faults = []
+        if self.degraded:
+            faults.append("DEGRADED to local pricing")
+        if self.retries:
+            faults.append(f"{self.retries} retries")
+        if self.reconnects:
+            faults.append(f"{self.reconnects} reconnects")
+        if faults:
+            lines.append("pricing faults: " + ", ".join(faults))
+        return "\n".join(lines)
 
 
 class EvalService:

@@ -151,16 +151,8 @@ class EvolutionarySearch(JointSearch):
         weighted = weighted_normalised_accuracy(self.workload, accuracies)
         individual.fitness = episode_reward(weighted, hardware.penalty,
                                             self.config.rho)
-        individual.solution = ExploredSolution(
-            networks=joint.networks,
-            accelerator=hardware.accelerator,
-            latency_cycles=hardware.latency_cycles,
-            energy_nj=hardware.energy_nj,
-            area_um2=hardware.area_um2,
-            feasible=hardware.feasible,
-            accuracies=accuracies,
-            weighted_accuracy=weighted,
-        )
+        individual.solution = ExploredSolution.priced(
+            joint.networks, hardware, accuracies, weighted)
         result.record(individual.solution)
 
     def _tournament(self, population: list[_Individual]) -> _Individual:

@@ -205,16 +205,8 @@ class NASAIC(JointSearch):
         # -- bookkeeping ------------------------------------------------
         solution = None
         if trained:
-            solution = ExploredSolution(
-                networks=joint.networks,
-                accelerator=best_hw.accelerator,
-                latency_cycles=best_hw.latency_cycles,
-                energy_nj=best_hw.energy_nj,
-                area_um2=best_hw.area_um2,
-                feasible=best_hw.feasible,
-                accuracies=accuracies,
-                weighted_accuracy=weighted,
-            )
+            solution = ExploredSolution.priced(joint.networks, best_hw,
+                                               accuracies, weighted)
             result.record(solution)
         record = EpisodeRecord(
             episode=self._episode,
@@ -300,13 +292,6 @@ class NASAIC(JointSearch):
         evaluation = self.evaluator.evaluate(joint.networks,
                                              joint.accelerator,
                                              hardware=hardware)
-        return ExploredSolution(
-            networks=joint.networks,
-            accelerator=joint.accelerator,
-            latency_cycles=evaluation.hardware.latency_cycles,
-            energy_nj=evaluation.hardware.energy_nj,
-            area_um2=evaluation.hardware.area_um2,
-            feasible=evaluation.feasible,
-            accuracies=evaluation.accuracies,
-            weighted_accuracy=evaluation.weighted_accuracy,
-        )
+        return ExploredSolution.priced(joint.networks, hardware,
+                                       evaluation.accuracies,
+                                       evaluation.weighted_accuracy)

@@ -178,12 +178,18 @@ def solution_to_dict(solution: ExploredSolution) -> dict[str, Any]:
 def result_to_dict(result: SearchResult) -> dict[str, Any]:
     """Flatten a whole search run (explored set + accounting).
 
-    The ``pricing`` block mirrors the run's uncached-pricing counters
-    (cross-design cost-table memo reuse and HAP move pricing — certified
-    prunes, delta-resumes, simulation steps skipped) plus the fault
-    counters (``degraded``, retries/reconnects, pool restarts), so JSON
-    outputs track fast-path effectiveness and fault exposure per run.
+    The accounting comes from ``result.pricing`` (all zeros when no
+    service priced the run).  The ``pricing`` block carries the run's
+    uncached-pricing counters (cross-design cost-table memo reuse and
+    HAP move pricing — certified prunes, delta-resumes, simulation
+    steps skipped) plus the fault counters (``degraded``,
+    retries/reconnects), so JSON outputs track fast-path effectiveness
+    and fault exposure per run.
     """
+    stats = result.pricing
+    if stats is None:
+        from repro.core.evalservice import EvalServiceStats
+        stats = EvalServiceStats()
     return {
         "name": result.name,
         "best": (solution_to_dict(result.best)
@@ -191,24 +197,24 @@ def result_to_dict(result: SearchResult) -> dict[str, Any]:
         "explored": [solution_to_dict(s) for s in result.explored],
         "trainings_run": result.trainings_run,
         "trainings_skipped": result.trainings_skipped,
-        "hardware_evaluations": result.hardware_evaluations,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "eval_seconds": result.eval_seconds,
+        "hardware_evaluations": stats.requests,
+        "cache_hits": stats.hits,
+        "cache_misses": stats.misses,
+        "eval_seconds": stats.miss_seconds,
         "num_feasible": len(result.feasible_solutions),
         "pricing": {
-            "store_hits": result.store_hits,
-            "cost_memo_hits": result.cost_memo_hits,
-            "cost_memo_misses": result.cost_memo_misses,
-            "hap_moves_priced": result.hap_moves_priced,
-            "hap_moves_pruned": result.hap_moves_pruned,
-            "hap_moves_resumed": result.hap_moves_resumed,
-            "hap_steps_saved": result.hap_steps_saved,
-            "hap_steps_replayed": result.hap_steps_replayed,
-            "hap_batched_rounds": 0,  # read by perfbench/scenarios.py
-            "degraded": result.degraded,
-            "retries": result.pricing_retries,
-            "reconnects": result.pricing_reconnects,
+            "store_hits": stats.store_hits,
+            "cost_memo_hits": stats.cost_memo_hits,
+            "cost_memo_misses": stats.cost_memo_misses,
+            "hap_moves_priced": stats.hap_moves_priced,
+            "hap_moves_pruned": stats.hap_moves_pruned,
+            "hap_moves_resumed": stats.hap_moves_resumed,
+            "hap_steps_saved": stats.hap_steps_saved,
+            "hap_steps_replayed": stats.hap_steps_replayed,
+            "hap_batched_rounds": stats.hap_batched_rounds,
+            "degraded": bool(stats.degraded),
+            "retries": stats.retries,
+            "reconnects": stats.reconnects,
         },
     }
 

@@ -49,8 +49,8 @@ Design:
   (:func:`repro.core.serialization.save_store_index`) holds a sorted
   ``(bucket hash, file offset)`` table, so opening a store reads a
   fixed-size stamp instead of unpickling every record, and lookups
-  binary-search the memory-mapped table and ``pread`` + unpickle only
-  the records they touch (plus a small decoded-record LRU).  Resident
+  binary-search the memory-mapped table and ``pread`` + decode only
+  the records they touch (the service's LRU keeps hot answers).  Resident
   memory is bounded by the working set, not the store size.  The
   sidecar is a *cache*: it is stamped with the covered byte count and
   a hash of the covered tail, and any mismatch (store mutated behind
@@ -96,8 +96,6 @@ import hashlib
 import os
 import pickle
 import struct
-import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -142,9 +140,6 @@ _CODEC_HEAD = struct.Struct("<BHHH")
 #: replacement or tail rewrite invalidates the sidecar; for stores
 #: smaller than the window it covers the whole file.
 _TAIL_WINDOW = 65536
-
-#: Default capacity of the decoded-record LRU (records, not bytes).
-_DECODE_CACHE_RECORDS = 256
 
 _EMPTY_U64 = np.empty(0, dtype="<u8")
 
@@ -239,7 +234,6 @@ class EvalStore:
             magic) is still rejected.
         fault_injector: Test-only :class:`repro.core.faults.\
 FaultInjector` hooked into the append path (torn-write injection).
-        decode_cache: Capacity of the decoded-record LRU (records).
 
     Raises:
         ValueError: If the file exists but is not a repro evaluation
@@ -252,8 +246,7 @@ FaultInjector` hooked into the append path (torn-write injection).
 
     def __init__(self, path: str | Path, *, read_only: bool = False,
                  parent: "EvalStore | None" = None,
-                 recover: bool = False, fault_injector=None,
-                 decode_cache: int = _DECODE_CACHE_RECORDS) -> None:
+                 recover: bool = False, fault_injector=None) -> None:
         self.path = Path(path)
         self.read_only = read_only
         self.parent = parent
@@ -264,16 +257,12 @@ FaultInjector` hooked into the append path (torn-write injection).
                 "store without read_only to recover it")
         self._recover = recover
         self._fault_injector = fault_injector
-        self._decode_cache_cap = max(1, int(decode_cache))
         #: ``None``, or a dict describing the recovery that ran at
         #: open: ``kept_bytes``, ``quarantined_bytes``, ``sidecar``,
         #: ``detail``.
         self.recovered: dict[str, Any] | None = None
-        self.lookups = 0
-        self.lookup_hits = 0
         self._handle = None
         self._needs_magic = False
-        self._cache_lock = threading.Lock()
         self._reset_state()
         if not read_only:
             # Writers lock eagerly: the second writer must fail at
@@ -307,8 +296,6 @@ FaultInjector` hooked into the append path (torn-write injection).
         self._memo_offsets: dict[str, list[int]] = {}
         #: params digest -> decoded merged entries (lazy, kept hot).
         self._memo_cache: dict[str, dict] = {}
-        #: record offset -> decoded record, LRU-bounded.
-        self._decode_cache: OrderedDict[int, dict] = OrderedDict()
         #: Distinct evaluations in this file — maintained incrementally
         #: so ``len``/gauges are O(1), never a bucket scan.
         self._entry_count = 0
@@ -650,7 +637,7 @@ FaultInjector` hooked into the append path (torn-write injection).
             self._reader = open(self.path, "rb")
         return self._reader
 
-    def _decode_raw(self, offset: int) -> dict:
+    def _record_at(self, offset: int) -> dict:
         """``pread`` + decode the record at ``offset`` (positioned
         reads: safe under concurrent lookups, no seek state)."""
         fd = self._ensure_reader().fileno()
@@ -671,25 +658,6 @@ FaultInjector` hooked into the append path (torn-write injection).
         except ValueError as exc:
             raise self._corrupt(f"record at offset {offset}: {exc}") \
                 from exc
-
-    def _record_at(self, offset: int, *, cache: bool = True) -> dict:
-        if cache:
-            with self._cache_lock:
-                record = self._decode_cache.get(offset)
-                if record is not None:
-                    self._decode_cache.move_to_end(offset)
-                    return record
-        record = self._decode_raw(offset)
-        if cache:
-            self._cache_insert(offset, record)
-        return record
-
-    def _cache_insert(self, offset: int, record: dict) -> None:
-        with self._cache_lock:
-            self._decode_cache[offset] = record
-            self._decode_cache.move_to_end(offset)
-            while len(self._decode_cache) > self._decode_cache_cap:
-                self._decode_cache.popitem(last=False)
 
     def _candidate_offsets(self, bucket_hash: int) -> list[int]:
         """Offsets of records addressed by ``bucket_hash``, in file
@@ -732,16 +700,11 @@ FaultInjector` hooked into the append path (torn-write injection).
         compared before anything is returned, so digest collisions fall
         back to a miss (or to the colliding bucket's other entry).
         """
-        self.lookups += 1
         record = self._find_own(_bucket_hash(salt, digest), salt, key)
         if record is not None:
-            self.lookup_hits += 1
             return record["evaluation"]
         if self.parent is not None:
-            found = self.parent.get(salt, digest, key)
-            if found is not None:
-                self.lookup_hits += 1
-            return found
+            return self.parent.get(salt, digest, key)
         return None
 
     def _own_memo(self, params_digest: str) -> dict:
@@ -751,7 +714,7 @@ FaultInjector` hooked into the append path (torn-write injection).
         if cached is None:
             cached = {}
             for offset in self._memo_offsets.get(params_digest, ()):
-                record = self._record_at(offset, cache=False)
+                record = self._record_at(offset)
                 if record.get("kind") == "memo":
                     cached.update(record.get("entries", {}))
             self._memo_cache[params_digest] = cached
@@ -787,10 +750,9 @@ FaultInjector` hooked into the append path (torn-write injection).
 
     def iter_records(self) -> Iterator[dict]:
         """Decode this store's own indexed records in file order
-        (shadowed duplicates skipped; the decode LRU is bypassed so a
-        full sweep cannot evict the working set)."""
+        (shadowed duplicates skipped)."""
         for offset in self._ordered_offsets():
-            yield self._record_at(offset, cache=False)
+            yield self._record_at(offset)
 
     def iter_all_evaluations(self) -> Iterator[tuple[str, tuple, Any]]:
         """Yield ``(salt, content_key, evaluation)`` for every distinct
@@ -940,8 +902,6 @@ FaultInjector` hooked into the append path (torn-write injection).
             bucket_hash = _bucket_hash(record["salt"], record["digest"])
             self._extra.setdefault(bucket_hash, []).append(offset)
             self._entry_count += 1
-            # Freshly priced designs are hot: seed the decode LRU.
-            self._cache_insert(offset, record)
         else:
             self._memo_offsets.setdefault(record["params"],
                                           []).append(offset)
@@ -1173,10 +1133,6 @@ FaultInjector` hooked into the append path (torn-write injection).
         self._idx_lazy = None
         self._extra = {}
         self._memo_offsets = new_memo
-        # Decoded memo views are content-identical across compaction;
-        # only the offset-addressed record cache must be dropped.
-        with self._cache_lock:
-            self._decode_cache.clear()
         self._shadowed = 0
         self._size_bytes = position
         self._needs_magic = False

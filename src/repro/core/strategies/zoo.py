@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.choices import random_genes, repair_genes
+from repro.core.codec import accelerator_from_key
 from repro.core.driver import JointSearch, RoundLog
 from repro.core.results import EpisodeRecord, ExploredSolution, SearchResult
 from repro.core.reward import episode_reward, weighted_normalised_accuracy
@@ -255,11 +256,9 @@ class _ModelGuidedStrategy(JointSearch):
         (shortened) U-Net genotypes are padded by
         :meth:`~repro.arch.space.ArchitectureSpace.genotype_indices`.
         """
-        identities, slots, budget_key = key
-        alloc = self.allocation
+        identities, _slots, budget_key = key
         if (budget_key != budget
-                or len(identities) != len(self.workload.tasks)
-                or len(slots) != alloc.num_slots):
+                or len(identities) != len(self.workload.tasks)):
             return None
         genes = [0] * self.space.num_decisions
         try:
@@ -270,16 +269,11 @@ class _ModelGuidedStrategy(JointSearch):
                     return None
                 genes[self.space.task_slice(t)] = list(
                     space.genotype_indices(genotype))
-            dataflow_values = [d.value for d in alloc.dataflows]
-            for slot, (df_value, pes, bw) in enumerate(slots):
-                df_pos, pe_pos, bw_pos = self.space.slot_positions(slot)
-                genes[df_pos] = dataflow_values.index(df_value)
-                genes[pe_pos] = alloc.pe_options.index(pes)
-                if pes == 0:
-                    bw = alloc.bw_options[0]
-                genes[bw_pos] = alloc.bw_options.index(bw)
+            forced = self.space.encode_design(accelerator_from_key(key))
         except (ValueError, IndexError):
             return None
+        for position, action in forced.items():
+            genes[position] = action
         return genes
 
     # -- genome helpers ------------------------------------------------
@@ -383,16 +377,8 @@ class _ModelGuidedStrategy(JointSearch):
                                                     accuracies)
             reward = episode_reward(weighted, hardware.penalty,
                                     self.config.rho)
-            solution = ExploredSolution(
-                networks=joint.networks,
-                accelerator=hardware.accelerator,
-                latency_cycles=hardware.latency_cycles,
-                energy_nj=hardware.energy_nj,
-                area_um2=hardware.area_um2,
-                feasible=hardware.feasible,
-                accuracies=accuracies,
-                weighted_accuracy=weighted,
-            )
+            solution = ExploredSolution.priced(joint.networks, hardware,
+                                               accuracies, weighted)
             self._result.record(solution)
             gene_key = tuple(genes)
             if gene_key not in self._seen:

@@ -80,7 +80,7 @@ def run_timing(workload: Workload, *, episodes: int = 500,
         trainings_run=search.trainer.trainings_run,
         trainings_skipped=search.trainer.trainings_skipped,
         trainings_memoised=max(0, memoised),
-        hardware_evaluations=result.hardware_evaluations,
+        hardware_evaluations=result.pricing.requests,
         hardware_seconds=hardware_seconds,
         simulated_gpu_seconds=search.trainer.simulated_gpu_seconds,
         best_weighted=(result.best.weighted_accuracy

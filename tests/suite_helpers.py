@@ -58,7 +58,7 @@ def normalised_run(result, *, drop_accounting=False):
     counters — the store/warm-start tests compare only the facts that
     must not depend on which tier answered.
     """
-    result.eval_seconds = 0.0
+    result.pricing.miss_seconds = 0.0
     payload = result_to_dict(result)
     if drop_accounting:
         for key in ("cache_hits", "cache_misses", "eval_seconds",

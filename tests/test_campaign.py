@@ -100,7 +100,7 @@ class TestSharingIsSound:
                 continue
             # Each scenario reports its own budget, not cache lifetime
             # totals: requests equal what the run itself submitted.
-            assert outcome.result.hardware_evaluations \
+            assert outcome.result.pricing.requests \
                 == outcome.eval_stats.requests
 
     def test_services_keyed_by_context(self, campaign_run):
@@ -154,6 +154,13 @@ class TestStrategies:
                                              workers=2))
         for a, b in zip(sequential.outcomes, pooled.outcomes):
             assert run_shape(a.result) == run_shape(b.result)
+        # Each worker prices through its own cost model, so the
+        # campaign's memo totals are the sum of the scenarios' records.
+        for name in ("cost_memo_hits", "cost_memo_misses"):
+            total = sum(getattr(o.result.pricing, name)
+                        for o in pooled.outcomes)
+            assert total > 0
+            assert pooled.cache[name] == total
 
     def test_pool_mode_keeps_custom_cost_model(self):
         """Worker processes must price under the campaign's cost

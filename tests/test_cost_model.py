@@ -484,4 +484,4 @@ class TestMemoBound:
         from repro.core import EvalServiceStats
 
         stats = EvalServiceStats(cost_memo_entries=7)
-        assert "7 entries held" in stats.pricing_summary()
+        assert "7 entries held" in stats.summary()

@@ -227,6 +227,33 @@ class TestCheckpointResume:
         result = fresh_nasaic().run(resume_from=path)
         assert normalised(result) == nasaic_reference
 
+    def test_flat_pricing_result_resumes_bit_identical(
+            self, tmp_path, nasaic_reference):
+        """A version-3 checkpoint whose ``SearchResult`` still carries the
+        old flat pricing fields and no ``pricing`` attribute finishes to
+        the fresh run's record: the driver sets ``pricing`` at finish."""
+        import pickle
+
+        path = tmp_path / "run.ckpt"
+        partial = fresh_nasaic()
+        driver = SearchDriver(partial, partial.evalservice,
+                              checkpoint_path=path)
+        driver.run(max_rounds=2)
+        driver.save_checkpoint()
+        record = pickle.loads(path.read_bytes())
+        assert record["version"] == 3
+        result = record["strategy_state"]["result"]
+        del result.__dict__["pricing"]
+        result.__dict__.update(
+            hardware_evaluations=7, cache_hits=3, cache_misses=4,
+            store_hits=0, eval_seconds=0.5, cost_memo_hits=1,
+            cost_memo_misses=2, hap_moves_priced=5, hap_moves_pruned=1,
+            hap_moves_resumed=1, hap_steps_saved=1, hap_steps_replayed=1,
+            degraded=False)
+        path.write_bytes(pickle.dumps(record))
+        resumed = fresh_nasaic().run(resume_from=path)
+        assert normalised(resumed) == nasaic_reference
+
     def test_periodic_checkpoints_written(self, tmp_path):
         path = tmp_path / "periodic.ckpt"
         search = fresh_nasaic()

@@ -138,9 +138,10 @@ class TestAccounting:
 
     def test_move_counters_flow_to_run_record(self, workload, pairs):
         """The HAP move-pricing counters travel evaluator ->
-        EvalServiceStats -> SearchResult -> run-JSON ``pricing`` block;
-        ``hap_batched_rounds`` stays in that block as a constant 0
-        because the repository benchmark reads it."""
+        EvalServiceStats -> ``SearchResult.pricing`` -> run-JSON
+        ``pricing`` block; ``hap_batched_rounds`` stays in that block as
+        a constant 0 because the repository benchmark reads it.  The
+        run JSON's key lists are pinned: the benchmark reads them."""
         from repro.core.results import SearchResult
         from repro.core.serialization import result_to_dict
 
@@ -159,13 +160,34 @@ class TestAccounting:
         assert all(flow.values()), flow
         assert {name: getattr(stats, name) for name in flow} == flow
 
-        result = SearchResult(name="probe")
-        result.absorb_eval_stats(stats)
-        assert {name: getattr(result, name) for name in flow} == flow
-        pricing = result_to_dict(result)["pricing"]
+        result = SearchResult(name="probe", pricing=stats.snapshot())
+        record = result_to_dict(result)
+        assert list(record) == [
+            "name", "best", "explored", "trainings_run",
+            "trainings_skipped", "hardware_evaluations", "cache_hits",
+            "cache_misses", "eval_seconds", "num_feasible", "pricing"]
+        pricing = record["pricing"]
+        assert list(pricing) == [
+            "store_hits", "cost_memo_hits", "cost_memo_misses",
+            "hap_moves_priced", "hap_moves_pruned", "hap_moves_resumed",
+            "hap_steps_saved", "hap_steps_replayed", "hap_batched_rounds",
+            "degraded", "retries", "reconnects"]
         assert {name: pricing[name] for name in flow} == flow
+        assert (record["hardware_evaluations"], record["cache_hits"],
+                record["cache_misses"], record["eval_seconds"]) == (
+            stats.requests, stats.hits, stats.misses, stats.miss_seconds)
         assert pricing["hap_batched_rounds"] == 0
         assert stats.hap_batched_rounds == 0
+        assert pricing["degraded"] is False
+
+    def test_unpriced_result_writes_zero_accounting(self):
+        from repro.core.results import SearchResult
+        from repro.core.serialization import result_to_dict
+
+        record = result_to_dict(SearchResult(name="probe"))
+        assert record["hardware_evaluations"] == record["cache_hits"] == 0
+        assert record["eval_seconds"] == 0.0
+        assert set(record["pricing"].values()) == {0}
 
 
 class TestBitIdentity:

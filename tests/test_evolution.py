@@ -32,7 +32,7 @@ class TestRunMechanics:
 
     def test_accounting(self, ea_run):
         search, result = ea_run
-        assert result.hardware_evaluations == len(result.explored)
+        assert result.pricing.requests == len(result.explored)
         assert result.trainings_run > 0
 
 

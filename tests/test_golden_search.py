@@ -55,8 +55,8 @@ def run_golden() -> dict:
         "episode_rewards": [e.reward for e in result.episodes],
         "episode_penalties": [e.penalty for e in result.episodes],
         "episodes_trained": [e.trained for e in result.episodes],
-        "hardware_evaluations": result.hardware_evaluations,
-        "cache_misses": result.cache_misses,
+        "hardware_evaluations": result.pricing.requests,
+        "cache_misses": result.pricing.misses,
         "trainings_run": result.trainings_run,
         "trainings_skipped": result.trainings_skipped,
         "num_explored": len(result.explored),

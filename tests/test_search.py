@@ -25,7 +25,7 @@ class TestRunMechanics:
     def test_hardware_evaluations_accounted(self, small_run):
         _, result = small_run
         # 1 joint + 4 hw-only evaluations per episode.
-        assert result.hardware_evaluations == 20 * 5
+        assert result.pricing.requests == 20 * 5
 
     def test_explored_subset_of_trained(self, small_run):
         _, result = small_run

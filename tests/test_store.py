@@ -1104,17 +1104,3 @@ class TestCompaction:
             frozen.compact()
         assert frozen.maybe_compact(min_redundant=0) is None
         frozen.close()
-
-
-class TestDecodeCache:
-    def test_lru_is_bounded_and_answers_stay_exact(self, tmp_path):
-        path = tmp_path / "lru.bin"
-        with EvalStore(path) as store:
-            store.put_many([("s", f"d{i}", (f"k{i}",), {"v": i})
-                            for i in range(12)])
-        store = EvalStore(path, read_only=True, decode_cache=4)
-        for sweep in range(2):
-            for i in range(12):
-                assert store.get("s", f"d{i}", (f"k{i}",)) == {"v": i}
-                assert len(store._decode_cache) <= 4
-        store.close()

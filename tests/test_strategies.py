@@ -219,8 +219,10 @@ class TestZooInCampaign:
 
 
 class TestStoreScaleMetrics:
-    """Satellite: store entry count and on-disk bytes are first-class
-    gauges in the pricing summary and the campaign JSON cache block."""
+    """Store entry count and on-disk bytes are first-class gauges in the
+    service stats and the campaign JSON cache block.  They stay out of
+    the rendered summary, which every run prints: a store-backed run
+    summarises exactly like a storeless one."""
 
     def _priced_service(self, store):
         workload = w1()
@@ -238,9 +240,9 @@ class TestStoreScaleMetrics:
                 stats = service.stats
                 assert stats.store_entries == len(store) > 0
                 assert stats.store_bytes == store.size_bytes > 0
-                summary = stats.pricing_summary()
-                assert f"store {stats.store_entries} entries" in summary
-                assert f"{stats.store_bytes} B on disk" in summary
+                summary = stats.summary()
+                assert f"{stats.store_entries} entries" not in summary
+                assert f"{stats.store_bytes} B" not in summary
 
     def test_no_store_keeps_summary_unchanged(self):
         workload = w1()
@@ -250,7 +252,7 @@ class TestStoreScaleMetrics:
         with EvalService(evaluator) as service:
             service.evaluate_many(pairs)
             assert service.stats.store_entries == 0
-            assert "store" not in service.stats.pricing_summary()
+            assert "store" not in service.stats.summary()
 
     def test_delta_carries_gauges_not_differences(self, tmp_path):
         """Like ``degraded``, store scale is state: a per-scenario
