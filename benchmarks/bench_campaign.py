@@ -126,13 +126,14 @@ def run_benchmark(quick: bool = False) -> dict:
 
 
 def render(report: dict) -> str:
-    rows = [
-        [outcome.scenario.name,
-         outcome.eval_stats.requests if outcome.eval_stats else 0,
-         outcome.eval_stats.hits if outcome.eval_stats else 0,
-         outcome.eval_stats.shared_hits if outcome.eval_stats else 0,
-         f"{outcome.wall_seconds:.2f}"]
-        for outcome in report["outcomes"]]
+    rows = []
+    for outcome in report["outcomes"]:
+        stats = getattr(outcome.result, "pricing", None)
+        rows.append([outcome.scenario.name,
+                     stats.requests if stats else 0,
+                     stats.hits if stats else 0,
+                     stats.shared_hits if stats else 0,
+                     f"{outcome.wall_seconds:.2f}"])
     table = format_table(
         ["scenario", "hw reqs", "hits", "shared", "wall/s"],
         rows,
@@ -189,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from benchmarks.conftest import write_json
 
-        write_json("campaign", to_json(report))
+        write_json("campaign", to_json(report), quick=args.quick)
     except ImportError:  # pragma: no cover - repo root not on sys.path
         pass
     if report["shared_hits"] <= 0:

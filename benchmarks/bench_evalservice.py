@@ -187,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from benchmarks.conftest import write_json
 
-        write_json("evalservice", to_json(report))
+        write_json("evalservice", to_json(report), quick=args.quick)
     except ImportError:  # pragma: no cover - repo root not on sys.path
         pass
     if report["speedup"] < MIN_SPEEDUP:

@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from benchmarks.conftest import write_json
 
-        write_json("fuzz", report)
+        write_json("fuzz", report, quick=args.quick)
     except ImportError:  # pragma: no cover - repo root not on sys.path
         pass
     if report["cases_per_second"] < MIN_CASES_PER_SECOND:

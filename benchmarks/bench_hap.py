@@ -353,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     check_gap_study(gaps, leaves)
     report = run_gated(quick=args.quick)
     print(render(report))
-    write_json("hap", report)
+    write_json("hap", report, quick=args.quick)
     failures = gate_failures(report)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from benchmarks.conftest import write_json
 
-        write_json("serve", to_json(report))
+        write_json("serve", to_json(report), quick=args.quick)
     except ImportError:  # pragma: no cover - repo root not on sys.path
         pass
     if report["speedup"] < SPEEDUP_GATE:

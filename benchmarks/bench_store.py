@@ -46,13 +46,19 @@ or through pytest (``pytest benchmarks/bench_store.py``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from repro.core import NASAIC, NASAICConfig, EvalStore
+from repro.accel import AllocationSpace
+from repro.core import NASAIC, NASAICConfig, EvalStore, Evaluator
+from repro.core.evalservice import design_content
 from repro.core.serialization import result_to_dict
+from repro.cost import CostModel
+from repro.utils.rng import new_rng
 from repro.workloads import w1
 
 NASAIC_SCALE = dict(episodes=6, hw_steps=6)
@@ -217,16 +223,31 @@ def to_json(report: dict) -> dict:
 # ----------------------------------------------------------------------
 # Scale mode: the offset-index tier at ~10^6 entries
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=1)
+def _template_design() -> tuple:
+    """One priced W1 design, ``(content key, evaluation)``: the template
+    every synthetic record varies (the store keeps only real
+    evaluations, and pricing 10^6 designs would dwarf the benchmark)."""
+    workload = w1()
+    networks = tuple(t.space.decode(t.space.smallest_indices())
+                     for t in workload.tasks)
+    accelerator = AllocationSpace().random_design(new_rng(SEED))
+    evaluation = Evaluator(workload, CostModel(), trainer=None
+                           ).evaluate_hardware(networks, accelerator)
+    return design_content(networks, accelerator), evaluation
+
+
 def _synthetic_entry(i: int):
     """Deterministic synthetic record ``i``: a handful of contexts,
     per-design digests and unique keys — the shape a long campaign
-    writes (the service's digest is a content hash of the key)."""
-    salt = f"scale-context-{i % 7}"
-    digest = f"scale-digest-{i}"
-    key = ("design", i, i % 13)
-    evaluation = {"objective": i * 0.5, "latency_ms": float(i % 97),
-                  "feasible": bool(i % 3)}
-    return salt, digest, key, evaluation
+    writes.  Record ``i`` is the template design with ``i`` stamped into
+    its first genotype value and its evaluation's latency."""
+    (identities, slots, budget), evaluation = _template_design()
+    (backbone, dataset, genotype), *others = identities
+    key = (((backbone, dataset, (i,) + genotype[1:]), *others), slots,
+           budget)
+    return (f"scale-context-{i % 7}", f"scale-digest-{i}", key,
+            dataclasses.replace(evaluation, latency_cycles=i))
 
 
 def _build_corpus(path: Path, entries: int) -> float:
@@ -402,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             from benchmarks.conftest import write_json
 
-            write_json("store_scale", to_scale_json(report))
+            write_json("store_scale", to_scale_json(report), quick=args.quick)
         except ImportError:  # pragma: no cover - repo root not on path
             pass
         if not (report["open_ok"] and report["lookup_ok"]):
@@ -415,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from benchmarks.conftest import write_json
 
-        write_json("store", to_json(report))
+        write_json("store", to_json(report), quick=args.quick)
     except ImportError:  # pragma: no cover - repo root not on sys.path
         pass
     if report["mc"]["speedup"] < SPEEDUP_GATE:

@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from benchmarks.conftest import write_json
 
-        write_json("strategies", report)
+        write_json("strategies", report, quick=args.quick)
     except ImportError:  # pragma: no cover - repo root not on sys.path
         pass
     return 0 if report["passed"] else 1

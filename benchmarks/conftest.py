@@ -45,20 +45,26 @@ def write_report(name: str, text: str) -> None:
     print(f"\n[report written to {path}]\n{text}")
 
 
-def write_json(name: str, payload: dict) -> None:
+def write_json(name: str, payload: dict, *, quick: bool = False) -> None:
     """Persist a machine-readable benchmark record.
 
     Perf benchmarks write ``benchmarks/results/BENCH_<name>.json`` so the
     speedup trajectory (and the counters behind it) can be diffed across
     PRs; the schema is whatever the benchmark's ``report`` dict contains
     — see the module docstrings of ``bench_hap.py`` and
-    ``bench_evalservice.py`` for their fields.
+    ``bench_evalservice.py`` for their fields.  A ``--quick`` smoke run
+    (``quick=True``) writes nothing: its reduced-size numbers are not
+    the committed record, and running the CI smoke steps must leave the
+    working tree clean.
     """
     import json
 
     from repro.core.serialization import durable_replace
 
     path = RESULTS_DIR / f"BENCH_{name}.json"
+    if quick:
+        print(f"[quick run: {path} left as committed]")
+        return
     blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     durable_replace(path, blob.encode("utf-8"))
     print(f"[json written to {path}]")

@@ -207,18 +207,19 @@ class CampaignConfig:
 
 @dataclass
 class ScenarioOutcome:
-    """One scenario's result plus its attributed accounting."""
+    """One scenario's result and wall time.  Its pricing record is the
+    result's own ``pricing`` (``SearchResult.pricing``; a
+    ``NASOnlyResult`` prices no hardware)."""
 
     scenario: Scenario
     result: Any  # SearchResult | NASOnlyResult
     wall_seconds: float
-    eval_stats: EvalServiceStats | None  # per-scenario delta; None = no hw
 
     def to_dict(self) -> dict[str, Any]:
         scenario = self.scenario
         eval_block = None
-        if self.eval_stats is not None:
-            stats = self.eval_stats
+        stats = _pricing(self.result)
+        if stats is not None:
             eval_block = {
                 "requests": stats.requests,
                 "hits": stats.hits,
@@ -238,6 +239,12 @@ class ScenarioOutcome:
             "eval": eval_block,
             "result": _result_payload(self.result),
         }
+
+
+def _pricing(result: Any) -> EvalServiceStats | None:
+    """A scenario result's pricing record (``None`` for accuracy-only
+    results, which price no hardware)."""
+    return result.pricing if isinstance(result, SearchResult) else None
 
 
 def _result_payload(result: Any) -> dict[str, Any]:
@@ -340,7 +347,7 @@ class Campaign:
                 rho=scenario.rho, service=None, store=None)
             result: Any = spec.campaign_runner(context)
             return ScenarioOutcome(scenario, result,
-                                   time.perf_counter() - started, None)
+                                   time.perf_counter() - started)
         allocation = options.get("allocation") or AllocationSpace()
         config = self._strategy_config(scenario)
         rho = config.rho if config is not None else scenario.rho
@@ -348,7 +355,6 @@ class Campaign:
                                                   config)
         service = self._service_for(eval_workload, rho)
         service.bump_generation()
-        before = service.stats.snapshot()
         # The campaign already calibrated the penalty bounds (they key
         # the service); hand the search the calibrated workload with
         # calibration switched off so the sweep is not paid twice.
@@ -362,8 +368,7 @@ class Campaign:
             rho=rho, service=service, store=self.store)
         result = spec.campaign_runner(context)
         return ScenarioOutcome(scenario, result,
-                               time.perf_counter() - started,
-                               service.stats.delta(before))
+                               time.perf_counter() - started)
 
     def _run_pool(self) -> list[ScenarioOutcome]:
         # Each worker rebuilds the campaign's cost oracle from its
@@ -461,9 +466,9 @@ class Campaign:
             # Every service prices through the campaign's one cost model.
             memo_hits = self.cost_model.memo_hits
             memo_misses = self.cost_model.memo_misses
-        else:  # pool mode: aggregate the per-scenario deltas
-            stats = [o.eval_stats for o in outcomes
-                     if o.eval_stats is not None]
+        else:  # pool mode: aggregate the per-scenario pricing records
+            stats = [s for s in (_pricing(o.result) for o in outcomes)
+                     if s is not None]
             entries = 0
             memo_hits = sum(s.cost_memo_hits for s in stats)
             memo_misses = sum(s.cost_memo_misses for s in stats)
@@ -582,7 +587,7 @@ def format_campaign(result: CampaignResult) -> str:
             best = f"{res.best_weighted:.4f}"
             feasible = "-"
             explored = len(res.history)
-        stats = outcome.eval_stats
+        stats = _pricing(res)
         rows.append([
             outcome.scenario.name, best, feasible, explored,
             stats.requests if stats else 0,

@@ -330,7 +330,7 @@ def _check_store_compact(scenario: GeneratedScenario,
     import shutil
     import struct
 
-    from repro.core.store import STORE_MAGIC
+    from repro.core.store import STORE_MAGIC, _eval_body, cost_params_digest
 
     pairs = scenario.sample_pairs(rng, scenario.spec.design_samples)
 
@@ -367,14 +367,15 @@ def _check_store_compact(scenario: GeneratedScenario,
             # records verbatim, bypassing put_many's dedup (as an
             # older or misbehaving writer session would have), half in
             # each record format.
-            records = [record for record in store.iter_records()
-                       if record.get("kind") == "eval"]
+            records = list(store.iter_records())
             duplicates = [records[int(pick)] for pick in
                           rng.integers(len(records),
                                        size=min(4, len(records)))]
-            store._append_records(duplicates[::2])
-            store._append_bodies([v1_body(record)
-                                  for record in duplicates[1::2]])
+            store._append_bodies(
+                [_eval_body(record["salt"], record["digest"],
+                            record["key"], record["evaluation"])
+                 for record in duplicates[::2]]
+                + [v1_body(record) for record in duplicates[1::2]])
         original = Path(tmp) / "original.bin"
         shutil.copyfile(path, original)
 
@@ -389,20 +390,16 @@ def _check_store_compact(scenario: GeneratedScenario,
                         f"({report['bytes_before']} -> "
                         f"{report['bytes_after']} bytes) although "
                         f"duplicates were planted")
-            memo_digests = set()
             for record in reference.iter_records():
-                if record.get("kind") == "memo":
-                    memo_digests.add(record["params"])
-                    continue
                 got = store.get(record["salt"], record["digest"],
                                 record["key"])
                 if got != record["evaluation"]:
                     return ("compacted store answer diverges from the "
                             "original for a surviving evaluation")
-            for digest in memo_digests:
-                if store.get_memo(digest) != reference.get_memo(digest):
-                    return (f"compacted memo entries for params digest "
-                            f"{digest} diverge from the original")
+            digest = cost_params_digest(evaluator().cost_model.params)
+            if store.get_memo(digest) != reference.get_memo(digest):
+                return ("compacted memo entries diverge from the "
+                        "original")
             second = store.compact()
             if second["bytes_after"] != second["bytes_before"]:
                 return "second compaction was not a no-op"
@@ -414,8 +411,6 @@ def _check_store_compact(scenario: GeneratedScenario,
         with EvalStore(original, read_only=True) as reference, \
                 EvalStore(path, read_only=True) as reopened:
             for record in reference.iter_records():
-                if record.get("kind") != "eval":
-                    continue
                 got = reopened.get(record["salt"], record["digest"],
                                    record["key"])
                 if got != record["evaluation"]:

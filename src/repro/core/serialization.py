@@ -3,7 +3,8 @@
 Lives in ``repro.core`` (not ``repro.utils``) because it consumes the
 search-result types; ``repro.utils`` sits below every other subpackage.
 
-Three artefact families with different contracts:
+Two artefact families with different contracts, plus the durable-write
+helpers they and the evaluation store share:
 
 - **Run/campaign JSON** (:func:`save_result`, the campaign runner's
   consolidated output): plain dictionaries — genotypes, accelerator
@@ -29,27 +30,10 @@ Three artefact families with different contracts:
   (:meth:`repro.cost.model.CostModel.memo_state`); version-2
   checkpoints, whose memo is one record per cell, still load.  Only
   load checkpoints you wrote yourself (standard pickle caveat).
-- **Store offset indexes** (:func:`save_store_index` /
-  :func:`load_store_index`): the ``<store>.idx`` sidecar that lets
-  :class:`repro.core.evalstore.EvalStore` open without unpickling every
-  record.  The sidecar is a pure *cache* of the store file — it is
-  stamped with the store's covered byte count and a hash of the covered
-  tail, and a store open whose stamp does not match rebuilds the index
-  from the records instead of trusting it.  Layout::
-
-      repro-evalstore-idx v1\\n
-      u64 header_len, pickled header     # format/version/covered_bytes/
-                                         # tail_hash/count/shadowed
-      u64 memo_len, pickled memo map     # params digest -> [offsets]
-      zero padding to an 8-byte boundary
-      count * u64 bucket hashes          # sorted (hash, offset) pairs,
-      count * u64 record offsets         # little-endian, column-major
-
-  The two u64 columns are written raw (not pickled) and 8-byte aligned
-  so a reader can ``mmap`` them and binary-search without
-  materialising the index in memory; writes go through
-  :func:`durable_replace` so a crashed rebuild can never leave a torn
-  sidecar beside a good store.
+- **Store sidecar path** (:func:`store_index_path`): where
+  :class:`repro.core.store.EvalStore` keeps its ``<store>.idx`` offset
+  index; the sidecar's format is the store's own (see
+  :mod:`repro.core.store`).
 """
 
 from __future__ import annotations
@@ -57,18 +41,15 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import struct
 from pathlib import Path
 from typing import Any
 
 from repro.core.results import ExploredSolution, SearchResult
 
-__all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
-           "STORE_INDEX_FORMAT", "STORE_INDEX_VERSION", "durable_append",
+__all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION", "durable_append",
            "durable_replace", "load_checkpoint", "load_result",
-           "load_store_index", "result_to_dict", "save_checkpoint",
-           "save_result", "save_store_index", "solution_to_dict",
-           "store_index_path"]
+           "result_to_dict", "save_checkpoint", "save_result",
+           "solution_to_dict", "store_index_path"]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Version 2: pending controller samples hold lockstep step caches.
@@ -76,11 +57,6 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 3
 #: Versions :func:`load_checkpoint` reads.
 _READABLE_CHECKPOINTS = (2, 3)
-
-STORE_INDEX_FORMAT = "repro-evalstore-index"
-STORE_INDEX_VERSION = 1
-_INDEX_MAGIC = b"repro-evalstore-idx v1\n"
-_U64 = struct.Struct("<Q")
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +119,12 @@ def durable_append(handle, blob: bytes) -> None:
     handle.write(blob)
     handle.flush()
     os.fsync(handle.fileno())
+
+
+def store_index_path(store_path: str | Path) -> Path:
+    """The ``<store>.idx`` offset-index sidecar path for a store file."""
+    store_path = Path(store_path)
+    return store_path.with_name(store_path.name + ".idx")
 
 
 def solution_to_dict(solution: ExploredSolution) -> dict[str, Any]:
@@ -250,93 +232,6 @@ def save_checkpoint(path: str | Path, payload: dict[str, Any]) -> Path:
               "version": CHECKPOINT_VERSION, **payload}
     blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
     return durable_replace(path, blob)
-
-
-# ----------------------------------------------------------------------
-# Evaluation-store offset indexes
-# ----------------------------------------------------------------------
-def store_index_path(store_path: str | Path) -> Path:
-    """The ``<store>.idx`` sidecar path for a store file."""
-    store_path = Path(store_path)
-    return store_path.with_name(store_path.name + ".idx")
-
-
-def save_store_index(path: str | Path, *, covered_bytes: int,
-                     tail_hash: str, shadowed: int, hashes: bytes,
-                     offsets: bytes, memo: dict) -> Path:
-    """Durably (re)write a store offset-index sidecar.
-
-    ``hashes``/``offsets`` are the raw little-endian u64 columns of the
-    ``(bucket hash, record offset)`` table, already sorted by
-    ``(hash, offset)``; ``memo`` maps params digests to the offsets of
-    their memo records.  ``covered_bytes``/``tail_hash`` stamp exactly
-    which store-file prefix the index describes — a reader whose store
-    does not match the stamp must rebuild, never trust the sidecar.
-    ``shadowed`` carries the store's count of digest-shadowed duplicate
-    records (compaction fodder) across sessions.
-    """
-    if len(hashes) != len(offsets) or len(hashes) % 8:
-        raise ValueError("hash/offset columns must be equal-length "
-                         "multiples of 8 bytes")
-    header = {"format": STORE_INDEX_FORMAT,
-              "version": STORE_INDEX_VERSION,
-              "covered_bytes": int(covered_bytes),
-              "tail_hash": str(tail_hash),
-              "count": len(hashes) // 8,
-              "shadowed": int(shadowed)}
-    header_blob = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-    memo_blob = pickle.dumps(memo, protocol=pickle.HIGHEST_PROTOCOL)
-    prefix_len = (len(_INDEX_MAGIC) + 2 * _U64.size + len(header_blob)
-                  + len(memo_blob))
-    # Pad so the u64 columns start 8-byte aligned: numpy's binary
-    # search on an unaligned memmap falls off its fast path (~100x).
-    pad = -prefix_len % 8
-    blob = b"".join([_INDEX_MAGIC,
-                     _U64.pack(len(header_blob)), header_blob,
-                     _U64.pack(len(memo_blob)), memo_blob,
-                     b"\0" * pad, hashes, offsets])
-    return durable_replace(path, blob)
-
-
-def load_store_index(path: str | Path) -> dict[str, Any] | None:
-    """Read a store offset-index sidecar written by
-    :func:`save_store_index`.
-
-    Returns ``None`` for a missing, truncated, malformed or
-    wrong-version sidecar — the index is a cache, so every failure mode
-    means "rebuild from the store file", never an error.  The u64
-    columns are *not* materialised; the caller gets their byte offset
-    (``arrays_offset``) and row ``count`` and maps them lazily.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            if handle.read(len(_INDEX_MAGIC)) != _INDEX_MAGIC:
-                return None
-            (header_len,) = _U64.unpack(handle.read(_U64.size))
-            header = pickle.loads(handle.read(header_len))
-            if (not isinstance(header, dict)
-                    or header.get("format") != STORE_INDEX_FORMAT
-                    or header.get("version") != STORE_INDEX_VERSION):
-                return None
-            (memo_len,) = _U64.unpack(handle.read(_U64.size))
-            memo = pickle.loads(handle.read(memo_len))
-            arrays_offset = handle.tell()
-            arrays_offset += -arrays_offset % 8  # alignment padding
-            count = int(header["count"])
-            if count < 0 or not isinstance(memo, dict):
-                return None
-            if (os.fstat(handle.fileno()).st_size
-                    != arrays_offset + 16 * count):
-                return None
-            return {"covered_bytes": int(header["covered_bytes"]),
-                    "tail_hash": str(header["tail_hash"]),
-                    "shadowed": int(header.get("shadowed", 0)),
-                    "count": count,
-                    "memo": memo,
-                    "arrays_offset": arrays_offset}
-    except Exception:
-        return None
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:

@@ -28,16 +28,19 @@ Design:
   priced design survives the process that priced it.  A truncated or
   corrupted file is rejected with a clear error on open — never
   silently half-loaded.
-- **Record formats (file version 2).**  An evaluation record whose
-  value is a :class:`~repro.core.evaluator.HardwareEvaluation` — every
-  record the pricing tier writes — is a codec record: a ``0x02`` tag,
-  the salt and digest, the :func:`repro.core.codec.encode_key` content
-  key and the :func:`repro.core.codec.encode_evaluation` numbers.
-  :meth:`EvalStore.get` decodes it with the accelerator rebuilt from
-  the key (:func:`repro.core.codec.accelerator_from_key`), so no
-  pickled design object is persisted.  Memo records, and evaluation
-  records holding any other value, stay pickled dictionaries (their
-  first byte is pickle's ``0x80``).
+- **Record formats (file version 2).**  Every evaluation record is a
+  codec record: a ``0x02`` tag, the salt and digest, the
+  :func:`repro.core.codec.encode_key` content key and the
+  :func:`repro.core.codec.encode_evaluation` numbers, decoded with the
+  accelerator rebuilt from the key
+  (:func:`repro.core.codec.accelerator_from_key`).
+  :meth:`EvalStore.put_many` refuses any value that is not a
+  :class:`~repro.core.evaluator.HardwareEvaluation` (``TypeError``,
+  nothing appended).  Memo records stay pickled dictionaries.  Pickled
+  records — memo records, version-1 records, evaluations older writers
+  pickled — start with pickle's PROTO opcode (``0x80``) and are read by
+  :func:`_legacy_record`, the store's only unpickling, so looking up
+  an evaluation this code wrote never unpickles.
 - **Version-1 files.**  Files headed ``repro-evalstore v1`` hold only
   pickled records; they are read as before and answer bit-identically.
   A writer never appends under the v1 magic: before its first append it
@@ -45,18 +48,33 @@ Design:
   fsynced), and :meth:`EvalStore.compact` always writes a v2 header.
   Code that predates version 2 refuses a v2 file by its magic instead
   of misreading it.
-- **Offset index + lazy records.**  A ``<name>.idx`` sidecar
-  (:func:`repro.core.serialization.save_store_index`) holds a sorted
-  ``(bucket hash, file offset)`` table, so opening a store reads a
-  fixed-size stamp instead of unpickling every record, and lookups
+- **Offset index + lazy records.**  A ``<name>.idx`` sidecar holds a
+  sorted ``(bucket hash, file offset)`` table, so opening a store reads
+  a fixed-size stamp instead of decoding every record, and lookups
   binary-search the memory-mapped table and ``pread`` + decode only
-  the records they touch (the service's LRU keeps hot answers).  Resident
-  memory is bounded by the working set, not the store size.  The
-  sidecar is a *cache*: it is stamped with the covered byte count and
-  a hash of the covered tail, and any mismatch (store mutated behind
-  the index, truncated, replaced) triggers a rebuild — a stale index
-  is never trusted.  Records appended after the stamp are scanned
-  incrementally; writers rewrite the sidecar durably on close.
+  the records they touch (the service's LRU keeps hot answers).
+  Resident memory is bounded by the working set, not the store size.
+  Layout (little-endian, no pickle)::
+
+      repro-evalstore-idx v2\\n
+      u64 covered_bytes, 16-byte tail hash, u64 count,
+      u64 shadowed, u64 memo_len           # fixed struct header
+      memo map, memo_len bytes:            # params digest -> offsets
+        per digest: u16 name length, u32 offset count, utf-8 name,
+                    u64 per memo record offset
+      zero padding to an 8-byte boundary
+      count * u64 bucket hashes            # sorted (hash, offset) pairs,
+      count * u64 record offsets           # column-major
+
+  The columns are 8-byte aligned so they can be ``mmap``-ed and
+  binary-searched in place.  The sidecar is a *cache*: it is stamped
+  with the covered byte count and a hash of the covered tail, and any
+  mismatch (store mutated behind the index, truncated, replaced) — or
+  a sidecar in another layout, such as the pickled-header version 1 —
+  triggers a rebuild; a stale index is never trusted.  Records
+  appended after the stamp are scanned incrementally; writers rewrite
+  the sidecar durably (:func:`repro.core.serialization.\
+durable_replace`) on close.
 - **Cost-memo records.**  The cross-design cost-table memo
   (:meth:`repro.cost.model.CostModel.memo_state`) persists alongside
   the evaluations, namespaced by a digest of the cost parameters, so a
@@ -110,8 +128,7 @@ from repro.core.codec import (accelerator_from_key, decode_evaluation,
                               decode_key, encode_evaluation, encode_key)
 from repro.core.evaluator import HardwareEvaluation
 from repro.core.serialization import (_fsync_directory, durable_append,
-                                      durable_replace, load_store_index,
-                                      save_store_index, store_index_path)
+                                      durable_replace, store_index_path)
 from repro.utils.hashing import stable_hash
 
 __all__ = ["EvalStore", "STORE_MAGIC", "STORE_VERSION",
@@ -134,6 +151,15 @@ _CODEC_TAG = 0x02
 #: Codec record head: tag, then the byte lengths of salt, digest and
 #: encoded key; the encoded evaluation fills the rest of the record.
 _CODEC_HEAD = struct.Struct("<BHHH")
+
+#: Offset-index sidecar magic.  Version 1 pickled its header and memo
+#: map; a version-1 sidecar fails this check and is rebuilt.
+_INDEX_MAGIC = b"repro-evalstore-idx v2\n"
+#: Sidecar header: covered bytes, tail hash, index rows, shadowed
+#: records, byte length of the memo map that follows.
+_INDEX_HEAD = struct.Struct("<Q16sQQQ")
+#: Memo map entry head: params digest byte length, memo record count.
+_INDEX_MEMO = struct.Struct("<HI")
 
 #: Store-file bytes hashed into the index staleness stamp.  The window
 #: always includes the end of the covered prefix, so any truncation,
@@ -165,42 +191,58 @@ def _bucket_hash(salt: str, digest: str) -> int:
     return stable_hash((salt, digest), salt="evalstore-bucket")
 
 
-def _encode_record(record: dict) -> bytes:
-    """One record body: codec layout for priced evaluations, pickle for
-    memo records and any other evaluation value."""
-    evaluation = record.get("evaluation")
-    if record["kind"] == "eval" and isinstance(evaluation,
-                                               HardwareEvaluation):
-        salt = record["salt"].encode("utf-8")
-        digest = record["digest"].encode("utf-8")
-        key = encode_key(record["key"])
-        return b"".join((
-            _CODEC_HEAD.pack(_CODEC_TAG, len(salt), len(digest), len(key)),
-            salt, digest, key, encode_evaluation(evaluation)))
-    return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+def _eval_body(salt: str, digest: str, key: tuple,
+               evaluation: HardwareEvaluation) -> bytes:
+    """One codec evaluation record body."""
+    salt_bytes = salt.encode("utf-8")
+    digest_bytes = digest.encode("utf-8")
+    key_bytes = encode_key(key)
+    return b"".join((
+        _CODEC_HEAD.pack(_CODEC_TAG, len(salt_bytes), len(digest_bytes),
+                         len(key_bytes)),
+        salt_bytes, digest_bytes, key_bytes,
+        encode_evaluation(evaluation)))
+
+
+def _memo_body(params_digest: str, entries: dict) -> bytes:
+    """One (pickled) cost-memo record body."""
+    return pickle.dumps({"kind": "memo", "params": params_digest,
+                         "entries": entries},
+                        protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _decode_record(body: bytes) -> dict:
-    """Inverse of :func:`_encode_record`, also reading version-1 records
-    (raises ``ValueError`` on anything that is not a store record)."""
-    if body[:1] == bytes((_CODEC_TAG,)):
-        try:
-            _tag, salt_len, digest_len, key_len = \
-                _CODEC_HEAD.unpack_from(body, 0)
-        except struct.error as exc:
-            raise ValueError(f"truncated codec record: {exc}") from exc
-        pos = _CODEC_HEAD.size
-        salt = body[pos:pos + salt_len].decode("utf-8")
-        pos += salt_len
-        digest = body[pos:pos + digest_len].decode("utf-8")
-        pos += digest_len
-        if pos + key_len > len(body):
-            raise ValueError("truncated codec record")
-        key = decode_key(body[pos:pos + key_len])
-        evaluation = decode_evaluation(body[pos + key_len:],
-                                       accelerator_from_key(key))
-        return {"kind": "eval", "salt": salt, "digest": digest, "key": key,
-                "evaluation": evaluation}
+    """Decode a record body: codec evaluation records here, pickled
+    ones through :func:`_legacy_record` (raises ``ValueError`` on
+    anything that is not a store record)."""
+    if body[:1] != bytes((_CODEC_TAG,)):
+        return _legacy_record(body)
+    try:
+        _tag, salt_len, digest_len, key_len = \
+            _CODEC_HEAD.unpack_from(body, 0)
+    except struct.error as exc:
+        raise ValueError(f"truncated codec record: {exc}") from exc
+    pos = _CODEC_HEAD.size
+    salt = body[pos:pos + salt_len].decode("utf-8")
+    pos += salt_len
+    digest = body[pos:pos + digest_len].decode("utf-8")
+    pos += digest_len
+    if pos + key_len > len(body):
+        raise ValueError("truncated codec record")
+    key = decode_key(body[pos:pos + key_len])
+    evaluation = decode_evaluation(body[pos + key_len:],
+                                   accelerator_from_key(key))
+    return {"kind": "eval", "salt": salt, "digest": digest, "key": key,
+            "evaluation": evaluation}
+
+
+def _legacy_record(body: bytes) -> dict:
+    """A pickled record: any record of a version-1 file, an evaluation
+    record an older writer pickled, or a memo record.  The store's only
+    unpickling; it refuses a body that does not open with pickle's
+    PROTO opcode."""
+    if body[:1] != pickle.PROTO:
+        raise ValueError(f"unknown record tag {body[:1]!r}")
     try:
         record = pickle.loads(body)
     except Exception as exc:
@@ -208,6 +250,68 @@ def _decode_record(body: bytes) -> dict:
     if not isinstance(record, dict) or "kind" not in record:
         raise ValueError("record is not a store record")
     return record
+
+
+def _save_index(path: Path, *, covered_bytes: int, tail_hash: bytes,
+                shadowed: int, hashes: np.ndarray, offsets: np.ndarray,
+                memo: dict[str, list[int]]) -> None:
+    """Durably (re)write an offset-index sidecar (layout in the module
+    docstring); ``hashes``/``offsets`` are the ``<u8`` columns, sorted
+    by ``(hash, offset)``."""
+    memo_parts = []
+    for params, memo_offsets in memo.items():
+        name = params.encode("utf-8")
+        memo_parts += [_INDEX_MEMO.pack(len(name), len(memo_offsets)), name,
+                       np.asarray(memo_offsets, dtype="<u8").tobytes()]
+    memo_blob = b"".join(memo_parts)
+    head = _INDEX_HEAD.pack(covered_bytes, tail_hash, len(hashes),
+                            shadowed, len(memo_blob))
+    # Pad so the u64 columns start 8-byte aligned: numpy's binary
+    # search on an unaligned memmap falls off its fast path (~100x).
+    pad = -(len(_INDEX_MAGIC) + len(head) + len(memo_blob)) % 8
+    durable_replace(path, b"".join((_INDEX_MAGIC, head, memo_blob,
+                                    b"\0" * pad, hashes.tobytes(),
+                                    offsets.tobytes())))
+
+
+def _load_index(path: Path) -> dict[str, Any] | None:
+    """Read a sidecar written by :func:`_save_index`.
+
+    Returns ``None`` for a missing, truncated, malformed or
+    other-layout sidecar — the index is a cache, so every failure mode
+    means "rebuild from the store file", never an error.  The columns
+    are *not* read: the caller gets their byte offset
+    (``arrays_offset``) and row ``count`` and maps them lazily.
+    """
+    try:
+        with open(path, "rb") as handle:
+            if handle.read(len(_INDEX_MAGIC)) != _INDEX_MAGIC:
+                return None
+            covered, tail_hash, count, shadowed, memo_len = \
+                _INDEX_HEAD.unpack(handle.read(_INDEX_HEAD.size))
+            arrays_offset = len(_INDEX_MAGIC) + _INDEX_HEAD.size + memo_len
+            arrays_offset += -arrays_offset % 8
+            # Checked before the memo map is read, so a corrupt length
+            # can never ask for more bytes than the file holds.
+            if (os.fstat(handle.fileno()).st_size
+                    != arrays_offset + 16 * count):
+                return None
+            memo_blob = handle.read(memo_len)
+        memo: dict[str, list[int]] = {}
+        pos = 0
+        while pos < len(memo_blob):
+            name_len, records = _INDEX_MEMO.unpack_from(memo_blob, pos)
+            pos += _INDEX_MEMO.size + name_len
+            params = memo_blob[pos - name_len:pos].decode("utf-8")
+            memo[params] = np.frombuffer(memo_blob, dtype="<u8",
+                                         count=records,
+                                         offset=pos).tolist()
+            pos += 8 * records
+    except (OSError, ValueError, struct.error):
+        return None
+    return {"covered_bytes": covered, "tail_hash": tail_hash,
+            "shadowed": shadowed, "count": count, "memo": memo,
+            "arrays_offset": arrays_offset}
 
 
 class EvalStore:
@@ -441,7 +545,7 @@ FaultInjector` hooked into the append path (torn-write injection).
                 f"{self.path} is not a repro evaluation store "
                 f"(expected header {STORE_MAGIC!r})")
         scan_from = len(STORE_MAGIC)
-        index = load_store_index(self.index_path)
+        index = _load_index(self.index_path)
         if index is not None and self._index_fresh(reader, index, size):
             try:
                 idx_handle = open(self.index_path, "rb")
@@ -466,10 +570,10 @@ FaultInjector` hooked into the append path (torn-write injection).
                                                      covered)
 
     @staticmethod
-    def _tail_hash(fd: int, covered: int) -> str:
+    def _tail_hash(fd: int, covered: int) -> bytes:
         start = max(0, covered - _TAIL_WINDOW)
         data = os.pread(fd, covered - start, start)
-        return hashlib.blake2b(data, digest_size=16).hexdigest()
+        return hashlib.blake2b(data, digest_size=16).digest()
 
     def _adopt_index(self, index: dict, idx_handle) -> None:
         count = index["count"]
@@ -484,8 +588,7 @@ FaultInjector` hooked into the append path (torn-write injection).
             self._idx_offsets = _EMPTY_U64
         self._entry_count = count
         self._shadowed = index["shadowed"]
-        self._memo_offsets = {str(params): [int(off) for off in offsets]
-                              for params, offsets in index["memo"].items()}
+        self._memo_offsets = index["memo"]
 
     def _ensure_arrays(self) -> None:
         if self._idx_hashes is not None:
@@ -735,31 +838,22 @@ FaultInjector` hooked into the append path (torn-write injection).
         return self._entry_count + (len(self.parent)
                                     if self.parent is not None else 0)
 
-    def _ordered_offsets(self) -> list[int]:
-        """Every indexed record offset (evals + memos) in file order."""
+    def iter_records(self) -> Iterator[dict]:
+        """Decode this store's own evaluation records in file order
+        (shadowed duplicates skipped; memo records are read through
+        :meth:`get_memo`)."""
         self._ensure_arrays()
-        offsets: list[int] = []
-        if self._idx_offsets is not None and len(self._idx_offsets):
-            offsets.extend(int(off) for off in self._idx_offsets)
+        offsets = self._idx_offsets.tolist()
         for bucket in self._extra.values():
             offsets.extend(bucket)
-        for memo_offsets in self._memo_offsets.values():
-            offsets.extend(memo_offsets)
-        offsets.sort()
-        return offsets
-
-    def iter_records(self) -> Iterator[dict]:
-        """Decode this store's own indexed records in file order
-        (shadowed duplicates skipped)."""
-        for offset in self._ordered_offsets():
+        for offset in sorted(offsets):
             yield self._record_at(offset)
 
     def iter_all_evaluations(self) -> Iterator[tuple[str, tuple, Any]]:
         """Yield ``(salt, content_key, evaluation)`` for every distinct
         own record, in durable append order (no parent)."""
         for record in self.iter_records():
-            if record.get("kind") == "eval":
-                yield record["salt"], record["key"], record["evaluation"]
+            yield record["salt"], record["key"], record["evaluation"]
 
     def iter_evaluations(self, salt: str):
         """Yield ``(content_key, evaluation)`` for every distinct record
@@ -823,11 +917,6 @@ FaultInjector` hooked into the append path (torn-write injection).
         if self._handle is None:
             self._acquire_writer_lock()
             self._reload()
-
-    def _append_records(self, records: list[dict]) -> list[int]:
-        """Durably append ``records``; returns their file offsets."""
-        return self._append_bodies([_encode_record(record)
-                                    for record in records])
 
     def _append_bodies(self, bodies: list[bytes]) -> list[int]:
         """Durably append encoded record bodies (one fsync); returns
@@ -895,25 +984,14 @@ FaultInjector` hooked into the append path (torn-write injection).
         # The sidecar's tail hash may cover the header: restamp it.
         self._idx_dirty = True
 
-    def _index_appended(self, record: dict, offset: int) -> None:
-        """Index a record that just became durable at ``offset`` (the
-        caller pre-deduplicated, so it is always new)."""
-        if record["kind"] == "eval":
-            bucket_hash = _bucket_hash(record["salt"], record["digest"])
-            self._extra.setdefault(bucket_hash, []).append(offset)
-            self._entry_count += 1
-        else:
-            self._memo_offsets.setdefault(record["params"],
-                                          []).append(offset)
-
     def put(self, salt: str, digest: str, key: tuple,
-            evaluation: Any) -> bool:
+            evaluation: HardwareEvaluation) -> bool:
         """Durably record one priced design; returns whether it was new
         (already-present exact keys are not rewritten)."""
         return self.put_many([(salt, digest, key, evaluation)]) == 1
 
-    def put_many(self, entries: Iterable[tuple[str, str, tuple, Any]]
-                 ) -> int:
+    def put_many(self, entries: Iterable[tuple[str, str, tuple,
+                                               HardwareEvaluation]]) -> int:
         """Durably record a batch with a single fsync; returns how many
         entries were new.
 
@@ -921,22 +999,32 @@ FaultInjector` hooked into the append path (torn-write injection).
         succeeds: if the write fails (full disk), the store keeps
         claiming the entries are absent, so a retry rewrites them
         instead of silently skipping records that never reached disk.
+
+        Raises:
+            TypeError: If a value is not a
+                :class:`~repro.core.evaluator.HardwareEvaluation` (the
+                whole batch is refused; nothing is appended).
         """
         self._ensure_writable()
-        records = []
+        buckets = []
+        bodies = []
         batch_seen: set[tuple[str, str, tuple]] = set()
         for salt, digest, key, evaluation in entries:
+            if not isinstance(evaluation, HardwareEvaluation):
+                raise TypeError(
+                    f"the evaluation store records HardwareEvaluation "
+                    f"values, got {type(evaluation).__name__}")
             address = (salt, digest, key)
             if address in batch_seen or address in self:
                 continue
             batch_seen.add(address)
-            records.append({"kind": "eval", "salt": salt,
-                            "digest": digest, "key": key,
-                            "evaluation": evaluation})
-        offsets = self._append_records(records)
-        for record, offset in zip(records, offsets):
-            self._index_appended(record, offset)
-        return len(records)
+            buckets.append(_bucket_hash(salt, digest))
+            bodies.append(_eval_body(salt, digest, key, evaluation))
+        offsets = self._append_bodies(bodies)
+        for bucket_hash, offset in zip(buckets, offsets):
+            self._extra.setdefault(bucket_hash, []).append(offset)
+        self._entry_count += len(bodies)
+        return len(bodies)
 
     def put_memo(self, params_digest: str, entries: dict) -> int:
         """Durably record cost-memo entries not yet persisted for this
@@ -946,9 +1034,8 @@ FaultInjector` hooked into the append path (torn-write injection).
         fresh = {key: value for key, value in entries.items()
                  if key not in known}
         if fresh:
-            record = {"kind": "memo", "params": params_digest,
-                      "entries": fresh}
-            (offset,) = self._append_records([record])
+            (offset,) = self._append_bodies([_memo_body(params_digest,
+                                                        fresh)])
             self._memo_offsets.setdefault(params_digest,
                                           []).append(offset)
             cached = self._memo_cache.get(params_digest)
@@ -966,8 +1053,6 @@ FaultInjector` hooked into the append path (torn-write injection).
         added = 0
         batch: list[tuple[str, str, tuple, Any]] = []
         for record in shard.iter_records():
-            if record.get("kind") != "eval":
-                continue
             batch.append((record["salt"], record["digest"],
                           record["key"], record["evaluation"]))
             if len(batch) >= 512:
@@ -1013,12 +1098,9 @@ FaultInjector` hooked into the append path (torn-write injection).
         offsets = np.ascontiguousarray(offsets[order])
         tail_hash = self._tail_hash(self._ensure_reader().fileno(),
                                     self._size_bytes)
-        save_store_index(
-            self.index_path, covered_bytes=self._size_bytes,
-            tail_hash=tail_hash, shadowed=self._shadowed,
-            hashes=hashes.tobytes(), offsets=offsets.tobytes(),
-            memo={params: list(memo_offsets) for params, memo_offsets
-                  in self._memo_offsets.items()})
+        _save_index(self.index_path, covered_bytes=self._size_bytes,
+                    tail_hash=tail_hash, shadowed=self._shadowed,
+                    hashes=hashes, offsets=offsets, memo=self._memo_offsets)
         self._idx_hashes = hashes
         self._idx_offsets = offsets
         self._idx_lazy = None
@@ -1094,10 +1176,7 @@ FaultInjector` hooked into the append path (torn-write injection).
                         new_hashes.append(tag)
                         new_offsets.append(position)
                     else:
-                        blob = pickle.dumps(
-                            {"kind": "memo", "params": tag,
-                             "entries": dict(self._own_memo(tag))},
-                            protocol=pickle.HIGHEST_PROTOCOL)
+                        blob = _memo_body(tag, self._own_memo(tag))
                         frame = _LEN.pack(len(blob)) + blob
                         new_memo[tag] = [position]
                     out.write(frame)

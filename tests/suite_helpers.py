@@ -11,6 +11,7 @@ exact same builders.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -49,6 +50,24 @@ def sample_design_pairs(workload, allocation=None, n=6, seed=3):
                      for t in workload.tasks)
         pairs.append((nets, allocation.random_design(rng)))
     return pairs
+
+
+@functools.lru_cache(maxsize=1)
+def priced_w1_designs() -> tuple:
+    """Twelve distinct seeded W1 designs priced once per process, as
+    ``(content_key, HardwareEvaluation)`` pairs — the values store
+    tests append (the store accepts nothing else) under whatever salt
+    and digest a test needs."""
+    from repro.core.evalservice import design_content
+    from repro.workloads import w1
+
+    workload = w1()
+    evaluator = build_hw_evaluator(workload)
+    designs = tuple((design_content(*pair),
+                     evaluator.evaluate_hardware(*pair))
+                    for pair in sample_design_pairs(workload, n=12, seed=21))
+    assert len({key for key, _ in designs}) == 12, "designs must differ"
+    return designs
 
 
 def normalised_run(result, *, drop_accounting=False):

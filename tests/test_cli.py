@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from suite_helpers import run_fresh_python
+from suite_helpers import priced_w1_designs, run_fresh_python
 
 
 class TestParser:
@@ -178,7 +178,7 @@ class TestStoreCommand:
 
         path = tmp_path / "maint.store"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), {"v": 1})
+            store.put("s", "d1", *priced_w1_designs()[0])
             for i in range(3):
                 store.put_memo("params", {("m", i): i})
         return path
@@ -202,7 +202,8 @@ class TestStoreCommand:
         assert "2 superseded memo records dropped" in out
         assert path.stat().st_size < size_before
         with EvalStore(path, read_only=True) as store:
-            assert store.get("s", "d1", ("k1",)) == {"v": 1}
+            key, evaluation = priced_w1_designs()[0]
+            assert store.get("s", "d1", key) == evaluation
             assert store.get_memo("params") == {("m", 0): 0, ("m", 1): 1,
                                                 ("m", 2): 2}
 

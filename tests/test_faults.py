@@ -16,7 +16,7 @@ import warnings
 
 import pytest
 
-from suite_helpers import sample_design_pairs
+from suite_helpers import priced_w1_designs, sample_design_pairs
 from repro.core import (
     EvalService,
     EvalStore,
@@ -205,14 +205,15 @@ class TestTornAppend:
         injector = FaultInjector(FaultPlan(torn_append_at=0))
         path = tmp_path / "s.bin"
         store = EvalStore(path, fault_injector=injector)
+        design = priced_w1_designs()[0]
         with pytest.raises(TornWriteError):
-            store.put("s", "d", ("k",), "v")
+            store.put("s", "d", *design)
         store.close()
         assert injector.fired == ["torn-append@0"]
         with EvalStore(path, recover=True) as recovered:
             assert recovered.recovered is not None
             assert len(recovered) == 0
-            assert recovered.put("s", "d", ("k",), "v")
+            assert recovered.put("s", "d", *design)
         assert path.with_name(path.name + ".corrupt").exists()
         assert len(EvalStore(path, read_only=True)) == 1
 
@@ -221,14 +222,15 @@ class TestTornAppend:
         injector = FaultInjector(FaultPlan(torn_append_at=1))
         path = tmp_path / "s.bin"
         store = EvalStore(path, fault_injector=injector)
-        store.put("s", "d1", ("k1",), "v1")
+        (key1, evaluation1), (key2, evaluation2) = priced_w1_designs()[:2]
+        store.put("s", "d1", key1, evaluation1)
         prefix = path.read_bytes()
         with pytest.raises(TornWriteError):
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d2", key2, evaluation2)
         store.close()
         with EvalStore(path, recover=True) as recovered:
-            assert recovered.get("s", "d1", ("k1",)) == "v1"
-            assert recovered.get("s", "d2", ("k2",)) is None
+            assert recovered.get("s", "d1", key1) == evaluation1
+            assert recovered.get("s", "d2", key2) is None
         assert path.read_bytes() == prefix
 
     def test_daemon_torn_append_is_fatal_and_recoverable(

@@ -156,6 +156,7 @@ class TestDurableWrites:
         import os
 
         from repro.core.store import EvalStore
+        from suite_helpers import priced_w1_designs
 
         count = {"fsync": 0}
         real_fsync = os.fsync
@@ -164,5 +165,5 @@ class TestDurableWrites:
             lambda fd: (count.__setitem__("fsync", count["fsync"] + 1),
                         real_fsync(fd))[1])
         with EvalStore(tmp_path / "s.bin") as store:
-            store.put("s", "d", ("k",), "v")
+            store.put("s", "d", *priced_w1_designs()[0])
         assert count["fsync"] >= 1

@@ -17,7 +17,7 @@ import struct
 import pytest
 
 from suite_helpers import build_hw_evaluator as make_evaluator
-from suite_helpers import normalised_run
+from suite_helpers import normalised_run, priced_w1_designs
 from repro.core import (
     Campaign,
     CampaignConfig,
@@ -28,6 +28,7 @@ from repro.core import (
     Scenario,
     cost_params_digest,
 )
+import repro.core.store as store_module
 from repro.core.store import STORE_MAGIC
 
 #: Header of a version-1 store (every record pickled).
@@ -36,6 +37,16 @@ from repro.cost import CostModel
 from repro.workloads import w1
 
 NASAIC_CONFIG = dict(episodes=3, hw_steps=2, seed=11, joint_batch=2)
+
+
+def design_key(index: int) -> tuple:
+    """Content key of the ``index``-th priced W1 design."""
+    return priced_w1_designs()[index][0]
+
+
+def evaluation_of(index: int):
+    """The evaluation priced for :func:`design_key` ``(index)``."""
+    return priced_w1_designs()[index][1]
 
 
 def normalised(result) -> dict:
@@ -56,38 +67,38 @@ class TestRoundTrip:
     def test_put_get_reopen(self, tmp_path):
         path = tmp_path / "store.bin"
         with EvalStore(path) as store:
-            assert store.put("salt", "d1", ("key1",), {"value": 1})
-            assert store.get("salt", "d1", ("key1",)) == {"value": 1}
+            assert store.put("salt", "d1", design_key(1), evaluation_of(1))
+            assert store.get("salt", "d1", design_key(1)) == evaluation_of(1)
             assert len(store) == 1
         reopened = EvalStore(path)
-        assert reopened.get("salt", "d1", ("key1",)) == {"value": 1}
+        assert reopened.get("salt", "d1", design_key(1)) == evaluation_of(1)
         assert len(reopened) == 1
 
     def test_duplicate_put_not_rewritten(self, tmp_path):
         path = tmp_path / "store.bin"
         with EvalStore(path) as store:
-            assert store.put("salt", "d1", ("key1",), {"value": 1})
+            assert store.put("salt", "d1", design_key(1), evaluation_of(1))
             size = path.stat().st_size
-            assert not store.put("salt", "d1", ("key1",), {"value": 1})
+            assert not store.put("salt", "d1", design_key(1), evaluation_of(1))
             assert path.stat().st_size == size
 
     def test_salt_namespacing(self, tmp_path):
         with EvalStore(tmp_path / "s.bin") as store:
-            store.put("salt-a", "d1", ("key",), "a-result")
-            assert store.get("salt-b", "d1", ("key",)) is None
-            assert store.get("salt-a", "d1", ("key",)) == "a-result"
+            store.put("salt-a", "d1", design_key(0), evaluation_of(0))
+            assert store.get("salt-b", "d1", design_key(0)) is None
+            assert store.get("salt-a", "d1", design_key(0)) == evaluation_of(0)
 
     def test_digest_collision_falls_back_to_full_key(self, tmp_path):
         """Two different contents sharing one digest coexist; the exact
         key compare disambiguates and unknown keys stay misses."""
         with EvalStore(tmp_path / "s.bin") as store:
-            store.put("salt", "dd", ("content-a",), "a")
-            store.put("salt", "dd", ("content-b",), "b")
-            assert store.get("salt", "dd", ("content-a",)) == "a"
-            assert store.get("salt", "dd", ("content-b",)) == "b"
-            assert store.get("salt", "dd", ("content-c",)) is None
+            store.put("salt", "dd", design_key(0), evaluation_of(0))
+            store.put("salt", "dd", design_key(1), evaluation_of(1))
+            assert store.get("salt", "dd", design_key(0)) == evaluation_of(0)
+            assert store.get("salt", "dd", design_key(1)) == evaluation_of(1)
+            assert store.get("salt", "dd", design_key(2)) is None
         reopened = EvalStore(tmp_path / "s.bin")
-        assert reopened.get("salt", "dd", ("content-b",)) == "b"
+        assert reopened.get("salt", "dd", design_key(1)) == evaluation_of(1)
         assert len(reopened) == 2
 
     def test_memo_roundtrip(self, tmp_path):
@@ -102,8 +113,8 @@ class TestRoundTrip:
 
     def test_intra_batch_duplicates_written_once(self, tmp_path):
         with EvalStore(tmp_path / "s.bin") as store:
-            assert store.put_many([("s", "d", ("k",), "v"),
-                                   ("s", "d", ("k",), "v")]) == 1
+            entry = ("s", "d", design_key(0), evaluation_of(0))
+            assert store.put_many([entry, entry]) == 1
         assert len(EvalStore(tmp_path / "s.bin")) == 1
 
     def test_failed_append_does_not_poison_index(self, tmp_path,
@@ -119,18 +130,35 @@ class TestRoundTrip:
             lambda handle, blob: (_ for _ in ()).throw(
                 OSError("disk full")))
         with pytest.raises(OSError, match="disk full"):
-            store.put("s", "d", ("k",), "v")
-        assert store.get("s", "d", ("k",)) is None
-        assert ("s", "d", ("k",)) not in store
+            store.put("s", "d", design_key(0), evaluation_of(0))
+        assert store.get("s", "d", design_key(0)) is None
+        assert ("s", "d", design_key(0)) not in store
         monkeypatch.undo()
-        assert store.put("s", "d", ("k",), "v")  # retry really writes
+        # The retry really writes.
+        assert store.put("s", "d", design_key(0), evaluation_of(0))
         store.close()
-        assert EvalStore(tmp_path / "s.bin").get("s", "d", ("k",)) == "v"
+        reopened = EvalStore(tmp_path / "s.bin")
+        assert reopened.get("s", "d", design_key(0)) == evaluation_of(0)
+
+    def test_non_evaluation_value_refused_before_any_byte(self,
+                                                          tmp_path):
+        path = tmp_path / "s.bin"
+        with EvalStore(path) as store:
+            store.put("s", "d1", design_key(1), evaluation_of(1))
+            size = path.stat().st_size
+            with pytest.raises(TypeError, match="HardwareEvaluation"):
+                store.put("s", "d2", design_key(2), {"value": 2})
+            with pytest.raises(TypeError, match="HardwareEvaluation"):
+                store.put_many([("s", "d3", design_key(3), evaluation_of(3)),
+                                ("s", "d4", design_key(4), "v4")])
+            assert path.stat().st_size == size
+            assert len(store) == 1
+            assert store.get("s", "d3", design_key(3)) is None
 
     def test_missing_file_is_empty_store(self, tmp_path):
         store = EvalStore(tmp_path / "absent.bin")
         assert len(store) == 0
-        assert store.get("s", "d", ("k",)) is None
+        assert store.get("s", "d", design_key(0)) is None
 
     def test_zero_length_file_is_empty_store(self, tmp_path):
         """A crash between file creation and the first durable append
@@ -140,8 +168,8 @@ class TestRoundTrip:
         path.touch()
         with EvalStore(path) as store:
             assert len(store) == 0
-            store.put("s", "d", ("k",), "v")
-        assert EvalStore(path).get("s", "d", ("k",)) == "v"
+            store.put("s", "d", design_key(0), evaluation_of(0))
+        assert EvalStore(path).get("s", "d", design_key(0)) == evaluation_of(0)
 
 
 try:
@@ -164,17 +192,17 @@ class TestWriterLock:
     def test_second_writer_fails_loudly(self, tmp_path):
         path = tmp_path / "locked.bin"
         with EvalStore(path) as first:
-            first.put("s", "d", ("k",), "v")
+            first.put("s", "d", design_key(0), evaluation_of(0))
             with pytest.raises(ValueError, match="repro serve"):
                 EvalStore(path)
 
     def test_lock_released_on_close(self, tmp_path):
         path = tmp_path / "locked.bin"
         store = EvalStore(path)
-        store.put("s", "d", ("k",), "v")
+        store.put("s", "d", design_key(0), evaluation_of(0))
         store.close()
         with EvalStore(path) as second:
-            second.put("s", "d2", ("k2",), "v2")
+            second.put("s", "d2", design_key(2), evaluation_of(2))
         assert len(EvalStore(path, read_only=True)) == 2
 
     def test_lock_released_when_open_fails(self, tmp_path):
@@ -186,22 +214,22 @@ class TestWriterLock:
             EvalStore(path)
         path.unlink()
         with EvalStore(path) as recovered:  # path is free again
-            recovered.put("s", "d", ("k",), "v")
+            recovered.put("s", "d", design_key(0), evaluation_of(0))
 
     def test_reader_fails_while_writer_holds_exclusive(self, tmp_path):
         path = tmp_path / "locked.bin"
         with EvalStore(path) as writer:
-            writer.put("s", "d", ("k",), "v")
+            writer.put("s", "d", design_key(0), evaluation_of(0))
             with pytest.raises(ValueError, match="locked by a writer"):
                 EvalStore(path, read_only=True)
 
     def test_downgrade_admits_readers_then_upgrade(self, tmp_path):
         path = tmp_path / "locked.bin"
         with EvalStore(path) as writer:
-            writer.put("s", "d", ("k",), "v")
+            writer.put("s", "d", design_key(0), evaluation_of(0))
             writer.downgrade_lock()
             reader = EvalStore(path, read_only=True)
-            assert reader.get("s", "d", ("k",)) == "v"
+            assert reader.get("s", "d", design_key(0)) == evaluation_of(0)
             # The reader's shared lock lives only for the load, so the
             # writer can re-take its exclusive claim immediately.
             writer.upgrade_lock()
@@ -211,13 +239,14 @@ class TestWriterLock:
     def test_append_after_close_retakes_lock(self, tmp_path):
         path = tmp_path / "locked.bin"
         store = EvalStore(path)
-        store.put("s", "d1", ("k1",), "v1")
+        store.put("s", "d1", design_key(1), evaluation_of(1))
         store.close()
         blocker = EvalStore(path)
         with pytest.raises(ValueError, match="repro serve"):
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d2", design_key(2), evaluation_of(2))
         blocker.close()
-        store.put("s", "d2", ("k2",), "v2")  # lock free: append works
+        # Lock free: the append works.
+        store.put("s", "d2", design_key(2), evaluation_of(2))
         store.close()
         assert len(EvalStore(path, read_only=True)) == 2
 
@@ -232,7 +261,7 @@ class TestCorruption:
     def test_truncated_length_prefix_rejected(self, tmp_path):
         path = tmp_path / "trunc.bin"
         with EvalStore(path) as store:
-            store.put("s", "d", ("k",), "v")
+            store.put("s", "d", design_key(0), evaluation_of(0))
         path.write_bytes(path.read_bytes()[:len(STORE_MAGIC) + 3])
         with pytest.raises(ValueError, match="corrupted"):
             EvalStore(path)
@@ -240,7 +269,7 @@ class TestCorruption:
     def test_truncated_record_body_rejected(self, tmp_path):
         path = tmp_path / "trunc.bin"
         with EvalStore(path) as store:
-            store.put("s", "d", ("k",), "v")
+            store.put("s", "d", design_key(0), evaluation_of(0))
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(ValueError, match="truncated record body"):
             EvalStore(path)
@@ -265,9 +294,9 @@ class TestCorruption:
         second record's length prefix starts."""
         path = tmp_path / "tail.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
             boundary = path.stat().st_size
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d2", design_key(2), evaluation_of(2))
         return path, boundary
 
     def test_last_record_body_truncation_rejects_whole_store(
@@ -296,8 +325,8 @@ class TestCorruption:
         path, boundary = self._two_record_store(tmp_path)
         path.write_bytes(path.read_bytes()[:boundary])
         store = EvalStore(path)
-        assert store.get("s", "d1", ("k1",)) == "v1"
-        assert store.get("s", "d2", ("k2",)) is None
+        assert store.get("s", "d1", design_key(1)) == evaluation_of(1)
+        assert store.get("s", "d2", design_key(2)) is None
         assert len(store) == 1
 
 
@@ -311,9 +340,9 @@ class TestRecovery:
         Returns (path, durable_boundary, original_bytes)."""
         path = tmp_path / "torn.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
             boundary = path.stat().st_size
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d2", design_key(2), evaluation_of(2))
         original = path.read_bytes()
         path.write_bytes(original[:-cut])
         return path, boundary, original
@@ -321,8 +350,8 @@ class TestRecovery:
     def test_torn_body_keeps_prefix_and_quarantines_tail(self, tmp_path):
         path, boundary, original = self._torn_store(tmp_path, cut=3)
         with EvalStore(path, recover=True) as store:
-            assert store.get("s", "d1", ("k1",)) == "v1"
-            assert store.get("s", "d2", ("k2",)) is None
+            assert store.get("s", "d1", design_key(1)) == evaluation_of(1)
+            assert store.get("s", "d2", design_key(2)) is None
             assert len(store) == 1
             assert store.recovered is not None
             assert store.recovered["kept_bytes"] == boundary
@@ -337,9 +366,9 @@ class TestRecovery:
         only 4 of its 8 bytes survive."""
         path = tmp_path / "torn2.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
             boundary = path.stat().st_size
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d2", design_key(2), evaluation_of(2))
         path.write_bytes(path.read_bytes()[:boundary + 4])
         with EvalStore(path, recover=True) as store:
             assert len(store) == 1
@@ -351,16 +380,16 @@ class TestRecovery:
     def test_recovered_store_stays_appendable(self, tmp_path):
         path, _, _ = self._torn_store(tmp_path, cut=3)
         with EvalStore(path, recover=True) as store:
-            assert store.put("s", "d3", ("k3",), "v3")
+            assert store.put("s", "d3", design_key(3), evaluation_of(3))
         reopened = EvalStore(path, read_only=True)
-        assert reopened.get("s", "d1", ("k1",)) == "v1"
-        assert reopened.get("s", "d3", ("k3",)) == "v3"
+        assert reopened.get("s", "d1", design_key(1)) == evaluation_of(1)
+        assert reopened.get("s", "d3", design_key(3)) == evaluation_of(3)
         assert len(reopened) == 2
 
     def test_clean_store_recovery_is_a_noop(self, tmp_path):
         path = tmp_path / "clean.bin"
         with EvalStore(path) as store:
-            store.put("s", "d", ("k",), "v")
+            store.put("s", "d", design_key(0), evaluation_of(0))
         before = path.read_bytes()
         with EvalStore(path, recover=True) as store:
             assert store.recovered is None
@@ -371,7 +400,7 @@ class TestRecovery:
     def test_recover_with_read_only_is_refused(self, tmp_path):
         path = tmp_path / "s.bin"
         with EvalStore(path) as store:
-            store.put("s", "d", ("k",), "v")
+            store.put("s", "d", design_key(0), evaluation_of(0))
         with pytest.raises(ValueError, match="recover=True rewrites"):
             EvalStore(path, read_only=True, recover=True)
 
@@ -381,9 +410,9 @@ class TestRecovery:
         they were never durably acknowledged in order)."""
         path = tmp_path / "mid.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
             boundary = path.stat().st_size
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d2", design_key(2), evaluation_of(2))
         data = path.read_bytes()
         blob = b"\xffgarbage"
         path.write_bytes(data[:boundary]
@@ -401,7 +430,7 @@ class TestRecovery:
             assert len(store) == 0
             assert store.recovered["kept_bytes"] == 0
             assert "torn file header" in store.recovered["detail"]
-            assert store.put("s", "d", ("k",), "v")
+            assert store.put("s", "d", design_key(0), evaluation_of(0))
         assert len(EvalStore(path, read_only=True)) == 1
 
     def test_wrong_magic_still_rejected_under_recover(self, tmp_path):
@@ -415,28 +444,28 @@ class TestShards:
     def test_read_only_refuses_appends(self, tmp_path):
         path = tmp_path / "s.bin"
         with EvalStore(path) as store:
-            store.put("s", "d", ("k",), "v")
+            store.put("s", "d", design_key(0), evaluation_of(0))
         frozen = EvalStore(path, read_only=True)
         with pytest.raises(ValueError, match="read-only"):
-            frozen.put("s", "d2", ("k2",), "v2")
+            frozen.put("s", "d2", design_key(2), evaluation_of(2))
 
     def test_parent_overlay_and_merge(self, tmp_path):
         main_path = tmp_path / "main.bin"
         with EvalStore(main_path) as main:
-            main.put("s", "d1", ("k1",), "from-main")
+            main.put("s", "d1", design_key(1), evaluation_of(1))
         parent = EvalStore(main_path, read_only=True)
         shard = EvalStore(tmp_path / "main.bin.shard0", parent=parent)
         # Reads see through to the parent; appends go to the shard only.
-        assert shard.get("s", "d1", ("k1",)) == "from-main"
-        shard.put("s", "d2", ("k2",), "from-shard")
+        assert shard.get("s", "d1", design_key(1)) == evaluation_of(1)
+        shard.put("s", "d2", design_key(2), evaluation_of(2))
         shard.close()
         assert EvalStore(main_path,
-                         read_only=True).get("s", "d2", ("k2",)) is None
+                         read_only=True).get("s", "d2", design_key(2)) is None
         main = EvalStore(main_path)
         added = main.merge_from(
             EvalStore(tmp_path / "main.bin.shard0", read_only=True))
         assert added == 1  # the parent's entry is not re-merged
-        assert main.get("s", "d2", ("k2",)) == "from-shard"
+        assert main.get("s", "d2", design_key(2)) == evaluation_of(2)
         main.close()
 
     def test_merge_from_with_overlapping_keys(self, tmp_path):
@@ -445,12 +474,12 @@ class TestShards:
         are appended."""
         main_path = tmp_path / "main.bin"
         with EvalStore(main_path) as main:
-            main.put("s", "d1", ("k1",), "v1")
-            main.put("s", "d2", ("k2",), "v2")
+            main.put("s", "d1", design_key(1), evaluation_of(1))
+            main.put("s", "d2", design_key(2), evaluation_of(2))
             main.put_memo("params", {"m1": 1})
         with EvalStore(tmp_path / "shard.bin") as shard:
-            shard.put("s", "d2", ("k2",), "v2")  # overlap
-            shard.put("s", "d3", ("k3",), "v3")  # new
+            shard.put("s", "d2", design_key(2), evaluation_of(2))  # overlap
+            shard.put("s", "d3", design_key(3), evaluation_of(3))  # new
             shard.put_memo("params", {"m1": 1, "m2": 2})  # half overlap
         main = EvalStore(main_path)
         size_before = main_path.stat().st_size
@@ -461,8 +490,8 @@ class TestShards:
         assert main_path.stat().st_size > size_before
         reopened = EvalStore(main_path, read_only=True)
         assert len(reopened) == 3
-        assert reopened.get("s", "d2", ("k2",)) == "v2"
-        assert reopened.get("s", "d3", ("k3",)) == "v3"
+        assert reopened.get("s", "d2", design_key(2)) == evaluation_of(2)
+        assert reopened.get("s", "d3", design_key(3)) == evaluation_of(3)
         assert reopened.get_memo("params") == {"m1": 1, "m2": 2}
         # Merging the same shard again appends nothing at all.
         size_after = main_path.stat().st_size
@@ -479,18 +508,18 @@ class TestShards:
         sibling readers may still hold them)."""
         parent_path = tmp_path / "parent.bin"
         with EvalStore(parent_path) as writer:
-            writer.put("s", "d1", ("k1",), "from-parent")
+            writer.put("s", "d1", design_key(1), evaluation_of(1))
             writer.put_memo("params", {"m1": 1})
         parent = EvalStore(parent_path, read_only=True)
         child = EvalStore(tmp_path / "child.bin", parent=parent)
         parent_path.unlink()  # vanishes between open and first read
-        assert child.get("s", "d1", ("k1",)) == "from-parent"
+        assert child.get("s", "d1", design_key(1)) == evaluation_of(1)
         assert child.get_memo("params") == {"m1": 1}
         assert len(child) == 1
-        assert ("s", "d1", ("k1",)) in child
+        assert ("s", "d1", design_key(1)) in child
         # The child's own appends still work with the parent file gone.
-        child.put("s", "d2", ("k2",), "own")
-        assert child.get("s", "d2", ("k2",)) == "own"
+        child.put("s", "d2", design_key(2), evaluation_of(2))
+        assert child.get("s", "d2", design_key(2)) == evaluation_of(2)
         child.close()
 
 
@@ -710,6 +739,40 @@ class TestRecordFormats:
             for salt, digest, key, evaluation in entries:
                 assert reopened.get(salt, digest, key) == evaluation
 
+    def test_lookups_never_unpickle_codec_records(self, tmp_path, workload,
+                                                  monkeypatch):
+        """A store filled by EvalService (evaluations, then the memo
+        flush on close) and reopened through a fresh sidecar answers
+        every key through ``get`` and ``iter_evaluations`` with
+        unpickling disabled."""
+        import repro.core.store as store_module
+        from suite_helpers import sample_design_pairs
+        from repro.core.evalservice import design_content, design_digest
+
+        pairs = sample_design_pairs(workload, n=6, seed=17)
+        path = tmp_path / "s.bin"
+        with EvalStore(path) as store:
+            with EvalService(make_evaluator(workload), store=store) as svc:
+                evaluations = svc.evaluate_many(pairs)
+                salt = svc.context_salt
+                digests = [design_digest(*pair, salt=salt)
+                           for pair in pairs]
+            assert store.get_memo(cost_params_digest(CostModel().params))
+        store = EvalStore(path, read_only=True)
+        assert store.index_used and store.scanned_records == 0
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("pickle.loads called")
+
+        monkeypatch.setattr(store_module.pickle, "loads", refuse)
+        for pair, digest, evaluation in zip(pairs, digests, evaluations):
+            assert store.get(salt, digest, design_content(*pair)) == \
+                evaluation
+        assert dict(store.iter_evaluations(salt)) == {
+            design_content(*pair): evaluation
+            for pair, evaluation in zip(pairs, evaluations)}
+        store.close()
+
     def test_truncated_codec_record_is_corruption(self, tmp_path,
                                                   workload):
         (entry,) = self.priced(workload, n=1)
@@ -810,7 +873,7 @@ class TestOffsetIndex:
     def seeded(tmp_path, n=6):
         path = tmp_path / "indexed.bin"
         with EvalStore(path) as store:
-            store.put_many([("s", f"d{i}", (f"k{i}",), {"v": i})
+            store.put_many([("s", f"d{i}", design_key(i), evaluation_of(i))
                             for i in range(n)])
             store.put_memo("params", {"m1": 1})
         return path
@@ -822,7 +885,7 @@ class TestOffsetIndex:
         assert store.index_used, "fresh sidecar must be trusted"
         assert store.scanned_records == 0, "open must not decode records"
         assert len(store) == 6
-        assert store.get("s", "d3", ("k3",)) == {"v": 3}
+        assert store.get("s", "d3", design_key(3)) == evaluation_of(3)
         assert store.get_memo("params") == {"m1": 1}
         store.close()
 
@@ -832,12 +895,13 @@ class TestOffsetIndex:
         incremental tail scan, not ignored and not a full rebuild."""
         path = self.seeded(tmp_path)
         with open(path, "ab") as handle:
-            handle.write(raw_record("s", "d9", ("k9",), {"v": 9}))
+            handle.write(raw_record("s", "d9", design_key(9),
+                                    evaluation_of(9)))
         store = EvalStore(path, read_only=True)
         assert store.index_used, "the covered prefix is still good"
         assert store.scanned_records == 1, "only the tail is decoded"
-        assert store.get("s", "d9", ("k9",)) == {"v": 9}
-        assert store.get("s", "d0", ("k0",)) == {"v": 0}
+        assert store.get("s", "d9", design_key(9)) == evaluation_of(9)
+        assert store.get("s", "d0", design_key(0)) == evaluation_of(0)
         assert len(store) == 7
         store.close()
         # A writer open rewrites the sidecar to cover the tail...
@@ -854,30 +918,67 @@ class TestOffsetIndex:
         path_a = tmp_path / "a.bin"
         path_b = tmp_path / "b.bin"
         with EvalStore(path_a) as store:
-            store.put("s", "d1", ("k1",), "AAAA")
+            store.put("salt-A", "d1", design_key(1), evaluation_of(1))
         with EvalStore(path_b) as store:
-            store.put("s", "d1", ("k1",), "BBBB")
+            store.put("salt-B", "d1", design_key(1), evaluation_of(1))
         assert path_a.stat().st_size == path_b.stat().st_size
         path_a.write_bytes(path_b.read_bytes())  # sidecar left behind
         store = EvalStore(path_a, read_only=True)
         assert not store.index_used, "stale sidecar must not be trusted"
-        assert store.get("s", "d1", ("k1",)) == "BBBB"
+        assert store.get("salt-B", "d1", design_key(1)) == evaluation_of(1)
+        assert store.get("salt-A", "d1", design_key(1)) is None
         store.close()
 
     def test_truncated_store_forces_full_rebuild(self, tmp_path):
         path = tmp_path / "t.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
             boundary = path.stat().st_size
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d2", design_key(2), evaluation_of(2))
         with open(path, "r+b") as handle:
             handle.truncate(boundary)  # sidecar now covers beyond EOF
         store = EvalStore(path, read_only=True)
         assert not store.index_used
         assert len(store) == 1
-        assert store.get("s", "d1", ("k1",)) == "v1"
-        assert store.get("s", "d2", ("k2",)) is None
+        assert store.get("s", "d1", design_key(1)) == evaluation_of(1)
+        assert store.get("s", "d2", design_key(2)) is None
         store.close()
+
+    def test_pickled_layout_sidecar_rebuilds_once(self, tmp_path):
+        """A sidecar in the previous layout (pickled header and memo
+        map) fails the magic check: the first open rebuilds it from the
+        records, the next one trusts the rewritten sidecar, and both
+        answer alike."""
+        path = self.seeded(tmp_path)
+        with EvalStore(path, read_only=True) as store:
+            idx = store.index_path
+            index = store_module._load_index(idx)
+            columns = idx.read_bytes()[index["arrays_offset"]:]
+        header = pickle.dumps({"format": "repro-evalstore-index",
+                               "version": 1,
+                               "covered_bytes": index["covered_bytes"],
+                               "tail_hash": index["tail_hash"].hex(),
+                               "count": index["count"],
+                               "shadowed": index["shadowed"]})
+        memo = pickle.dumps(index["memo"])
+        prefix = b"".join((b"repro-evalstore-idx v1\n",
+                           struct.pack("<Q", len(header)), header,
+                           struct.pack("<Q", len(memo)), memo))
+        idx.write_bytes(prefix + b"\0" * (-len(prefix) % 8) + columns)
+
+        def answers(store):
+            return ([store.get("s", f"d{i}", design_key(i))
+                     for i in range(6)], store.get_memo("params"),
+                    len(store))
+
+        with EvalStore(path) as rebuilt:
+            assert not rebuilt.index_used
+            first = answers(rebuilt)
+        with EvalStore(path, read_only=True) as reopened:
+            assert reopened.index_used and reopened.scanned_records == 0
+            assert answers(reopened) == first
+        assert first == ([evaluation_of(i) for i in range(6)],
+                         {"m1": 1}, 6)
 
     def test_garbage_sidecar_rebuilds(self, tmp_path):
         path = self.seeded(tmp_path)
@@ -886,7 +987,7 @@ class TestOffsetIndex:
         store = EvalStore(path, read_only=True)
         assert not store.index_used
         assert len(store) == 6
-        assert store.get("s", "d5", ("k5",)) == {"v": 5}
+        assert store.get("s", "d5", design_key(5)) == evaluation_of(5)
         store.close()
         # A writer open repairs the sidecar durably.
         EvalStore(path).close()
@@ -901,15 +1002,15 @@ class TestOffsetIndex:
         re-quarantining anything)."""
         path = tmp_path / "r.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
+            store.put("s", "d2", design_key(2), evaluation_of(2))
         path.write_bytes(path.read_bytes()[:-3])
         with EvalStore(path, recover=True) as store:
             assert store.recovered is not None
             assert len(store) == 1
         reader = EvalStore(path, read_only=True)
         assert reader.index_used and reader.scanned_records == 0
-        assert reader.get("s", "d1", ("k1",)) == "v1"
+        assert reader.get("s", "d1", design_key(1)) == evaluation_of(1)
         assert len(reader) == 1
         reader.close()
         assert path.with_name(path.name + ".corrupt").exists()
@@ -920,18 +1021,18 @@ class TestOffsetIndex:
         sidecar."""
         main_path = tmp_path / "main.bin"
         with EvalStore(main_path) as main:
-            main.put("s", "d1", ("k1",), "own")
+            main.put("s", "d1", design_key(1), evaluation_of(1))
         with EvalStore(tmp_path / "shard.bin") as shard:
-            shard.put("s", "d2", ("k2",), "merged")
+            shard.put("s", "d2", design_key(2), evaluation_of(2))
         main = EvalStore(main_path)
         main.merge_from(EvalStore(tmp_path / "shard.bin", read_only=True))
-        assert main.get("s", "d2", ("k2",)) == "merged"
+        assert main.get("s", "d2", design_key(2)) == evaluation_of(2)
         assert len(main) == 2
         main.close()
         lazy = EvalStore(main_path, read_only=True)
         assert lazy.index_used and lazy.scanned_records == 0
-        assert lazy.get("s", "d2", ("k2",)) == "merged"
-        assert lazy.get("s", "d1", ("k1",)) == "own"
+        assert lazy.get("s", "d2", design_key(2)) == evaluation_of(2)
+        assert lazy.get("s", "d1", design_key(1)) == evaluation_of(1)
         lazy.close()
 
 
@@ -943,12 +1044,12 @@ class TestCorruptSidecarSuffixes:
         destroy the forensic copy of an earlier one."""
         path = tmp_path / "twice.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
-            store.put("s", "d2", ("k2",), "v2")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
+            store.put("s", "d2", design_key(2), evaluation_of(2))
         path.write_bytes(path.read_bytes()[:-3])
         with EvalStore(path, recover=True) as store:
             assert store.recovered is not None
-            store.put("s", "d3", ("k3",), "v3")
+            store.put("s", "d3", design_key(3), evaluation_of(3))
         first = path.with_name(path.name + ".corrupt")
         first_bytes = first.read_bytes()
         path.write_bytes(path.read_bytes()[:-3])  # torn again
@@ -968,16 +1069,16 @@ class TestReopenAfterClose:
         must be visible to lookups *and* to dedup."""
         path = tmp_path / "interim.bin"
         first = EvalStore(path)
-        first.put("s", "d1", ("k1",), "v1")
+        first.put("s", "d1", design_key(1), evaluation_of(1))
         first.close()
         second = EvalStore(path)
-        second.put("s", "d2", ("k2",), "interim")
+        second.put("s", "d2", design_key(2), evaluation_of(2))
         second.close()
         # Reopening through the stale handle reloads the file...
-        assert first.put("s", "d3", ("k3",), "v3")
-        assert first.get("s", "d2", ("k2",)) == "interim"
+        assert first.put("s", "d3", design_key(3), evaluation_of(3))
+        assert first.get("s", "d2", design_key(2)) == evaluation_of(2)
         # ...and dedup sees the interim record: no duplicate appended.
-        assert not first.put("s", "d2", ("k2",), "interim")
+        assert not first.put("s", "d2", design_key(2), evaluation_of(2))
         assert len(first) == 3
         first.close()
         reopened = EvalStore(path, read_only=True)
@@ -991,7 +1092,8 @@ class TestScaleGauges:
         path = tmp_path / "gauges.bin"
         store = EvalStore(path)
         for i in range(3):
-            store.put_many([("s", f"d{i}-{j}", (f"k{i}-{j}",), i * 10 + j)
+            store.put_many([("s", f"d{i}-{j}", design_key(4 * i + j),
+                             evaluation_of(4 * i + j))
                             for j in range(4)])
             store.put_memo("params", {("m", i): i})
             assert len(store) == (i + 1) * 4
@@ -1026,7 +1128,7 @@ class TestCompaction:
     def test_superseded_memo_records_folded(self, tmp_path):
         path = tmp_path / "memo.bin"
         store = EvalStore(path)
-        store.put("s", "d1", ("k1",), "v1")
+        store.put("s", "d1", design_key(1), evaluation_of(1))
         for i in range(3):
             store.put_memo("params", {("m", i): i})
         assert store.redundant_records == 2
@@ -1036,7 +1138,7 @@ class TestCompaction:
         assert report["records_dropped"] == 2
         assert report["bytes_after"] < report["bytes_before"]
         assert store.get_memo("params") == before_memo
-        assert store.get("s", "d1", ("k1",)) == "v1"
+        assert store.get("s", "d1", design_key(1)) == evaluation_of(1)
         assert store.redundant_records == 0
         store.close()
         reopened = EvalStore(path, read_only=True)
@@ -1047,7 +1149,7 @@ class TestCompaction:
     def test_digest_shadowed_duplicates_dropped(self, tmp_path):
         path = tmp_path / "dups.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
         data = path.read_bytes()
         # Replay every record verbatim behind the indexed prefix — the
         # shape a crashed merge would leave behind.
@@ -1057,7 +1159,7 @@ class TestCompaction:
         assert store.redundant_records == 1
         report = store.compact()
         assert report["eval_duplicates_dropped"] == 1
-        assert store.get("s", "d1", ("k1",)) == "v1"
+        assert store.get("s", "d1", design_key(1)) == evaluation_of(1)
         store.close()
         assert path.read_bytes() == data, \
             "compaction must restore the original byte-exact records"
@@ -1066,7 +1168,8 @@ class TestCompaction:
             self, tmp_path):
         path = tmp_path / "idem.bin"
         store = EvalStore(path)
-        store.put_many([("s", f"d{i}", (f"k{i}",), i) for i in range(4)])
+        store.put_many([("s", f"d{i}", design_key(i), evaluation_of(i))
+                        for i in range(4)])
         for i in range(2):
             store.put_memo("params", {("m", i): i})
         store.compact()
@@ -1078,15 +1181,15 @@ class TestCompaction:
         with pytest.raises(ValueError, match="already open for writing"):
             EvalStore(path)
         # The compacted handle still appends and answers.
-        assert store.put("s", "d9", ("k9",), "late")
-        assert store.get("s", "d9", ("k9",)) == "late"
-        assert store.get("s", "d2", ("k2",)) == 2
+        assert store.put("s", "d9", design_key(9), evaluation_of(9))
+        assert store.get("s", "d9", design_key(9)) == evaluation_of(9)
+        assert store.get("s", "d2", design_key(2)) == evaluation_of(2)
         store.close()
 
     def test_maybe_compact_threshold(self, tmp_path):
         path = tmp_path / "maybe.bin"
         store = EvalStore(path)
-        store.put("s", "d1", ("k1",), "v1")
+        store.put("s", "d1", design_key(1), evaluation_of(1))
         store.put_memo("params", {("m", 0): 0})
         store.put_memo("params", {("m", 1): 1})
         assert store.redundant_records == 1
@@ -1098,7 +1201,7 @@ class TestCompaction:
     def test_compact_refused_on_read_only(self, tmp_path):
         path = tmp_path / "ro.bin"
         with EvalStore(path) as store:
-            store.put("s", "d1", ("k1",), "v1")
+            store.put("s", "d1", design_key(1), evaluation_of(1))
         frozen = EvalStore(path, read_only=True)
         with pytest.raises(ValueError, match="read-only"):
             frozen.compact()

@@ -215,7 +215,7 @@ class TestZooInCampaign:
             Scenario("W1", "hw-nas", 2, seed=5),)))
         outcome = result.outcomes[0]
         assert len(outcome.result.explored) == 2
-        assert outcome.eval_stats is not None
+        assert outcome.result.pricing.requests > 0
 
 
 class TestStoreScaleMetrics:
