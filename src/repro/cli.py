@@ -275,11 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
                          default=60.0, metavar="SECONDS",
                          help="shed a client whose reply write stalls "
                               "this long (default: 60)")
-    p_serve.add_argument("--max-inflight", type=_nonnegative_int,
+    p_serve.add_argument("--max-inflight", type=_positive_int,
                          default=256,
-                         help="bound on queued miss computations; "
-                              "submits past it are refused with a "
-                              "retryable error (default: 256)")
+                         help="most fresh misses one submit may price "
+                              "(the longest a submit holds the "
+                              "daemon); a submit with more is refused "
+                              "with a retryable error (default: 256)")
 
     p_store = sub.add_parser(
         "store",
@@ -610,7 +611,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           + f": {counters['connections']} connections, "
           f"{counters['batches']} batches, "
           f"{counters['computed']} priced, "
-          f"{counters['coalesced']} coalesced, "
           f"{counters['persisted']} persisted"
           + (f", {counters['compute_errors']} compute errors"
              if counters["compute_errors"] else "")
@@ -636,13 +636,12 @@ def _serve_status(args: argparse.Namespace) -> int:
     print(f"pricing daemon at unix://{args.socket}: up "
           f"{status.get('uptime_seconds', 0.0):.0f}s, "
           f"{status.get('services', 0)} hosted contexts, "
-          f"{status.get('inflight', 0)} computations in flight, "
           f"{status.get('persist_queue', 0)} queued appends")
     for salt, ctx in sorted(status.get("contexts", {}).items()):
         print(f"  context {salt[:12]}: {ctx['requests']} requests, "
               f"{ctx['hits']} hits ({ctx['hit_rate']:.1%}, "
-              f"{ctx['store_hits']} from store), "
-              f"{ctx['coalesced']} coalesced")
+              f"{ctx['shared_hits']} shared, "
+              f"{ctx['store_hits']} from store)")
     print(f"store: {status.get('store_path') or 'none'} "
           f"({status.get('store_entries', 0)} entries)")
     if status.get("store_recovered"):

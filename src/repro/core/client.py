@@ -23,9 +23,9 @@ Differences from a local :class:`repro.core.evalservice.EvalService`:
   at the local-store workflow.
 - ``stats`` are mirrored client-side from the per-request tiers the
   daemon reports, so per-run accounting (hit rates, miss seconds)
-  stays truthful even though the cache itself is shared — coalesced
-  and cross-client hits land in ``shared_hits``, exactly where a
-  shared campaign cache would put them.
+  stays truthful even though the cache itself is shared — cross-client
+  hits land in ``shared_hits``, exactly where a shared campaign cache
+  would put them.
 - The handshake recomputes the evaluation-context salt locally and
   refuses a daemon whose salt differs, the same guarantee
   :func:`repro.core.evalservice.verify_injected_service` gives for
@@ -41,10 +41,10 @@ restart, frame garbage — tears down the connection and transparently
 reconnects: re-handshake, salt re-verified, same submit resent (a
 submit is a list of content keys, which hold on any connection).
 Resubmission is safe: pricing is deterministic and the daemon
-coalesces duplicates, so a retried request returns bit-identical
-evaluations.  A ``retryable`` refusal from the daemon
-(bounded in-flight queue at capacity) backs off on the *same*
-connection.
+answers already-priced designs from its cache, so a retried request
+returns bit-identical evaluations.  A ``retryable`` refusal from the
+daemon (a submit with more misses than its ``--max-inflight``) backs
+off on the *same* connection.
 
 When the retry budget is exhausted (or the daemon refuses outright —
 e.g. a poisoned design) and the client was built with
@@ -94,9 +94,10 @@ def parse_endpoint(endpoint: str | Path) -> Path:
 
 
 class DaemonBusyError(ConnectionError):
-    """The daemon refused a request with ``retryable: True`` (bounded
-    in-flight queue at capacity).  The connection itself is healthy —
-    the client backs off and resubmits without reconnecting."""
+    """The daemon refused a request with ``retryable: True`` (more
+    fresh misses than one submit may price).  The connection itself is
+    healthy — the client backs off and resubmits without
+    reconnecting."""
 
 
 class _WireFrameError(FrameError):
@@ -111,8 +112,8 @@ def probe_status(endpoint: str | Path, *,
     """One-shot ``status`` probe of a daemon (``repro serve --status``).
 
     Opens a fresh connection, sends the pre-handshake ``status`` op and
-    returns the daemon's reply (uptime, hosted services, in-flight and
-    queued work, counters, store occupancy).  Raises
+    returns the daemon's reply (uptime, hosted services, queued
+    appends, counters, store occupancy).  Raises
     :class:`ConnectionError` when no daemon is reachable.
     """
     path = parse_endpoint(endpoint)
@@ -565,7 +566,7 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
             self.stats.hits += 1
             if tier == "store":
                 self.stats.store_hits += 1
-            elif tier in ("shared", "coalesced"):
+            elif tier == "shared":
                 self.stats.shared_hits += 1
         self.stats.miss_seconds += miss_seconds
 

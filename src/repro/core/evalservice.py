@@ -485,9 +485,9 @@ class EvalService:
         ``evaluate_hardware_many`` call (one cost pass per dataflow for
         the whole batch).
 
-        Touches no :attr:`stats` and no cache: the daemon runs this on
-        its compute thread and hands the result to :meth:`admit_miss`
-        on its event-loop thread.
+        Touches no :attr:`stats` and no cache: the caller records the
+        result with :meth:`admit_miss` (the daemon first reprices a
+        batch that raises design by design).
         """
         started = time.perf_counter()
         evaluations = self.evaluator.evaluate_hardware_many(pairs)

@@ -10,7 +10,7 @@ code-reviewed.  This module provides the driver: a seeded
 - **client frames** (:meth:`FaultInjector.on_client_frame`): the
   connection is torn down after the N-th frame the client sends —
   the client must reconnect, re-handshake, re-verify the salt and
-  resubmit (safe: pricing is deterministic and the daemon coalesces).
+  resubmit (safe: pricing is deterministic and the daemon caches).
 - **server replies** (:meth:`FaultInjector.reply_stall`): the N-th
   reply is stalled past the client's deadline — the client must time
   out, drop the desynchronised connection and retry.

@@ -44,22 +44,22 @@ Ops (client -> server):
   carries ``evaluations`` (request order, each one
   :func:`repro.core.codec.encode_evaluation` bytes, which the client
   decodes with the accelerator of its own request pair), per-request
-  ``tiers`` (``"hit" | "shared" | "store" | "miss" | "coalesced"``) and
+  ``tiers`` (``"hit" | "shared" | "store" | "miss"``) and
   the batch's ``miss_seconds`` so the client mirrors honest stats.
 - ``status``: ``{"op"}`` — pre-handshake liveness/occupancy probe
-  (``repro serve --status``): uptime, hosted services, in-flight and
-  queued work, counters, store occupancy.  Needs no evaluation
-  context, so monitoring never pays a handshake.
+  (``repro serve --status``): uptime, hosted services, queued appends,
+  counters, store occupancy.  Needs no evaluation context, so
+  monitoring never pays a handshake.
 - ``stats`` / ``bump_generation`` / ``flush`` / ``ping`` /
   ``shutdown``: service management; see :class:`repro.core.server.\
 PricingServer`.  ``stats`` answers with plain dictionaries (the
   hosted service's counters as a field -> value map).
 
 Error frames carry ``ok: False`` and an ``error`` string; a frame with
-``retryable: True`` (the daemon's bounded in-flight queue refusing at
-capacity) tells the client the *connection* is healthy and the request
-should be retried with backoff, while every other refusal is terminal
-for that request.
+``retryable: True`` (a submit with more fresh misses than the daemon
+prices at once) tells the client the *connection* is healthy and the
+request should be retried with backoff, while every other refusal is
+terminal for that request.
 
 The socket is a *local* Unix socket owned by the same user.  The
 allow-list bounds what a peer's bytes can do to the daemon to

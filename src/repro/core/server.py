@@ -8,7 +8,7 @@ concurrent search clients reach over a local Unix socket, sharing one
 LRU + persistent store + cost-model memo instead of each warming a
 private cache from zero.
 
-Architecture (one asyncio loop, two single-thread executors):
+Architecture (one asyncio loop, one write thread):
 
 - **Hosted services.**  Each client ``hello`` ships its evaluation
   context (workload, cost parameters, rho); the server builds — or
@@ -16,17 +16,18 @@ Architecture (one asyncio loop, two single-thread executors):
   context salt, exactly like campaign sharing, so equal-context
   clients share one cache and differing contexts can never poison
   each other (entries are salt-namespaced).
-- **One miss path, one compute thread.**  The daemon prices exactly
+- **One miss path, on the loop thread.**  The daemon prices exactly
   as a local :class:`~repro.core.evalservice.EvalService` does: each
-  design walks the hosted service's ``lookup_tiers``; a submit's fresh
-  misses go to a one-thread compute executor as *one* job through the
-  service's ``compute_batch`` (one ``evaluate_hardware_many`` call);
-  the result comes back to the loop thread for ``admit_miss``.  Evaluators are not thread-safe, so the single
-  compute thread is the only place pricing runs; the event loop stays
-  free to serve hits and accept connections meanwhile, and cache and
-  stats writes happen only on the loop thread.  Coalescing happens on
-  the loop thread *before* dispatch, so each distinct in-flight design
-  is computed exactly once however the batch is priced.
+  design walks the hosted service's ``lookup_tiers``, and a submit's
+  fresh misses are priced as *one* ``compute_batch`` call (one
+  ``evaluate_hardware_many``) and admitted with ``admit_miss``, all
+  on the event-loop thread before the submit's reply is written.
+  Pricing is pure Python under the GIL, so a compute thread would run
+  nothing in parallel and only make the loop contend for the GIL.
+  Nothing is in flight across submits: a concurrent identical submit
+  is read after the first one admitted its misses, so it is answered
+  from the LRU (a ``shared`` hit once its client's ``hello`` opened a
+  new generation), and each distinct design is computed once.
 - **Keys in, numbers out.**  Submits carry
   :func:`repro.core.codec.encode_key` content keys, which walk the
   tiers as plain tuples; only a miss rebuilds its ``(networks,
@@ -35,22 +36,19 @@ Architecture (one asyncio loop, two single-thread executors):
   rebuilt pair does not reproduce its key is refused before anything
   is priced.  Replies carry :func:`repro.core.codec.encode_evaluation`
   bytes.
-- **Cross-client coalescing.**  An in-flight future map keyed by
-  ``(salt, content key)``: when client B submits a design client A is
-  currently pricing, B awaits A's future instead of recomputing —
-  identical in-flight content keys are priced exactly once.
 - **Single writer task.**  Computed misses are enqueued and drained by
   one task that appends to the store through a dedicated one-thread
   executor, so all store appends stay serialized — the same
   single-writer contract the store's ``flock`` enforces across
   processes, upheld inside the daemon by construction.
-- **Graceful SIGTERM.**  Shutdown stops accepting, waits for in-flight
-  pricing, drains the persist queue, flushes every hosted service's
-  cost memo and releases the store writer lock — a ``kill`` never
-  drops priced work.  A *second* signal during the drain forces an
-  immediate exit (crash semantics: the store's durable prefix is kept
-  intact by construction, and the next daemon opens it with
-  ``recover=True``).
+- **Graceful SIGTERM.**  Shutdown stops accepting, drains the persist
+  queue, flushes every hosted service's cost memo and releases the
+  store writer lock — a ``kill`` never drops priced work.  A *second*
+  signal forces an immediate exit (crash semantics: the store's
+  durable prefix is kept intact by construction, and the next daemon
+  opens it with ``recover=True``).  Signals are handled on the loop,
+  so one that lands while a submit is being priced takes effect when
+  that submit's pricing returns.
 
 Hardening (one faulty client must never take the daemon down):
 
@@ -63,20 +61,22 @@ Hardening (one faulty client must never take the daemon down):
 - **Deadlines + shedding.**  Optional per-connection read deadline and
   a write deadline: a stalled or unread-buffer-filling client is shed
   (connection dropped, ``shed`` counter) without blocking the loop.
-- **Bounded in-flight queue.**  Past ``max_inflight`` queued
-  computations, submits are refused loudly with a ``retryable`` error
-  frame the client backs off on — memory stays bounded under storm.
+- **Bounded pricing per submit.**  A submit with more than
+  ``max_inflight`` fresh misses is refused loudly with a ``retryable``
+  error frame the client backs off on.  The misses it had already
+  claimed are priced first, so the retry makes progress; the bound is
+  also the longest one submit holds the loop.
 - **Hostile frames.**  Frames are read through the protocol's
   allow-listed unpickler, and any request that raises while being
   served answers an error frame instead of killing its handler.
 - **Compute isolation.**  A design whose pricing raises (poisoned
-  input) answers a per-request error frame; the daemon, its other
-  connections and coalesced siblings of *other* designs are untouched.
-  A batch that raises is repriced design by design, so only the
-  raising design fails and its batch siblings still resolve.
+  input) answers a per-request error frame; the daemon and its other
+  connections are untouched.  A batch that raises is repriced design
+  by design, so only the raising design fails and its batch siblings
+  are still admitted.
 - **Status probing.**  A pre-handshake ``status`` op
-  (``repro serve --status``) reports uptime, hosted services,
-  in-flight and queued work, counters and store occupancy.
+  (``repro serve --status``) reports uptime, hosted services, queued
+  appends, counters and store occupancy.
 
 Determinism: pricing is RNG-free, so a served evaluation is
 bit-identical to an in-process one — the ``served`` and ``chaos-serve``
@@ -139,15 +139,15 @@ class PricingServer:
         write_timeout: Seconds a reply write may stall before the
             client is shed (``None`` = forever).  The default guards
             the loop against a client that stops reading.
-        max_inflight: Bound on concurrently queued miss computations;
-            submits needing more are refused with a ``retryable`` error
-            frame.
+        max_inflight: Most fresh misses one submit may price (at least
+            1); a submit with more is refused with a ``retryable``
+            error frame after pricing the first ``max_inflight``.
         fault_injector: Test-only :class:`repro.core.faults.\
 FaultInjector` hooked into the reply/batch/compute/append seams.
         maintenance_interval: Seconds between idle-path store
             maintenance checks (``None`` disables them).  When the
-            daemon is idle — nothing in flight, persist queue drained —
-            and the store has accumulated enough droppable records
+            daemon is idle — persist queue drained — and the store has
+            accumulated enough droppable records
             (``compact_min_redundant``), the store is compacted on the
             write executor, serialized with appends.
         compact_min_redundant: Droppable-record threshold handed to
@@ -171,26 +171,25 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         self.max_frame_bytes = max_frame_bytes
         self.read_timeout = read_timeout
         self.write_timeout = write_timeout
-        self.max_inflight = max(1, max_inflight)
+        if max_inflight < 1:
+            raise ValueError(
+                f"max_inflight must be at least 1, got {max_inflight}")
+        self.max_inflight = max_inflight
         self.maintenance_interval = maintenance_interval
         self.compact_min_redundant = max(1, compact_min_redundant)
         self._injector = fault_injector
         self.store: EvalStore | None = None
         #: context salt -> hosted service (inspectable in tests).
         self.services: dict[str, EvalService] = {}
+        #: ``coalesced`` stays 0: nothing is in flight across submits
+        #: any more, but benchmark records still read the counter.
         self.counters = {"connections": 0, "batches": 0, "computed": 0,
                          "coalesced": 0,
                          "persisted": 0, "persist_errors": 0,
                          "compute_errors": 0, "refused_busy": 0,
                          "shed": 0, "compactions": 0,
                          "compacted_records": 0}
-        #: context salt -> cross-client coalesced submits (the hosted
-        #: service's own stats cannot see coalescing — it happens on
-        #: the in-flight map before the service is asked anything).
-        self._coalesced_by_salt: dict[str, int] = {}
-        self._inflight: dict[tuple[str, tuple], asyncio.Future] = {}
         self._persist_queue: asyncio.Queue | None = None
-        self._compute: ThreadPoolExecutor | None = None
         self._write: ThreadPoolExecutor | None = None
         self._server: asyncio.base_events.Server | None = None
         self._writer_task: asyncio.Task | None = None
@@ -223,8 +222,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             self.store = EvalStore(self.store_path, recover=True,
                                    fault_injector=self._injector)
         try:
-            self._compute = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve-compute")
             self._write = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serve-write")
             self.socket_path.parent.mkdir(parents=True, exist_ok=True)
@@ -241,8 +238,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         except BaseException:
             # A boot failure must release everything it acquired —
             # above all the store writer lock.
-            if self._compute is not None:
-                self._compute.shutdown(wait=False)
             if self._write is not None:
                 self._write.shutdown(wait=False)
             if self.store is not None:
@@ -376,9 +371,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 await self._maintenance_task
             except asyncio.CancelledError:
                 pass
-        if self._inflight:
-            await asyncio.gather(*list(self._inflight.values()),
-                                 return_exceptions=True)
         if self._persist_queue is not None:
             await self._persist_queue.join()
         if self._writer_task is not None:
@@ -396,8 +388,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 # Injected crash mid-flush: stop flushing, close out —
                 # the next open recovers the torn tail.
                 self.aborted = True
-        if self._compute is not None:
-            self._compute.shutdown(wait=True)
         if self._write is not None:
             self._write.shutdown(wait=True)
         if self.store is not None:
@@ -408,11 +398,11 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         """Forced teardown (second signal / injected kill): drop
         everything *now*.
 
-        Crash semantics by design: in-flight work and the persist queue
-        are dropped (the store's durable prefix is still valid — every
-        completed append was fsynced), client connections reset, and
-        the socket file is deliberately left behind so the next
-        daemon's probe-connect exercises the stale-socket path.
+        Crash semantics by design: the persist queue is dropped (the
+        store's durable prefix is still valid — every completed append
+        was fsynced), client connections reset, and the socket file is
+        deliberately left behind so the next daemon's probe-connect
+        exercises the stale-socket path.
         """
         if self._aborted:
             return
@@ -437,12 +427,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 await self._writer_task
             except asyncio.CancelledError:
                 pass
-        for future in list(self._inflight.values()):
-            if not future.done():
-                future.cancel()
-        self._inflight.clear()
-        if self._compute is not None:
-            self._compute.shutdown(wait=False, cancel_futures=True)
         if self._write is not None:
             # Wait for an already-running append/flush (queued writes
             # are still dropped): closing the store underneath it
@@ -525,9 +509,8 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                     self._shutdown_event.set()
                     return
         except (ConnectionResetError, BrokenPipeError):
-            # Client vanished mid-reply.  In-flight computations keep
-            # running to completion (and persist) — other clients
-            # coalesced onto them are unaffected.
+            # Client vanished mid-reply.  Its misses were admitted and
+            # queued for persistence before the reply was written.
             pass
         except asyncio.CancelledError:
             # Daemon aborting (forced exit) while this handler was
@@ -561,7 +544,12 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             return {"ok": False,
                     "error": f"op {op!r} before a successful hello"}
         if op == "submit":
-            return await self._handle_submit(service, request)
+            if self._closed:
+                # The graceful drain has begun: a design priced now
+                # could miss the persist queue's last drain.  Hang up;
+                # the client resubmits to the next daemon.
+                raise ConnectionResetError("pricing daemon shutting down")
+            return self._handle_submit(service, request)
         if op == "stats":
             return self._handle_stats(service)
         if op == "bump_generation":
@@ -620,11 +608,10 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         """Pre-handshake liveness/occupancy probe
         (``repro serve --status``).
 
-        ``contexts`` breaks the traffic down per hosted context salt —
-        requests/hits/store hits from the hosted service's own stats,
-        plus the cross-client coalesced submits only the server's
-        in-flight map can see — so a shared daemon shows *which*
-        evaluation context its cache is actually working for.
+        ``contexts`` breaks the traffic down per hosted context salt,
+        from the hosted service's own stats, so a shared daemon shows
+        *which* evaluation context its cache is actually working for
+        and how much of it other clients' pricing answered.
         """
         return {"ok": True, "version": PROTOCOL_VERSION,
                 "uptime_seconds": time.monotonic() - self._started_at,
@@ -632,12 +619,10 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 "contexts": {
                     salt: {"requests": service.stats.requests,
                            "hits": service.stats.hits,
+                           "shared_hits": service.stats.shared_hits,
                            "store_hits": service.stats.store_hits,
-                           "coalesced": self._coalesced_by_salt.get(
-                               salt, 0),
                            "hit_rate": service.stats.hit_rate}
                     for salt, service in self.services.items()},
-                "inflight": len(self._inflight),
                 "persist_queue": (self._persist_queue.qsize()
                                   if self._persist_queue is not None
                                   else 0),
@@ -652,7 +637,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
     # ------------------------------------------------------------------
     # Pricing
     # ------------------------------------------------------------------
-    async def _handle_submit(self, service: EvalService, request):
+    def _handle_submit(self, service: EvalService, request):
         if self._injector is not None \
                 and self._injector.on_server_batch():
             # Injected daemon kill: crash semantics, mid-request.
@@ -669,11 +654,9 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                     "error": f"malformed design key: {exc}"}
         self.counters["batches"] += 1
         service.stats.batches += 1
-        salt = service.context_salt
         workload = service.evaluator.workload
         results: dict[tuple, object] = {}
         first_tier: dict[tuple, str] = {}
-        awaited: dict[tuple, asyncio.Future] = {}
         fresh: list[tuple[tuple, tuple, str | None]] = []
         for key in keys:
             if key in first_tier:
@@ -687,17 +670,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 results[key] = evaluation
                 first_tier[key] = tier
                 continue
-            inflight_key = (salt, key)
-            pending = self._inflight.get(inflight_key)
-            if pending is not None:
-                # Another client is pricing this exact design right
-                # now: one compute, many answers.
-                awaited[key] = pending
-                first_tier[key] = "coalesced"
-                self.counters["coalesced"] += 1
-                self._coalesced_by_salt[salt] = \
-                    self._coalesced_by_salt.get(salt, 0) + 1
-                continue
             try:
                 pair = rebuild_design(workload, key)
             except ValueError as exc:
@@ -705,42 +677,30 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 # whole rather than price a key that names no design.
                 return {"ok": False, "id": request.get("id"),
                         "error": f"design key refused: {exc}"}
-            if len(self._inflight) + len(fresh) >= self.max_inflight:
-                # Refuse loudly instead of ballooning; the misses this
-                # submit already claimed are still priced and land in
-                # the cache, so the retried submit is cheaper.
+            if len(fresh) >= self.max_inflight:
+                # Refuse loudly instead of holding the loop without
+                # bound; the misses this submit already claimed are
+                # still priced and land in the cache, so the retried
+                # submit is cheaper.
                 self._price_misses(service, fresh)
                 self.counters["refused_busy"] += 1
                 return {"ok": False, "id": request.get("id"),
                         "retryable": True,
-                        "error": f"pricing daemon at capacity "
-                                 f"({len(self._inflight)} computations "
-                                 f"in flight); retry with backoff"}
+                        "error": f"pricing daemon at capacity (a submit "
+                                 f"may price at most {self.max_inflight} "
+                                 f"misses); retry with backoff"}
             fresh.append((key, pair, digest))
             first_tier[key] = "miss"
-        awaited.update(self._price_misses(service, fresh))
-        miss_seconds = 0.0
-        if awaited:
-            # return_exceptions: one poisoned design must not leave
-            # sibling futures unretrieved (or kill the daemon).
-            outcomes = await asyncio.gather(*awaited.values(),
-                                            return_exceptions=True)
-            failures: list[tuple[tuple, BaseException]] = []
-            for key, outcome in zip(awaited.keys(), outcomes):
-                if isinstance(outcome, BaseException):
-                    failures.append((key, outcome))
-                    continue
-                evaluation, seconds = outcome
-                results[key] = evaluation
-                if first_tier[key] == "miss":
-                    miss_seconds += seconds
-            if failures:
-                self.counters["compute_errors"] += len(failures)
-                _key, exc = failures[0]
-                return {"ok": False, "id": request.get("id"),
-                        "error": f"pricing failed for {len(failures)} "
-                                 f"of {len(awaited)} designs (first: "
-                                 f"{type(exc).__name__}: {exc})"}
+        priced, miss_seconds, failed = self._price_misses(service, fresh)
+        if failed:
+            self.counters["compute_errors"] += len(failed)
+            exc = next(failed[key] for key, _pair, _digest in fresh
+                       if key in failed)
+            return {"ok": False, "id": request.get("id"),
+                    "error": f"pricing failed for {len(failed)} "
+                             f"of {len(fresh)} designs (first: "
+                             f"{type(exc).__name__}: {exc})"}
+        results.update(priced)
         blobs = {key: self._reply_blob(evaluation)
                  for key, evaluation in results.items()}
         seen: set[tuple] = set()
@@ -759,96 +719,58 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
 
     def _price_misses(self, service: EvalService,
                       misses: list[tuple[tuple, tuple, str | None]]
-                      ) -> dict[tuple, asyncio.Future]:
+                      ) -> tuple[dict, float, dict]:
         """Price one submit's fresh ``(key, pair, store digest)`` misses
-        as one compute-thread job.
+        on the loop thread: ``(evaluations, seconds, failures)`` by key.
 
-        Each miss gets its own in-flight future, registered before this
-        returns, so later submits (any client) coalesce onto it.  The
-        job calls the fault injector's ``on_compute`` per design in
-        request order, then prices the survivors through the hosted
-        service's :meth:`~repro.core.evalservice.EvalService.\
-compute_batch`; if that raises, it reprices them one by one, so only
-        the raising design fails.  Admission, persistence (under the
-        digest the store lookup already hashed) and future resolution
-        happen back on the loop thread.
+        Calls the fault injector's ``on_compute`` per design in request
+        order, then prices the survivors as one
+        :meth:`~repro.core.evalservice.EvalService.compute_batch`; if
+        that raises, it reprices them one by one, so only the raising
+        design fails.  Every priced batch is admitted to the hosted
+        service and queued for persistence (under the digest the store
+        lookup already hashed) before this returns.  Deliberately not
+        sliced: yielding to the loop between designs gave back about
+        half of what pricing on the loop thread saves.
         """
-        if not misses:
-            return {}
-        salt = service.context_salt
-        futures: dict[tuple, asyncio.Future] = {}
-        digests: dict[tuple, str | None] = {}
-        for key, _pair, digest in misses:
-            future = self._loop.create_future()
-            # A compute that fails after its only awaiter disconnected
-            # (or was refused) must not surface "exception never
-            # retrieved".
-            future.add_done_callback(
-                lambda f: f.exception() if not f.cancelled() else None)
-            self._inflight[(salt, key)] = future
-            futures[key] = future
-            digests[key] = digest
-        injector = self._injector
-
-        def compute():
-            failed: dict[tuple, BaseException] = {}
-            ready = []
-            for key, pair, _digest in misses:
-                try:
-                    if injector is not None:
-                        injector.on_compute(key)
-                except Exception as exc:
-                    failed[key] = exc
-                else:
-                    ready.append((key, pair))
-            if not ready:
-                return [], failed
-            keys = [key for key, _pair in ready]
+        failed: dict[tuple, BaseException] = {}
+        ready = []
+        for miss in misses:
             try:
-                return [(keys, service.compute_batch(
-                    [pair for _key, pair in ready]))], failed
+                if self._injector is not None:
+                    self._injector.on_compute(miss[0])
+            except Exception as exc:
+                failed[miss[0]] = exc
+            else:
+                ready.append(miss)
+        batches = []
+        if ready:
+            try:
+                batches.append((ready, service.compute_batch(
+                    [pair for _key, pair, _digest in ready])))
             except Exception:
                 # Pricing is deterministic: the designs priced alone
                 # answer exactly as in the batch.
-                priced = []
-                for key, pair in ready:
+                for miss in ready:
                     try:
-                        priced.append(([key], service.compute_batch([pair])))
+                        batches.append(
+                            ([miss], service.compute_batch([miss[1]])))
                     except Exception as exc:
-                        failed[key] = exc
-                return priced, failed
-
-        def finish(task: asyncio.Future) -> None:
-            # Runs on the loop thread: cache/stats mutation is safe.
-            for key in futures:
-                self._inflight.pop((salt, key), None)
-            if task.cancelled() or self._aborted:
-                if not task.cancelled():
-                    task.exception()  # mark retrieved
-                for future in futures.values():
-                    future.cancel()
-                return
-            exc = task.exception()
-            if exc is not None:
-                for future in futures.values():
-                    future.set_exception(exc)
-                return
-            priced, failed = task.result()
-            for keys, batch in priced:
-                service.admit_miss(keys, batch)
-                self.counters["computed"] += len(keys)
-                seconds = batch.seconds / len(keys)
-                for key, evaluation in zip(keys, batch.evaluations):
-                    if self.store is not None:
-                        self._persist_queue.put_nowait(
-                            (salt, digests[key], key, evaluation))
-                    futures[key].set_result((evaluation, seconds))
-            for key, exc in failed.items():
-                futures[key].set_exception(exc)
-
-        self._loop.run_in_executor(self._compute,
-                                   compute).add_done_callback(finish)
-        return futures
+                        failed[miss[0]] = exc
+        priced: dict[tuple, object] = {}
+        seconds = 0.0
+        for batch_misses, batch in batches:
+            keys = [key for key, _pair, _digest in batch_misses]
+            service.admit_miss(keys, batch)
+            self.counters["computed"] += len(keys)
+            seconds += batch.seconds
+            for (key, _pair, digest), evaluation in zip(
+                    batch_misses, batch.evaluations):
+                if self.store is not None:
+                    self._persist_queue.put_nowait(
+                        (service.context_salt, digest, key, evaluation))
+                priced[key] = evaluation
+        return priced, seconds, failed
 
     async def _drain_persist_queue(self) -> None:
         """The single writer task: all store appends flow through here
@@ -885,8 +807,8 @@ compute_batch`; if that raises, it reprices them one by one, so only
 
     async def _maintenance_loop(self) -> None:
         """Idle-path store maintenance: every ``maintenance_interval``
-        seconds, if no request is in flight and the persist queue has
-        drained, ask the store to compact away redundant records.
+        seconds, if the persist queue has drained, ask the store to
+        compact away redundant records.
 
         The compaction runs on the one-thread write executor, so it is
         serialized with appends — a client arriving mid-compaction just
@@ -894,8 +816,7 @@ compute_batch`; if that raises, it reprices them one by one, so only
         """
         while True:
             await asyncio.sleep(self.maintenance_interval)
-            if self._inflight or (self._persist_queue is not None
-                                  and self._persist_queue.qsize()):
+            if self._persist_queue.qsize():
                 continue
             try:
                 report = await self._loop.run_in_executor(
@@ -958,11 +879,11 @@ def serve_in_thread(socket_path: str | Path | None = None, *,
     """Run a daemon on a background thread (tests, fuzzing, benches).
 
     Yields the started :class:`PricingServer`; the daemon is shut down
-    gracefully — in-flight pricing finished, persist queue drained,
-    memos flushed — when the block exits (or torn down hard if a fault
-    forced it first).  Without ``socket_path`` a short-lived temp
-    directory hosts the socket (Unix socket paths have a ~100-byte
-    limit deep pytest tmp dirs can exceed).
+    gracefully — persist queue drained, memos flushed — when the block
+    exits (or torn down hard if a fault forced it first).  Without
+    ``socket_path`` a short-lived temp directory hosts the socket (Unix
+    socket paths have a ~100-byte limit deep pytest tmp dirs can
+    exceed).
     """
     owned_dir: str | None = None
     if socket_path is None:

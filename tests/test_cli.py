@@ -5,7 +5,11 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from suite_helpers import priced_w1_designs, run_fresh_python
+from suite_helpers import (
+    priced_w1_designs,
+    run_fresh_python,
+    sample_design_pairs,
+)
 
 
 class TestParser:
@@ -119,7 +123,7 @@ class TestNonNegativeArgs:
         ["search", "--service-retries", "-2"],
         ["evolve", "--cache-size", "-1"],
         ["campaign", "--cache-size", "-1"],
-        ["serve", "--socket", "/tmp/p.sock", "--max-inflight", "-1"],
+        ["serve", "--socket", "/tmp/p.sock", "--cache-size", "-1"],
         ["campaign", "--workers", "-3"],
     ])
     def test_negative_counts_rejected_by_parser(self, argv, capsys):
@@ -141,6 +145,15 @@ class TestNonNegativeArgs:
     def test_zero_cache_size_still_allowed(self):
         args = build_parser().parse_args(["search", "--cache-size", "0"])
         assert args.cache_size == 0
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_inflight_must_be_positive(self, value, capsys):
+        """A submit must be allowed at least one miss: 0 dies in the
+        parser instead of running as some other bound."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--socket", "/tmp/p.sock",
+                                       "--max-inflight", value])
+        assert "must be a positive integer" in capsys.readouterr().err
 
 
 class TestStoreFlag:
@@ -253,6 +266,31 @@ class TestServiceFlags:
                      "--socket", str(tmp_path / "nobody.sock")])
         assert code == 1
         assert "no pricing daemon reachable" in capsys.readouterr().out
+
+    def test_serve_status_reports_live_daemon(self, capsys):
+        """The status report names queued appends and per-context
+        shared hits; nothing is in flight across submits, so it
+        reports no in-flight or coalesced work."""
+        from repro.core.client import RemoteEvalService
+        from repro.core.server import serve_in_thread
+        from repro.cost.model import CostModelParams
+        from repro.workloads import w1
+
+        workload = w1()
+        designs = sample_design_pairs(workload, n=1, seed=21)
+        with serve_in_thread() as server:
+            for _ in range(2):
+                with RemoteEvalService(server.socket_path, workload,
+                                       CostModelParams(), 10.0) as client:
+                    client.evaluate_many(designs)
+            code = main(["serve", "--status",
+                         "--socket", str(server.socket_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "1 hosted contexts, 0 queued appends" in out
+        assert "2 requests, 1 hits (50.0%, 1 shared, 0 from store)" in out
+        assert "in flight" not in out
+        assert "coalesced" not in out.split("counters:")[0]
 
     def test_degraded_run_records_fault_flags_in_json(
             self, capsys, tmp_path):

@@ -4,9 +4,9 @@ The fault-tolerant pricing tier's contract: under any bounded fault
 schedule the client either completes through retries or degrades to
 local pricing — and either way every answer is **bit-identical** to a
 fault-free in-process run, because pricing is deterministic and the
-daemon coalesces resubmissions.  These tests drive each fault seam in
-isolation (the ``chaos-serve`` oracle pair fuzzes them in combination
-on generated scenarios).
+daemon answers a resubmission from its cache.  These tests drive each
+fault seam in isolation (the ``chaos-serve`` oracle pair fuzzes them in
+combination on generated scenarios).
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ class TestClientRetry:
             self, workload, pairs, want):
         """A reply stalled past the client deadline forces a timeout;
         the desynchronised connection is dropped and the resubmission
-        coalesces with (or re-prices) the same deterministic work."""
+        is answered from the daemon's cache (or re-priced, bit for
+        bit)."""
         injector = FaultInjector(FaultPlan(stall_replies=(1,),
                                            stall_seconds=1.5))
         with serve_in_thread(fault_injector=injector) as server:

@@ -1,9 +1,9 @@
-"""The pricing daemon: protocol framing, serving, coalescing, locks.
+"""The pricing daemon: protocol framing, serving, exactly-once pricing, locks.
 
 The served tier's contract is the strong one everything else in the
 repo holds to: a daemon-priced evaluation is **bit-identical** to an
-in-process one, no matter which tier answered (LRU, shared, store,
-coalesced) or how many clients raced for it.  The framing tests pin
+in-process one, no matter which tier answered (LRU, shared, store)
+or how many clients raced for it.  The framing tests pin
 the failure modes of a length-prefixed stream — oversize, truncation,
 garbage — to loud errors instead of desynchronised mispricing.
 """
@@ -111,8 +111,8 @@ def direct_prices(workload, pairs) -> list:
     return [evaluator.evaluate_hardware(*pair) for pair in pairs]
 
 
-def gate_batches(server, gate: threading.Event, fail_on=None) -> list:
-    """Hold the hosted service's batch pricing until ``gate`` opens.
+def record_batches(server, fail_on=None) -> list:
+    """Record the sizes of the hosted service's pricing batches.
 
     Returns the list the batch sizes are recorded in; a batch holding
     ``fail_on`` (a design pair) raises instead of pricing.
@@ -122,18 +122,17 @@ def gate_batches(server, gate: threading.Event, fail_on=None) -> list:
     real = service.evaluator.evaluate_hardware_many
     sizes: list[int] = []
 
-    def gated(batch):
+    def recorded(batch):
         sizes.append(len(batch))
-        gate.wait(timeout=30)
         if any(design_content(*pair) == poison for pair in batch):
             raise ValueError("design cannot be priced")
         return real(batch)
 
-    service.evaluator.evaluate_hardware_many = gated
+    service.evaluator.evaluate_hardware_many = recorded
     return sizes
 
 
-def in_thread(outcomes: dict, name: str, fn) -> threading.Thread:
+def in_thread(outcomes: dict, name, fn) -> threading.Thread:
     """Run ``fn`` on a thread; its result or exception lands in
     ``outcomes[name]``."""
     def run() -> None:
@@ -404,140 +403,125 @@ class TestServedPricing:
 # Coalescing
 # ----------------------------------------------------------------------
 class TestCoalescing:
-    def test_identical_inflight_keys_priced_once(self, workload, pairs):
-        """N clients submit the same design while it is being priced:
-        one compute, N identical answers."""
+    """Each distinct design is computed once fleet-wide: the first
+    submit prices it on the daemon's loop thread, later ones (any
+    client) read it from the shared LRU."""
+
+    def test_identical_concurrent_keys_priced_once(self, workload, pairs):
+        """N clients submit the same design while the first submit is
+        being priced: one compute, N identical answers, and every
+        client after the first gets a ``shared`` hit."""
         clients = 4
-        gate = threading.Event()
+        entered, gate = threading.Event(), threading.Event()
+        outcomes: dict = {}
+
+        def run() -> tuple:
+            with make_client(server, workload) as client:
+                return (client.evaluate_many(pairs[:1]),
+                        client.stats.snapshot())
+
         with serve_in_thread() as server:
             first = make_client(server, workload)
             try:
-                # Bind the hosted service, then make its next misses
-                # slow enough that every racer lands mid-flight.
                 first.ping()
                 (service,) = server.services.values()
                 real = service.evaluator.evaluate_hardware_many
 
-                def slow(batch):
+                def held(batch):
+                    entered.set()
                     gate.wait(timeout=30)
-                    time.sleep(0.2)
                     return real(batch)
 
-                service.evaluator.evaluate_hardware_many = slow
-                results: list = [None] * clients
-                errors: list = []
-
-                def run(slot: int) -> None:
-                    try:
-                        with make_client(server, workload) as client:
-                            results[slot] = (
-                                client.evaluate_many(pairs[:1]),
-                                client.stats.snapshot())
-                    except Exception as exc:  # surface in the test
-                        errors.append(exc)
-
-                threads = [threading.Thread(target=run, args=(slot,))
-                           for slot in range(clients)]
-                for thread in threads:
-                    thread.start()
-                time.sleep(0.3)  # let every submit reach the daemon
+                service.evaluator.evaluate_hardware_many = held
+                threads = [in_thread(outcomes, 0, run)]
+                assert entered.wait(timeout=30)
+                # The loop is held pricing: the other clients' connects
+                # and hellos queue behind it.
+                threads += [in_thread(outcomes, slot, run)
+                            for slot in range(1, clients)]
+                time.sleep(0.3)
                 gate.set()
                 for thread in threads:
                     thread.join(timeout=30)
             finally:
+                gate.set()
                 first.close()
-            assert not errors
             assert server.counters["computed"] == 1
-            assert server.counters["coalesced"] >= clients - 1
+            assert server.counters["coalesced"] == 0
         want = make_evaluator(workload).evaluate_hardware(*pairs[0])
-        miss_tiers = 0
-        for evaluations, stats in results:
+        for slot in range(clients):
+            evaluations, stats = outcomes[slot]
             assert evaluations == [want]
-            miss_tiers += stats.misses
-        assert miss_tiers == 1  # exactly one client paid the miss
+            if slot == 0:
+                assert (stats.misses, stats.shared_hits) == (1, 0)
+            else:
+                assert (stats.misses, stats.shared_hits) == (0, 1)
 
     def test_submit_misses_priced_as_one_batch(self, workload, pairs):
         """A submit's k fresh misses reach the evaluator as one k-pair
-        batch; a second client coalescing onto one of them gets the
-        bit-identical answer, and each design is computed once."""
-        gate = threading.Event()
-        outcomes: dict = {}
+        batch on the daemon's loop thread (there is no compute thread);
+        a second client asking for one of them is answered from the
+        LRU, bit-identically, and each design is computed once."""
         with serve_in_thread() as server:
-            first = make_client(server, workload)
-            second = make_client(server, workload)
-            try:
+            with make_client(server, workload) as first, \
+                    make_client(server, workload) as second:
                 first.ping()
-                sizes = gate_batches(server, gate)
-                threads = [in_thread(outcomes, "first",
-                                     lambda: first.evaluate_many(
-                                         pairs[:3]))]
-                wait_until(lambda: len(server._inflight) == 3)
-                threads.append(in_thread(
-                    outcomes, "second",
-                    lambda: second.evaluate_many(pairs[1:2])))
-                wait_until(lambda: server.counters["coalesced"] == 1)
-                gate.set()
-                for thread in threads:
-                    thread.join(timeout=30)
-            finally:
-                gate.set()
-                first.close()
-                second.close()
-            assert sizes == [3]
+                (service,) = server.services.values()
+                real = service.evaluator.evaluate_hardware_many
+                calls: list[tuple[int, str]] = []
+
+                def recorded(batch):
+                    calls.append((len(batch),
+                                  threading.current_thread().name))
+                    return real(batch)
+
+                service.evaluator.evaluate_hardware_many = recorded
+                got_first = first.evaluate_many(pairs[:3])
+                got_second = second.evaluate_many(pairs[1:2])
+                assert second.stats.misses == 0
+                assert not any(thread.name.startswith("repro-serve-compute")
+                               for thread in threading.enumerate())
+            assert calls == [(3, "repro-serve")]
             assert server.counters["computed"] == 3
         want = direct_prices(workload, pairs[:3])
-        assert outcomes["first"] == want
-        assert outcomes["second"] == [want[1]]
+        assert got_first == want
+        assert got_second == [want[1]]
 
     def test_poisoned_design_fails_only_its_own_request(self, workload,
                                                         pairs):
         """An injected poison on the middle design of a three-miss
-        submit fails that submit alone; its batch siblings still answer
-        a second client coalesced onto them, and the daemon serves on."""
+        submit fails that submit alone; its batch siblings are admitted
+        and answer a second client from the LRU, and the daemon serves
+        on."""
         injector = FaultInjector(FaultPlan(poison_computes=(1,)))
-        gate = threading.Event()
-        outcomes: dict = {}
         with serve_in_thread(fault_injector=injector) as server:
-            first = make_client(server, workload)
-            second = make_client(server, workload)
-            try:
+            with make_client(server, workload) as first:
                 first.ping()
-                sizes = gate_batches(server, gate)
-                threads = [in_thread(outcomes, "first",
-                                     lambda: first.evaluate_many(
-                                         pairs[:3]))]
-                wait_until(lambda: len(server._inflight) == 3)
-                threads.append(in_thread(
-                    outcomes, "second",
-                    lambda: second.evaluate_many([pairs[0], pairs[2]])))
-                wait_until(lambda: server.counters["coalesced"] == 2)
-                gate.set()
-                for thread in threads:
-                    thread.join(timeout=30)
-            finally:
-                gate.set()
-                first.close()
-                second.close()
+                sizes = record_batches(server)
+                with pytest.raises(RuntimeError,
+                                   match="pricing failed for 1 of 3"):
+                    first.evaluate_many(pairs[:3])
             assert sizes == [2]  # the poisoned design never priced
             assert server.counters["compute_errors"] == 1
             want = direct_prices(workload, pairs[:3])
+            with make_client(server, workload) as second:
+                assert second.evaluate_many(
+                    [pairs[0], pairs[2]]) == [want[0], want[2]]
+                assert second.stats.misses == 0
+                assert second.stats.shared_hits == 2
             with make_client(server, workload) as healthy:
                 assert healthy.evaluate_many(pairs[:3]) == want
-        assert isinstance(outcomes["first"], RuntimeError)
-        assert "pricing failed for 1 of 3" in str(outcomes["first"])
-        assert outcomes["second"] == [want[0], want[2]]
+            assert server.counters["computed"] == 3
 
     def test_raising_batch_is_repriced_design_by_design(self, workload,
                                                         pairs):
         """A batch whose pricing raises is repriced one design at a
         time, so only the design that raises fails; its siblings are
         admitted and later served as hits."""
-        gate = threading.Event()
-        gate.set()
         with serve_in_thread() as server:
             with make_client(server, workload) as client:
                 client.ping()
-                sizes = gate_batches(server, gate, fail_on=pairs[1])
+                sizes = record_batches(server, fail_on=pairs[1])
                 with pytest.raises(RuntimeError,
                                    match="pricing failed for 1 of 3"):
                     client.evaluate_many(pairs[:3])
@@ -553,8 +537,9 @@ class TestCoalescing:
     def test_concurrent_clients_compute_each_design_once(self, workload,
                                                          pairs):
         """Concurrent clients over one multi-design pool, racing
-        ungated: the in-flight map dedups before dispatch, so each
-        distinct design is computed exactly once fleet-wide."""
+        ungated: the first submit of a design admits it before the next
+        submit is read, so each distinct design is computed exactly
+        once fleet-wide."""
         clients = 4
         results: list = [None] * clients
         errors: list = []
@@ -591,56 +576,30 @@ class TestContextBreakdown:
                 client.evaluate_many(pairs[:2] + pairs[:2])
             status = probe_status(server.socket_path)
             assert "workers" not in status
+            assert "inflight" not in status
             (context,) = status["contexts"].values()
+            assert "coalesced" not in context
             assert context["requests"] == 4
             assert context["hits"] == 2
+            assert context["shared_hits"] == 0
             assert context["store_hits"] == 0
-            assert context["coalesced"] == 0
             assert context["hit_rate"] == 0.5
 
-    def test_coalesced_submits_attributed_to_context(self, workload,
-                                                     pairs):
-        """The per-context breakdown counts cross-client coalescing
-        (the hosted service's own stats cannot see it)."""
+    def test_shared_hits_attributed_to_context(self, workload, pairs):
+        """The per-context breakdown shows cross-client reuse: clients
+        after the first are answered from the first one's pricing, as
+        ``shared`` hits of that context."""
         clients = 3
-        gate = threading.Event()
         with serve_in_thread() as server:
-            first = make_client(server, workload)
-            try:
-                first.ping()
-                (service,) = server.services.values()
-                real = service.evaluator.evaluate_hardware_many
-
-                def slow(batch):
-                    gate.wait(timeout=30)
-                    time.sleep(0.2)
-                    return real(batch)
-
-                service.evaluator.evaluate_hardware_many = slow
-                errors: list = []
-
-                def run() -> None:
-                    try:
-                        with make_client(server, workload) as client:
-                            client.evaluate_many(pairs[:1])
-                    except Exception as exc:  # surface in the test
-                        errors.append(exc)
-
-                threads = [threading.Thread(target=run)
-                           for _ in range(clients)]
-                for thread in threads:
-                    thread.start()
-                time.sleep(0.3)  # let every submit reach the daemon
-                gate.set()
-                for thread in threads:
-                    thread.join(timeout=30)
-            finally:
-                first.close()
-            assert not errors
+            for _ in range(clients):
+                with make_client(server, workload) as client:
+                    client.evaluate_many(pairs[:1])
             status = server._handle_status()
             (context,) = status["contexts"].values()
-            assert context["coalesced"] == server.counters["coalesced"]
-            assert context["coalesced"] >= clients - 1
+            assert context["requests"] == clients
+            assert context["shared_hits"] == clients - 1
+            assert context["hits"] == clients - 1
+            assert server.counters["computed"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -846,36 +805,19 @@ class TestHardening:
 
     def test_capacity_refusal_is_loud_and_retryable(self, workload,
                                                     pairs):
-        """At ``max_inflight`` the daemon refuses with a retryable
-        busy frame instead of queueing without bound; once capacity
-        frees up the same client completes bit-identically."""
-        gate = threading.Event()
+        """A submit with more than ``max_inflight`` fresh misses is
+        refused with a retryable busy frame; the misses it claimed are
+        priced first, so the retried submit completes bit-identically."""
         with serve_in_thread(max_inflight=1) as server:
-            first = make_client(server, workload)
-            client = None
-            try:
-                first.ping()
-                (service,) = server.services.values()
-                real = service.evaluator.evaluate_hardware_many
-
-                def slow(batch):
-                    gate.wait(timeout=30)
-                    return real(batch)
-
-                service.evaluator.evaluate_hardware_many = slow
-                client = make_client(server, workload, retries=2,
-                                     backoff=0.01)
+            with make_client(server, workload, retries=0) as client:
                 with pytest.raises(DaemonBusyError,
                                    match="at capacity"):
                     client.evaluate_many(pairs[:2])
-                assert server.counters["refused_busy"] >= 1
-                gate.set()
+                assert server.counters["refused_busy"] == 1
+                assert server.counters["computed"] == 1
                 got = client.evaluate_many(pairs[:2])
-            finally:
-                gate.set()
-                first.close()
-                if client is not None:
-                    client.close()
+            assert server.counters["refused_busy"] == 1
+            assert server.counters["computed"] == 2
         with EvalService(make_evaluator(workload)) as local:
             assert got == local.evaluate_many(pairs[:2])
 
@@ -906,11 +848,12 @@ class TestHardening:
 
     def test_double_signal_forces_abort_and_store_recovers(
             self, tmp_path, workload, pairs):
-        """First shutdown signal drains gracefully; a second one
-        forces immediate exit even with a compute still in flight.
-        The store's durable prefix stays openable afterwards."""
+        """Two shutdown signals landing while a submit is being priced
+        force an immediate exit once that pricing returns, not a
+        graceful drain.  The store's durable prefix stays openable
+        afterwards."""
         store_path = tmp_path / "s.bin"
-        gate = threading.Event()
+        entered, gate = threading.Event(), threading.Event()
         with serve_in_thread(store_path=store_path) as server:
             first = make_client(server, workload)
             try:
@@ -918,37 +861,23 @@ class TestHardening:
                 (service,) = server.services.values()
                 real = service.evaluator.evaluate_hardware_many
 
-                def slow(batch):
+                def held(batch):
+                    entered.set()
                     gate.wait(timeout=30)
                     return real(batch)
 
-                service.evaluator.evaluate_hardware_many = slow
-                sock = socket.socket(socket.AF_UNIX,
-                                     socket.SOCK_STREAM)
+                service.evaluator.evaluate_hardware_many = held
+                sock = raw_session(server, workload)
                 with sock:
-                    sock.connect(str(server.socket_path))
-                    send_frame(sock, {"op": "hello",
-                                      "version": PROTOCOL_VERSION,
-                                      "workload": workload,
-                                      "cost_params": make_params(),
-                                      "rho": RHO})
-                    assert recv_frame(sock)["ok"]
                     send_frame(sock, {"op": "submit", "id": 1,
                                       "keys": wire_keys(pairs[1:2])})
-                    deadline = time.monotonic() + 30
-                    while time.monotonic() < deadline:
-                        if len(server._inflight) > 0:
-                            break
-                        time.sleep(0.02)
-                    # Graceful drain blocks on the gated compute; the
-                    # second signal must not wait for it.
+                    assert entered.wait(timeout=30)
+                    # Both signals queue behind the submit holding the
+                    # loop; the second must force, not wait for a drain.
                     server.request_shutdown()
                     server.request_shutdown()
-                    deadline = time.monotonic() + 30
-                    while time.monotonic() < deadline:
-                        if server.aborted:
-                            break
-                        time.sleep(0.02)
+                    gate.set()
+                    wait_until(lambda: server.aborted, timeout=5.0)
             finally:
                 gate.set()
                 first.close()
@@ -992,6 +921,45 @@ class TestHardening:
                 client.close()
         with EvalService(make_evaluator(workload)) as local:
             assert got == local.evaluate_many(pairs)
+
+    def test_submit_during_graceful_drain_is_hung_up(
+            self, tmp_path, workload, pairs, monkeypatch):
+        """A submit that arrives on an open connection after the
+        graceful drain began is hung up on, not priced: a design priced
+        then would be answered but could miss the persist queue's last
+        drain, so the store would lose priced work."""
+        store_path = tmp_path / "store.bin"
+        flush_started = threading.Event()
+        release = threading.Event()
+        original = EvalService.flush_store
+
+        def slow_flush(service):
+            flush_started.set()
+            release.wait(timeout=30)
+            return original(service)
+
+        monkeypatch.setattr(EvalService, "flush_store", slow_flush)
+        try:
+            with serve_in_thread(store_path=store_path) as server:
+                sock = raw_session(server, workload)
+                with sock:
+                    with make_client(server, workload) as client:
+                        client.evaluate_many(pairs[:2])
+                    server.request_shutdown()
+                    assert flush_started.wait(timeout=30)
+                    send_frame(sock, {"op": "submit", "id": 1,
+                                      "keys": wire_keys(pairs[2:3])})
+                    assert recv_frame(sock) is None
+                    assert server.counters["computed"] == 2
+                    release.set()
+                    # Let the drain finish before the block's own
+                    # shutdown request, which would force an abort.
+                    wait_until(lambda: not server.socket_path.exists())
+        finally:
+            release.set()
+        assert not server.aborted
+        with EvalStore(store_path) as store:
+            assert len(store) == 2
 
     def test_abort_mid_flush_never_leaks_the_store_lock(
             self, tmp_path, workload, pairs, monkeypatch):
