@@ -32,8 +32,10 @@ shrinks the large corpus), asserting that reopening the big store and
 answering warm lookups from it stay within 2x of the small-store
 numbers (with absolute noise floors) — i.e. open cost is the index
 stamp, not an O(n) unpickle, and lookups are index seeks, not scans.
-The same run compacts the large store and re-probes every sampled
-address for bit-identical answers, live and after a cold reopen.
+The same run compacts the large store — dropping the digest-shadowed
+duplicate records the corpus plants, one per append batch — and
+re-probes every sampled address for bit-identical answers, live and
+after a cold reopen.
 Record: ``benchmarks/results/BENCH_store_scale.json``.
 
 Run standalone (CI smoke uses ``--quick`` for both modes)::
@@ -48,6 +50,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import struct
 import sys
 import tempfile
 import time
@@ -57,6 +60,7 @@ from repro.accel import AllocationSpace
 from repro.core import NASAIC, NASAICConfig, EvalStore, Evaluator
 from repro.core.evalservice import design_content
 from repro.core.serialization import result_to_dict
+from repro.core.store import _eval_body
 from repro.cost import CostModel
 from repro.utils.rng import new_rng
 from repro.workloads import w1
@@ -252,16 +256,24 @@ def _synthetic_entry(i: int):
 
 def _build_corpus(path: Path, entries: int) -> float:
     """Append ``entries`` synthetic records in batches; returns build
-    seconds.  Several ``put_memo`` rounds leave superseded memo records
-    behind so the compaction stage has something real to drop."""
+    seconds.  Each batch's first record is then re-appended verbatim
+    behind the sidecar's stamp — the digest-shadowed duplicates a merge
+    that crashed before rewriting the index leaves — so the compaction
+    stage has something real to drop."""
     started = time.perf_counter()
     with EvalStore(path) as store:
         for base in range(0, entries, SCALE_BATCH):
             store.put_many([_synthetic_entry(i) for i in
                             range(base, min(base + SCALE_BATCH, entries))])
-            store.put_memo(f"scale-params-{base % 5}",
-                           {("memo", base): base * 1.0})
         assert len(store) == entries, "corpus build dropped entries"
+    with open(path, "ab") as handle:
+        for base in range(0, entries, SCALE_BATCH):
+            body = _eval_body(*_synthetic_entry(base))
+            handle.write(struct.pack("<Q", len(body)) + body)
+    with EvalStore(path) as store:  # tail scan; the sidecar covers it
+        assert store.redundant_records == -(-entries // SCALE_BATCH), \
+            "the planted duplicates were not counted"
+        assert len(store) == entries, "a duplicate counted as an entry"
     return time.perf_counter() - started
 
 

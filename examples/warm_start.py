@@ -3,10 +3,13 @@
 The co-exploration loop re-prices the same (networks, accelerator,
 budget) points across episodes, seeds and experiment tables.  Within a
 process the LRU cache and the cost-table memo absorb that; the
-persistent :class:`repro.core.store.EvalStore` extends the same reuse
-across *processes*: priced designs are appended durably, and any later
-run — tomorrow's parameter sweep, a re-run after a crash, a colleague's
-session on the same share — answers repeat requests from disk.
+persistent :class:`repro.core.store.EvalStore` extends the reuse of
+whole evaluations across *processes*: priced designs are appended
+durably as they are priced, and any later run — tomorrow's parameter
+sweep, a re-run after a crash, a colleague's session on the same
+share — answers repeat requests from disk.  The store keeps
+evaluations only: a later run's misses reprice their per-layer cost
+cells, which costs less than loading them would.
 
 This example runs the same small NASAIC search twice against one store
 file (simulating two sessions) and then a budget-doubled follow-up that
@@ -36,7 +39,7 @@ def run_session(label: str, store_path: Path,
             config=NASAICConfig(episodes=episodes, hw_steps=4, seed=7),
             store=store)
         result = search.run()
-        search.close()  # flushes the cost-table memo to the store
+        search.close()  # releases the search's own evaluation service
         stats = search.evalservice.stats
         best = (f"{result.best.weighted_accuracy:.4f}"
                 if result.best else "none")

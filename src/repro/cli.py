@@ -13,7 +13,7 @@ Commands:
   through every registered oracle pair, failures shrunk to minimal
   replayable JSON repros
 - ``serve``       — the pricing daemon: host the evaluation tier (LRU
-  + store + cost memo) behind a local Unix socket so many concurrent
+  + evaluation store) behind a local Unix socket so many concurrent
   searches share one cache
 - ``store``       — offline store maintenance: ``compact`` rewrites a
   store dropping redundant records (answers stay bit-identical),
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="run the pricing daemon: one shared evaluation tier "
-             "(LRU + store + cost memo) behind a local Unix socket")
+             "(LRU + evaluation store) behind a local Unix socket")
     p_serve.add_argument("--socket", required=True,
                          help="Unix socket to listen on; clients "
                               "connect with --service unix://SOCKET")
@@ -289,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
                                        required=True)
     p_compact = store_sub.add_parser(
         "compact",
-        help="rewrite the store dropping superseded memo records and "
-             "digest-shadowed duplicates (surviving answers stay "
-             "bit-identical); takes the writer lock, so stop any "
-             "daemon owning the store first")
+        help="rewrite the store dropping digest-shadowed duplicates "
+             "and the cost-memo records older versions wrote "
+             "(surviving answers stay bit-identical); takes the writer "
+             "lock, so stop any daemon owning the store first")
     p_compact.add_argument("path", help="evaluation store file")
     p_compact.add_argument("--recover", action="store_true",
                            help="quarantine a torn tail to a .corrupt "
@@ -693,8 +693,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
         reclaimed = report["bytes_before"] - report["bytes_after"]
         print(f"compacted {path}: {report['entries']} entries kept, "
               f"{report['eval_duplicates_dropped']} shadowed "
-              f"duplicates and {report['memo_records_merged']} "
-              f"superseded memo records dropped, "
+              f"duplicates and {report['memo_records_dropped']} "
+              f"old memo records dropped, "
               f"{report['bytes_before']} -> {report['bytes_after']} "
               f"bytes ({reclaimed} reclaimed)")
     finally:

@@ -21,11 +21,11 @@ Every baseline loop runs through the unified
 :class:`repro.core.driver.SearchDriver` (sample-then-batch-price,
 checkpointable strategy state, per-run stats deltas) via one helper,
 ``_drive``, which closes an owned evaluation service even on
-exceptions, so its store memo is always flushed.  The chunked batching is
-choice-identical to the historical one-at-a-time loops: sampling
-happens entirely in ``propose`` (before pricing) and the hardware path
-is RNG-free.  :func:`hardware_aware_nas` and :func:`monte_carlo_search`
-additionally accept an injected shared service (campaign caches), like
+exceptions.  The chunked batching is choice-identical to the
+historical one-at-a-time loops: sampling happens entirely in
+``propose`` (before pricing) and the hardware path is RNG-free.
+:func:`hardware_aware_nas` and :func:`monte_carlo_search` additionally
+accept an injected shared service (campaign caches), like
 :class:`~repro.core.search.NASAIC`.
 """
 

@@ -315,19 +315,11 @@ class Campaign:
     def run(self) -> CampaignResult:
         """Execute every scenario and consolidate the outcomes."""
         started = time.perf_counter()
-        try:
-            if (self.config.workers > 1
-                    and len(self.config.scenarios) > 1):
-                outcomes = self._run_pool()
-            else:
-                outcomes = [self._run_one(scenario)
-                            for scenario in self.config.scenarios]
-        finally:
-            # A scenario dying mid-grid must not drop the cost memo
-            # accumulated by the scenarios that did complete — the
-            # flush otherwise only happens on close().
-            for service in self.services.values():
-                service.flush_store()
+        if self.config.workers > 1 and len(self.config.scenarios) > 1:
+            outcomes = self._run_pool()
+        else:
+            outcomes = [self._run_one(scenario)
+                        for scenario in self.config.scenarios]
         return CampaignResult(
             outcomes=outcomes,
             wall_seconds=time.perf_counter() - started,
@@ -499,8 +491,8 @@ class Campaign:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close every shared service — flushing their store-tier memo
-        — and any campaign-owned store (idempotent)."""
+        """Close every shared service and any campaign-owned store
+        (idempotent)."""
         for service in self.services.values():
             service.close()
         if self.store is not None and self._owns_store:
@@ -523,7 +515,7 @@ def _run_scenario_isolated(job: tuple) -> ScenarioOutcome:
     writer.  The parent merges the shards afterwards.
     """
     scenario, cache_size, cost_params, store_path, shard_path = job
-    store = None
+    store = parent = None
     if store_path is not None:
         parent = (EvalStore(store_path, read_only=True)
                   if Path(store_path).exists() else None)
@@ -535,8 +527,9 @@ def _run_scenario_isolated(job: tuple) -> ScenarioOutcome:
                       store=store) as campaign:
             return campaign.run().outcomes[0]
     finally:
-        if store is not None:
-            store.close()
+        for opened in (store, parent):
+            if opened is not None:
+                opened.close()
 
 
 def run_campaign(config: CampaignConfig,

@@ -4,7 +4,7 @@
 :mod:`repro.core.protocol` over a local Unix socket and presents the
 same surface search code already consumes — ``evaluate_many``,
 ``evaluate_hardware``, ``stats``, ``context_salt``,
-``bump_generation``, ``flush_store`` — so :class:`repro.core.driver.\
+``bump_generation`` — so :class:`repro.core.driver.\
 SearchDriver`, the strategies and the campaign runner adopt the served
 tier through plain injection, with zero strategy changes.
 
@@ -490,15 +490,6 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
             return
         self._with_retry({"op": "bump_generation"})
 
-    def flush_store(self) -> int:
-        """Ask the daemon to flush the hosted service's cost memo."""
-        if self._local is not None:
-            flushed = self._local.flush_store()
-            self._refresh_degraded_stats()
-            return flushed
-        reply = self._with_retry({"op": "flush"})
-        return int(reply.get("flushed", 0))
-
     def state_snapshot(self) -> dict:
         raise RuntimeError(
             "a remote evaluation service cannot be checkpointed: its "
@@ -546,7 +537,8 @@ FaultInjector` hooked into the frame-send seam (chaos harness).
         return int(self._with_retry({"op": "ping"})["version"])
 
     def shutdown_server(self) -> None:
-        """Ask the daemon to shut down gracefully (drain + flush).
+        """Ask the daemon to shut down gracefully (drain the persist
+        queue, close the store).
 
         Deliberately unretried: re-sending a shutdown through the
         retry machinery could kill a *restarted* daemon."""

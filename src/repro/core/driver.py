@@ -238,20 +238,11 @@ class SearchDriver:
         (or :meth:`step`) to continue.
         """
         steps = 0
-        try:
-            while not self.done:
-                if max_rounds is not None and steps >= max_rounds:
-                    return None
-                self.step()
-                steps += 1
-        finally:
-            # Evaluations persist as they are computed, but the
-            # cross-design cost memo normally reaches the store only on
-            # service close — flush it here too so an exception or
-            # KeyboardInterrupt mid-run cannot silently drop priced
-            # work (idempotent: only fresh entries are appended).
-            if self.service is not None:
-                self.service.flush_store()
+        while not self.done:
+            if max_rounds is not None and steps >= max_rounds:
+                return None
+            self.step()
+            steps += 1
         return self.finish()
 
     def finish(self) -> Any:
@@ -280,10 +271,6 @@ class SearchDriver:
         target = Path(path) if path is not None else self.checkpoint_path
         if target is None:
             raise ValueError("no checkpoint path configured")
-        if self.service is not None and self.service.store is not None:
-            # Make the persistent store consistent with the checkpoint:
-            # a resume sees every memo entry the checkpointed run held.
-            self.service.flush_store()
         payload = {
             "strategy_name": self.strategy.strategy_name,
             "round": self._round,
@@ -474,10 +461,9 @@ class JointSearch:
         return driver.run()
 
     def close(self) -> None:
-        """Close the search's own evaluation service: flush its cost
-        memo to the attached store (if any).  Use the search as a
-        context manager to get it automatically.  Injected (shared) services are left alive —
-        their owner closes them.
+        """Close the search's own evaluation service.  Use the search
+        as a context manager to get it automatically.  Injected (shared)
+        services are left alive — their owner closes them.
         """
         if self._owns_service:
             self.evalservice.close()

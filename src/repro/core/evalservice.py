@@ -51,7 +51,7 @@ from repro.accel.accelerator import HeterogeneousAccelerator
 from repro.arch.network import NetworkArch
 from repro.core.codec import accelerator_from_key
 from repro.core.evaluator import Evaluator, HardwareEvaluation
-from repro.core.store import EvalStore, cost_params_digest
+from repro.core.store import EvalStore
 from repro.cost.params import CostModelParams
 from repro.utils.hashing import stable_hash
 from repro.workloads.workload import Workload
@@ -552,33 +552,21 @@ class EvalService:
         No context verification is needed — store entries are
         namespaced by the exact context salt, so a store shared across
         arbitrary services can only ever answer a request priced under
-        an identical context.  Attaching also preloads the persisted
-        cross-design cost-table memo for this cost model's parameters,
-        so uncached pricing warm-starts too.
+        an identical context.  Nothing else is loaded: the store keeps
+        only evaluations, and a miss prices its cost cells afresh.
         """
         self.store = store
-        cost_model = self.evaluator.cost_model
-        persisted = store.get_memo(cost_params_digest(cost_model.params))
-        if persisted:
-            cost_model.preload_memo(persisted)
         self._sync_store_scale()
 
     def flush_store(self) -> int:
-        """Persist cost-memo entries accumulated since the last flush.
+        """Retired: evaluations are appended durably as they are priced,
+        and the cost memo is no longer persisted, so there is nothing to
+        flush.
 
-        Evaluations are appended durably as they are priced; the memo
-        (far cheaper to recompute, far chattier to write) is flushed in
-        batches — at checkpoints and on :meth:`close`.  Returns how many
-        entries were newly persisted.
+        Kept as a stub only because ``perfbench/layers.py`` wraps this
+        name in traced runs; nothing in the package calls it.  Returns 0.
         """
-        if self.store is None or self.store.read_only:
-            return 0
-        cost_model = self.evaluator.cost_model
-        digest = cost_params_digest(cost_model.params)
-        written = cost_model.drain_fresh(
-            lambda fresh: self.store.put_memo(digest, fresh))
-        self._sync_store_scale()
-        return written
+        return 0
 
     def _lookup_store(self, key: tuple,
                       digest: str) -> HardwareEvaluation | None:
@@ -706,9 +694,9 @@ class EvalService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush the store tier (idempotent; the store itself stays
-        open for its owner)."""
-        self.flush_store()
+        """Nothing to release (evaluations are durable as they are
+        priced; the store stays open for its owner).  Kept so local and
+        remote services share one lifecycle."""
 
     def __enter__(self) -> "EvalService":
         return self

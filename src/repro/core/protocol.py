@@ -50,8 +50,8 @@ Ops (client -> server):
   (``repro serve --status``): uptime, hosted services, queued appends,
   counters, store occupancy.  Needs no evaluation context, so
   monitoring never pays a handshake.
-- ``stats`` / ``bump_generation`` / ``flush`` / ``ping`` /
-  ``shutdown``: service management; see :class:`repro.core.server.\
+- ``stats`` / ``bump_generation`` / ``ping`` / ``shutdown``: service
+  management; see :class:`repro.core.server.\
 PricingServer`.  ``stats`` answers with plain dictionaries (the
   hosted service's counters as a field -> value map).
 

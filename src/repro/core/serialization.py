@@ -28,7 +28,9 @@ helpers they and the evaluation store share:
 
   Version 3 stores the cost memo as copies of its column arrays
   (:meth:`repro.cost.model.CostModel.memo_state`); version-2
-  checkpoints, whose memo is one record per cell, still load.  Only
+  checkpoints, whose memo is one record per cell, still load, and so
+  do version-3 checkpoints whose columns carry a state byte per cell
+  (written while the memo was persisted) instead of a priced flag.  Only
   load checkpoints you wrote yourself (standard pickle caveat).
 - **Store sidecar path** (:func:`store_index_path`): where
   :class:`repro.core.store.EvalStore` keeps its ``<store>.idx`` offset

@@ -5,8 +5,9 @@ optimiser — the observation behind deephyper's asynchronous search and
 Apollo's shared transferable evaluation data.  This module turns the
 pricing tier into a long-running service (``repro serve``) that many
 concurrent search clients reach over a local Unix socket, sharing one
-LRU + persistent store + cost-model memo instead of each warming a
-private cache from zero.
+LRU, one persistent evaluation store and one in-memory cost-model memo
+per evaluation context instead of each warming a private cache from
+zero.
 
 Architecture (one asyncio loop, one write thread):
 
@@ -42,8 +43,8 @@ Architecture (one asyncio loop, one write thread):
   single-writer contract the store's ``flock`` enforces across
   processes, upheld inside the daemon by construction.
 - **Graceful SIGTERM.**  Shutdown stops accepting, drains the persist
-  queue, flushes every hosted service's cost memo and releases the
-  store writer lock — a ``kill`` never drops priced work.  A *second*
+  queue and releases the store writer lock — a ``kill`` never drops
+  priced work.  A *second*
   signal forces an immediate exit (crash semantics: the store's
   durable prefix is kept intact by construction, and the next daemon
   opens it with ``recover=True``).  Signals are handled on the loop,
@@ -379,15 +380,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 await self._writer_task
             except asyncio.CancelledError:
                 pass
-        if self.store is not None:
-            try:
-                for service in self.services.values():
-                    await self._loop.run_in_executor(
-                        self._write, service.flush_store)
-            except TornWriteError:
-                # Injected crash mid-flush: stop flushing, close out —
-                # the next open recovers the torn tail.
-                self.aborted = True
         if self._write is not None:
             self._write.shutdown(wait=True)
         if self.store is not None:
@@ -428,7 +420,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
             except asyncio.CancelledError:
                 pass
         if self._write is not None:
-            # Wait for an already-running append/flush (queued writes
+            # Wait for an already-running append (queued writes
             # are still dropped): closing the store underneath it
             # would let the append re-acquire the writer lock after
             # close, leaking a locked handle until GC and blocking
@@ -492,7 +484,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                 if request is None:
                     return  # clean disconnect between frames
                 try:
-                    response = await self._dispatch(request, service)
+                    response = self._dispatch(request, service)
                 except (ConnectionResetError, BrokenPipeError):
                     raise
                 except Exception as exc:
@@ -526,7 +518,7 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
                     asyncio.CancelledError):
                 pass
 
-    async def _dispatch(self, request, service: EvalService | None):
+    def _dispatch(self, request, service: EvalService | None):
         if not isinstance(request, dict) or "op" not in request:
             return {"ok": False,
                     "error": "malformed request (expected a dict "
@@ -555,17 +547,6 @@ FaultInjector` hooked into the reply/batch/compute/append seams.
         if op == "bump_generation":
             service.bump_generation()
             return {"ok": True}
-        if op == "flush":
-            try:
-                flushed = await self._loop.run_in_executor(
-                    self._write, service.flush_store)
-            except TornWriteError as exc:
-                # Injected crash mid-append: daemon dies, connection
-                # resets (the client retries against the next daemon
-                # or falls back).
-                self._force_event.set()
-                raise ConnectionResetError(str(exc)) from exc
-            return {"ok": True, "flushed": flushed}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def _handle_hello(self, request):
@@ -879,7 +860,7 @@ def serve_in_thread(socket_path: str | Path | None = None, *,
     """Run a daemon on a background thread (tests, fuzzing, benches).
 
     Yields the started :class:`PricingServer`; the daemon is shut down
-    gracefully — persist queue drained, memos flushed — when the block
+    gracefully — persist queue drained, store closed — when the block
     exits (or torn down hard if a fault forced it first).  Without
     ``socket_path`` a short-lived temp directory hosts the socket (Unix
     socket paths have a ~100-byte limit deep pytest tmp dirs can

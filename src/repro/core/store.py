@@ -36,11 +36,16 @@ Design:
   (:func:`repro.core.codec.accelerator_from_key`).
   :meth:`EvalStore.put_many` refuses any value that is not a
   :class:`~repro.core.evaluator.HardwareEvaluation` (``TypeError``,
-  nothing appended).  Memo records stay pickled dictionaries.  Pickled
-  records — memo records, version-1 records, evaluations older writers
-  pickled — start with pickle's PROTO opcode (``0x80``) and are read by
-  :func:`_legacy_record`, the store's only unpickling, so looking up
-  an evaluation this code wrote never unpickles.
+  nothing appended).  Pickled records — version-1 records and
+  evaluations older writers pickled — start with pickle's PROTO opcode
+  (``0x80``) and are read by :func:`_legacy_record`, the store's only
+  unpickling, so looking up an evaluation this code wrote never
+  unpickles.
+- **No cost memo.**  The store keeps only evaluations.  Files written
+  while the per-layer cost-table memo was persisted may also hold
+  pickled memo records: the load-time scan counts and skips them, no
+  lookup reads them, and compaction drops them.  A warm-started run
+  reprices a miss's cost cells, which is cheaper than loading them.
 - **Version-1 files.**  Files headed ``repro-evalstore v1`` hold only
   pickled records; they are read as before and answer bit-identically.
   A writer never appends under the v1 magic: before its first append it
@@ -56,12 +61,9 @@ Design:
   Resident memory is bounded by the working set, not the store size.
   Layout (little-endian, no pickle)::
 
-      repro-evalstore-idx v2\\n
+      repro-evalstore-idx v3\\n
       u64 covered_bytes, 16-byte tail hash, u64 count,
-      u64 shadowed, u64 memo_len           # fixed struct header
-      memo map, memo_len bytes:            # params digest -> offsets
-        per digest: u16 name length, u32 offset count, utf-8 name,
-                    u64 per memo record offset
+      u64 shadowed, u64 memo_records       # fixed struct header
       zero padding to an 8-byte boundary
       count * u64 bucket hashes            # sorted (hash, offset) pairs,
       count * u64 record offsets           # column-major
@@ -70,23 +72,17 @@ Design:
   binary-searched in place.  The sidecar is a *cache*: it is stamped
   with the covered byte count and a hash of the covered tail, and any
   mismatch (store mutated behind the index, truncated, replaced) — or
-  a sidecar in another layout, such as the pickled-header version 1 —
-  triggers a rebuild; a stale index is never trusted.  Records
-  appended after the stamp are scanned incrementally; writers rewrite
-  the sidecar durably (:func:`repro.core.serialization.\
-durable_replace`) on close.
-- **Cost-memo records.**  The cross-design cost-table memo
-  (:meth:`repro.cost.model.CostModel.memo_state`) persists alongside
-  the evaluations, namespaced by a digest of the cost parameters, so a
-  warm-started run also reprices no (layer, sub-accelerator) pair an
-  earlier run already priced.  Memo records are decoded lazily per
-  params digest and merged in file order.
+  a sidecar in another layout (the pickled-header version 1, or
+  version 2 with its memo-offset map) — triggers a rebuild; a stale
+  index is never trusted.  Records appended after the stamp are
+  scanned incrementally; writers rewrite the sidecar durably
+  (:func:`repro.core.serialization.durable_replace`) on close.
 - **Compaction.**  :meth:`EvalStore.compact` rewrites the file keeping
-  the first record of every distinct ``(salt, key)`` (digest-shadowed
-  duplicates dropped) and folding each params digest's memo records
-  into one.  Surviving evaluation records are copied *byte-exact* —
-  every surviving answer stays bit-identical — and the swap is
-  crash-safe (fsynced temp file, lock handover, atomic replace).
+  the first record of every distinct ``(salt, key)``: digest-shadowed
+  duplicates and old memo records are dropped.  Surviving evaluation
+  records are copied *byte-exact* — every surviving answer stays
+  bit-identical — and the swap is crash-safe (fsynced temp file, lock
+  handover, atomic replace).
   ``repro store compact`` runs it offline; the pricing daemon runs
   :meth:`EvalStore.maybe_compact` from its idle path.
 - **Single writer, shard + merge for pools.**  One process appends to
@@ -131,8 +127,7 @@ from repro.core.serialization import (_fsync_directory, durable_append,
                                       durable_replace, store_index_path)
 from repro.utils.hashing import stable_hash
 
-__all__ = ["EvalStore", "STORE_MAGIC", "STORE_VERSION",
-           "cost_params_digest"]
+__all__ = ["EvalStore", "STORE_MAGIC", "STORE_VERSION"]
 
 #: File magic; bumping :data:`STORE_VERSION` changes this line.
 STORE_VERSION = 2
@@ -153,13 +148,15 @@ _CODEC_TAG = 0x02
 _CODEC_HEAD = struct.Struct("<BHHH")
 
 #: Offset-index sidecar magic.  Version 1 pickled its header and memo
-#: map; a version-1 sidecar fails this check and is rebuilt.
-_INDEX_MAGIC = b"repro-evalstore-idx v2\n"
+#: map, version 2 carried a struct memo-offset map; either fails this
+#: check and is rebuilt.
+_INDEX_MAGIC = b"repro-evalstore-idx v3\n"
 #: Sidecar header: covered bytes, tail hash, index rows, shadowed
-#: records, byte length of the memo map that follows.
+#: records, old memo records.
 _INDEX_HEAD = struct.Struct("<Q16sQQQ")
-#: Memo map entry head: params digest byte length, memo record count.
-_INDEX_MEMO = struct.Struct("<HI")
+#: Byte offset of the index columns (8-byte aligned: numpy's binary
+#: search on an unaligned memmap falls off its fast path, ~100x).
+_INDEX_ARRAYS = -(-(len(_INDEX_MAGIC) + _INDEX_HEAD.size) // 8) * 8
 
 #: Store-file bytes hashed into the index staleness stamp.  The window
 #: always includes the end of the covered prefix, so any truncation,
@@ -168,15 +165,6 @@ _INDEX_MEMO = struct.Struct("<HI")
 _TAIL_WINDOW = 65536
 
 _EMPTY_U64 = np.empty(0, dtype="<u8")
-
-
-def cost_params_digest(params: Any) -> str:
-    """Stable digest namespacing persisted cost-memo entries.
-
-    Two cost models share memo entries only under bit-equal parameters
-    (mirrors how the evaluation-context salt gates design reuse).
-    """
-    return format(stable_hash(repr(params), salt="cost-params"), "016x")
 
 
 def _bucket_hash(salt: str, digest: str) -> int:
@@ -202,13 +190,6 @@ def _eval_body(salt: str, digest: str, key: tuple,
                          len(key_bytes)),
         salt_bytes, digest_bytes, key_bytes,
         encode_evaluation(evaluation)))
-
-
-def _memo_body(params_digest: str, entries: dict) -> bytes:
-    """One (pickled) cost-memo record body."""
-    return pickle.dumps({"kind": "memo", "params": params_digest,
-                         "entries": entries},
-                        protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _decode_record(body: bytes) -> dict:
@@ -238,8 +219,8 @@ def _decode_record(body: bytes) -> dict:
 
 def _legacy_record(body: bytes) -> dict:
     """A pickled record: any record of a version-1 file, an evaluation
-    record an older writer pickled, or a memo record.  The store's only
-    unpickling; it refuses a body that does not open with pickle's
+    record an older writer pickled, or an old memo record.  The store's
+    only unpickling; it refuses a body that does not open with pickle's
     PROTO opcode."""
     if body[:1] != pickle.PROTO:
         raise ValueError(f"unknown record tag {body[:1]!r}")
@@ -253,25 +234,16 @@ def _legacy_record(body: bytes) -> dict:
 
 
 def _save_index(path: Path, *, covered_bytes: int, tail_hash: bytes,
-                shadowed: int, hashes: np.ndarray, offsets: np.ndarray,
-                memo: dict[str, list[int]]) -> None:
+                shadowed: int, memo_records: int, hashes: np.ndarray,
+                offsets: np.ndarray) -> None:
     """Durably (re)write an offset-index sidecar (layout in the module
     docstring); ``hashes``/``offsets`` are the ``<u8`` columns, sorted
     by ``(hash, offset)``."""
-    memo_parts = []
-    for params, memo_offsets in memo.items():
-        name = params.encode("utf-8")
-        memo_parts += [_INDEX_MEMO.pack(len(name), len(memo_offsets)), name,
-                       np.asarray(memo_offsets, dtype="<u8").tobytes()]
-    memo_blob = b"".join(memo_parts)
-    head = _INDEX_HEAD.pack(covered_bytes, tail_hash, len(hashes),
-                            shadowed, len(memo_blob))
-    # Pad so the u64 columns start 8-byte aligned: numpy's binary
-    # search on an unaligned memmap falls off its fast path (~100x).
-    pad = -(len(_INDEX_MAGIC) + len(head) + len(memo_blob)) % 8
-    durable_replace(path, b"".join((_INDEX_MAGIC, head, memo_blob,
-                                    b"\0" * pad, hashes.tobytes(),
-                                    offsets.tobytes())))
+    head = _INDEX_MAGIC + _INDEX_HEAD.pack(covered_bytes, tail_hash,
+                                           len(hashes), shadowed,
+                                           memo_records)
+    durable_replace(path, b"".join((head.ljust(_INDEX_ARRAYS, b"\0"),
+                                    hashes.tobytes(), offsets.tobytes())))
 
 
 def _load_index(path: Path) -> dict[str, Any] | None:
@@ -280,38 +252,23 @@ def _load_index(path: Path) -> dict[str, Any] | None:
     Returns ``None`` for a missing, truncated, malformed or
     other-layout sidecar — the index is a cache, so every failure mode
     means "rebuild from the store file", never an error.  The columns
-    are *not* read: the caller gets their byte offset
-    (``arrays_offset``) and row ``count`` and maps them lazily.
+    are *not* read: the caller maps the ``count`` rows at
+    :data:`_INDEX_ARRAYS` lazily.
     """
     try:
         with open(path, "rb") as handle:
             if handle.read(len(_INDEX_MAGIC)) != _INDEX_MAGIC:
                 return None
-            covered, tail_hash, count, shadowed, memo_len = \
+            covered, tail_hash, count, shadowed, memo_records = \
                 _INDEX_HEAD.unpack(handle.read(_INDEX_HEAD.size))
-            arrays_offset = len(_INDEX_MAGIC) + _INDEX_HEAD.size + memo_len
-            arrays_offset += -arrays_offset % 8
-            # Checked before the memo map is read, so a corrupt length
-            # can never ask for more bytes than the file holds.
             if (os.fstat(handle.fileno()).st_size
-                    != arrays_offset + 16 * count):
+                    != _INDEX_ARRAYS + 16 * count):
                 return None
-            memo_blob = handle.read(memo_len)
-        memo: dict[str, list[int]] = {}
-        pos = 0
-        while pos < len(memo_blob):
-            name_len, records = _INDEX_MEMO.unpack_from(memo_blob, pos)
-            pos += _INDEX_MEMO.size + name_len
-            params = memo_blob[pos - name_len:pos].decode("utf-8")
-            memo[params] = np.frombuffer(memo_blob, dtype="<u8",
-                                         count=records,
-                                         offset=pos).tolist()
-            pos += 8 * records
     except (OSError, ValueError, struct.error):
         return None
     return {"covered_bytes": covered, "tail_hash": tail_hash,
-            "shadowed": shadowed, "count": count, "memo": memo,
-            "arrays_offset": arrays_offset}
+            "shadowed": shadowed, "memo_records": memo_records,
+            "count": count}
 
 
 class EvalStore:
@@ -375,7 +332,7 @@ FaultInjector` hooked into the append path (torn-write injection).
         try:
             if self.path.exists():
                 self._load()
-            if not read_only and self._idx_dirty:
+            if self._handle is not None and self._idx_dirty:
                 # The sidecar was stale (or a recovery truncated the
                 # file): rewrite it now so the scan just paid is the
                 # last one until the next unclean shutdown.
@@ -396,25 +353,30 @@ FaultInjector` hooked into the append path (torn-write injection).
         #: bucket hash -> [record offsets] for records not covered by
         #: the persisted index (fresh appends, incremental tail scans).
         self._extra: dict[int, list[int]] = {}
-        #: params digest -> [memo record offsets] (file order).
-        self._memo_offsets: dict[str, list[int]] = {}
-        #: params digest -> decoded merged entries (lazy, kept hot).
-        self._memo_cache: dict[str, dict] = {}
         #: Distinct evaluations in this file — maintained incrementally
         #: so ``len``/gauges are O(1), never a bucket scan.
         self._entry_count = 0
         #: Digest-shadowed duplicate records seen on disk (not indexed;
         #: compaction drops them).  Persisted in the sidecar header.
         self._shadowed = 0
+        #: Memo records older writers left in the file (skipped by every
+        #: read; compaction drops them).  Persisted in the sidecar header.
+        self._memo_records = 0
         #: Tracked file size — maintained incrementally so the pricing
         #: gauges need no ``stat()`` per batch.
         self._size_bytes = 0
         self._reader = None
+        #: Readers a compaction swapped out (a concurrent lookup may
+        #: still be reading the old snapshot); closed by :meth:`close`.
+        self._retired: list = []
         #: Open handle on the ``.idx`` sidecar between adopt and the
         #: first lookup — memory-mapping through a retained descriptor
         #: keeps a store readable even if its files are unlinked after
         #: open (the campaign pool relies on this for parents).
         self._idx_handle = None
+        #: Set by :meth:`close`: every descriptor and mapping is gone,
+        #: so the next lookup reloads from disk.
+        self._released = False
         self._append_failed = False
         self._idx_dirty = False
         #: True while the file still carries the version-1 magic.
@@ -500,7 +462,8 @@ FaultInjector` hooked into the append path (torn-write injection).
             # record reads).  A writer's own load is already protected
             # by its exclusive lock (taking a second flock on a fresh
             # descriptor would self-deadlock).
-            if self.read_only and fcntl is not None:
+            shared = self._handle is None and fcntl is not None
+            if shared:
                 try:
                     fcntl.flock(reader.fileno(),
                                 fcntl.LOCK_SH | fcntl.LOCK_NB)
@@ -514,7 +477,7 @@ FaultInjector` hooked into the append path (torn-write injection).
             try:
                 self._load_locked(reader)
             finally:
-                if self.read_only and fcntl is not None:
+                if shared:
                     try:
                         fcntl.flock(reader.fileno(), fcntl.LOCK_UN)
                     except OSError:  # pragma: no cover
@@ -580,7 +543,7 @@ FaultInjector` hooked into the append path (torn-write injection).
         if count:
             # Columns stay on disk until the first lookup memory-maps
             # them — opening a million-entry store reads only the stamp.
-            self._idx_lazy = (index["arrays_offset"], count)
+            self._idx_lazy = (_INDEX_ARRAYS, count)
             self._idx_handle = idx_handle
         else:
             idx_handle.close()
@@ -588,9 +551,11 @@ FaultInjector` hooked into the append path (torn-write injection).
             self._idx_offsets = _EMPTY_U64
         self._entry_count = count
         self._shadowed = index["shadowed"]
-        self._memo_offsets = index["memo"]
+        self._memo_records = index["memo_records"]
 
     def _ensure_arrays(self) -> None:
+        if self._released:
+            self._reload()
         if self._idx_hashes is not None:
             return
         if self._idx_lazy is None:
@@ -649,7 +614,7 @@ FaultInjector` hooked into the append path (torn-write injection).
                 self._index_record(record, record_start)
                 self.scanned_records += 1
             except ValueError as exc:
-                if not self._recover:
+                if not self._recover or self._handle is None:
                     raise
                 # Appends are strictly sequential, so the first bad
                 # record marks where durability ended: everything
@@ -673,10 +638,7 @@ FaultInjector` hooked into the append path (torn-write injection).
             self._extra.setdefault(bucket_hash, []).append(offset)
             self._entry_count += 1
         elif kind == "memo":
-            params = record["params"]
-            self._memo_offsets.setdefault(params, []).append(offset)
-            # Any decoded view of this digest predates the new record.
-            self._memo_cache.pop(params, None)
+            self._memo_records += 1
         else:
             raise self._corrupt(f"unknown record kind {kind!r}")
 
@@ -715,13 +677,9 @@ FaultInjector` hooked into the append path (torn-write injection).
     def _reload(self) -> None:
         """Drop all file-derived state and reload from disk (used when
         the file may have changed under us: reopen after ``close``, a
-        vanished sidecar)."""
-        reader, self._reader = self._reader, None
-        if reader is not None:
-            reader.close()
-        idx_handle, self._idx_handle = self._idx_handle, None
-        if idx_handle is not None:
-            idx_handle.close()
+        vanished sidecar).  The sidecar is rewritten only while the
+        writer lock is held."""
+        self._release_reads()
         recovered = self.recovered
         needs_magic = self._needs_magic
         self._reset_state()
@@ -729,13 +687,25 @@ FaultInjector` hooked into the append path (torn-write injection).
         self.recovered = recovered
         if self.path.exists():
             self._load()
-        if not self.read_only and self._idx_dirty:
+        if self._handle is not None and self._idx_dirty:
             self._write_index()
+
+    def _release_reads(self) -> None:
+        """Close the lazy reader, retired readers and the sidecar handle,
+        and drop the column mappings."""
+        for handle in [self._reader, self._idx_handle, *self._retired]:
+            if handle is not None:
+                handle.close()
+        self._reader = self._idx_handle = None
+        self._retired = []
+        self._idx_hashes = self._idx_offsets = self._idx_lazy = None
 
     # ------------------------------------------------------------------
     # Lazy record access
     # ------------------------------------------------------------------
     def _ensure_reader(self):
+        if self._released:
+            self._reload()
         if self._reader is None:
             self._reader = open(self.path, "rb")
         return self._reader
@@ -810,28 +780,6 @@ FaultInjector` hooked into the append path (torn-write injection).
             return self.parent.get(salt, digest, key)
         return None
 
-    def _own_memo(self, params_digest: str) -> dict:
-        """Decoded, merged memo entries of this file alone (lazy; the
-        merged view is cached per digest and kept hot by appends)."""
-        cached = self._memo_cache.get(params_digest)
-        if cached is None:
-            cached = {}
-            for offset in self._memo_offsets.get(params_digest, ()):
-                record = self._record_at(offset)
-                if record.get("kind") == "memo":
-                    cached.update(record.get("entries", {}))
-            self._memo_cache[params_digest] = cached
-        return cached
-
-    def get_memo(self, params_digest: str) -> dict:
-        """Persisted cost-memo entries for one parameter set (merged
-        with the parent store's, own entries winning)."""
-        merged: dict = {}
-        if self.parent is not None:
-            merged.update(self.parent.get_memo(params_digest))
-        merged.update(self._own_memo(params_digest))
-        return merged
-
     def __len__(self) -> int:
         """Distinct evaluations reachable (own entries plus parent's)
         — O(1): the count is maintained incrementally."""
@@ -840,8 +788,7 @@ FaultInjector` hooked into the append path (torn-write injection).
 
     def iter_records(self) -> Iterator[dict]:
         """Decode this store's own evaluation records in file order
-        (shadowed duplicates skipped; memo records are read through
-        :meth:`get_memo`)."""
+        (shadowed duplicates and old memo records skipped)."""
         self._ensure_arrays()
         offsets = self._idx_offsets.tolist()
         for bucket in self._extra.values():
@@ -886,11 +833,8 @@ FaultInjector` hooked into the append path (torn-write injection).
     @property
     def redundant_records(self) -> int:
         """Records compaction would drop: digest-shadowed duplicates
-        plus superseded (mergeable) memo records."""
-        mergeable = sum(len(offsets) - 1
-                        for offsets in self._memo_offsets.values()
-                        if len(offsets) > 1)
-        return self._shadowed + mergeable
+        plus old memo records."""
+        return self._shadowed + self._memo_records
 
     def __contains__(self, addr: tuple[str, str, tuple]) -> bool:
         salt, digest, key = addr
@@ -1027,21 +971,16 @@ FaultInjector` hooked into the append path (torn-write injection).
         return len(bodies)
 
     def put_memo(self, params_digest: str, entries: dict) -> int:
-        """Durably record cost-memo entries not yet persisted for this
-        parameter set; returns how many were new."""
-        self._ensure_writable()
-        known = self.get_memo(params_digest)
-        fresh = {key: value for key, value in entries.items()
-                 if key not in known}
-        if fresh:
-            (offset,) = self._append_bodies([_memo_body(params_digest,
-                                                        fresh)])
-            self._memo_offsets.setdefault(params_digest,
-                                          []).append(offset)
-            cached = self._memo_cache.get(params_digest)
-            if cached is not None:
-                cached.update(fresh)
-        return len(fresh)
+        """Retired: the store keeps only evaluations.
+
+        Kept as a stub only because ``perfbench/layers.py`` wraps this
+        name in traced runs; nothing in the package calls it.
+
+        Raises:
+            TypeError: Always.
+        """
+        raise TypeError("the evaluation store no longer records cost-memo "
+                        "entries; it keeps only evaluations")
 
     def merge_from(self, shard: "EvalStore") -> int:
         """Fold a shard store's own records into this store (the
@@ -1060,8 +999,6 @@ FaultInjector` hooked into the append path (torn-write injection).
                 batch.clear()
         if batch:
             added += self.put_many(batch)
-        for params_digest in list(shard._memo_offsets):
-            self.put_memo(params_digest, shard._own_memo(params_digest))
         return added
 
     # ------------------------------------------------------------------
@@ -1100,7 +1037,8 @@ FaultInjector` hooked into the append path (torn-write injection).
                                     self._size_bytes)
         _save_index(self.index_path, covered_bytes=self._size_bytes,
                     tail_hash=tail_hash, shadowed=self._shadowed,
-                    hashes=hashes, offsets=offsets, memo=self._memo_offsets)
+                    memo_records=self._memo_records, hashes=hashes,
+                    offsets=offsets)
         self._idx_hashes = hashes
         self._idx_offsets = offsets
         self._idx_lazy = None
@@ -1112,7 +1050,7 @@ FaultInjector` hooked into the append path (torn-write injection).
     # ------------------------------------------------------------------
     def compact(self) -> dict[str, Any]:
         """Rewrite the store dropping digest-shadowed duplicates and
-        folding each params digest's memo records into one.
+        old memo records.
 
         Surviving evaluation records are copied byte-exact, so every
         surviving answer is bit-identical to the original (the
@@ -1130,10 +1068,7 @@ FaultInjector` hooked into the append path (torn-write injection).
         report = {"bytes_before": self._size_bytes,
                   "entries": self._entry_count,
                   "eval_duplicates_dropped": self._shadowed,
-                  "memo_records_merged": sum(
-                      len(offsets) - 1
-                      for offsets in self._memo_offsets.values()
-                      if len(offsets) > 1)}
+                  "memo_records_dropped": self._memo_records}
         if self._size_bytes <= len(STORE_MAGIC):
             report["bytes_after"] = self._size_bytes
             report["records_dropped"] = 0
@@ -1145,40 +1080,26 @@ FaultInjector` hooked into the append path (torn-write injection).
                                  (int(h) for h in self._idx_hashes)))
         for bucket_hash, bucket in self._extra.items():
             eval_rows.extend((offset, bucket_hash) for offset in bucket)
-        memo_heads = {min(offsets): params
-                      for params, offsets in self._memo_offsets.items()
-                      if offsets}
-        events = sorted(
-            [(offset, "eval", bucket_hash)
-             for offset, bucket_hash in eval_rows]
-            + [(offset, "memo", params)
-               for offset, params in memo_heads.items()])
+        eval_rows.sort()
         source_fd = self._ensure_reader().fileno()
         tmp = self.path.with_name(self.path.name + ".compacting")
         new_hashes: list[int] = []
         new_offsets: list[int] = []
-        new_memo: dict[str, list[int]] = {}
         new_handle = None
         try:
             with open(tmp, "wb") as out:
                 out.write(STORE_MAGIC)
                 position = len(STORE_MAGIC)
-                for offset, kind, tag in events:
-                    if kind == "eval":
-                        prefix = os.pread(source_fd, _LEN.size, offset)
-                        (length,) = _LEN.unpack(prefix)
-                        frame = prefix + os.pread(source_fd, length,
-                                                  offset + _LEN.size)
-                        if len(frame) != _LEN.size + length:
-                            raise self._corrupt(
-                                f"record at offset {offset} is "
-                                f"truncated")
-                        new_hashes.append(tag)
-                        new_offsets.append(position)
-                    else:
-                        blob = _memo_body(tag, self._own_memo(tag))
-                        frame = _LEN.pack(len(blob)) + blob
-                        new_memo[tag] = [position]
+                for offset, bucket_hash in eval_rows:
+                    prefix = os.pread(source_fd, _LEN.size, offset)
+                    (length,) = _LEN.unpack(prefix)
+                    frame = prefix + os.pread(source_fd, length,
+                                              offset + _LEN.size)
+                    if len(frame) != _LEN.size + length:
+                        raise self._corrupt(
+                            f"record at offset {offset} is truncated")
+                    new_hashes.append(bucket_hash)
+                    new_offsets.append(position)
                     out.write(frame)
                     position += len(frame)
                 out.flush()
@@ -1200,8 +1121,9 @@ FaultInjector` hooked into the append path (torn-write injection).
         old_handle, self._handle = self._handle, new_handle
         old_handle.close()
         # Point lazy reads at the new inode.  The previous reader is
-        # dropped, not closed: a concurrent lookup that already picked
+        # retired, not closed: a concurrent lookup that already picked
         # it up keeps reading the old (complete) snapshot.
+        self._retired.append(self._reader)
         self._reader = open(self.path, "rb")
         sorted_order = np.lexsort((np.asarray(new_offsets, dtype="<u8"),
                                    np.asarray(new_hashes, dtype="<u8")))
@@ -1211,8 +1133,8 @@ FaultInjector` hooked into the append path (torn-write injection).
             np.asarray(new_offsets, dtype="<u8")[sorted_order])
         self._idx_lazy = None
         self._extra = {}
-        self._memo_offsets = new_memo
         self._shadowed = 0
+        self._memo_records = 0
         self._size_bytes = position
         self._needs_magic = False
         self._v1_header = False
@@ -1220,7 +1142,7 @@ FaultInjector` hooked into the append path (torn-write injection).
         self._write_index()
         report["bytes_after"] = position
         report["records_dropped"] = (report["eval_duplicates_dropped"]
-                                     + report["memo_records_merged"])
+                                     + report["memo_records_dropped"])
         return report
 
     def maybe_compact(self, min_redundant: int = 64
@@ -1239,17 +1161,25 @@ FaultInjector` hooked into the append path (torn-write injection).
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Write the offset index if stale, then close the append
-        handle, releasing the writer lock (idempotent; lookups keep
-        working)."""
+        """Write the offset index if stale, then close every descriptor:
+        the append handle (releasing the writer lock), the lazy reader
+        and the sidecar's handle and mappings (idempotent).
+
+        A closed store stays usable: the next lookup reloads it from
+        disk (under a shared lock, like a read-only open) and the next
+        append retakes the writer lock and reloads; either leaves
+        descriptors open again until the next :meth:`close`.
+        """
         if self._handle is not None:
-            if not self.read_only and self._idx_dirty:
+            if self._idx_dirty:
                 try:
                     self._write_index()
                 except OSError:  # pragma: no cover - index is a cache
                     pass
             self._handle.close()
             self._handle = None
+        self._release_reads()
+        self._released = True
 
     def __enter__(self) -> "EvalStore":
         return self

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,32 +86,29 @@ _WORKING_SET = _INT_FIELDS.index("working_set_bytes")
 _ENERGY = _FLOAT_FIELDS.index("energy_nj")
 _int_fields = attrgetter(*_INT_FIELDS)
 _float_fields = attrgetter(*_FLOAT_FIELDS)
-#: A cell's state: not priced, priced here, priced and persisted (loaded
-#: from a store or already written by :meth:`CostModel.drain_fresh`).
-_UNPRICED, _FRESH, _PERSISTED = 0, 1, 2
 
 
 class _Column:
     """Priced cells of one sub-accelerator configuration, indexed by
-    geometry id: an ``int64`` block, a ``float64`` block and a state
-    byte per cell."""
+    geometry id: an ``int64`` block, a ``float64`` block and a priced
+    flag per cell."""
 
-    __slots__ = ("ints", "floats", "state")
+    __slots__ = ("ints", "floats", "priced")
 
     def __init__(self, size: int) -> None:
         self.ints = np.zeros((len(_INT_FIELDS), size), dtype=np.int64)
         self.floats = np.zeros((len(_FLOAT_FIELDS), size))
-        self.state = np.zeros(size, dtype=np.uint8)
+        self.priced = np.zeros(size, dtype=bool)
 
     def reserve(self, size: int) -> "_Column":
         """Grow (at least doubling) so geometry ids below ``size`` fit."""
-        old = self.state.shape[0]
+        old = self.priced.shape[0]
         if size > old:
             grown = _Column(max(size, 2 * old))
-            grown.ints[:, :old], grown.floats[:, :old], grown.state[:old] = (
-                self.ints, self.floats, self.state)
-            self.ints, self.floats, self.state = (grown.ints, grown.floats,
-                                                  grown.state)
+            grown.ints[:, :old], grown.floats[:, :old], grown.priced[:old] = (
+                self.ints, self.floats, self.priced)
+            self.ints, self.floats, self.priced = (grown.ints, grown.floats,
+                                                   grown.priced)
         return self
 
     def cost(self, gid: int) -> LayerCost:
@@ -196,7 +193,7 @@ class CostModel:
         key = self._config_key(subacc)
         (gid,) = self._geometry_ids([layer_identity(layer)]).tolist()
         column = self._column(key)
-        if column.state[gid] != _UNPRICED:
+        if column.priced[gid]:
             self.memo_hits += 1
             return column.cost(gid)
         self.memo_misses += 1
@@ -215,7 +212,7 @@ class CostModel:
             working_set_bytes=(analysis.working_set_elems
                                * self.params.elem_bytes),
         )
-        self._fill({(layer_identity(layer),) + key: cost}, _FRESH)
+        self._fill({(layer_identity(layer),) + key: cost})
         return cost
 
     # ------------------------------------------------------------------
@@ -243,8 +240,7 @@ class CostModel:
         for gids, keys in plans:
             cells += len(gids) * len(keys)
             for key in keys:
-                state = self._column(key).state
-                missing = gids[state[gids] == _UNPRICED]
+                missing = gids[~self._column(key).priced[gids]]
                 if len(missing):
                     pending.setdefault(key, {}).update(
                         dict.fromkeys(missing.tolist()))
@@ -298,7 +294,7 @@ class CostModel:
                 column = self._columns[key]
                 column.ints[:, ids[cells]] = ints[:, cells]
                 column.floats[:, ids[cells]] = floats[:, cells]
-                column.state[ids[cells]] = _FRESH
+                column.priced[ids[cells]] = True
                 start += size
 
     def network_cost_on(self, network: NetworkArch,
@@ -344,7 +340,7 @@ class CostModel:
                                     glb_bytes_per_slot=glb)
 
     # ------------------------------------------------------------------
-    # Maintenance and persistence
+    # Maintenance and checkpoints
     # ------------------------------------------------------------------
     @property
     def cache_size(self) -> int:
@@ -366,7 +362,7 @@ class CostModel:
         return {
             "identities": list(self._ids),
             "columns": {key: (c.ints.copy(), c.floats.copy(),
-                              c.state.copy())
+                              c.priced.copy())
                         for key, c in self._columns.items()},
             "hits": self.memo_hits,
             "misses": self.memo_misses,
@@ -375,72 +371,34 @@ class CostModel:
     def load_memo_state(self, state: dict) -> None:
         """Restore a :meth:`memo_state` snapshot.  A version-2
         checkpoint's ``{"cache": {key: LayerCost}}`` form is accepted
-        too; its cells load as priced but not yet persisted."""
+        too, and so are the per-cell state bytes older version-3
+        checkpoints carry (0 unpriced; 1 or 2 priced)."""
         self.clear_cache()
         if "cache" in state:
-            self._fill(state["cache"], _FRESH)
+            self._fill(state["cache"])
         else:
             self._geometry_ids(state["identities"])
-            for key, (ints, floats, cell_state) in state["columns"].items():
+            for key, (ints, floats, priced) in state["columns"].items():
                 column = self._columns[key] = _Column(0)
                 column.ints, column.floats = ints.copy(), floats.copy()
-                column.state = cell_state.copy()
-                self._priced += int(np.count_nonzero(cell_state))
+                column.priced = priced != 0
+                self._priced += int(np.count_nonzero(priced))
         self.memo_hits = state["hits"]
         self.memo_misses = state["misses"]
 
-    def preload_memo(self, entries: dict) -> None:
-        """Seed the memo with persisted ``{(layer_identity,
-        dataflow.value, pes, bandwidth): LayerCost}`` entries (no
-        counter changes).
-
-        Used when a persistent :class:`~repro.core.store.EvalStore` is
-        attached: cells priced by earlier runs under bit-equal
-        parameters become hits here, and :meth:`drain_fresh` never
-        hands them back.  Cells priced here already are value-identical
-        by construction; they are marked persisted too.
-        """
-        self._fill(entries, _PERSISTED)
-
-    def _fill(self, entries: dict, state: int) -> None:
+    def _fill(self, entries: dict) -> None:
         """Write ``{(identity, dataflow, pes, bandwidth): LayerCost}``
-        cells into the columns with the given state."""
+        cells into the columns and mark them priced."""
         by_key: dict[tuple, list] = {}
         for (identity, *config), cost in entries.items():
             by_key.setdefault(tuple(config), []).append((identity, cost))
         for key, items in by_key.items():
             rows = self._geometry_ids([identity for identity, _ in items])
             column = self._column(key)
-            self._priced += int(np.count_nonzero(
-                column.state[rows] == _UNPRICED))
+            self._priced += int(np.count_nonzero(~column.priced[rows]))
             column.ints[:, rows] = np.array(
                 [_int_fields(cost) for _, cost in items], dtype=np.int64).T
             column.floats[:, rows] = np.array(
                 [_float_fields(cost) for _, cost in items]).T
-            column.state[rows] = state
-
-    def drain_fresh(self, persist: Callable[[dict], int]) -> int:
-        """Hand the cells priced since the last drain to ``persist`` as
-        ``{(layer_identity, dataflow.value, pes, bandwidth): LayerCost}``
-        store records, then mark them persisted; returns what
-        ``persist`` returns.
-
-        Only reads the columns until ``persist`` succeeds, so a failed
-        write leaves the cells to the next drain, and a drain on another
-        thread than the pricing one (the daemon's writer) never races a
-        column's growth.
-        """
-        marks = []
-        for key, column in list(self._columns.items()):
-            state = column.state
-            rows = np.flatnonzero(state == _FRESH)
-            if len(rows):
-                marks.append((key, column, state, rows))
-        identities = list(self._ids)  # after the scan: covers every row
-        written = persist({(identities[gid],) + key: column.cost(gid)
-                           for key, column, _state, rows in marks
-                           for gid in rows.tolist()})
-        for _key, _column, state, rows in marks:
-            state[rows] = _PERSISTED
-        return written
+            column.priced[rows] = True
 

@@ -70,6 +70,20 @@ def priced_w1_designs() -> tuple:
     return designs
 
 
+def legacy_memo_frame(index: int) -> bytes:
+    """A length-prefixed pickled cost-memo record, the shape store files
+    held while the cost memo was persisted: readers skip it and
+    compaction drops it.  ``index`` varies the entries."""
+    import pickle
+    import struct
+
+    body = pickle.dumps({"kind": "memo", "params": "cost-params",
+                         "entries": {("cell", index, i): i
+                                     for i in range(4)}},
+                        protocol=pickle.HIGHEST_PROTOCOL)
+    return struct.pack("<Q", len(body)) + body
+
+
 def normalised_run(result, *, drop_accounting=False):
     """Run record with the wall-clock measurement zeroed.
 

@@ -335,7 +335,7 @@ class TestBatchCostTable:
 
 
 class TestMemoPersistence:
-    """Checkpoint snapshots and store records of the cost columns."""
+    """Checkpoint snapshots of the cost columns."""
 
     def test_snapshot_restores_columns_and_counters(self, cifar_net_small):
         layers = tuple(cifar_net_small.layers)
@@ -365,39 +365,26 @@ class TestMemoPersistence:
         _assert_tables_equal(model.tables([(layers, [sub])])[0],
                              _scalar_tables(layers, [sub]))
         assert model.memo_misses == 4
-        # Cells from an old checkpoint were never known to be persisted.
-        assert model.drain_fresh(dict) == cache
 
-    def test_drain_hands_out_fresh_cells_once(self, cifar_net_small):
+    def test_state_byte_snapshot_loads(self, cifar_net_small):
+        """Version-3 checkpoints written while the memo was persisted
+        carry a state byte per cell (0 unpriced, 1 priced, 2 priced and
+        persisted): every nonzero cell loads as priced."""
         layers = tuple(cifar_net_small.layers)
-        sub = SubAccelerator(Dataflow.SHIDIANNAO, 512, 16)
+        subaccs = TestBatchCostTable.SUBACCS
         model = CostModel()
-        model.tables([(layers, [sub])])
-        first = model.drain_fresh(dict)
-        assert len(first) == model.cache_size
-        scalar = CostModel()
-        assert first == {(layer_identity(layer), "shi", 512, 16):
-                         scalar.layer_cost(layer, sub) for layer in layers}
-        assert model.drain_fresh(dict) == {}
-        # Preloaded cells are persisted already: never handed out.
-        warm = CostModel()
-        warm.preload_memo(first)
-        assert warm.cache_size == len(first)
-        warm.tables([(layers + (LOW_RES_HEAVY,), [sub])])
-        assert set(warm.drain_fresh(dict)) == {
-            (layer_identity(LOW_RES_HEAVY), "shi", 512, 16)}
-
-    def test_failed_write_keeps_cells_fresh(self, cifar_net_small):
-        model = CostModel()
-        model.tables([(tuple(cifar_net_small.layers),
-                       [SubAccelerator(Dataflow.NVDLA, 1024, 32)])])
-
-        def broken(entries):
-            raise OSError("disk full")
-
-        with pytest.raises(OSError):
-            model.drain_fresh(broken)
-        assert len(model.drain_fresh(dict)) == model.cache_size
+        want = model.tables([(layers, subaccs)])
+        state = model.memo_state()
+        for key, (ints, floats, priced) in state["columns"].items():
+            old = priced.astype(np.uint8)
+            old[::2] *= 2  # half of the priced cells marked persisted
+            state["columns"][key] = (ints, floats, old)
+        restored = CostModel()
+        restored.load_memo_state(state)
+        assert restored.cache_size == model.cache_size
+        _assert_tables_equal(restored.tables([(layers, subaccs)])[0],
+                             want[0])
+        assert restored.memo_misses == state["misses"], "nothing repriced"
 
 
 class TestAreaModel:

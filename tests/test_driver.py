@@ -96,12 +96,11 @@ class TestProtocol:
 
 class TestCrashFlush:
     """A run killed mid-round must not silently drop priced work: the
-    driver's try/finally flushes the cost memo, and the per-batch
-    durable appends already persisted every computed evaluation."""
+    per-batch durable appends already persisted every computed
+    evaluation, with nothing left to flush."""
 
     def test_kill_mid_run_retains_completed_pricings(self, tmp_path):
         from repro.core import EvalStore
-        from repro.core.store import cost_params_digest
 
         store_path = tmp_path / "crash.store"
         with EvalStore(store_path) as store:
@@ -122,14 +121,10 @@ class TestCrashFlush:
                 driver.run()
             priced = search.evalservice.stats.misses
             assert priced > 0
-            memo_digest = cost_params_digest(
-                search.evalservice.evaluator.cost_model.params)
             # Deliberately no search.close(): the crash path must have
             # already made the store consistent.
-        reopened = EvalStore(store_path, read_only=True)
-        assert len(reopened) == priced
-        assert reopened.get_memo(memo_digest), \
-            "cost memo must be flushed by the driver's finally"
+        with EvalStore(store_path, read_only=True) as reopened:
+            assert len(reopened) == priced
 
 
 class TestCheckpointResume:
@@ -200,6 +195,8 @@ class TestCheckpointResume:
         whose HAPResult still pickles a schedule) resume exactly."""
         import pickle
 
+        import numpy as np
+
         from repro.cost import CostModel
         from repro.mapping.schedule import Schedule
 
@@ -214,7 +211,10 @@ class TestCheckpointResume:
         state = record["service_state"]
         memo = CostModel()
         memo.load_memo_state(state["cost_memo"])
-        cache = memo.drain_fresh(dict)
+        identities = state["cost_memo"]["identities"]
+        cache = {(identities[gid],) + key: column.cost(gid)
+                 for key, column in memo._columns.items()
+                 for gid in np.flatnonzero(column.priced).tolist()}
         assert len(cache) == memo.cache_size > 0
         state["cost_memo"] = {"cache": cache,
                               "hits": state["cost_memo"]["hits"],
@@ -223,6 +223,27 @@ class TestCheckpointResume:
             object.__setattr__(evaluation.hap, "schedule", Schedule(
                 entries=(), makespan=evaluation.hap.makespan))
         record["version"] = 2
+        path.write_bytes(pickle.dumps(record))
+        result = fresh_nasaic().run(resume_from=path)
+        assert normalised(result) == nasaic_reference
+
+    def test_state_byte_checkpoint_resumes_bit_identical(
+            self, tmp_path, nasaic_reference):
+        """Version-3 checkpoints written while the cost memo was
+        persisted carry a state byte per cell (2 = priced and
+        persisted) instead of a priced flag; they resume exactly."""
+        import pickle
+
+        path = tmp_path / "run.ckpt"
+        partial = fresh_nasaic()
+        driver = SearchDriver(partial, partial.evalservice,
+                              checkpoint_path=path)
+        driver.run(max_rounds=2)
+        driver.save_checkpoint()
+        record = pickle.loads(path.read_bytes())
+        columns = record["service_state"]["cost_memo"]["columns"]
+        for key, (ints, floats, priced) in columns.items():
+            columns[key] = (ints, floats, 2 * priced.astype("uint8"))
         path.write_bytes(pickle.dumps(record))
         result = fresh_nasaic().run(resume_from=path)
         assert normalised(result) == nasaic_reference

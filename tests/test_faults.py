@@ -216,7 +216,8 @@ class TestTornAppend:
             assert len(recovered) == 0
             assert recovered.put("s", "d", *design)
         assert path.with_name(path.name + ".corrupt").exists()
-        assert len(EvalStore(path, read_only=True)) == 1
+        with EvalStore(path, read_only=True) as reopened:
+            assert len(reopened) == 1
 
     def test_durable_prefix_survives_torn_append(self, tmp_path):
         """Records appended before the torn write stay bit-exact."""

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from suite_helpers import sample_design_pairs
+from suite_helpers import legacy_memo_frame, sample_design_pairs
 from repro.core.client import (
     DaemonBusyError,
     RemoteEvalService,
@@ -48,7 +48,7 @@ from repro.core.protocol import (
     send_frame,
 )
 from repro.core.server import PricingServer, serve_in_thread
-from repro.core.store import EvalStore, cost_params_digest
+from repro.core.store import STORE_MAGIC, EvalStore
 from repro.cost import CostModel
 from repro.cost.model import CostModelParams
 from repro.workloads import w1
@@ -652,12 +652,11 @@ class TestDaemonStore:
         with serve_in_thread(store_path=store_path) as server:
             with make_client(server, workload) as client:
                 want = client.evaluate_many(pairs)
-        # Graceful shutdown drained the persist queue, flushed the
-        # memo and released the writer lock.
+        # Graceful shutdown drained the persist queue and released the
+        # writer lock; the store holds evaluations only.
         with EvalStore(store_path, read_only=True) as store:
             assert len(store) == len(pairs)
-            memo = store.get_memo(cost_params_digest(make_params()))
-            assert memo
+            assert store.redundant_records == 0
         with serve_in_thread(store_path=store_path) as server:
             with make_client(server, workload) as client:
                 got = client.evaluate_many(pairs)
@@ -694,9 +693,9 @@ class TestDaemonStore:
         accumulated droppable records — and keeps serving identical
         answers from the swapped file."""
         store_path = tmp_path / "store.bin"
-        with EvalStore(store_path) as store:
-            for i in range(3):
-                store.put_memo("params", {("m", i): i})
+        # Cost-memo records an older version appended: all droppable.
+        store_path.write_bytes(STORE_MAGIC + b"".join(
+            legacy_memo_frame(i) for i in range(3)))
         size_before = store_path.stat().st_size
         with serve_in_thread(store_path=store_path,
                              maintenance_interval=0.05,
@@ -706,13 +705,12 @@ class TestDaemonStore:
                    and not server.counters["compactions"]):
                 time.sleep(0.02)
             assert server.counters["compactions"] >= 1
-            assert server.counters["compacted_records"] >= 2
+            assert server.counters["compacted_records"] >= 3
             assert store_path.stat().st_size < size_before
             with make_client(server, workload) as client:
                 want = client.evaluate_many(pairs[:2])
         with EvalStore(store_path, read_only=True) as store:
-            assert store.get_memo("params") == {("m", 0): 0, ("m", 1): 1,
-                                                ("m", 2): 2}
+            assert len(store) == 2 and store.redundant_records == 0
         # A restart serves the compacted store bit-identically.
         with serve_in_thread(store_path=store_path) as server:
             with make_client(server, workload) as client:
@@ -759,12 +757,10 @@ class TestServerLifecycle:
             with make_client(server, workload) as client:
                 assert client.ping() == PROTOCOL_VERSION
 
-    def test_flush_and_bump_generation_ops(self, tmp_path, workload,
-                                           pairs):
+    def test_bump_generation_op(self, tmp_path, workload, pairs):
         with serve_in_thread(store_path=tmp_path / "s.bin") as server:
             with make_client(server, workload) as client:
                 client.evaluate_many(pairs[:2])
-                assert client.flush_store() > 0  # memo entries landed
                 client.bump_generation()
                 client.evaluate_many(pairs[:2])
                 # Post-bump re-hits count as shared in the daemon too.
@@ -929,24 +925,26 @@ class TestHardening:
         then would be answered but could miss the persist queue's last
         drain, so the store would lose priced work."""
         store_path = tmp_path / "store.bin"
-        flush_started = threading.Event()
+        append_started = threading.Event()
         release = threading.Event()
-        original = EvalService.flush_store
+        original = EvalStore.put_many
 
-        def slow_flush(service):
-            flush_started.set()
+        def slow_put_many(store, entries):
+            append_started.set()
             release.wait(timeout=30)
-            return original(service)
+            return original(store, entries)
 
-        monkeypatch.setattr(EvalService, "flush_store", slow_flush)
+        monkeypatch.setattr(EvalStore, "put_many", slow_put_many)
         try:
             with serve_in_thread(store_path=store_path) as server:
                 sock = raw_session(server, workload)
                 with sock:
                     with make_client(server, workload) as client:
                         client.evaluate_many(pairs[:2])
+                    # The drain waits on the held append.
+                    assert append_started.wait(timeout=30)
                     server.request_shutdown()
-                    assert flush_started.wait(timeout=30)
+                    wait_until(lambda: server._closed)
                     send_frame(sock, {"op": "submit", "id": 1,
                                       "keys": wire_keys(pairs[2:3])})
                     assert recv_frame(sock) is None
@@ -963,32 +961,32 @@ class TestHardening:
 
     def test_abort_mid_flush_never_leaks_the_store_lock(
             self, tmp_path, workload, pairs, monkeypatch):
-        """A force-abort landing while a memo flush is still running in
-        the write executor must wait for it: closing the store under
-        the flush would let the append re-acquire the writer lock
-        *after* close, leaving the file locked until GC and blocking
-        the next open's crash recovery (found by chaos-serve fuzzing,
-        case seed 1493)."""
+        """A force-abort landing while the persist queue is being
+        flushed to the store (an append running in the write executor)
+        must wait for it: closing the store under the append would let
+        it re-acquire the writer lock *after* close, leaving the file
+        locked until GC and blocking the next open's crash recovery
+        (found by chaos-serve fuzzing, case seed 1493)."""
         store_path = tmp_path / "store.bin"
-        flush_started = threading.Event()
+        append_started = threading.Event()
         release = threading.Event()
-        original = EvalService.flush_store
+        original = EvalStore.put_many
 
-        def slow_flush(service):
-            flush_started.set()
+        def slow_put_many(store, entries):
+            append_started.set()
             release.wait(timeout=30)
-            return original(service)
+            return original(store, entries)
 
-        monkeypatch.setattr(EvalService, "flush_store", slow_flush)
+        monkeypatch.setattr(EvalStore, "put_many", slow_put_many)
         with serve_in_thread(store_path=store_path) as server:
             with make_client(server, workload) as client:
                 client.evaluate_many(pairs)
-            server.request_shutdown()  # graceful drain reaches the flush
-            assert flush_started.wait(timeout=30)
-            server.force_stop()  # second signal lands mid-flush
+            assert append_started.wait(timeout=30)
+            server.request_shutdown()  # graceful drain waits on it
+            server.force_stop()  # second signal lands mid-append
             # Buggy behaviour closed the store out from under the
-            # running flush; give the abort a moment to reach that
-            # point before letting the flush finish.
+            # running append; give the abort a moment to reach that
+            # point before letting the append finish.
             deadline = time.monotonic() + 1.0
             while (time.monotonic() < deadline
                    and server.store._handle is not None):

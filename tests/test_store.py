@@ -11,13 +11,14 @@ warm-started searches against cold ones.
 
 from __future__ import annotations
 
+import os
 import pickle
 import struct
 
 import pytest
 
 from suite_helpers import build_hw_evaluator as make_evaluator
-from suite_helpers import normalised_run, priced_w1_designs
+from suite_helpers import legacy_memo_frame, normalised_run, priced_w1_designs
 from repro.core import (
     Campaign,
     CampaignConfig,
@@ -26,7 +27,6 @@ from repro.core import (
     NASAIC,
     NASAICConfig,
     Scenario,
-    cost_params_digest,
 )
 import repro.core.store as store_module
 from repro.core.store import STORE_MAGIC
@@ -70,9 +70,10 @@ class TestRoundTrip:
             assert store.put("salt", "d1", design_key(1), evaluation_of(1))
             assert store.get("salt", "d1", design_key(1)) == evaluation_of(1)
             assert len(store) == 1
-        reopened = EvalStore(path)
-        assert reopened.get("salt", "d1", design_key(1)) == evaluation_of(1)
-        assert len(reopened) == 1
+        with EvalStore(path) as reopened:
+            assert reopened.get("salt", "d1",
+                                design_key(1)) == evaluation_of(1)
+            assert len(reopened) == 1
 
     def test_duplicate_put_not_rewritten(self, tmp_path):
         path = tmp_path / "store.bin"
@@ -97,25 +98,31 @@ class TestRoundTrip:
             assert store.get("salt", "dd", design_key(0)) == evaluation_of(0)
             assert store.get("salt", "dd", design_key(1)) == evaluation_of(1)
             assert store.get("salt", "dd", design_key(2)) is None
-        reopened = EvalStore(tmp_path / "s.bin")
-        assert reopened.get("salt", "dd", design_key(1)) == evaluation_of(1)
-        assert len(reopened) == 2
+        with EvalStore(tmp_path / "s.bin") as reopened:
+            assert reopened.get("salt", "dd",
+                                design_key(1)) == evaluation_of(1)
+            assert len(reopened) == 2
 
-    def test_memo_roundtrip(self, tmp_path):
+    def test_put_memo_stub_refuses(self, tmp_path, workload):
+        """The store keeps only evaluations: the retired ``put_memo``
+        name raises and appends nothing, and ``flush_store`` has
+        nothing to flush."""
         path = tmp_path / "s.bin"
         with EvalStore(path) as store:
-            assert store.put_memo("params", {"k1": 1, "k2": 2}) == 2
-            # Already-persisted entries are not appended again.
-            assert store.put_memo("params", {"k1": 1, "k3": 3}) == 1
-        reopened = EvalStore(path)
-        assert reopened.get_memo("params") == {"k1": 1, "k2": 2, "k3": 3}
-        assert reopened.get_memo("other") == {}
+            store.put("salt", "d1", design_key(1), evaluation_of(1))
+            size = path.stat().st_size
+            with pytest.raises(TypeError, match="only evaluations"):
+                store.put_memo("params", {"k1": 1})
+            service = EvalService(make_evaluator(workload), store=store)
+            assert service.flush_store() == 0
+            assert path.stat().st_size == size
 
     def test_intra_batch_duplicates_written_once(self, tmp_path):
         with EvalStore(tmp_path / "s.bin") as store:
             entry = ("s", "d", design_key(0), evaluation_of(0))
             assert store.put_many([entry, entry]) == 1
-        assert len(EvalStore(tmp_path / "s.bin")) == 1
+        with EvalStore(tmp_path / "s.bin") as reopened:
+            assert len(reopened) == 1
 
     def test_failed_append_does_not_poison_index(self, tmp_path,
                                                  monkeypatch):
@@ -137,8 +144,8 @@ class TestRoundTrip:
         # The retry really writes.
         assert store.put("s", "d", design_key(0), evaluation_of(0))
         store.close()
-        reopened = EvalStore(tmp_path / "s.bin")
-        assert reopened.get("s", "d", design_key(0)) == evaluation_of(0)
+        with EvalStore(tmp_path / "s.bin") as reopened:
+            assert reopened.get("s", "d", design_key(0)) == evaluation_of(0)
 
     def test_non_evaluation_value_refused_before_any_byte(self,
                                                           tmp_path):
@@ -156,9 +163,9 @@ class TestRoundTrip:
             assert store.get("s", "d3", design_key(3)) is None
 
     def test_missing_file_is_empty_store(self, tmp_path):
-        store = EvalStore(tmp_path / "absent.bin")
-        assert len(store) == 0
-        assert store.get("s", "d", design_key(0)) is None
+        with EvalStore(tmp_path / "absent.bin") as store:
+            assert len(store) == 0
+            assert store.get("s", "d", design_key(0)) is None
 
     def test_zero_length_file_is_empty_store(self, tmp_path):
         """A crash between file creation and the first durable append
@@ -169,7 +176,8 @@ class TestRoundTrip:
         with EvalStore(path) as store:
             assert len(store) == 0
             store.put("s", "d", design_key(0), evaluation_of(0))
-        assert EvalStore(path).get("s", "d", design_key(0)) == evaluation_of(0)
+        with EvalStore(path) as reopened:
+            assert reopened.get("s", "d", design_key(0)) == evaluation_of(0)
 
 
 try:
@@ -203,7 +211,8 @@ class TestWriterLock:
         store.close()
         with EvalStore(path) as second:
             second.put("s", "d2", design_key(2), evaluation_of(2))
-        assert len(EvalStore(path, read_only=True)) == 2
+        with EvalStore(path, read_only=True) as reader:
+            assert len(reader) == 2
 
     def test_lock_released_when_open_fails(self, tmp_path):
         """A writer open that dies during load (corrupt file) must not
@@ -228,11 +237,12 @@ class TestWriterLock:
         with EvalStore(path) as writer:
             writer.put("s", "d", design_key(0), evaluation_of(0))
             writer.downgrade_lock()
-            reader = EvalStore(path, read_only=True)
-            assert reader.get("s", "d", design_key(0)) == evaluation_of(0)
-            # The reader's shared lock lives only for the load, so the
-            # writer can re-take its exclusive claim immediately.
-            writer.upgrade_lock()
+            with EvalStore(path, read_only=True) as reader:
+                assert reader.get("s", "d",
+                                  design_key(0)) == evaluation_of(0)
+                # The reader's shared lock lives only for the load, so
+                # the writer can re-take its exclusive claim at once.
+                writer.upgrade_lock()
             with pytest.raises(ValueError, match="repro serve"):
                 EvalStore(path)
 
@@ -248,7 +258,8 @@ class TestWriterLock:
         # Lock free: the append works.
         store.put("s", "d2", design_key(2), evaluation_of(2))
         store.close()
-        assert len(EvalStore(path, read_only=True)) == 2
+        with EvalStore(path, read_only=True) as reader:
+            assert len(reader) == 2
 
 
 class TestCorruption:
@@ -324,10 +335,10 @@ class TestCorruption:
         prefix of durable appends before it is a valid store."""
         path, boundary = self._two_record_store(tmp_path)
         path.write_bytes(path.read_bytes()[:boundary])
-        store = EvalStore(path)
-        assert store.get("s", "d1", design_key(1)) == evaluation_of(1)
-        assert store.get("s", "d2", design_key(2)) is None
-        assert len(store) == 1
+        with EvalStore(path) as store:
+            assert store.get("s", "d1", design_key(1)) == evaluation_of(1)
+            assert store.get("s", "d2", design_key(2)) is None
+            assert len(store) == 1
 
 
 class TestRecovery:
@@ -381,10 +392,12 @@ class TestRecovery:
         path, _, _ = self._torn_store(tmp_path, cut=3)
         with EvalStore(path, recover=True) as store:
             assert store.put("s", "d3", design_key(3), evaluation_of(3))
-        reopened = EvalStore(path, read_only=True)
-        assert reopened.get("s", "d1", design_key(1)) == evaluation_of(1)
-        assert reopened.get("s", "d3", design_key(3)) == evaluation_of(3)
-        assert len(reopened) == 2
+        with EvalStore(path, read_only=True) as reopened:
+            assert reopened.get("s", "d1",
+                                design_key(1)) == evaluation_of(1)
+            assert reopened.get("s", "d3",
+                                design_key(3)) == evaluation_of(3)
+            assert len(reopened) == 2
 
     def test_clean_store_recovery_is_a_noop(self, tmp_path):
         path = tmp_path / "clean.bin"
@@ -431,7 +444,8 @@ class TestRecovery:
             assert store.recovered["kept_bytes"] == 0
             assert "torn file header" in store.recovered["detail"]
             assert store.put("s", "d", design_key(0), evaluation_of(0))
-        assert len(EvalStore(path, read_only=True)) == 1
+        with EvalStore(path, read_only=True) as reader:
+            assert len(reader) == 1
 
     def test_wrong_magic_still_rejected_under_recover(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -445,60 +459,56 @@ class TestShards:
         path = tmp_path / "s.bin"
         with EvalStore(path) as store:
             store.put("s", "d", design_key(0), evaluation_of(0))
-        frozen = EvalStore(path, read_only=True)
-        with pytest.raises(ValueError, match="read-only"):
-            frozen.put("s", "d2", design_key(2), evaluation_of(2))
+        with EvalStore(path, read_only=True) as frozen:
+            with pytest.raises(ValueError, match="read-only"):
+                frozen.put("s", "d2", design_key(2), evaluation_of(2))
 
     def test_parent_overlay_and_merge(self, tmp_path):
         main_path = tmp_path / "main.bin"
         with EvalStore(main_path) as main:
             main.put("s", "d1", design_key(1), evaluation_of(1))
-        parent = EvalStore(main_path, read_only=True)
-        shard = EvalStore(tmp_path / "main.bin.shard0", parent=parent)
-        # Reads see through to the parent; appends go to the shard only.
-        assert shard.get("s", "d1", design_key(1)) == evaluation_of(1)
-        shard.put("s", "d2", design_key(2), evaluation_of(2))
-        shard.close()
-        assert EvalStore(main_path,
-                         read_only=True).get("s", "d2", design_key(2)) is None
-        main = EvalStore(main_path)
-        added = main.merge_from(
-            EvalStore(tmp_path / "main.bin.shard0", read_only=True))
-        assert added == 1  # the parent's entry is not re-merged
-        assert main.get("s", "d2", design_key(2)) == evaluation_of(2)
-        main.close()
+        with EvalStore(main_path, read_only=True) as parent, \
+                EvalStore(tmp_path / "main.bin.shard0",
+                          parent=parent) as shard:
+            # Reads see through to the parent; appends go to the shard.
+            assert shard.get("s", "d1", design_key(1)) == evaluation_of(1)
+            shard.put("s", "d2", design_key(2), evaluation_of(2))
+        with EvalStore(main_path, read_only=True) as reader:
+            assert reader.get("s", "d2", design_key(2)) is None
+        with EvalStore(main_path) as main, \
+                EvalStore(tmp_path / "main.bin.shard0",
+                          read_only=True) as shard:
+            added = main.merge_from(shard)
+            assert added == 1  # the parent's entry is not re-merged
+            assert main.get("s", "d2", design_key(2)) == evaluation_of(2)
 
     def test_merge_from_with_overlapping_keys(self, tmp_path):
         """Keys present in both stores are neither duplicated nor
-        rewritten on disk; only genuinely new entries (and memo keys)
-        are appended."""
+        rewritten on disk; only genuinely new entries are appended."""
         main_path = tmp_path / "main.bin"
         with EvalStore(main_path) as main:
             main.put("s", "d1", design_key(1), evaluation_of(1))
             main.put("s", "d2", design_key(2), evaluation_of(2))
-            main.put_memo("params", {"m1": 1})
         with EvalStore(tmp_path / "shard.bin") as shard:
             shard.put("s", "d2", design_key(2), evaluation_of(2))  # overlap
             shard.put("s", "d3", design_key(3), evaluation_of(3))  # new
-            shard.put_memo("params", {"m1": 1, "m2": 2})  # half overlap
-        main = EvalStore(main_path)
         size_before = main_path.stat().st_size
-        added = main.merge_from(EvalStore(tmp_path / "shard.bin",
-                                          read_only=True))
-        main.close()
+        with EvalStore(main_path) as main, \
+                EvalStore(tmp_path / "shard.bin", read_only=True) as shard:
+            added = main.merge_from(shard)
         assert added == 1
         assert main_path.stat().st_size > size_before
-        reopened = EvalStore(main_path, read_only=True)
-        assert len(reopened) == 3
-        assert reopened.get("s", "d2", design_key(2)) == evaluation_of(2)
-        assert reopened.get("s", "d3", design_key(3)) == evaluation_of(3)
-        assert reopened.get_memo("params") == {"m1": 1, "m2": 2}
+        with EvalStore(main_path, read_only=True) as reopened:
+            assert len(reopened) == 3
+            assert reopened.get("s", "d2",
+                                design_key(2)) == evaluation_of(2)
+            assert reopened.get("s", "d3",
+                                design_key(3)) == evaluation_of(3)
         # Merging the same shard again appends nothing at all.
         size_after = main_path.stat().st_size
-        again = EvalStore(main_path)
-        assert again.merge_from(EvalStore(tmp_path / "shard.bin",
-                                          read_only=True)) == 0
-        again.close()
+        with EvalStore(main_path) as again, \
+                EvalStore(tmp_path / "shard.bin", read_only=True) as shard:
+            assert again.merge_from(shard) == 0
         assert main_path.stat().st_size == size_after
 
     def test_parent_file_vanishing_after_open_is_harmless(self, tmp_path):
@@ -509,18 +519,17 @@ class TestShards:
         parent_path = tmp_path / "parent.bin"
         with EvalStore(parent_path) as writer:
             writer.put("s", "d1", design_key(1), evaluation_of(1))
-            writer.put_memo("params", {"m1": 1})
         parent = EvalStore(parent_path, read_only=True)
         child = EvalStore(tmp_path / "child.bin", parent=parent)
         parent_path.unlink()  # vanishes between open and first read
         assert child.get("s", "d1", design_key(1)) == evaluation_of(1)
-        assert child.get_memo("params") == {"m1": 1}
         assert len(child) == 1
         assert ("s", "d1", design_key(1)) in child
         # The child's own appends still work with the parent file gone.
         child.put("s", "d2", design_key(2), evaluation_of(2))
         assert child.get("s", "d2", design_key(2)) == evaluation_of(2)
         child.close()
+        parent.close()
 
 
 # ----------------------------------------------------------------------
@@ -550,6 +559,7 @@ class TestServiceTier:
         assert warm == cold  # frozen dataclasses: structural equality
         assert warm_service.stats.misses == 0
         assert warm_service.stats.store_hits == len(store)
+        store.close()
 
     def test_store_serves_with_cache_disabled(self, tmp_path, workload):
         from repro.utils.rng import new_rng
@@ -569,6 +579,7 @@ class TestServiceTier:
                                                        reference]
         assert service.stats.store_hits == 2
         assert service.stats.misses == 0
+        store.close()
 
     def test_digest_collisions_still_price_correctly(self, tmp_path,
                                                      workload,
@@ -596,23 +607,28 @@ class TestServiceTier:
         with EvalService(make_evaluator(workload), store=store) as warm:
             assert warm.evaluate_many(pairs) == references
             assert warm.stats.store_hits == len(pairs)
+        store.close()
 
-    def test_memo_preloaded_on_attach(self, tmp_path, workload):
-        store = EvalStore(tmp_path / "s.bin")
-        with EvalService(make_evaluator(workload), store=store) as cold:
-            nets = tuple(t.space.decode(t.space.smallest_indices())
-                         for t in workload.tasks)
-            from repro.accel import AllocationSpace
-            from repro.utils.rng import new_rng
+    def test_attach_loads_no_cost_cells(self, tmp_path, workload):
+        """Attaching a store holding old cost-memo records loads none of
+        them: a miss prices its cells afresh, and answers equal a cold
+        service's."""
+        from suite_helpers import sample_design_pairs
 
-            cold.evaluate_hardware(
-                nets, AllocationSpace().random_design(new_rng(1)))
-        digest = cost_params_digest(CostModel().params)
-        assert store.get_memo(digest)  # close() flushed the memo
-        warm = EvalService(make_evaluator(workload), store=store)
-        assert warm.evaluator.cost_model.cache_size == len(
-            store.get_memo(digest))
-
+        pairs = sample_design_pairs(workload, n=3, seed=1)
+        path = tmp_path / "s.bin"
+        with EvalStore(path) as store:
+            EvalService(make_evaluator(workload),
+                        store=store).evaluate_many(pairs[:2])
+        with open(path, "ab") as handle:
+            handle.write(legacy_memo_frame(0))
+        with EvalStore(path) as store:
+            warm = EvalService(make_evaluator(workload), store=store)
+            assert warm.evaluator.cost_model.cache_size == 0
+            got = warm.evaluate_many(pairs)
+            assert (warm.stats.store_hits, warm.stats.misses) == (2, 1)
+        assert got == EvalService(make_evaluator(workload)).evaluate_many(
+            pairs)
 
     def test_record_with_a_schedule_still_answers(self, tmp_path,
                                                   workload):
@@ -741,25 +757,30 @@ class TestRecordFormats:
 
     def test_lookups_never_unpickle_codec_records(self, tmp_path, workload,
                                                   monkeypatch):
-        """A store filled by EvalService (evaluations, then the memo
-        flush on close) and reopened through a fresh sidecar answers
-        every key through ``get`` and ``iter_evaluations`` with
-        unpickling disabled."""
+        """A store filled by EvalService, with the pickled memo records
+        an older version appended between its evaluations, reopened
+        through a fresh sidecar answers every key through ``get``,
+        ``iter_evaluations`` and ``merge_from`` with unpickling
+        disabled."""
         import repro.core.store as store_module
         from suite_helpers import sample_design_pairs
         from repro.core.evalservice import design_content, design_digest
 
         pairs = sample_design_pairs(workload, n=6, seed=17)
         path = tmp_path / "s.bin"
-        with EvalStore(path) as store:
-            with EvalService(make_evaluator(workload), store=store) as svc:
-                evaluations = svc.evaluate_many(pairs)
-                salt = svc.context_salt
-                digests = [design_digest(*pair, salt=salt)
-                           for pair in pairs]
-            assert store.get_memo(cost_params_digest(CostModel().params))
+        evaluations = []
+        for chunk in (pairs[:3], pairs[3:]):
+            with EvalStore(path) as store:
+                svc = EvalService(make_evaluator(workload), store=store)
+                evaluations += svc.evaluate_many(chunk)
+            with open(path, "ab") as handle:
+                handle.write(legacy_memo_frame(len(evaluations)))
+        salt = svc.context_salt
+        digests = [design_digest(*pair, salt=salt) for pair in pairs]
+        EvalStore(path).close()  # re-index: the scan reads the memos
         store = EvalStore(path, read_only=True)
         assert store.index_used and store.scanned_records == 0
+        assert store.redundant_records == 2
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("pickle.loads called")
@@ -768,10 +789,55 @@ class TestRecordFormats:
         for pair, digest, evaluation in zip(pairs, digests, evaluations):
             assert store.get(salt, digest, design_content(*pair)) == \
                 evaluation
-        assert dict(store.iter_evaluations(salt)) == {
-            design_content(*pair): evaluation
-            for pair, evaluation in zip(pairs, evaluations)}
+        want = {design_content(*pair): evaluation
+                for pair, evaluation in zip(pairs, evaluations)}
+        assert dict(store.iter_evaluations(salt)) == want
+        with EvalStore(tmp_path / "merged.bin") as merged:
+            assert merged.merge_from(store) == len(pairs)
+            assert dict(merged.iter_evaluations(salt)) == want
         store.close()
+
+    def test_legacy_file_with_memo_records(self, tmp_path, workload):
+        """A version-2 file written while the cost memo was persisted —
+        codec evaluation records with pickled memo records between
+        them, framed by hand — answers bit-identically, skips the memo
+        records on every read path, and loses them to compaction."""
+        entries = self.priced(workload, n=5)
+        frames = [legacy_memo_frame(0)]
+        for index, entry in enumerate(entries):
+            body = store_module._eval_body(*entry)
+            frames += [struct.pack("<Q", len(body)) + body,
+                       legacy_memo_frame(index + 1)]
+        path = tmp_path / "legacy.bin"
+        path.write_bytes(STORE_MAGIC + b"".join(frames))
+        memos = len(entries) + 1
+
+        def check_answers(store):
+            assert len(store) == len(entries)
+            for salt, digest, key, evaluation in entries:
+                got = store.get(salt, digest, key)
+                assert pickle.dumps(got) == pickle.dumps(evaluation)
+            salt = entries[0][0]
+            assert list(store.iter_evaluations(salt)) == [
+                (key, evaluation) for _, _, key, evaluation in entries]
+
+        with EvalStore(path, read_only=True) as store:
+            assert store.redundant_records == memos
+            check_answers(store)
+            with EvalStore(tmp_path / "merged.bin") as merged:
+                assert merged.merge_from(store) == len(entries)
+                check_answers(merged)
+                assert merged.redundant_records == 0
+        with EvalStore(path) as store:
+            report = store.compact()
+            assert report["memo_records_dropped"] == memos
+            assert report["records_dropped"] == memos
+            check_answers(store)
+        with EvalStore(path, read_only=True) as store:
+            assert store.redundant_records == 0
+            check_answers(store)
+        assert path.read_bytes() == STORE_MAGIC + b"".join(frames[1::2]), \
+            "compaction keeps the evaluation records byte-exact"
 
     def test_truncated_codec_record_is_corruption(self, tmp_path,
                                                   workload):
@@ -846,8 +912,8 @@ class TestCampaignStore:
         assert path.exists()
         assert not list(tmp_path.glob("*.shard*")), \
             "shards must be merged and removed"
-        merged = EvalStore(path, read_only=True)
-        assert len(merged) > 0
+        with EvalStore(path, read_only=True) as merged:
+            assert len(merged) > 0
         # A later sequential campaign warm-starts from the merged store.
         with Campaign(CampaignConfig(scenarios=self.GRID,
                                      store_path=path)) as warm:
@@ -875,7 +941,6 @@ class TestOffsetIndex:
         with EvalStore(path) as store:
             store.put_many([("s", f"d{i}", design_key(i), evaluation_of(i))
                             for i in range(n)])
-            store.put_memo("params", {"m1": 1})
         return path
 
     def test_index_written_on_close_and_trusted_on_reopen(self, tmp_path):
@@ -886,7 +951,6 @@ class TestOffsetIndex:
         assert store.scanned_records == 0, "open must not decode records"
         assert len(store) == 6
         assert store.get("s", "d3", design_key(3)) == evaluation_of(3)
-        assert store.get_memo("params") == {"m1": 1}
         store.close()
 
     def test_unindexed_tail_is_scanned_then_reindexed(self, tmp_path):
@@ -944,32 +1008,45 @@ class TestOffsetIndex:
         assert store.get("s", "d2", design_key(2)) is None
         store.close()
 
-    def test_pickled_layout_sidecar_rebuilds_once(self, tmp_path):
-        """A sidecar in the previous layout (pickled header and memo
-        map) fails the magic check: the first open rebuilds it from the
-        records, the next one trusts the rewritten sidecar, and both
-        answer alike."""
-        path = self.seeded(tmp_path)
+    @staticmethod
+    def old_sidecar(path, version: int) -> None:
+        """Rewrite ``path``'s sidecar in an earlier layout over the same
+        columns: version 1 pickled its header and memo map, version 2
+        carried a struct header and memo-offset map."""
         with EvalStore(path, read_only=True) as store:
             idx = store.index_path
             index = store_module._load_index(idx)
-            columns = idx.read_bytes()[index["arrays_offset"]:]
-        header = pickle.dumps({"format": "repro-evalstore-index",
-                               "version": 1,
-                               "covered_bytes": index["covered_bytes"],
-                               "tail_hash": index["tail_hash"].hex(),
-                               "count": index["count"],
-                               "shadowed": index["shadowed"]})
-        memo = pickle.dumps(index["memo"])
-        prefix = b"".join((b"repro-evalstore-idx v1\n",
-                           struct.pack("<Q", len(header)), header,
-                           struct.pack("<Q", len(memo)), memo))
+            columns = idx.read_bytes()[store_module._INDEX_ARRAYS:]
+        if version == 1:
+            header = pickle.dumps({"format": "repro-evalstore-index",
+                                   "version": 1,
+                                   "covered_bytes": index["covered_bytes"],
+                                   "tail_hash": index["tail_hash"].hex(),
+                                   "count": index["count"],
+                                   "shadowed": index["shadowed"]})
+            memo = pickle.dumps({})
+            prefix = b"".join((b"repro-evalstore-idx v1\n",
+                               struct.pack("<Q", len(header)), header,
+                               struct.pack("<Q", len(memo)), memo))
+        else:
+            name = b"cost-params"
+            memo = (struct.pack("<HI", len(name), 1) + name
+                    + struct.pack("<Q", len(STORE_MAGIC)))
+            prefix = b"".join((b"repro-evalstore-idx v2\n",
+                               struct.pack("<Q16sQQQ",
+                                           index["covered_bytes"],
+                                           index["tail_hash"],
+                                           index["count"],
+                                           index["shadowed"], len(memo)),
+                               memo))
         idx.write_bytes(prefix + b"\0" * (-len(prefix) % 8) + columns)
 
+    def rebuilds_once(self, path) -> None:
+        """The first open rebuilds the sidecar from the records, the
+        next one trusts the rewritten sidecar, and both answer alike."""
         def answers(store):
             return ([store.get("s", f"d{i}", design_key(i))
-                     for i in range(6)], store.get_memo("params"),
-                    len(store))
+                     for i in range(6)], len(store))
 
         with EvalStore(path) as rebuilt:
             assert not rebuilt.index_used
@@ -977,12 +1054,26 @@ class TestOffsetIndex:
         with EvalStore(path, read_only=True) as reopened:
             assert reopened.index_used and reopened.scanned_records == 0
             assert answers(reopened) == first
-        assert first == ([evaluation_of(i) for i in range(6)],
-                         {"m1": 1}, 6)
+        assert first == ([evaluation_of(i) for i in range(6)], 6)
+
+    def test_pickled_layout_sidecar_rebuilds_once(self, tmp_path):
+        """A version-1 sidecar (pickled header and memo map) fails the
+        magic check and is rebuilt once."""
+        path = self.seeded(tmp_path)
+        self.old_sidecar(path, version=1)
+        self.rebuilds_once(path)
+
+    def test_memo_map_layout_sidecar_rebuilds_once(self, tmp_path):
+        """A version-2 sidecar (struct header plus memo-offset map) fails
+        the magic check and is rebuilt once."""
+        path = self.seeded(tmp_path)
+        self.old_sidecar(path, version=2)
+        self.rebuilds_once(path)
 
     def test_garbage_sidecar_rebuilds(self, tmp_path):
         path = self.seeded(tmp_path)
-        idx = EvalStore(path, read_only=True).index_path
+        with EvalStore(path, read_only=True) as store:
+            idx = store.index_path
         idx.write_bytes(b"not an index sidecar at all")
         store = EvalStore(path, read_only=True)
         assert not store.index_used
@@ -1024,11 +1115,11 @@ class TestOffsetIndex:
             main.put("s", "d1", design_key(1), evaluation_of(1))
         with EvalStore(tmp_path / "shard.bin") as shard:
             shard.put("s", "d2", design_key(2), evaluation_of(2))
-        main = EvalStore(main_path)
-        main.merge_from(EvalStore(tmp_path / "shard.bin", read_only=True))
-        assert main.get("s", "d2", design_key(2)) == evaluation_of(2)
-        assert len(main) == 2
-        main.close()
+        with EvalStore(main_path) as main, \
+                EvalStore(tmp_path / "shard.bin", read_only=True) as shard:
+            main.merge_from(shard)
+            assert main.get("s", "d2", design_key(2)) == evaluation_of(2)
+            assert len(main) == 2
         lazy = EvalStore(main_path, read_only=True)
         assert lazy.index_used and lazy.scanned_records == 0
         assert lazy.get("s", "d2", design_key(2)) == evaluation_of(2)
@@ -1063,6 +1154,35 @@ class TestCorruptSidecarSuffixes:
 
 
 class TestReopenAfterClose:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_close_releases_every_descriptor(self, tmp_path):
+        """close() releases the append handle, the lazy reader, the
+        sidecar handle and its column mappings (and readers a compaction
+        retired).  A lookup after close reopens read-side, without the
+        writer lock, and the next close releases it again."""
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        path = tmp_path / "fds.bin"
+        with EvalStore(path) as store:
+            store.put_many([("s", f"d{i}", design_key(i), evaluation_of(i))
+                            for i in range(6)])
+        baseline = open_fds()
+        for read_only in (False, True):
+            store = EvalStore(path, read_only=read_only)
+            assert store.get("s", "d3", design_key(3)) == evaluation_of(3)
+            if not read_only:
+                store.compact()
+            assert open_fds() > baseline
+            store.close()
+            assert open_fds() == baseline
+            assert store.get("s", "d4", design_key(4)) == evaluation_of(4)
+            assert len(store) == 6
+            EvalStore(path).close()  # no writer lock is held
+            store.close()
+            assert open_fds() == baseline
+
     def test_reopen_sees_interim_writer_records(self, tmp_path):
         """A handle appending again after close() must reload first:
         another writer may have appended in between, and its records
@@ -1095,7 +1215,6 @@ class TestScaleGauges:
             store.put_many([("s", f"d{i}-{j}", design_key(4 * i + j),
                              evaluation_of(4 * i + j))
                             for j in range(4)])
-            store.put_memo("params", {("m", i): i})
             assert len(store) == (i + 1) * 4
             assert store.size_bytes == path.stat().st_size
         store.close()
@@ -1113,8 +1232,8 @@ class TestScaleGauges:
         nets = tuple(t.space.decode(t.space.random_indices(rng))
                      for t in workload.tasks)
         pairs = [(nets, alloc.random_design(rng)) for _ in range(2)]
-        store = EvalStore(tmp_path / "s.bin")
-        with EvalService(make_evaluator(workload), store=store) as service:
+        with EvalStore(tmp_path / "s.bin") as store:
+            service = EvalService(make_evaluator(workload), store=store)
             service.evaluate_many(pairs)
             assert service.stats.store_entries == len(store)
             assert service.stats.store_bytes == store.size_bytes
@@ -1125,26 +1244,31 @@ class TestScaleGauges:
 # Compaction
 # ----------------------------------------------------------------------
 class TestCompaction:
-    def test_superseded_memo_records_folded(self, tmp_path):
+    @staticmethod
+    def with_memo_records(path, memos: int, evaluations: int = 1):
+        """A store of ``evaluations`` entries followed by ``memos``
+        cost-memo records an older version appended."""
+        with EvalStore(path) as store:
+            store.put_many([("s", f"d{i}", design_key(i), evaluation_of(i))
+                            for i in range(evaluations)])
+        with open(path, "ab") as handle:
+            for i in range(memos):
+                handle.write(legacy_memo_frame(i))
+
+    def test_old_memo_records_dropped(self, tmp_path):
         path = tmp_path / "memo.bin"
+        self.with_memo_records(path, memos=3)
         store = EvalStore(path)
-        store.put("s", "d1", design_key(1), evaluation_of(1))
-        for i in range(3):
-            store.put_memo("params", {("m", i): i})
-        assert store.redundant_records == 2
-        before_memo = store.get_memo("params")
+        assert store.redundant_records == 3
         report = store.compact()
-        assert report["memo_records_merged"] == 2
-        assert report["records_dropped"] == 2
+        assert report["memo_records_dropped"] == 3
+        assert report["records_dropped"] == 3
         assert report["bytes_after"] < report["bytes_before"]
-        assert store.get_memo("params") == before_memo
-        assert store.get("s", "d1", design_key(1)) == evaluation_of(1)
+        assert store.get("s", "d0", design_key(0)) == evaluation_of(0)
         assert store.redundant_records == 0
         store.close()
-        reopened = EvalStore(path, read_only=True)
-        assert reopened.get_memo("params") == before_memo
-        assert len(reopened) == 1
-        reopened.close()
+        with EvalStore(path, read_only=True) as reopened:
+            assert len(reopened) == 1 and reopened.redundant_records == 0
 
     def test_digest_shadowed_duplicates_dropped(self, tmp_path):
         path = tmp_path / "dups.bin"
@@ -1167,12 +1291,9 @@ class TestCompaction:
     def test_compact_is_idempotent_and_keeps_the_writer_lock(
             self, tmp_path):
         path = tmp_path / "idem.bin"
+        self.with_memo_records(path, memos=2, evaluations=4)
         store = EvalStore(path)
-        store.put_many([("s", f"d{i}", design_key(i), evaluation_of(i))
-                        for i in range(4)])
-        for i in range(2):
-            store.put_memo("params", {("m", i): i})
-        store.compact()
+        assert store.compact()["records_dropped"] == 2
         first_bytes = path.read_bytes()
         second = store.compact()
         assert second["records_dropped"] == 0
@@ -1188,10 +1309,8 @@ class TestCompaction:
 
     def test_maybe_compact_threshold(self, tmp_path):
         path = tmp_path / "maybe.bin"
+        self.with_memo_records(path, memos=1)
         store = EvalStore(path)
-        store.put("s", "d1", design_key(1), evaluation_of(1))
-        store.put_memo("params", {("m", 0): 0})
-        store.put_memo("params", {("m", 1): 1})
         assert store.redundant_records == 1
         assert store.maybe_compact(min_redundant=5) is None
         report = store.maybe_compact(min_redundant=1)
