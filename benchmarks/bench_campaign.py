@@ -5,10 +5,9 @@ with its own freshly built evaluation machinery — nothing learned by
 one scenario ever helped the next.  The campaign runner executes the
 same grid over shared, context-keyed evaluation services, so scenarios
 that revisit designs (budget sweeps, seed restarts, optimiser
-comparisons on one workload) answer from the cross-run cache, and one
-in-memory cross-design cost-table memo spans the whole study (a
-persistent store, when attached, keeps evaluations only; the memo is
-never written to it).
+comparisons on one workload) answer from the cross-run cache (a
+persistent store, when attached, keeps evaluations only; cost cells
+live only for the batch that prices them).
 
 This benchmark runs a 4-scenario W1 grid (NASAIC at two budgets with
 one seed — the larger budget replays the smaller one's episode prefix —

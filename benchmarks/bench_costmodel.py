@@ -4,7 +4,8 @@ The search's feasibility hinges on the §II Challenge-2 affinity
 structure: NVDLA-style favours channel-heavy/low-resolution layers,
 ShiDianNao-style the opposite, row-stationary in between.  This bench
 prints the full network x dataflow latency matrix and measures the
-oracle's throughput (it is called ~10^5 times per search).
+oracle's throughput: the scalar per-layer path and the batch path every
+search prices through (one ``MappingProblem.build_many`` per batch).
 """
 
 from benchmarks.conftest import run_once, write_report
@@ -55,14 +56,14 @@ def test_dataflow_affinity(benchmark):
 
 
 def test_costmodel_throughput(benchmark):
-    """Layer-cost oracle throughput on a cold cache."""
+    """Scalar layer-cost oracle throughput."""
     cifar = cifar10_resnet_space()
     net = cifar.decode(cifar.largest_indices())
     subs = [SubAccelerator(df, pes, 32)
             for df in Dataflow for pes in (256, 1024, 4096)]
 
     def evaluate_all():
-        cm = CostModel()  # cold cache each round
+        cm = CostModel()
         total = 0
         for layer in net.layers:
             for sub in subs:
@@ -72,17 +73,14 @@ def test_costmodel_throughput(benchmark):
     assert benchmark(evaluate_all) > 0
 
 
-def test_costmodel_cache_effectiveness(benchmark):
-    """Warm-cache lookups are what the search actually pays for."""
-    cifar = cifar10_resnet_space()
-    net = cifar.decode(cifar.largest_indices())
+def test_costmodel_build_many_throughput(benchmark):
+    """Batch pricing as the search pays for it: the HAP tables of 64
+    sampled W3 designs from one ``build_many`` call."""
+    from repro.mapping import MappingProblem
+    from repro.workloads import w3
+    from tests.suite_helpers import sample_design_pairs
+
+    pairs = sample_design_pairs(w3(), n=64, seed=3)
     cm = CostModel()
-    sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
-    for layer in net.layers:  # warm
-        cm.layer_cost(layer, sub)
-
-    def lookup_all():
-        return sum(cm.layer_cost(layer, sub).latency_cycles
-                   for layer in net.layers)
-
-    assert benchmark(lookup_all) > 0
+    problems = benchmark(MappingProblem.build_many, pairs, cm)
+    assert len(problems) == 64

@@ -17,7 +17,7 @@ Machine-readable record: ``benchmarks/results/BENCH_evalservice.json``
 with keys ``speedup`` (gated), ``uncached_ms`` / ``cached_ms``,
 ``unique_pairs`` / ``trace_len``, ``gate``, ``hit_rate``, ``computed``
 (cache misses actually priced), and ``pricing`` (the service's
-uncached-pricing counters: cost-table memo hits/misses and HAP move
+uncached-pricing counters: cost-table cells shared/priced and HAP move
 prunes/resumes — see
 :class:`repro.core.evalservice.EvalServiceStats`), so the perf
 trajectory is tracked across PRs.

@@ -17,13 +17,14 @@ Two studies share this file:
   acceptance gate.  It prices a trace of sampled joint-workload designs
   end to end (problem build + ``solve_hap``) through two paths:
 
-  - the oracle baseline: a fresh ``CostModel`` and
-    ``build(batched=False)`` per design (scalar per-pair cost oracle, no
-    cross-design sharing) and ``solve_hap(incremental=False)`` (one full
-    ``list_schedule`` reschedule per trial move),
+  - the oracle baseline: ``build(batched=False)`` per design (the
+    unmemoised scalar cost oracle, one call per table cell) and
+    ``solve_hap(incremental=False)`` (one full ``list_schedule``
+    reschedule per trial move),
   - the fast path (the default): ``build_many`` over the whole trace
-    (one cost pass per dataflow, tables gathered from the cost columns)
-    and delta-resume move pricing with certified prune bounds,
+    (the trace's distinct cells priced in one pass per dataflow, tables
+    gathered from them) and delta-resume move pricing with certified
+    prune bounds,
 
   asserts both return **bit-identical** ``HAPResult``\\ s, and gates the
   fast-over-oracle wall-clock ratio at >= 6x.  The gate also fails
@@ -198,7 +199,7 @@ def build_design_trace(designs: int, seed: int = 5):
 
 def _price_fast(pairs, latency_constraint, stats=None):
     """Fast path: ``build_many`` over the whole trace (tables gathered
-    from the cost columns) + the default delta-resume solver."""
+    from its distinct priced cells) + the default delta-resume solver."""
     cost_model = CostModel()
     problems = MappingProblem.build_many(pairs, cost_model)
     return [solve_hap(problem, latency_constraint, stats=stats)
@@ -206,8 +207,8 @@ def _price_fast(pairs, latency_constraint, stats=None):
 
 
 def _price_baseline(pairs, latency_constraint):
-    """Oracle pricing: scalar cost oracle with one fresh cost model per
-    design (no cross-design sharing) + one full reschedule per trial."""
+    """Oracle pricing: the scalar cost oracle, one call per table cell,
+    + one full reschedule per trial."""
     return [solve_hap(
         MappingProblem.build(nets, accel, CostModel(), batched=False),
         latency_constraint, incremental=False)

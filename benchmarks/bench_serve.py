@@ -6,7 +6,7 @@ advisory lock) means concurrent searches cannot share it directly —
 each concurrent client owns a private cache and recomputes every
 distinct design for itself.  The pricing daemon (``repro serve``)
 closes that gap: one hosted evaluation tier (LRU + evaluation store;
-per-layer cost cells are shared in memory, not persisted) behind a
+per-layer cost cells are priced per batch, never persisted) behind a
 Unix socket, where the first submit of a design prices it and
 every later submit (any client) hits the shared LRU, and a single
 writer task keeping all store appends serialized.

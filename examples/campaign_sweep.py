@@ -52,9 +52,9 @@ def main() -> None:
           f"{cache['requests']} hardware requests "
           f"({cache['shared_hit_rate']:.1%}) were answered from an "
           f"earlier scenario's pricing")
-    print(f"cost-table memo spanning the campaign: "
-          f"{cache['cost_memo_hits']} hits / "
-          f"{cache['cost_memo_misses']} misses")
+    print(f"cost-table cells across the campaign: "
+          f"{cache['cost_memo_hits']} shared within a batch / "
+          f"{cache['cost_memo_misses']} priced")
 
     out = Path(tempfile.gettempdir()) / "repro_campaign.json"
     save_campaign(result, out)

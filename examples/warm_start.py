@@ -2,7 +2,7 @@
 
 The co-exploration loop re-prices the same (networks, accelerator,
 budget) points across episodes, seeds and experiment tables.  Within a
-process the LRU cache and the cost-table memo absorb that; the
+process the LRU cache absorbs that; the
 persistent :class:`repro.core.store.EvalStore` extends the reuse of
 whole evaluations across *processes*: priced designs are appended
 durably as they are priced, and any later run — tomorrow's parameter

@@ -554,6 +554,16 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.core.results import NoFeasibleSolutionError
+
+    try:
+        return _run_experiments(args)
+    except NoFeasibleSolutionError as exc:
+        print(f"repro experiments: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run_experiments(args: argparse.Namespace) -> int:
     from repro.core import NASAICConfig as Cfg
     from repro.experiments import (
         format_fig1, format_fig6, format_table1, format_table2,

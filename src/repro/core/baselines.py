@@ -346,9 +346,11 @@ def run_nas_per_task(
 class _DesignSweepStrategy:
     """Streams a precomputed design list through the driver in chunks.
 
-    Chunking is stats-identical to one giant batch: within a chunk the
-    batch API deduplicates, and across chunks the first chunk's misses
-    are already cached — either way every repeated design is a hit.
+    Chunking is cache-stats-identical to one giant batch: within a chunk
+    the batch API deduplicates, and across chunks the first chunk's
+    misses are already cached — either way every repeated design is a
+    hit.  (The cost-cell counters count cells shared within a batch, so
+    they do depend on the chunk size.)
     """
 
     strategy_name = "design-sweep"

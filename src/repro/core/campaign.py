@@ -13,8 +13,7 @@ module executes such a grid through the unified
   (same workload specs/bounds, cost parameters and rho) reuse one
   :class:`~repro.core.evalservice.EvalService`, so designs priced by an
   earlier scenario are cache hits for later ones
-  (``stats.shared_hits``), and one cross-design cost-table memo spans
-  the whole campaign — or **on a process pool** (``workers > 1``),
+  (``stats.shared_hits``) — or **on a process pool** (``workers > 1``),
   where scenarios run isolated (own service each; no cross-scenario
   cache, but true parallelism on multi-core machines);
 - with ``store_path`` set, one persistent
@@ -288,9 +287,9 @@ class Campaign:
 
     Args:
         config: The grid and execution knobs.
-        cost_model: Optional campaign-wide cost oracle; one instance is
-            shared across every service so the cross-design cost-table
-            memo spans the whole campaign.  A fresh one by default.
+        cost_model: Optional campaign-wide cost oracle, shared by every
+            service (its cell counters are the campaign's totals).  A
+            fresh one by default.
         store: Optional already-open persistent evaluation store; wins
             over ``config.store_path`` and stays owned by the caller
             (pool workers inject their shard store this way).
@@ -456,8 +455,8 @@ class Campaign:
             stats = [service.stats for service in self.services.values()]
             entries = sum(s.cache_len for s in self.services.values())
             # Every service prices through the campaign's one cost model.
-            memo_hits = self.cost_model.memo_hits
-            memo_misses = self.cost_model.memo_misses
+            memo_hits = self.cost_model.shared_cells
+            memo_misses = self.cost_model.priced_cells
         else:  # pool mode: aggregate the per-scenario pricing records
             stats = [s for s in (_pricing(o.result) for o in outcomes)
                      if s is not None]

@@ -29,8 +29,8 @@ Workflow:
   reproduces, and the minimal spec is persisted as a **replayable JSON
   repro** (:func:`save_repro` / :func:`replay_repro`).
 
-Every check builds its oracles from *fresh* cost models so the two
-sides share no memo state — a contamination that could mask real
+Every check builds its oracles from *fresh* cost models and evaluators
+so the two sides share no state — a contamination that could mask real
 divergence.  Checks are deterministic: the per-pair RNG derives from
 ``(spec.seed, pair name)`` (:func:`pair_rng`), so a persisted spec
 alone replays the exact failing inputs.
@@ -194,22 +194,28 @@ def _normalised_run(result) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 def _check_batched_tables(scenario: GeneratedScenario,
                           rng: np.random.Generator) -> str | None:
-    """Batched cost tables vs the scalar oracle, per design on a fresh
-    model and through one shared model in two ``build_many`` batches
-    (the second adds geometries and configurations to live columns);
-    buffer-sized areas vs the per-layer area oracle."""
+    """Batched cost tables vs the scalar oracle, per design priced alone
+    and inside a batch of random composition (the designs shuffled, some
+    repeated, on a model that priced another batch first), so a table
+    must not depend on what else its batch holds; buffer-sized areas vs
+    the per-layer area oracle."""
     params = scenario.cost_params
     pairs = scenario.sample_pairs(rng, max(2, scenario.spec.design_samples))
-    shared = CostModel(params)
-    half = len(pairs) // 2
-    via_shared = (MappingProblem.build_many(pairs[:half], shared)
-                  + MappingProblem.build_many(pairs[half:], shared))
-    for index, ((nets, accel), shared_problem) in enumerate(
-            zip(pairs, via_shared)):
+    model = CostModel(params)
+    MappingProblem.build_many(pairs[::2], model)
+    composed = (rng.permutation(len(pairs)).tolist()
+                + rng.integers(len(pairs), size=len(pairs) // 2).tolist())
+    in_batch: dict[int, list[MappingProblem]] = {}
+    for index, problem in zip(composed, MappingProblem.build_many(
+            [pairs[index] for index in composed], model)):
+        in_batch.setdefault(index, []).append(problem)
+    for index, (nets, accel) in enumerate(pairs):
         oracle = CostModel(params)
         scalar = MappingProblem.build(nets, accel, oracle, batched=False)
         alone = MappingProblem.build(nets, accel, CostModel(params))
-        for side, problem in (("batched", alone), ("shared", shared_problem)):
+        sides = [("alone", alone)] + [("in a batch", problem)
+                                      for problem in in_batch[index]]
+        for side, problem in sides:
             for name in ("durations", "energies", "working_sets"):
                 got, want = getattr(problem, name), getattr(scalar, name)
                 if got.shape != want.shape:
@@ -222,7 +228,7 @@ def _check_batched_tables(scenario: GeneratedScenario,
                             f"{want[row, col]!r}")
         assignment = tuple(int(pos) for pos in rng.integers(
             scalar.num_slots, size=scalar.num_layers))
-        area = shared_problem.mapped_area_um2(assignment, params)
+        area = in_batch[index][0].mapped_area_um2(assignment, params)
         want_area = oracle.area_um2(
             accel, mapped_layers=scalar.mapped_layers_by_slot(assignment))
         if area != want_area:
@@ -729,8 +735,8 @@ def _check_exact_gap(scenario: GeneratedScenario,
 
 for _pair in (
     OraclePair("cost-table",
-               "batched and shared-memo cost tables and mapped areas == "
-               "scalar oracle (bit-identical)",
+               "batched cost tables, alone and in any batch composition, "
+               "and mapped areas == scalar oracle (bit-identical)",
                _check_batched_tables),
     OraclePair("hap-modes",
                "delta-resume HAP == full-reschedule oracle",

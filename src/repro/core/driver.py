@@ -32,7 +32,7 @@ Round protocol (one ``step()``)::
 Checkpoint/resume: after any round the driver can serialise
 ``strategy.state()`` (optimiser weights, RNG stream positions via
 :func:`repro.utils.rng.rng_state`, best-so-far results) together with
-``service.state_snapshot()`` (LRU cache, memo, counters) through
+``service.state_snapshot()`` (LRU cache, counters) through
 :mod:`repro.core.serialization`.  Restoring both makes the resumed run
 **bit-identical** to the uninterrupted one — same trajectory, same
 ``pricing`` block, same accounting (wall-clock timings aside) — which

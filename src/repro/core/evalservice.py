@@ -204,12 +204,12 @@ class EvalServiceStats:
         evictions: Entries dropped by the LRU policy.
         batches: ``evaluate_many`` invocations.
         miss_seconds: Wall-clock spent computing misses.
-        cost_memo_hits / cost_memo_misses: Cross-design cost-table memo
-            accounting (``CostModel.memo_hits`` / ``memo_misses``: table
-            cells answered from the memo / cells priced), mirrored after
-            every miss computation.
-        cost_memo_entries: Memo occupancy (entries held) at the last
-            mirror — in a stats *delta* this is net entries added.
+        cost_memo_hits / cost_memo_misses: Cost-table cell accounting
+            (``CostModel.shared_cells`` / ``priced_cells``: table cells
+            answered by another cell of the same batch / cells priced),
+            mirrored after every miss computation.  The names predate
+            the batch-local pricing; both depend on how requests are
+            batched.
         shared_hits: Hits served from entries inserted in an *earlier*
             service generation (see :meth:`EvalService.bump_generation`)
             — the cross-run reuse a shared campaign cache provides.
@@ -248,7 +248,6 @@ class EvalServiceStats:
     miss_seconds: float = 0.0
     cost_memo_hits: int = 0
     cost_memo_misses: int = 0
-    cost_memo_entries: int = 0
     hap_moves_priced: int = 0
     hap_moves_pruned: int = 0
     hap_moves_resumed: int = 0
@@ -280,7 +279,7 @@ class EvalServiceStats:
 
     @property
     def cost_memo_rate(self) -> float:
-        """Fraction of cost-table lookups answered from the memo."""
+        """Fraction of cost-table cells shared within their batch."""
         total = self.cost_memo_hits + self.cost_memo_misses
         return self.cost_memo_hits / total if total else 0.0
 
@@ -327,10 +326,9 @@ class EvalServiceStats:
         steps = self.hap_steps_saved + self.hap_steps_replayed
         saved_pct = self.hap_steps_saved / steps if steps else 0.0
         lines.append(
-            f"pricing: cost memo {self.cost_memo_hits} hits / "
-            f"{self.cost_memo_misses} misses "
-            f"({self.cost_memo_rate:.1%} reuse, "
-            f"{self.cost_memo_entries} entries held); "
+            f"pricing: cost cells {self.cost_memo_hits} shared / "
+            f"{self.cost_memo_misses} priced "
+            f"({self.cost_memo_rate:.1%} shared within batches); "
             f"HAP moves {moves} priced, "
             f"{self.hap_moves_pruned} pruned ({pruned_pct:.1%}), "
             f"{self.hap_moves_resumed} resumed "
@@ -511,7 +509,7 @@ class EvalService:
 
     def _sync_pricing(self) -> None:
         """Mirror the evaluator's cumulative uncached-pricing counters
-        (cost-table memo, HAP move pricing) into :attr:`stats`.
+        (cost-table cells, HAP move pricing) into :attr:`stats`.
 
         The wrapped evaluator and cost model are exclusive to this
         service on the search paths, so mirroring their running totals
@@ -526,9 +524,8 @@ class EvalService:
         stats.hap_steps_saved = moves.steps_saved
         stats.hap_steps_replayed = moves.steps_replayed
         cost_model = self.evaluator.cost_model
-        stats.cost_memo_hits = cost_model.memo_hits
-        stats.cost_memo_misses = cost_model.memo_misses
-        stats.cost_memo_entries = cost_model.cache_size
+        stats.cost_memo_hits = cost_model.shared_cells
+        stats.cost_memo_misses = cost_model.priced_cells
         self._sync_store_scale()
 
     def _sync_store_scale(self) -> None:
@@ -560,7 +557,7 @@ class EvalService:
 
     def flush_store(self) -> int:
         """Retired: evaluations are appended durably as they are priced,
-        and the cost memo is no longer persisted, so there is nothing to
+        and no cost cell outlives its batch, so there is nothing to
         flush.
 
         Kept as a stub only because ``perfbench/layers.py`` wraps this
@@ -663,10 +660,10 @@ class EvalService:
 
         Covers the LRU cache, generation tags, service statistics and
         the wrapped evaluator's cumulative counters (hardware-evaluation
-        count, HAP move stats, cost-table memo).  Restoring the snapshot
-        makes a killed-and-resumed run's cache behaviour — hence its
-        ``pricing`` block and hit/miss accounting — identical to the
-        uninterrupted run.  Values are shared (entries are immutable);
+        count, HAP move stats, cost-cell counters).  Restoring the
+        snapshot makes a killed-and-resumed run's cache behaviour —
+        hence its ``pricing`` block and hit/miss accounting — identical
+        to the uninterrupted run.  Values are shared (entries are immutable);
         the checkpoint writer pickles the snapshot, which deep-copies.
         """
         cost_model = self.evaluator.cost_model
@@ -677,18 +674,27 @@ class EvalService:
             "stats": self.stats.snapshot(),
             "hardware_evaluations": self.evaluator.hardware_evaluations,
             "move_stats": replace(self.evaluator.move_stats),
-            "cost_memo": cost_model.memo_state(),
+            "cost_cells": (cost_model.shared_cells, cost_model.priced_cells),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`state_snapshot` (inverse operation)."""
+        """Restore a :meth:`state_snapshot` (inverse operation).
+
+        Snapshots from version-2/3 checkpoints carry a ``cost_memo``
+        instead of ``cost_cells``: the memo itself is skipped (nothing
+        is memoised any more) and only its counter totals are kept.
+        """
         self._cache = OrderedDict(state["cache"])
         self._entry_generation = dict(state["entry_generation"])
         self._generation = state["generation"]
         self.stats = state["stats"].snapshot()
         self.evaluator.hardware_evaluations = state["hardware_evaluations"]
         self.evaluator.move_stats = replace(state["move_stats"])
-        self.evaluator.cost_model.load_memo_state(state["cost_memo"])
+        cost_model = self.evaluator.cost_model
+        memo = state.get("cost_memo")
+        cost_model.shared_cells, cost_model.priced_cells = (
+            state["cost_cells"] if memo is None
+            else (memo["hits"], memo["misses"]))
 
     # ------------------------------------------------------------------
     # Lifecycle

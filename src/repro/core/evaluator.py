@@ -82,8 +82,8 @@ class Evaluator:
         self.hardware_evaluations = 0
         #: Aggregated HAP move-pricing counters across every hardware
         #: evaluation run by this evaluator (certified prunes,
-        #: delta-resumes); cost-table memo counters live on
-        #: ``cost_model.memo_hits`` / ``memo_misses``.
+        #: delta-resumes); cost-table cell counters live on
+        #: ``cost_model.shared_cells`` / ``priced_cells``.
         self.move_stats = MoveStats()
 
     # ------------------------------------------------------------------
@@ -108,11 +108,12 @@ class Evaluator:
         service, the daemon's per-miss path, :meth:`evaluate_hardware`).
 
         The batch's cost tables come from one
-        :meth:`MappingProblem.build_many` call: its unpriced cells are
+        :meth:`MappingProblem.build_many` call: its distinct cells are
         priced in one pass per dataflow and every table is a gather from
-        the cost columns.  Solves and reward assembly are per design.
-        Each result is independent of how the pairs are batched
-        (``tests/test_evalservice.py``).
+        them.  Solves and reward assembly are per design.  Each result
+        is independent of how the pairs are batched
+        (``tests/test_evalservice.py``); the cost-cell counters are
+        not.
         """
         pairs = list(pairs)
         for networks, _accelerator in pairs:

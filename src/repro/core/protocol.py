@@ -7,7 +7,7 @@ prefix against :data:`MAX_FRAME_BYTES` before trusting it, so a
 malformed or hostile frame fails loudly instead of allocating
 gigabytes or desynchronising the stream.
 
-Frame layout (protocol version 4)::
+Frame layout (protocol version 5)::
 
     <u64 little-endian payload length> <payload>
 
@@ -84,8 +84,9 @@ __all__ = ["ALLOWED_CLASSES", "FrameError", "MAX_FRAME_BYTES",
 #: and frames are read through the allow-listed unpickler.  Version 4:
 #: the ``stats`` reply and the ``status`` report no longer carry the
 #: worker-pool counters, so a version-3 client could not rebuild the
-#: stats it receives.
-PROTOCOL_VERSION = 4
+#: stats it receives.  Version 5: the ``stats`` reply drops
+#: ``cost_memo_entries`` (the cost model holds no memo).
+PROTOCOL_VERSION = 5
 
 #: The only globals a frame may reference: what a ``hello`` ships
 #: (workload, its tasks and search spaces, cost parameters).  Every

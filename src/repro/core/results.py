@@ -12,7 +12,14 @@ if TYPE_CHECKING:
     from repro.core.evalservice import EvalServiceStats
     from repro.core.evaluator import HardwareEvaluation
 
-__all__ = ["EpisodeRecord", "ExploredSolution", "SearchResult"]
+__all__ = ["EpisodeRecord", "ExploredSolution", "NoFeasibleSolutionError",
+           "SearchResult"]
+
+
+class NoFeasibleSolutionError(RuntimeError):
+    """A search whose best feasible solution an experiment needs
+    finished without one (a budget too small for the workload's
+    specs)."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,7 @@ class SearchResult:
             :class:`~repro.core.evalservice.EvalServiceStats` delta the
             :class:`~repro.core.driver.SearchDriver` takes when the run
             finishes (requests, cache and store hits, miss seconds,
-            cost-memo and HAP move counters, fault counters).  ``None``
+            cost-cell and HAP move counters, fault counters).  ``None``
             until then, and for a result no service priced.
     """
 

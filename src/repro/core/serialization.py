@@ -18,7 +18,7 @@ helpers they and the evaluation store share:
   exactly, so they use pickle — same trade-off as ``torch.save``.  A
   checkpoint is a versioned envelope::
 
-      {"format": "repro-checkpoint", "version": 3,
+      {"format": "repro-checkpoint", "version": 4,
        "strategy_name": ..., "round": ..., "total_rounds": ...,
        "context_salt": ...,        # evaluation context of the service
        "store_path": ...,          # persistent store in use (or None)
@@ -26,12 +26,12 @@ helpers they and the evaluation store share:
        "strategy_state": {...},    # SearchStrategy.state()
        "service_state": {...}}     # EvalService.state_snapshot()
 
-  Version 3 stores the cost memo as copies of its column arrays
-  (:meth:`repro.cost.model.CostModel.memo_state`); version-2
-  checkpoints, whose memo is one record per cell, still load, and so
-  do version-3 checkpoints whose columns carry a state byte per cell
-  (written while the memo was persisted) instead of a priced flag.  Only
-  load checkpoints you wrote yourself (standard pickle caveat).
+  Version 4 holds no cost memo (the cost model keeps nothing between
+  batches), only the cost-cell counter totals.  Version-2 and -3
+  checkpoints, which carry a memo (one record per cell, or column
+  arrays), still load: the memo is skipped and its counter totals are
+  restored, so the resumed run's ``pricing`` block continues them.
+  Only load checkpoints you wrote yourself (standard pickle caveat).
 - **Store sidecar path** (:func:`store_index_path`): where
   :class:`repro.core.store.EvalStore` keeps its ``<store>.idx`` offset
   index; the sidecar's format is the store's own (see
@@ -56,9 +56,10 @@ __all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION", "durable_append",
 CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Version 2: pending controller samples hold lockstep step caches.
 #: Version 3: the cost memo is stored as column arrays.
-CHECKPOINT_VERSION = 3
+#: Version 4: no cost memo, only its counter totals.
+CHECKPOINT_VERSION = 4
 #: Versions :func:`load_checkpoint` reads.
-_READABLE_CHECKPOINTS = (2, 3)
+_READABLE_CHECKPOINTS = (2, 3, 4)
 
 
 # ----------------------------------------------------------------------
@@ -164,11 +165,11 @@ def result_to_dict(result: SearchResult) -> dict[str, Any]:
 
     The accounting comes from ``result.pricing`` (all zeros when no
     service priced the run).  The ``pricing`` block carries the run's
-    uncached-pricing counters (cross-design cost-table memo reuse and
-    HAP move pricing — certified prunes, delta-resumes, simulation
-    steps skipped) plus the fault counters (``degraded``,
-    retries/reconnects), so JSON outputs track fast-path effectiveness
-    and fault exposure per run.
+    uncached-pricing counters (cost-table cells shared within a batch
+    and cells priced; HAP move pricing — certified prunes,
+    delta-resumes, simulation steps skipped) plus the fault counters
+    (``degraded``, retries/reconnects), so JSON outputs track fast-path
+    effectiveness and fault exposure per run.
     """
     stats = result.pricing
     if stats is None:

@@ -5,9 +5,8 @@ optimiser — the observation behind deephyper's asynchronous search and
 Apollo's shared transferable evaluation data.  This module turns the
 pricing tier into a long-running service (``repro serve``) that many
 concurrent search clients reach over a local Unix socket, sharing one
-LRU, one persistent evaluation store and one in-memory cost-model memo
-per evaluation context instead of each warming a private cache from
-zero.
+LRU and one persistent evaluation store per evaluation context instead
+of each warming a private cache from zero.
 
 Architecture (one asyncio loop, one write thread):
 

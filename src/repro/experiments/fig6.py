@@ -18,10 +18,9 @@ and the best solution sits close to at least one spec boundary for W1
 
 The NASAIC run executes as a one-scenario
 :class:`~repro.core.campaign.Campaign` and the panel consumes its
-consolidated outcome; the campaign's cost model is shared with the
-lower-bound sweep, so the cross-design cost-table memo spans the whole
-panel (exactly the sharing the old hand-rolled wiring provided, now
-through the one orchestration path).
+consolidated outcome; the campaign's cost model is the one the
+lower-bound sweep prices with, so the whole panel runs through the one
+orchestration path.
 """
 
 from __future__ import annotations

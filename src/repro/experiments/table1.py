@@ -30,7 +30,7 @@ from repro.core.campaign import (
     CampaignResult,
     Scenario,
 )
-from repro.core.results import ExploredSolution
+from repro.core.results import ExploredSolution, NoFeasibleSolutionError
 from repro.core.search import NASAICConfig
 from repro.cost.model import CostModel
 from repro.train.datasets import dataset_spec
@@ -130,7 +130,7 @@ def run_table1(
         campaign_result = campaign.run()
     result = campaign_result.outcomes[0].result
     if result.best is None:
-        raise RuntimeError(
+        raise NoFeasibleSolutionError(
             f"NASAIC found no feasible solution on {workload.name}; "
             "increase episodes")
     return Table1Result(

@@ -34,7 +34,7 @@ from repro.core.campaign import (
     Scenario,
 )
 from repro.core.evaluator import Evaluator
-from repro.core.results import ExploredSolution
+from repro.core.results import ExploredSolution, NoFeasibleSolutionError
 from repro.core.search import NASAICConfig
 from repro.cost.model import CostModel
 from repro.train.surrogate import default_surrogate
@@ -148,10 +148,10 @@ def run_table2(
         meets_specs=nas_eval.feasible))
 
     # -- The three constrained searches run as one campaign ------------
-    # Scenarios share the table's cost model (one cross-design memo for
-    # all rows) and the heterogeneous restarts share one evaluation
-    # cache (same workload, same context); outcomes are consumed from
-    # the consolidated campaign record.
+    # Scenarios share the table's cost model and the heterogeneous
+    # restarts share one evaluation cache (same workload, same
+    # context); outcomes are consumed from the consolidated campaign
+    # record.
     single_specs = DesignSpecs(
         latency_cycles=specs.latency_cycles // 2,
         energy_nj=specs.energy_nj / 2,
@@ -214,8 +214,8 @@ def run_table2(
                 or hetero.best.weighted_accuracy > best.weighted_accuracy):
             best = hetero.best
     if best is None:
-        raise RuntimeError("NASAIC found no feasible W3 solution; "
-                           "increase episodes")
+        raise NoFeasibleSolutionError("NASAIC found no feasible W3 "
+                                      "solution; increase episodes")
     rows.append(Table2Row(
         approach="Hetero. Acc. (NASAIC)",
         hardware=best.accelerator.describe(),
@@ -246,7 +246,7 @@ def _degenerate_row(approach: str, best: ExploredSolution | None,
     execution on duplicated hardware doubles energy and area.
     """
     if best is None:
-        raise RuntimeError(
+        raise NoFeasibleSolutionError(
             f"{approach}: search found no feasible solution; increase "
             "episodes")
     if sequential:

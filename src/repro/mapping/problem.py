@@ -9,7 +9,7 @@ minimises energy subject to makespan <= ``LS``.
 :class:`MappingProblem` materialises the cost tables by querying the
 MAESTRO-substitute oracle for every (layer, active sub-accelerator) pair;
 :meth:`MappingProblem.build_many` does so for a whole batch of designs
-with array gathers from the oracle's cost columns.
+with array gathers from the batch's distinct priced cells.
 """
 
 from __future__ import annotations
@@ -104,10 +104,9 @@ class MappingProblem:
     ) -> list["MappingProblem"]:
         """Build one problem per ``(networks, accelerator)`` design.
 
-        The batch entry point: the cells the batch needs that the cost
-        model has not priced yet are priced in one vectorised pass per
-        dataflow, and every design's duration, energy and working-set
-        tables are gathers from the cost columns
+        The batch entry point: the batch's distinct cost cells are
+        priced in one vectorised pass per dataflow, and every design's
+        duration, energy and working-set tables are gathers from them
         (:meth:`repro.cost.model.CostModel.tables`).  The problems are
         bit-identical to the scalar reference; ``batched=False`` builds
         each design through it.

@@ -61,7 +61,7 @@ def unet_space():
 
 @pytest.fixture(scope="session")
 def cost_model():
-    """Session-wide cost model: memoisation makes reuse much faster."""
+    """Session-wide cost model."""
     return CostModel()
 
 

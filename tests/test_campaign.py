@@ -153,7 +153,7 @@ class TestStrategies:
         for a, b in zip(sequential.outcomes, pooled.outcomes):
             assert run_shape(a.result) == run_shape(b.result)
         # Each worker prices through its own cost model, so the
-        # campaign's memo totals are the sum of the scenarios' records.
+        # campaign's cost-cell totals are the sum of the scenarios' records.
         for name in ("cost_memo_hits", "cost_memo_misses"):
             total = sum(getattr(o.result.pricing, name)
                         for o in pooled.outcomes)

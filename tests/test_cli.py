@@ -74,6 +74,24 @@ class TestCommands:
         captured = capsys.readouterr().out
         assert "Table II" in captured
 
+    def test_experiments_infeasible_search_exits_1_on_one_line(
+            self, capsys, monkeypatch):
+        """A table whose NASAIC row finds no feasible solution reports
+        the named error on one stderr line and exits 1, no traceback.
+        Specs no design can meet force the case in a 2-episode run."""
+        import repro.workloads as workloads
+        from repro.workloads.workload import DesignSpecs
+
+        real_w1 = workloads.w1
+        monkeypatch.setattr(workloads, "w1", lambda: real_w1().with_specs(
+            DesignSpecs(latency_cycles=1, energy_nj=1e-9, area_um2=1.0)))
+        code = main(["experiments", "table1", "--episodes", "2",
+                     "--mc-runs", "2", "--seed", "6"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("repro experiments: NASAIC found no feasible "
+                       "solution on W1; increase episodes\n")
+
     def test_campaign_command(self, capsys, tmp_path):
         out = tmp_path / "campaign.json"
         code = main(["campaign", "--workloads", "W1",

@@ -5,8 +5,13 @@ search exploits (see :mod:`repro.cost.params`): dataflow affinities,
 PE/bandwidth monotonicity, and the Table I magnitude calibration.
 """
 
+import functools
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel import Dataflow, SubAccelerator
 from repro.arch import ConvLayer, dense_layer
@@ -17,6 +22,7 @@ from repro.cost import (
     analyze,
     layer_identity,
 )
+from suite_helpers import sample_design_pairs
 
 
 def conv(c, k, hw, kernel=3, stride=1):
@@ -150,16 +156,6 @@ class TestLayerCost:
             cost_model.layer_cost(
                 HIGH_RES_LIGHT, SubAccelerator(Dataflow.NVDLA, 0, 0))
 
-    def test_cache_hits(self):
-        model = CostModel()
-        sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
-        model.layer_cost(HIGH_RES_LIGHT, sub)
-        assert model.cache_size == 1
-        model.layer_cost(HIGH_RES_LIGHT, sub)
-        assert model.cache_size == 1
-        model.clear_cache()
-        assert model.cache_size == 0
-
     def test_network_cost_sums_layers(self, cost_model, cifar_net_small):
         sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
         total_lat, total_energy = cost_model.network_cost_on(
@@ -172,8 +168,7 @@ class TestLayerCost:
 
 
 def _scalar_tables(layers, subaccs):
-    """(durations, energies, working sets) from the scalar oracle on a
-    fresh model."""
+    """(durations, energies, working sets) from the scalar oracle."""
     scalar = CostModel()
     grid = [[scalar.layer_cost(layer, sub) for sub in subaccs]
             for layer in layers]
@@ -189,8 +184,8 @@ def _assert_tables_equal(got, want):
 
 
 class TestBatchCostTable:
-    """The batch path: cost columns filled one vectorised pass per
-    dataflow and read by gathers (``CostModel.tables``, behind
+    """The batch path: a batch's distinct cells priced in one vectorised
+    pass per dataflow and read by gathers (``CostModel.tables``, behind
     ``MappingProblem.build_many``)."""
 
     SUBACCS = (SubAccelerator(Dataflow.NVDLA, 2048, 32),
@@ -203,69 +198,24 @@ class TestBatchCostTable:
     def test_cost_table_bit_identical_to_scalar_oracle(
             self, cifar_net_small, unet_net_mid):
         """Every table cell of the vectorised pass equals the scalar
-        per-pair oracle exactly, and so does every LayerCost field read
-        back from the columns — computed on separate fresh models so
-        neither path can lean on the other's memo."""
+        per-pair oracle exactly, dtypes included."""
         layers = self._layers(cifar_net_small, unet_net_mid)
-        model = CostModel()
-        (tables,) = model.tables([(layers, self.SUBACCS)])
+        (tables,) = CostModel().tables([(layers, self.SUBACCS)])
         _assert_tables_equal(tables, _scalar_tables(layers, self.SUBACCS))
-        scalar = CostModel()
-        misses = model.memo_misses
-        for layer in layers:
-            for sub in self.SUBACCS:
-                assert model.layer_cost(layer, sub) == \
-                    scalar.layer_cost(layer, sub)
-        assert model.memo_misses == misses
-
-    def test_memo_shared_across_designs(self, cifar_net_small):
-        """Consecutive designs that share sub-accelerator configs reprice
-        nothing: the memo is keyed by content, not by design."""
-        layers = tuple(cifar_net_small.layers)
-        model = CostModel()
-        sub_a = SubAccelerator(Dataflow.NVDLA, 2048, 32)
-        sub_b = SubAccelerator(Dataflow.SHIDIANNAO, 1024, 16)
-        model.tables([(layers, [sub_a, sub_b])])
-        misses_after_first = model.memo_misses
-        # Second "design" mutates one slot; the other column is all hits.
-        sub_c = SubAccelerator(Dataflow.SHIDIANNAO, 512, 16)
-        model.tables([(layers, [sub_a, sub_c])])
-        assert model.memo_misses <= misses_after_first + len(layers)
-        # Third design repeats the first: zero new misses.
-        before = model.memo_misses
-        model.tables([(layers, [sub_a, sub_b])])
-        assert model.memo_misses == before
-
-    def test_memo_shared_between_scalar_and_batch_paths(
-            self, cifar_net_small):
-        """layer_cost and the batch pass fill the same columns, so
-        mixing the paths never reprices a pair — in either order."""
-        layers = tuple(cifar_net_small.layers)
-        sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
-        model = CostModel()
-        model.tables([(layers, [sub])])
-        before = model.memo_misses
-        for layer in layers:
-            model.layer_cost(layer, sub)
-        assert model.memo_misses == before
-        other = SubAccelerator(Dataflow.NVDLA, 512, 32)
-        for layer in layers:
-            model.layer_cost(layer, other)
-        before = model.memo_misses
-        model.tables([(layers, [other])])
-        assert model.memo_misses == before
 
     def test_hits_and_misses_count_cells(self, cifar_net_small):
-        """A batch counts every cell it needs: cells priced are misses
-        (once, however many designs share them), the rest are hits."""
+        """A batch counts every cell it needs: distinct cells are priced
+        (once, however many designs share them), the rest are shared.
+        Nothing is kept, so the next batch prices its cells again."""
         layers = tuple(cifar_net_small.layers)
         distinct = len({layer_identity(layer) for layer in layers})
         sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
         model = CostModel()
         model.tables([(layers, [sub, sub]), (layers, [sub])])
-        assert model.memo_misses == distinct
-        assert model.memo_hits == 3 * len(layers) - distinct
-        assert model.cache_size == distinct
+        assert model.priced_cells == distinct
+        assert model.shared_cells == 3 * len(layers) - distinct
+        model.tables([(layers, [sub])])
+        assert model.priced_cells == 2 * distinct
 
     def test_batch_order_independent_across_designs(self):
         """A configuration whose first design lists shared layers in a
@@ -281,30 +231,30 @@ class TestBatchCostTable:
         # sub2 first appears with the layers in reversed order.
         got = model.tables([((a, b), [sub1]), ((b, a), [sub2]),
                             ((a, b), [sub1, sub2])])
-        assert model.memo_misses == 4
+        assert model.priced_cells == 4
         _assert_tables_equal(got[1], _scalar_tables((b, a), [sub2]))
         _assert_tables_equal(got[2], _scalar_tables((a, b), [sub1, sub2]))
 
     def test_memo_keyed_by_geometry_not_name(self):
         """Two layers with identical geometry but different names share
-        one memo entry (layer identity is content, not label)."""
+        one priced cell of their batch (layer identity is content, not
+        label)."""
         a = conv(c=64, k=64, hw=8)
         b = ConvLayer(name="other-name", in_channels=64, out_channels=64,
                       kernel=3, stride=1, in_height=8, in_width=8)
         sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
         model = CostModel()
-        cost_a = model.layer_cost(a, sub)
-        cost_b = model.layer_cost(b, sub)
-        assert cost_a == cost_b
-        assert (model.memo_hits, model.memo_misses) == (1, 1)
+        (tables,) = model.tables([((a, b), [sub])])
+        assert (model.shared_cells, model.priced_cells) == (1, 1)
+        for table in tables:
+            assert table[0, 0] == table[1, 0]
 
     def test_new_geometries_between_batches_stay_exact(
             self, cifar_net_small, unet_net_mid):
-        """Geometries and configurations added after the columns exist
-        (stale-geometry regression: a geometry table refreshed only when
-        its capacity grew priced a later batch's new ids from stale
-        rows).  Each batch brings one new geometry, most without any
-        growth, on old and new configurations."""
+        """Consecutive batches on one model, each bringing a new
+        geometry and mixing old and new configurations, stay exact
+        (a model that kept state between batches once priced a later
+        batch's new geometries from stale rows)."""
         model = CostModel()
         layers = self._layers(cifar_net_small, unet_net_mid) + tuple(
             conv(c, 2 * c, 8) for c in (3, 5, 7, 9, 11))
@@ -334,57 +284,106 @@ class TestBatchCostTable:
                                  [SubAccelerator(Dataflow.NVDLA, 0, 0)])])
 
 
-class TestMemoPersistence:
-    """Checkpoint snapshots of the cost columns."""
+@functools.lru_cache(maxsize=None)
+def _design_pool(name: str) -> tuple:
+    """Sixteen seeded (networks, accelerator) designs of a preset."""
+    from repro.workloads import workload_by_name
 
-    def test_snapshot_restores_columns_and_counters(self, cifar_net_small):
-        layers = tuple(cifar_net_small.layers)
-        subaccs = TestBatchCostTable.SUBACCS
+    return tuple(sample_design_pairs(workload_by_name(name), n=16, seed=7))
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_problem(name: str, index: int):
+    from repro.mapping import MappingProblem
+
+    return MappingProblem.build(*_design_pool(name)[index], CostModel(),
+                                batched=False)
+
+
+class TestBatchComposition:
+    """A design's tables do not depend on what else its batch holds."""
+
+    @given(name=st.sampled_from(["W1", "W3"]),
+           batch=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tables_identical_alone_in_any_batch_and_scalar(
+            self, name, batch, data):
+        from repro.mapping import MappingProblem
+
+        pool = _design_pool(name)
+        position = data.draw(st.integers(0, len(batch) - 1))
+        index = batch[position]
         model = CostModel()
-        want = model.tables([(layers, subaccs)])
-        state = model.memo_state()
-        model.tables([(layers + (HIGH_RES_LIGHT,), subaccs)])  # mutate
-        restored = CostModel()
-        restored.load_memo_state(state)
-        assert (restored.memo_hits, restored.memo_misses) == \
-            (state["hits"], state["misses"])
-        _assert_tables_equal(restored.tables([(layers, subaccs)])[0],
-                             want[0])
-        assert restored.memo_misses == state["misses"]
+        if data.draw(st.booleans()):  # a model that priced batches before
+            MappingProblem.build_many(pool[::3], model)
+        in_batch = MappingProblem.build_many([pool[i] for i in batch],
+                                             model)[position]
+        alone = MappingProblem.build(*pool[index], CostModel())
+        scalar = _scalar_problem(name, index)
+        for name_ in ("durations", "energies", "working_sets"):
+            want = getattr(scalar, name_)
+            for problem in (in_batch, alone):
+                got = getattr(problem, name_)
+                assert got.dtype == want.dtype, name_
+                assert np.array_equal(got, want), name_
+
+
+class TestMemoPersistence:
+    """Version-2/3 checkpoint snapshots carry the cost memo this model
+    no longer keeps: restoring one skips the memo and keeps its counter
+    totals, so a resumed run's ``pricing`` block continues them."""
+
+    @staticmethod
+    def _restored(memo):
+        from repro.core import EvalService
+        from suite_helpers import build_hw_evaluator
+        from repro.workloads import w1
+
+        with EvalService(build_hw_evaluator(w1())) as service:
+            service.evaluate_many(sample_design_pairs(w1(), n=2))
+            state = service.state_snapshot()
+        del state["cost_cells"]
+        state["cost_memo"] = memo
+        with EvalService(build_hw_evaluator(w1())) as restored:
+            restored.restore_state(state)
+            model = restored.evaluator.cost_model
+            assert vars(model).keys() == vars(CostModel()).keys()
+            return model.shared_cells, model.priced_cells
 
     def test_version_2_snapshot_loads(self, cifar_net_small):
-        """A version-2 checkpoint holds one LayerCost per cell."""
-        layers = tuple(cifar_net_small.layers)
+        """A version-2 memo holds one LayerCost per cell."""
         sub = SubAccelerator(Dataflow.NVDLA, 1024, 32)
-        scalar = CostModel()
         cache = {(layer_identity(layer), "dla", 1024, 32):
-                 scalar.layer_cost(layer, sub) for layer in layers}
-        model = CostModel()
-        model.load_memo_state({"cache": cache, "hits": 3, "misses": 4})
-        assert model.cache_size == len(cache)
-        _assert_tables_equal(model.tables([(layers, [sub])])[0],
-                             _scalar_tables(layers, [sub]))
-        assert model.memo_misses == 4
+                 CostModel().layer_cost(layer, sub)
+                 for layer in cifar_net_small.layers}
+        assert self._restored({"cache": cache, "hits": 3,
+                               "misses": 4}) == (3, 4)
+
+    def test_column_snapshot_restores_counters(self, cifar_net_small):
+        """A version-3 memo holds column arrays over geometry ids."""
+        identities = [layer_identity(layer)
+                      for layer in cifar_net_small.layers]
+        columns = {("dla", 1024, 32): (
+            np.zeros((6, len(identities)), dtype=np.int64),
+            np.zeros((2, len(identities))),
+            np.ones(len(identities), dtype=bool))}
+        assert self._restored({"identities": identities,
+                               "columns": columns, "hits": 5,
+                               "misses": 9}) == (5, 9)
 
     def test_state_byte_snapshot_loads(self, cifar_net_small):
         """Version-3 checkpoints written while the memo was persisted
-        carry a state byte per cell (0 unpriced, 1 priced, 2 priced and
-        persisted): every nonzero cell loads as priced."""
-        layers = tuple(cifar_net_small.layers)
-        subaccs = TestBatchCostTable.SUBACCS
-        model = CostModel()
-        want = model.tables([(layers, subaccs)])
-        state = model.memo_state()
-        for key, (ints, floats, priced) in state["columns"].items():
-            old = priced.astype(np.uint8)
-            old[::2] *= 2  # half of the priced cells marked persisted
-            state["columns"][key] = (ints, floats, old)
-        restored = CostModel()
-        restored.load_memo_state(state)
-        assert restored.cache_size == model.cache_size
-        _assert_tables_equal(restored.tables([(layers, subaccs)])[0],
-                             want[0])
-        assert restored.memo_misses == state["misses"], "nothing repriced"
+        carry a state byte per cell instead of a priced flag."""
+        identities = [layer_identity(layer)
+                      for layer in cifar_net_small.layers]
+        columns = {("shi", 512, 16): (
+            np.zeros((6, len(identities)), dtype=np.int64),
+            np.zeros((2, len(identities))),
+            np.full(len(identities), 2, dtype=np.uint8))}
+        assert self._restored({"identities": identities,
+                               "columns": columns, "hits": 0,
+                               "misses": 7}) == (0, 7)
 
 
 class TestAreaModel:
@@ -450,25 +449,41 @@ class TestCalibration:
             CostModelParams(refetch_cap=0)
 
 
-class TestMemoBound:
-    """What the memo holds: one priced cell per (geometry,
-    configuration), reported as its occupancy."""
+class TestNothingRetained:
+    """Pricing keeps no cells: after 500 W3 designs the cost model, and
+    a cache-less service's checkpoint snapshot, are no larger than
+    after one design once the counters they carry are equal."""
 
-    def test_occupancy_counts_distinct_cells(self, cifar_net_small):
-        layers = tuple(cifar_net_small.layers)
-        distinct = len({layer_identity(layer) for layer in layers})
-        model = CostModel()
-        subs = [SubAccelerator(Dataflow.NVDLA, 1024, 32),
-                SubAccelerator(Dataflow.SHIDIANNAO, 1024, 32)]
-        model.tables([(layers, subs), (layers, subs[:1])])
-        assert model.cache_size == 2 * distinct
-        model.layer_cost(HIGH_RES_LIGHT, subs[0])
-        assert model.cache_size == 2 * distinct + (
-            layer_identity(HIGH_RES_LIGHT)
-            not in {layer_identity(layer) for layer in layers})
+    COUNTERS = ("stats", "move_stats", "hardware_evaluations",
+                "cost_cells")
 
-    def test_occupancy_surfaced_in_pricing_summary(self, cifar_net_small):
-        from repro.core import EvalServiceStats
+    def _priced(self, pairs):
+        from repro.core import EvalService
+        from suite_helpers import build_hw_evaluator
+        from repro.workloads import w3
 
-        stats = EvalServiceStats(cost_memo_entries=7)
-        assert "7 entries held" in stats.summary()
+        service = EvalService(build_hw_evaluator(w3()), cache_size=0)
+        for start in range(0, len(pairs), 64):
+            service.evaluate_many(pairs[start:start + 64])
+        return service
+
+    def test_model_and_snapshot_flat_over_500_designs(self):
+        from repro.workloads import w3
+
+        pairs = sample_design_pairs(w3(), n=500, seed=11)
+        one, many = self._priced(pairs[:1]), self._priced(pairs)
+        small, big = one.evaluator.cost_model, many.evaluator.cost_model
+        assert big.priced_cells > 100 * small.priced_cells
+        small.shared_cells, small.priced_cells = (big.shared_cells,
+                                                  big.priced_cells)
+        assert pickle.dumps(big) == pickle.dumps(small)
+        snap_one, snap_many = one.state_snapshot(), many.state_snapshot()
+        assert snap_one.keys() == snap_many.keys()
+        assert snap_many["cost_cells"] == (big.shared_cells,
+                                           big.priced_cells)
+
+        def rest(snapshot):
+            return {key: value for key, value in snapshot.items()
+                    if key not in self.COUNTERS}
+
+        assert pickle.dumps(rest(snap_many)) == pickle.dumps(rest(snap_one))

@@ -20,7 +20,6 @@ from repro.core import (
     EvolutionarySearch,
     SearchDriver,
     SearchStrategy,
-    monte_carlo_search,
 )
 from repro.core.baselines import _MonteCarloStrategy
 from repro.core.evalservice import EvalService
@@ -71,19 +70,24 @@ class TestProtocol:
 
     def test_batch_size_hint_never_drops_stream_tail(self):
         """A driver batch-size smaller than a stream strategy's chunk
-        must stretch the round schedule, not truncate the sweep."""
-        reference = monte_carlo_search(w3(), runs=40, seed=19)
-        workload = w3()
-        evaluator = build_hw_evaluator(workload)
+        must stretch the round schedule, not truncate the sweep.  The
+        reference streams chunks of 4 itself: the cost-cell counters
+        count cells shared within a batch, so they depend on batching."""
         from repro.accel import AllocationSpace
 
-        strategy = _MonteCarloStrategy(workload, AllocationSpace(),
-                                       evaluator, runs=40, seed=19,
-                                       chunk=16)
-        with EvalService(evaluator) as service:
-            result = SearchDriver(strategy, service, batch_size=4).run()
+        def run(chunk, batch_size=None):
+            workload = w3()
+            evaluator = build_hw_evaluator(workload)
+            strategy = _MonteCarloStrategy(workload, AllocationSpace(),
+                                           evaluator, runs=40, seed=19,
+                                           chunk=chunk)
+            with EvalService(evaluator) as service:
+                return SearchDriver(strategy, service,
+                                    batch_size=batch_size).run()
+
+        result = run(16, batch_size=4)
         assert len(result.explored) == 40
-        assert normalised(result) == normalised(reference)
+        assert normalised(result) == normalised(run(4))
 
     def test_progress_messages_emitted(self):
         search = fresh_nasaic()
@@ -168,8 +172,6 @@ class TestCheckpointResume:
         assert normalised(result) == ea_reference
 
     def test_mc_resume_bit_identical(self, tmp_path):
-        reference = normalised(monte_carlo_search(w3(), runs=60, seed=19))
-
         def parts():
             workload = w3()
             evaluator = build_hw_evaluator(workload)
@@ -179,6 +181,9 @@ class TestCheckpointResume:
                 chunk=16)
             return strategy, EvalService(evaluator)
 
+        # The reference runs the same chunks: the cost-cell counters
+        # count cells shared within a batch, so they depend on batching.
+        reference = normalised(SearchDriver(*parts()).run())
         path = tmp_path / "mc.ckpt"
         strategy, service = parts()
         driver = SearchDriver(strategy, service, checkpoint_path=path)
@@ -188,6 +193,38 @@ class TestCheckpointResume:
         driver2 = SearchDriver(strategy2, service2).restore(path)
         assert normalised(driver2.run()) == reference
 
+    @staticmethod
+    def _legacy_record(path, version, memo):
+        """A two-round NASAIC checkpoint rewritten as a ``version``
+        record whose service state carries the cost memo ``memo``
+        (its counter totals are the run's) in place of ``cost_cells``."""
+        import pickle
+
+        partial = fresh_nasaic()
+        driver = SearchDriver(partial, partial.evalservice,
+                              checkpoint_path=path)
+        driver.run(max_rounds=2)
+        driver.save_checkpoint()
+        record = pickle.loads(path.read_bytes())
+        assert record["version"] == 4
+        state = record["service_state"]
+        assert "cost_memo" not in state
+        hits, misses = state.pop("cost_cells")
+        state["cost_memo"] = dict(memo, hits=hits, misses=misses)
+        record["version"] = version
+        return record
+
+    @staticmethod
+    def _columns(state_dtype):
+        """A version-3 memo's column arrays over two geometries."""
+        import numpy as np
+
+        return {"identities": [(3, 16, 3, 1, 32, 32, False),
+                               (16, 16, 3, 1, 32, 32, False)],
+                "columns": {("dla", 1024, 32): (
+                    np.zeros((6, 2), dtype=np.int64), np.zeros((2, 2)),
+                    np.ones(2, dtype=state_dtype))}}
+
     def test_version_2_checkpoint_resumes_bit_identical(
             self, tmp_path, nasaic_reference):
         """Checkpoints written before the cost memo became column arrays
@@ -195,34 +232,33 @@ class TestCheckpointResume:
         whose HAPResult still pickles a schedule) resume exactly."""
         import pickle
 
-        import numpy as np
-
-        from repro.cost import CostModel
+        from repro.accel import Dataflow, SubAccelerator
+        from repro.cost import CostModel, layer_identity
         from repro.mapping.schedule import Schedule
 
         path = tmp_path / "run.ckpt"
-        partial = fresh_nasaic()
-        driver = SearchDriver(partial, partial.evalservice,
-                              checkpoint_path=path)
-        driver.run(max_rounds=2)
-        driver.save_checkpoint()
-        record = pickle.loads(path.read_bytes())
-        assert record["version"] == 3
-        state = record["service_state"]
-        memo = CostModel()
-        memo.load_memo_state(state["cost_memo"])
-        identities = state["cost_memo"]["identities"]
-        cache = {(identities[gid],) + key: column.cost(gid)
-                 for key, column in memo._columns.items()
-                 for gid in np.flatnonzero(column.priced).tolist()}
-        assert len(cache) == memo.cache_size > 0
-        state["cost_memo"] = {"cache": cache,
-                              "hits": state["cost_memo"]["hits"],
-                              "misses": state["cost_memo"]["misses"]}
-        for evaluation in state["cache"].values():
+        layer = w1().tasks[0].space.decode(
+            w1().tasks[0].space.smallest_indices()).layers[0]
+        cache = {(layer_identity(layer), "dla", 1024, 32):
+                 CostModel().layer_cost(
+                     layer, SubAccelerator(Dataflow.NVDLA, 1024, 32))}
+        record = self._legacy_record(path, 2, {"cache": cache})
+        for evaluation in record["service_state"]["cache"].values():
             object.__setattr__(evaluation.hap, "schedule", Schedule(
                 entries=(), makespan=evaluation.hap.makespan))
-        record["version"] = 2
+        path.write_bytes(pickle.dumps(record))
+        result = fresh_nasaic().run(resume_from=path)
+        assert normalised(result) == nasaic_reference
+
+    def test_column_checkpoint_resumes_bit_identical(
+            self, tmp_path, nasaic_reference):
+        """Version-3 checkpoints store the memo as column arrays with a
+        priced flag per cell; the memo is skipped, the run resumes
+        exactly."""
+        import pickle
+
+        path = tmp_path / "run.ckpt"
+        record = self._legacy_record(path, 3, self._columns(bool))
         path.write_bytes(pickle.dumps(record))
         result = fresh_nasaic().run(resume_from=path)
         assert normalised(result) == nasaic_reference
@@ -235,15 +271,7 @@ class TestCheckpointResume:
         import pickle
 
         path = tmp_path / "run.ckpt"
-        partial = fresh_nasaic()
-        driver = SearchDriver(partial, partial.evalservice,
-                              checkpoint_path=path)
-        driver.run(max_rounds=2)
-        driver.save_checkpoint()
-        record = pickle.loads(path.read_bytes())
-        columns = record["service_state"]["cost_memo"]["columns"]
-        for key, (ints, floats, priced) in columns.items():
-            columns[key] = (ints, floats, 2 * priced.astype("uint8"))
+        record = self._legacy_record(path, 3, self._columns("uint8"))
         path.write_bytes(pickle.dumps(record))
         result = fresh_nasaic().run(resume_from=path)
         assert normalised(result) == nasaic_reference
@@ -256,13 +284,7 @@ class TestCheckpointResume:
         import pickle
 
         path = tmp_path / "run.ckpt"
-        partial = fresh_nasaic()
-        driver = SearchDriver(partial, partial.evalservice,
-                              checkpoint_path=path)
-        driver.run(max_rounds=2)
-        driver.save_checkpoint()
-        record = pickle.loads(path.read_bytes())
-        assert record["version"] == 3
+        record = self._legacy_record(path, 3, self._columns(bool))
         result = record["strategy_state"]["result"]
         del result.__dict__["pricing"]
         result.__dict__.update(
@@ -274,6 +296,7 @@ class TestCheckpointResume:
         path.write_bytes(pickle.dumps(record))
         resumed = fresh_nasaic().run(resume_from=path)
         assert normalised(resumed) == nasaic_reference
+
 
     def test_periodic_checkpoints_written(self, tmp_path):
         path = tmp_path / "periodic.ckpt"

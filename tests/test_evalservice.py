@@ -272,8 +272,8 @@ class TestGenerations:
         # the pre-snapshot counters carried over.
         assert fresh.stats.misses == stats_before.misses
         assert stats_before.misses == service.stats.misses
-        assert fresh.evaluator.cost_model.memo_misses \
-            == service.evaluator.cost_model.memo_misses
+        assert fresh.evaluator.cost_model.priced_cells \
+            == service.evaluator.cost_model.priced_cells
 
 
 class TestEvictionRobustness:

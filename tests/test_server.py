@@ -305,13 +305,13 @@ class TestServedPricing:
 
     def test_hello_from_version_1_names_both_versions(self, workload):
         """Version 1 shipped evaluations with a HAP schedule, version 2
-        pickled designs and evaluations, and version 3 carried the
-        worker-pool stats fields; a client still speaking any of them is
-        refused, and the error says which version it sent and which one
-        the daemon speaks."""
-        assert PROTOCOL_VERSION == 4
+        pickled designs and evaluations, version 3 carried the
+        worker-pool stats fields and version 4 the cost-memo occupancy;
+        a client still speaking any of them is refused, and the error
+        says which version it sent and which one the daemon speaks."""
+        assert PROTOCOL_VERSION == 5
         with serve_in_thread() as server:
-            for old in (1, 2, 3):
+            for old in (1, 2, 3, 4):
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
                 with sock:
                     sock.connect(str(server.socket_path))
@@ -319,7 +319,7 @@ class TestServedPricing:
                     reply = recv_frame(sock)
                     assert not reply["ok"]
                     assert f"version {old} " in reply["error"]
-                    assert "speaks 4" in reply["error"]
+                    assert "speaks 5" in reply["error"]
 
     def test_submit_before_hello_is_refused(self, workload):
         with serve_in_thread() as server:

@@ -624,7 +624,7 @@ class TestServiceTier:
             handle.write(legacy_memo_frame(0))
         with EvalStore(path) as store:
             warm = EvalService(make_evaluator(workload), store=store)
-            assert warm.evaluator.cost_model.cache_size == 0
+            assert warm.evaluator.cost_model.priced_cells == 0
             got = warm.evaluate_many(pairs)
             assert (warm.stats.store_hits, warm.stats.misses) == (2, 1)
         assert got == EvalService(make_evaluator(workload)).evaluate_many(
