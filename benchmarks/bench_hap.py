@@ -31,10 +31,14 @@ Two studies share this file:
   unless the fast path's counters show its mechanism fired (moves
   pruned by certified bounds and delta-resumed, both > 0).  Timing is
   interleaved (each repeat times both paths back to back, minima are
-  compared) so shared-runner load hits both paths alike.
+  compared) so shared-runner load hits both paths alike.  One ratio of
+  minima swings by more than 1.5x between runs of one tree, so the
+  report also gives the spread of the per-repeat oracle/fast ratios.
 
 Machine-readable record: ``benchmarks/results/BENCH_hap.json`` with keys
-``speedup`` (gated, fast path vs oracle), ``baseline_ms`` / ``fast_ms``
+``speedup`` (gated, fast path vs oracle), ``speedup_median`` /
+``speedup_q1`` / ``speedup_q3`` (median and quartiles of the per-repeat
+ratios), ``baseline_ms`` / ``fast_ms``
 (per-trace wall-clock), ``designs``, ``latency_constraint``, ``gate``,
 and ``pricing`` (the fast path's counters: ``moves_priced``, ``pruned``,
 ``resumed``, ``steps_saved``, ``steps_replayed``, ``full_replays`` — see
@@ -215,17 +219,18 @@ def _price_baseline(pairs, latency_constraint):
         for nets, accel in pairs]
 
 
-def _best_of_interleaved(fns, repeats: int) -> list[float]:
-    """Per-path minima over ``repeats`` rounds, each round timing every
-    path back to back — runner load perturbs all paths alike instead of
-    whichever path a sequential protocol happened to time during it."""
-    best = [float("inf")] * len(fns)
+def _interleaved(fns, repeats: int) -> list[list[float]]:
+    """Per-path seconds of each of ``repeats`` rounds, each round timing
+    every path back to back — runner load perturbs all paths alike
+    instead of whichever path a sequential protocol happened to time
+    during it."""
+    times = [[] for _ in fns]
     for _ in range(repeats):
-        for i, fn in enumerate(fns):
+        for path, fn in zip(times, fns):
             started = time.perf_counter()
             fn()
-            best[i] = min(best[i], time.perf_counter() - started)
-    return best
+            path.append(time.perf_counter() - started)
+    return times
 
 
 def run_benchmark(quick: bool = False) -> dict:
@@ -245,16 +250,22 @@ def run_benchmark(quick: bool = False) -> dict:
     assert fast == baseline, (
         "fast path diverged from the oracle — bit-identity violated")
 
-    fast_s, baseline_s = _best_of_interleaved(
+    fast_times, baseline_times = _interleaved(
         [lambda: _price_fast(pairs, latency_constraint),
          lambda: _price_baseline(pairs, latency_constraint)],
         repeats)
+    fast_s, baseline_s = min(fast_times), min(baseline_times)
+    q1, median, q3 = np.percentile(
+        np.divide(baseline_times, fast_times), [25, 50, 75]).tolist()
     return {
         "designs": designs,
         "latency_constraint": latency_constraint,
         "baseline_ms": baseline_s * 1e3,
         "fast_ms": fast_s * 1e3,
         "speedup": baseline_s / fast_s if fast_s > 0 else float("inf"),
+        "speedup_median": median,
+        "speedup_q1": q1,
+        "speedup_q3": q3,
         "gate": MIN_SPEEDUP,
         "pricing": stats.as_dict(),
     }
@@ -293,7 +304,9 @@ def render(report: dict) -> str:
                f"LS={report['latency_constraint']})"))
     return (f"{table}\n"
             f"speedup: {report['speedup']:.1f}x "
-            f"(gate: >= {report['gate']:.0f}x)   "
+            f"(gate: >= {report['gate']:.0f}x; per-repeat ratios: median "
+            f"{report['speedup_median']:.1f}x, quartiles "
+            f"{report['speedup_q1']:.1f}-{report['speedup_q3']:.1f}x)   "
             f"moves: {pricing['moves_priced']} priced, "
             f"{pricing['pruned']} pruned, {pricing['resumed']} resumed "
             f"({saved:.1%} steps skipped)")

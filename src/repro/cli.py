@@ -39,25 +39,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.core import (
-    EvolutionConfig,
-    EvolutionarySearch,
-    NASAIC,
-    NASAICConfig,
-    monte_carlo_search,
-    run_nas_per_task,
-)
-from repro.core.campaign import (
-    CampaignConfig,
-    Scenario,
-    format_campaign,
-    run_campaign,
-    save_campaign,
-)
+# Each command imports what it runs inside its ``_cmd_*`` function, so
+# a cold process loads only that.  ``save_result`` stays a module
+# global: it is the one seam callers patch to time or redirect saving.
 from repro.core.serialization import save_result
-from repro.core.strategies import StrategyNames
-from repro.workloads import workload_by_name
+from repro.core.strategies.registry import StrategyNames
+
+if TYPE_CHECKING:
+    from repro.core.campaign import Scenario
 
 __all__ = ["build_parser", "main"]
 
@@ -377,6 +368,8 @@ def _run_search(args: argparse.Namespace, search_class, config,
     ``--store``-backed) or ``--service`` pricing tier, run it with the
     checkpoint flags and report it; every resource the CLI opened is
     closed on the way out."""
+    from repro.workloads.presets import workload_by_name
+
     workload = workload_by_name(args.workload)
     store = remote = None
     if args.service:
@@ -409,6 +402,8 @@ def _run_search(args: argparse.Namespace, search_class, config,
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.core.search import NASAIC, NASAICConfig
+
     config = NASAICConfig(
         episodes=args.episodes, hw_steps=args.hw_steps, seed=args.seed,
         cache_size=args.cache_size)
@@ -418,6 +413,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    from repro.core.evolution import EvolutionConfig, EvolutionarySearch
+
     config = EvolutionConfig(
         population=args.population, generations=args.generations,
         seed=args.seed, cache_size=args.cache_size)
@@ -433,6 +430,7 @@ def _generated_scenarios(args: argparse.Namespace,
     spec's cost parameters apply in ``repro fuzz``, not here), so every
     scenario with an equal evaluation context still shares one service.
     """
+    from repro.core.campaign import Scenario
     from repro.workloads.generator import SIZE_CLASSES, generate_specs
 
     classes = tuple(c.strip() for c in args.generated_classes.split(",")
@@ -457,6 +455,14 @@ def _generated_scenarios(args: argparse.Namespace,
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.core.campaign import (
+        CampaignConfig,
+        Scenario,
+        format_campaign,
+        run_campaign,
+        save_campaign,
+    )
+
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     strategies = [s.strip() for s in args.strategies.split(",")
                   if s.strip()]
@@ -523,6 +529,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_nas(args: argparse.Namespace) -> int:
+    from repro.core.baselines import run_nas_per_task
+    from repro.workloads.presets import workload_by_name
+
     workload = workload_by_name(args.workload)
     result = run_nas_per_task(workload, episodes=args.episodes,
                               seed=args.seed)
@@ -534,6 +543,9 @@ def _cmd_nas(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    from repro.core.baselines import monte_carlo_search
+    from repro.workloads.presets import workload_by_name
+
     workload = workload_by_name(args.workload)
     if args.service:
         workload, cost_model, remote = _served_context(

@@ -33,16 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.accel.accelerator import HeterogeneousAccelerator
 from repro.accel.allocation import AllocationSpace
 from repro.arch.network import NetworkArch
 from repro.core.choices import JointSearchSpace
-from repro.core.controller import ControllerConfig, RNNController
 from repro.core.driver import RoundLog, SearchDriver, attach_service
 from repro.core.evaluator import Evaluator, HardwareEvaluation
 from repro.core.evalservice import EvalService
-from repro.core.reinforce import ReinforceConfig, ReinforceTrainer
 from repro.core.results import ExploredSolution, SearchResult
 from repro.core.reward import episode_reward, weighted_normalised_accuracy
 from repro.cost.model import CostModel
@@ -50,6 +49,10 @@ from repro.train.surrogate import AccuracySurrogate, default_surrogate
 from repro.train.trainer import SurrogateTrainer
 from repro.utils.rng import new_rng, restore_rng, rng_state, spawn_rng
 from repro.workloads.workload import DesignSpecs, Task, Workload
+
+if TYPE_CHECKING:
+    from repro.core.controller import ControllerConfig
+    from repro.core.reinforce import ReinforceConfig
 
 __all__ = [
     "NASOnlyResult",
@@ -149,12 +152,6 @@ class NASOnlyResult:
     trainings_run: int
 
 
-#: Accuracy-only searches face no feasibility cliffs, so they converge
-#: best with less exploration noise than the co-exploration defaults.
-_NAS_REINFORCE_DEFAULT = ReinforceConfig(entropy_beta=0.02,
-                                         learning_rate=0.08)
-
-
 class _ControllerEpisodeStrategy:
     """Shared plumbing for the single-controller RL baselines.
 
@@ -172,6 +169,10 @@ class _ControllerEpisodeStrategy:
         self.evaluator = evaluator
         self.forced = forced
         self.episodes = episodes
+        # Imported here: mc and the design sweeps run no controller.
+        from repro.core.controller import RNNController
+        from repro.core.reinforce import ReinforceTrainer
+
         master = new_rng(seed)
         self.controller = RNNController(space.decisions, controller_config,
                                         rng=spawn_rng(master, 0))
@@ -281,7 +282,13 @@ def run_nas(
 ) -> NASOnlyResult:
     """Conventional NAS [1]: maximise Eq. 2, no hardware in the loop."""
     if reinforce_config is None:
-        reinforce_config = _NAS_REINFORCE_DEFAULT
+        from repro.core.reinforce import ReinforceConfig
+
+        # Accuracy-only searches face no feasibility cliffs, so they
+        # converge best with less exploration noise than the
+        # co-exploration defaults.
+        reinforce_config = ReinforceConfig(entropy_beta=0.02,
+                                           learning_rate=0.08)
     allocation, _, surrogate, evaluator, space = _build_search_parts(
         workload, allocation, None, surrogate, rho=0.0)
     forced = space.encode_design(_reference_design(allocation))

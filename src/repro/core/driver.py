@@ -56,6 +56,7 @@ from repro.core.evaluator import Evaluator, HardwareEvaluation
 from repro.core.evalservice import EvalService, verify_injected_service
 from repro.core.results import SearchResult
 from repro.core.serialization import load_checkpoint, save_checkpoint
+from repro.core.strategies.registry import strategy_names
 from repro.cost.model import CostModel
 from repro.train.surrogate import AccuracySurrogate, default_surrogate
 from repro.train.trainer import SurrogateTrainer
@@ -303,9 +304,6 @@ class SearchDriver:
         """
         payload = load_checkpoint(path)
         if payload["strategy_name"] != self.strategy.strategy_name:
-            # Late import: the registry registers strategies that import
-            # this module, so the dependency must not be at module level.
-            from repro.core.strategies.registry import strategy_names
             raise ValueError(
                 f"checkpoint is for strategy "
                 f"{payload['strategy_name']!r}, not "

@@ -45,16 +45,17 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.accel.accelerator import HeterogeneousAccelerator
 from repro.arch.network import NetworkArch
-from repro.core.codec import accelerator_from_key
 from repro.core.evaluator import Evaluator, HardwareEvaluation
-from repro.core.store import EvalStore
 from repro.cost.params import CostModelParams
 from repro.utils.hashing import stable_hash
 from repro.workloads.workload import Workload
+
+if TYPE_CHECKING:
+    from repro.core.store import EvalStore
 
 __all__ = ["EvalService", "EvalServiceStats", "PricedBatch",
            "design_content", "design_digest", "evaluation_context_salt",
@@ -100,6 +101,8 @@ genotype_indices`), the accelerator from the key's slots and budget.
             invalid accelerator — or if the rebuilt pair's content is
             not exactly ``key`` (for example a non-canonical genotype).
     """
+    from repro.core.codec import accelerator_from_key
+
     identities, _slots, _budget = key
     tasks = workload.tasks
     if len(identities) != len(tasks):

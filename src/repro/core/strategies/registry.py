@@ -16,24 +16,19 @@ Campaign runners deliberately late-bind through the
 :mod:`repro.core.campaign` module namespace (``campaign_module.NASAIC``
 etc.) so tests and callers that monkeypatch a search entry point on the
 campaign module keep working exactly as with the old if/elif dispatch.
+
+The registry names strategy classes by module and attribute and imports
+them only when a config factory or fuzz builder runs, so listing the
+strategies (the CLI's ``--strategies`` choices and help) loads no
+search module.
 """
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
-
-from repro.core.evolution import EvolutionConfig, EvolutionarySearch
-from repro.core.search import NASAIC, NASAICConfig
-from repro.core.strategies.zoo import (
-    BayesOptConfig,
-    BayesOptSearch,
-    EnsembleConfig,
-    EnsembleSearch,
-    LocalSearchConfig,
-    LocalSearch,
-)
 
 __all__ = [
     "CampaignContext",
@@ -291,38 +286,39 @@ def _fuzz_design_sweep(scenario):
     return strategy, EvalService(evaluator)
 
 
-def _fuzz_search(cls, make_config):
-    """Fuzz builder for a :class:`~repro.core.driver.JointSearch` class
-    over its own service; ``make_config(scenario)`` sizes the run."""
+def _resolve(module: str, name: str) -> Any:
+    """``module.name``, importing ``module`` on first use."""
+    return getattr(importlib.import_module(module), name)
+
+
+def _config_factory(module: str, config_name: str, budget_field: str):
+    """``(budget, seed, rho) -> config`` for the config class
+    ``module.config_name``, with the budget in ``budget_field``."""
+    def factory(budget: int, seed: int, rho: float):
+        return _resolve(module, config_name)(
+            **{budget_field: budget}, seed=seed, rho=rho)
+    return factory
+
+
+def _fuzz_search(module: str, class_name: str, config_name: str,
+                 **sizes):
+    """Fuzz builder for the :class:`~repro.core.driver.JointSearch`
+    class ``module.class_name`` over its own service; ``sizes`` are the
+    ``module.config_name`` fields that size the run."""
     def build(scenario):
         from repro.cost.model import CostModel
-        strategy = cls(
+        config = _resolve(module, config_name)(
+            **sizes, seed=scenario.spec.seed, rho=scenario.rho,
+            calibrate_bounds=False)
+        strategy = _resolve(module, class_name)(
             scenario.workload, allocation=scenario.allocation,
             cost_model=CostModel(scenario.cost_params),
-            surrogate=scenario.build_surrogate(),
-            config=make_config(scenario))
+            surrogate=scenario.build_surrogate(), config=config)
         return strategy, strategy.evalservice
     return build
 
 
-_fuzz_nasaic = _fuzz_search(NASAIC, lambda s: NASAICConfig(
-    episodes=3, hw_steps=1, joint_batch=1, seed=s.spec.seed, rho=s.rho,
-    calibrate_bounds=False))
-
-_fuzz_evolution = _fuzz_search(EvolutionarySearch, lambda s: EvolutionConfig(
-    population=4, generations=3, tournament=2, elite=1, seed=s.spec.seed,
-    rho=s.rho, calibrate_bounds=False))
-
-_fuzz_local = _fuzz_search(LocalSearch, lambda s: LocalSearchConfig(
-    rounds=3, batch=2, seed=s.spec.seed, rho=s.rho, calibrate_bounds=False))
-
-_fuzz_bayesopt = _fuzz_search(BayesOptSearch, lambda s: BayesOptConfig(
-    rounds=3, batch=2, candidates=24, seed=s.spec.seed, rho=s.rho,
-    calibrate_bounds=False))
-
-_fuzz_ensemble = _fuzz_search(EnsembleSearch, lambda s: EnsembleConfig(
-    rounds=3, batch=2, candidates=24, models=3, epochs=30,
-    seed=s.spec.seed, rho=s.rho, calibrate_bounds=False))
+_ZOO = "repro.core.strategies.zoo"
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +329,12 @@ register_strategy(StrategySpec(
     description="RL co-exploration of architectures and accelerator "
                 "designs (the paper's framework)",
     budget_unit="episodes",
-    config_factory=lambda budget, seed, rho: NASAICConfig(
-        episodes=budget, seed=seed, rho=rho),
+    config_factory=_config_factory("repro.core.search", "NASAICConfig",
+                                   "episodes"),
     campaign_runner=_search_runner("NASAIC"),
-    fuzz_builder=_fuzz_nasaic,
+    fuzz_builder=_fuzz_search("repro.core.search", "NASAIC",
+                              "NASAICConfig", episodes=3, hw_steps=1,
+                              joint_batch=1),
     checkpoint_keys=("episode", "target_episodes", "controller_params",
                      "joint_updates", "hw_updates", "sample_rng",
                      "pending_joint", "result", "trainer"),
@@ -346,10 +344,12 @@ register_strategy(StrategySpec(
     name="evolution",
     description="steady-state GA over the same joint genome",
     budget_unit="generations",
-    config_factory=lambda budget, seed, rho: EvolutionConfig(
-        generations=budget, seed=seed, rho=rho),
+    config_factory=_config_factory("repro.core.evolution",
+                                   "EvolutionConfig", "generations"),
     campaign_runner=_search_runner("EvolutionarySearch"),
-    fuzz_builder=_fuzz_evolution,
+    fuzz_builder=_fuzz_search("repro.core.evolution", "EvolutionarySearch",
+                              "EvolutionConfig", population=4,
+                              generations=3, tournament=2, elite=1),
     checkpoint_keys=("generation", "rng", "population", "result",
                      "trainer"),
 ))
@@ -387,10 +387,10 @@ register_strategy(StrategySpec(
     description="best-improvement neighbourhood search with random "
                 "restarts",
     budget_unit="rounds",
-    config_factory=lambda budget, seed, rho: LocalSearchConfig(
-        rounds=budget, seed=seed, rho=rho),
+    config_factory=_config_factory(_ZOO, "LocalSearchConfig", "rounds"),
     campaign_runner=_search_runner("LocalSearch", warm=True),
-    fuzz_builder=_fuzz_local,
+    fuzz_builder=_fuzz_search(_ZOO, "LocalSearch", "LocalSearchConfig",
+                              rounds=3, batch=2),
     checkpoint_keys=("round", "sample_rng", "model_rng", "genes",
                      "rewards", "incumbent", "warm_count", "result",
                      "trainer", "model"),
@@ -401,10 +401,10 @@ register_strategy(StrategySpec(
     description="GP surrogate with expected-improvement and "
                 "constant-liar batching",
     budget_unit="rounds",
-    config_factory=lambda budget, seed, rho: BayesOptConfig(
-        rounds=budget, seed=seed, rho=rho),
+    config_factory=_config_factory(_ZOO, "BayesOptConfig", "rounds"),
     campaign_runner=_search_runner("BayesOptSearch", warm=True),
-    fuzz_builder=_fuzz_bayesopt,
+    fuzz_builder=_fuzz_search(_ZOO, "BayesOptSearch", "BayesOptConfig",
+                              rounds=3, batch=2, candidates=24),
     checkpoint_keys=("round", "sample_rng", "model_rng", "genes",
                      "rewards", "incumbent", "warm_count", "result",
                      "trainer", "model"),
@@ -415,10 +415,11 @@ register_strategy(StrategySpec(
     description="BANANAS-style bagged-MLP predictor "
                 "(mean-minus-variance acquisition)",
     budget_unit="rounds",
-    config_factory=lambda budget, seed, rho: EnsembleConfig(
-        rounds=budget, seed=seed, rho=rho),
+    config_factory=_config_factory(_ZOO, "EnsembleConfig", "rounds"),
     campaign_runner=_search_runner("EnsembleSearch", warm=True),
-    fuzz_builder=_fuzz_ensemble,
+    fuzz_builder=_fuzz_search(_ZOO, "EnsembleSearch", "EnsembleConfig",
+                              rounds=3, batch=2, candidates=24, models=3,
+                              epochs=30),
     checkpoint_keys=("round", "sample_rng", "model_rng", "genes",
                      "rewards", "incumbent", "warm_count", "result",
                      "trainer", "model"),

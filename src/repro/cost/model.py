@@ -191,7 +191,8 @@ class CostModel:
         latency = np.empty(len(flows), dtype=np.int64)
         energy = np.empty(len(flows))
         working_set = np.empty(len(flows), dtype=np.int64)
-        for flow in np.unique(flows).tolist():
+        # sorted(set()), not np.unique, which imports numpy.ma.
+        for flow in sorted(set(flows.tolist())):
             cells = np.flatnonzero(flows == flow)
             geometry = LayerGeometryBatch.from_identities(identities[cells])
             analysis = analyze_batch(geometry, Dataflow(flow),

@@ -1,33 +1,28 @@
 """Training substrate: dataset descriptors, the accuracy surrogate,
-and small NumPy regressors for model-guided search."""
+and small NumPy regressors for model-guided search.
 
-from repro.train.datasets import DATASETS, DatasetSpec, dataset_spec
-from repro.train.regressors import (
-    GaussianProcessRegressor,
-    MLPEnsembleRegressor,
-    expected_improvement,
-    normal_cdf,
-    normal_pdf,
-)
-from repro.train.surrogate import (
-    AccuracySurrogate,
-    SurrogateCalibration,
-    default_surrogate,
-)
-from repro.train.trainer import SurrogateTrainer, TrainingResult
+Names resolve on first access (:mod:`repro.utils.lazy`), so a search
+that never builds a regressor does not load one.
+"""
 
-__all__ = [
-    "AccuracySurrogate",
-    "DATASETS",
-    "DatasetSpec",
-    "GaussianProcessRegressor",
-    "MLPEnsembleRegressor",
-    "SurrogateCalibration",
-    "SurrogateTrainer",
-    "TrainingResult",
-    "dataset_spec",
-    "default_surrogate",
-    "expected_improvement",
-    "normal_cdf",
-    "normal_pdf",
-]
+from repro.utils.lazy import lazy_exports
+
+# Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "AccuracySurrogate": ".surrogate",
+    "DATASETS": ".datasets",
+    "DatasetSpec": ".datasets",
+    "GaussianProcessRegressor": ".regressors",
+    "MLPEnsembleRegressor": ".regressors",
+    "SurrogateCalibration": ".surrogate",
+    "SurrogateTrainer": ".trainer",
+    "TrainingResult": ".trainer",
+    "dataset_spec": ".datasets",
+    "default_surrogate": ".surrogate",
+    "expected_improvement": ".regressors",
+    "normal_cdf": ".regressors",
+    "normal_pdf": ".regressors",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

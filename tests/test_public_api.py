@@ -12,7 +12,8 @@ SUBPACKAGES = ["repro.arch", "repro.accel", "repro.cost", "repro.mapping",
                "repro.train", "repro.workloads", "repro.core",
                "repro.experiments", "repro.utils"]
 # Facades that resolve their names on first access (repro.utils.lazy).
-LAZY_FACADES = ["repro", "repro.core", "repro.workloads"]
+LAZY_FACADES = ["repro", "repro.core", "repro.core.strategies", "repro.train",
+                "repro.workloads"]
 
 
 class TestExports:
@@ -158,3 +159,62 @@ class TestColdImport:
         """)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "[]"
+
+    # Loaded by no cold search or mc: the campaign runner and its pool,
+    # the zoo and its regressors, the store, and numpy.ma (np.unique).
+    NEVER_IN_A_RUN = ["multiprocessing", "concurrent.futures", "numpy.ma",
+                      "repro.core.campaign", "repro.core.strategies.zoo",
+                      "repro.train.regressors", "repro.core.store"]
+
+    @pytest.mark.parametrize("argv, also_absent", [
+        (["mc", "--workload", "W3", "--runs", "8"],
+         ["repro.core.controller", "repro.core.reinforce"]),
+        (["search", "--workload", "W1", "--episodes", "1", "--hw-steps",
+          "1", "--progress", "0"], []),
+    ])
+    def test_cold_run_loads_only_what_it_runs(self, argv, also_absent):
+        unwanted = self.NEVER_IN_A_RUN + also_absent
+        result = run_fresh_python(f"""
+            import sys
+            from repro.cli import main
+
+            main({argv!r})
+            print(sorted(set({unwanted!r}) & set(sys.modules)))
+        """)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_package_import_loads_no_multiprocessing(self):
+        result = run_fresh_python("""
+            import sys
+            import repro
+            print("multiprocessing" in sys.modules)
+        """)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_campaign_help_lists_strategies_without_loading_them(self):
+        """``--strategies`` help renders every registered campaign
+        strategy from the registry alone, and ``_STRATEGY_CHOICES`` stays
+        the live registry view ``tests/test_strategies.py`` relies on."""
+        result = run_fresh_python("""
+            import contextlib, io, sys
+            from repro import cli
+            from repro.core.strategies.registry import (
+                StrategyNames, strategy_names)
+
+            assert isinstance(cli._STRATEGY_CHOICES, StrategyNames)
+            assert cli._STRATEGY_CHOICES == strategy_names(
+                campaign_only=True)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \\
+                    contextlib.suppress(SystemExit):
+                cli.main(["campaign", "--help"])
+            help_text = "".join(out.getvalue().split())
+            print([name for name in strategy_names(campaign_only=True)
+                   if repr(name) not in help_text])
+            print(sorted({"repro.core.strategies.zoo", "repro.core.search",
+                          "repro.core.evolution"} & set(sys.modules)))
+        """)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines() == ["[]", "[]"]
