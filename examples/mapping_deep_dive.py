@@ -3,8 +3,8 @@
 
 Walks one W1-style instance through every solver in the mapping
 package — the per-layer cost tables, the latency-greedy seed, the HAP
-heuristic, the exact branch-and-bound reference and the ILP energy lower
-bound — and prints the resulting Gantt-style schedule.
+heuristic and the exact branch-and-bound reference — and prints the
+resulting Gantt-style schedule.
 
 Run:  python examples/mapping_deep_dive.py
 """
@@ -14,7 +14,6 @@ from repro.accel import Dataflow, HeterogeneousAccelerator, SubAccelerator
 from repro.arch import cifar10_resnet_space, nuclei_unet_space
 from repro.mapping import (
     MappingProblem,
-    energy_lower_bound,
     list_schedule,
     solve_exact,
     solve_hap,
@@ -52,9 +51,6 @@ def main() -> None:
     hap = solve_hap(problem, budget)
     print(f"HAP heuristic:       makespan {hap.makespan:.4g}, "
           f"energy {hap.energy_nj:.4g} nJ, feasible={hap.feasible}")
-
-    bound = energy_lower_bound(problem, budget)
-    print(f"ILP lower bound:     energy >= {bound.energy_nj:.4g} nJ")
 
     if problem.num_slots ** problem.num_layers <= 2_000_000:
         exact = solve_exact(problem, budget)

@@ -1,9 +1,7 @@
 """Setuptools metadata for the ``repro`` package (sources under ``src/``).
 
 Install with ``pip install -e .``.  numpy is the only runtime
-dependency; scipy is needed only for the ILP energy bound
-(``repro.mapping.energy_lower_bound``), hence the ``ilp`` extra:
-``pip install -e '.[ilp]'``.
+dependency.
 """
 
 from setuptools import find_packages, setup
@@ -14,5 +12,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy"],
-    extras_require={"ilp": ["scipy"]},
 )

@@ -78,6 +78,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_int_list(text: str) -> list[int]:
+    """Argparse type for a comma-separated list of positive counts."""
+    return [_positive_int(item) for item in text.split(",") if item.strip()]
+
+
 def _positive_float(text: str) -> float:
     """Argparse type for durations that must be strictly positive."""
     value = float(text)
@@ -139,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint", default=None,
                        help="write a resumable checkpoint to this path "
                             "during the run")
-        p.add_argument("--checkpoint-every", type=int, default=10,
+        p.add_argument("--checkpoint-every", type=_nonnegative_int,
+                       default=10,
                        help="rounds between checkpoints when "
                             "--checkpoint is set (default: 10)")
         p.add_argument("--resume", default=None,
@@ -150,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_search)
     add_eval_service(p_search)
     add_checkpointing(p_search)
-    p_search.add_argument("--episodes", type=int, default=200)
-    p_search.add_argument("--hw-steps", type=int, default=10)
+    p_search.add_argument("--episodes", type=_positive_int, default=200)
+    p_search.add_argument("--hw-steps", type=_nonnegative_int, default=10)
     p_search.add_argument("--progress", type=int, default=50,
                           help="progress print interval (0 = silent)")
 
@@ -159,16 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_evolve)
     add_eval_service(p_evolve)
     add_checkpointing(p_evolve)
-    p_evolve.add_argument("--population", type=int, default=30)
-    p_evolve.add_argument("--generations", type=int, default=15)
+    p_evolve.add_argument("--population", type=_positive_int, default=30)
+    p_evolve.add_argument("--generations", type=_positive_int, default=15)
 
     p_nas = sub.add_parser("nas", help="accuracy-only per-task NAS")
     add_common(p_nas)
-    p_nas.add_argument("--episodes", type=int, default=200)
+    p_nas.add_argument("--episodes", type=_positive_int, default=200)
 
     p_mc = sub.add_parser("mc", help="joint Monte-Carlo search")
     add_common(p_mc)
-    p_mc.add_argument("--runs", type=int, default=2000)
+    p_mc.add_argument("--runs", type=_positive_int, default=2000)
     p_mc.add_argument("--service", default=None, metavar="ENDPOINT",
                       help="price through a running 'repro serve' "
                            "daemon (unix://SOCKET)")
@@ -185,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated strategies from "
                                  f"{_STRATEGY_CHOICES} "
                                  "(default: nasaic,mc)")
-    p_campaign.add_argument("--budgets", default="50",
+    p_campaign.add_argument("--budgets", type=_positive_int_list,
+                            default="50",
                             help="comma-separated budgets (episodes / "
                                  "generations / runs; default: 50)")
     p_campaign.add_argument("--seed", type=int, default=7)
@@ -303,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="regenerate paper tables/figures")
     p_exp.add_argument("target", choices=["fig1", "fig6", "table1",
                                           "table2", "all"])
-    p_exp.add_argument("--episodes", type=int, default=200)
-    p_exp.add_argument("--mc-runs", type=int, default=1500)
+    p_exp.add_argument("--episodes", type=_positive_int, default=200)
+    p_exp.add_argument("--mc-runs", type=_positive_int, default=1500)
     p_exp.add_argument("--seed", type=int, default=41)
     p_exp.add_argument("--store", default=None,
                        help="persistent evaluation store shared by the "
@@ -466,7 +473,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     strategies = [s.strip() for s in args.strategies.split(",")
                   if s.strip()]
-    budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
     for workload in workloads:
         if workload not in _WORKLOAD_CHOICES:
             raise SystemExit(f"unknown workload {workload!r} "
@@ -480,9 +486,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                  seed=args.seed, rho=args.rho)
         for workload in workloads
         for strategy in strategies
-        for budget in budgets)
+        for budget in args.budgets)
     if args.generated:
-        scenarios += _generated_scenarios(args, strategies, budgets)
+        scenarios += _generated_scenarios(args, strategies, args.budgets)
     result = run_campaign(CampaignConfig(
         scenarios=scenarios, cache_size=args.cache_size,
         workers=args.workers, store_path=args.store))

@@ -281,6 +281,8 @@ def run_nas(
     reinforce_config: ReinforceConfig | None = None,
 ) -> NASOnlyResult:
     """Conventional NAS [1]: maximise Eq. 2, no hardware in the loop."""
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     if reinforce_config is None:
         from repro.core.reinforce import ReinforceConfig
 

@@ -11,9 +11,9 @@ zero weight — their tokens were not decided by the policy in that episode.
 
 The paper quotes an initial learning rate of 0.99 decayed by 0.5 every 50
 steps; on the surrogate landscape that initial rate saturates the softmax
-heads within a few updates, so the default here is a gentler 0.15 with the
-same halving schedule shape (both are configurable, and the paper's values
-can be passed verbatim).
+heads within a few updates, so the default here is a gentler 0.15, halved
+every 100 updates rather than every 50 (``lr_decay_every``).  All three
+are configurable, and the paper's values can be passed verbatim.
 """
 
 from __future__ import annotations

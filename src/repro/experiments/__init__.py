@@ -3,11 +3,6 @@
 from repro.experiments.export import fig1_to_csv, fig6_to_csv
 from repro.experiments.fig1 import Fig1Result, format_fig1, run_fig1
 from repro.experiments.fig6 import Fig6Result, format_fig6, run_fig6
-from repro.experiments.sensitivity import (
-    SensitivityPoint,
-    format_sensitivity,
-    run_sensitivity,
-)
 from repro.experiments.timing import (
     SearchCostReport,
     format_timing,
@@ -30,7 +25,6 @@ __all__ = [
     "Fig1Result",
     "Fig6Result",
     "SearchCostReport",
-    "SensitivityPoint",
     "Table1Result",
     "Table1Row",
     "Table2Result",
@@ -39,13 +33,11 @@ __all__ = [
     "fig6_to_csv",
     "format_fig1",
     "format_fig6",
-    "format_sensitivity",
     "format_table1",
     "format_table2",
     "format_timing",
     "run_fig1",
     "run_fig6",
-    "run_sensitivity",
     "run_table1",
     "run_table2",
     "run_timing",

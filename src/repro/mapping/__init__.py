@@ -1,11 +1,10 @@
-"""Mapping & scheduling: HAP solvers, bounds and the list scheduler."""
+"""Mapping & scheduling: the HAP solver, its exact oracle and the list
+scheduler."""
 
-from repro.mapping.bounds import IlpBound, energy_lower_bound
 from repro.mapping.exact import ExactResult, solve_exact
 from repro.mapping.hap import HAPResult, solve_hap
 from repro.mapping.problem import MappingProblem
 from repro.mapping.schedule import (
-    POLICIES,
     MakespanEvaluator,
     MoveStats,
     Schedule,
@@ -16,14 +15,11 @@ from repro.mapping.schedule import (
 __all__ = [
     "ExactResult",
     "HAPResult",
-    "IlpBound",
     "MakespanEvaluator",
     "MappingProblem",
     "MoveStats",
-    "POLICIES",
     "Schedule",
     "ScheduledLayer",
-    "energy_lower_bound",
     "list_schedule",
     "solve_exact",
     "solve_hap",

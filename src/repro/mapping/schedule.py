@@ -8,16 +8,9 @@ resulting makespan.  Constraints:
   layer ``j-1`` finishes, regardless of where either is mapped;
 - a sub-accelerator executes one layer at a time.
 
-Three deterministic list-scheduling priority policies are provided (the
-default matches the paper's needs; the others back the scheduling
-ablation in ``benchmarks/bench_schedulers.py``):
-
-- ``"earliest_start"`` (default): schedule the ready layer that can
-  begin soonest, ties toward lower network index then lower flat id;
-- ``"lpt"``: among equal start times, prefer the longest-processing
-  layer (the classical LPT rule);
-- ``"critical_path"``: among equal start times, prefer the layer whose
-  remaining chain (priced at per-layer best-case durations) is longest.
+The scheduler is deterministic: among ready layers it starts the one
+that can begin soonest, ties toward lower network index then lower flat
+id.
 
 Task-level parallelism across DNNs — the paper's motivation for
 heterogeneous sub-accelerators — emerges naturally when different
@@ -28,15 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.mapping.problem import MappingProblem
 
 __all__ = ["MakespanEvaluator", "MoveStats", "ScheduledLayer", "Schedule",
-           "list_schedule", "POLICIES"]
-
-#: Valid priority policies for :func:`list_schedule`.
-POLICIES = ("earliest_start", "lpt", "critical_path")
+           "list_schedule"]
 
 
 @dataclass(frozen=True)
@@ -142,8 +130,8 @@ class MakespanEvaluator:
     The HAP inner loop evaluates thousands of single-layer moves per
     solve, and each move only needs the *makespan* of the trial
     assignment — not the full per-layer schedule.  This evaluator replays
-    the exact ``"earliest_start"`` simulation of :func:`list_schedule`
-    (same priority key, same tie-breaking) but
+    the exact simulation of :func:`list_schedule` (same priority key,
+    same tie-breaking) but
 
     - reads durations from pre-extracted Python ``int`` tables instead of
       per-element NumPy indexing,
@@ -597,31 +585,15 @@ class MakespanEvaluator:
         return max_finish
 
 
-def _remaining_chain_work(problem: MappingProblem) -> list[int]:
-    """Best-case remaining work (suffix sum of per-layer min durations)."""
-    best = np.min(problem.durations, axis=1)
-    remaining = [0] * problem.num_layers
-    for chain in problem.chains:
-        tail = 0
-        for flat_id in reversed(chain):
-            tail += int(best[flat_id])
-            remaining[flat_id] = tail
-    return remaining
-
-
 def list_schedule(problem: MappingProblem,
                   assignment: tuple[int, ...],
-                  *, policy: str = "earliest_start",
-                  validate: bool = True) -> Schedule:
-    """Schedule ``assignment`` under the chosen list-scheduling policy.
+                  *, validate: bool = True) -> Schedule:
+    """Schedule ``assignment`` earliest-start first.
 
     ``validate=False`` skips the assignment check for callers that
     produced the assignment themselves (the HAP solver); public callers
     keep the default.
     """
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown policy {policy!r}; expected one of {POLICIES}")
     if validate:
         problem.validate_assignment(assignment)
     num_nets = len(problem.chains)
@@ -630,12 +602,10 @@ def list_schedule(problem: MappingProblem,
     next_idx = [0] * num_nets           # next chain position per network
     net_ready = [0] * num_nets          # finish time of previous layer
     slot_free = [0] * problem.num_slots
-    remaining_work = (_remaining_chain_work(problem)
-                      if policy == "critical_path" else None)
     entries: list[ScheduledLayer] = []
     remaining = problem.num_layers
     while remaining:
-        best: tuple | None = None       # (start, tiebreak..., net, flat_id)
+        best: tuple | None = None       # (start, net, flat_id)
         for net in range(num_nets):
             chain = chains[net]
             if next_idx[net] >= len(chain):
@@ -643,17 +613,11 @@ def list_schedule(problem: MappingProblem,
             flat_id = chain[next_idx[net]]
             slot_pos = assignment[flat_id]
             start = max(net_ready[net], slot_free[slot_pos])
-            if policy == "lpt":
-                tiebreak = -durations[flat_id][slot_pos]
-            elif policy == "critical_path":
-                tiebreak = -remaining_work[flat_id]
-            else:
-                tiebreak = 0
-            key = (start, tiebreak, net, flat_id)
+            key = (start, net, flat_id)
             if best is None or key < best:
                 best = key
         assert best is not None, "unscheduled layers but none ready"
-        start, _, net, flat_id = best
+        start, net, flat_id = best
         slot_pos = assignment[flat_id]
         finish = start + durations[flat_id][slot_pos]
         entries.append(ScheduledLayer(flat_id, net, slot_pos, start, finish))

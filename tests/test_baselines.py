@@ -57,6 +57,11 @@ class TestRunNas:
         assert all(n.dataset == "cifar10"
                    for n in nas_result.best_networks)
 
+    def test_zero_episodes_rejected(self):
+        from repro.workloads import w3
+        with pytest.raises(ValueError, match="episodes"):
+            run_nas(w3(), episodes=0)
+
 
 class TestRunNasPerTask:
     @pytest.fixture(scope="class")

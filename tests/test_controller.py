@@ -437,3 +437,32 @@ class TestParamManagement:
             ControllerConfig(hidden_size=0)
         with pytest.raises(ValueError):
             ControllerConfig(temperature=0)
+
+
+class TestCheckpointing:
+    def test_save_load_roundtrip(self, tmp_path):
+        decisions = [Decision("a", 3, "arch"), Decision("b", 4, "hw")]
+        c1 = RNNController(decisions, ControllerConfig(hidden_size=8,
+                                                       embed_size=4),
+                           rng=np.random.default_rng(1))
+        path = tmp_path / "ctrl.npz"
+        c1.save(path)
+        c2 = RNNController(decisions, ControllerConfig(hidden_size=8,
+                                                       embed_size=4),
+                           rng=np.random.default_rng(99))
+        c2.load(path)
+        s1 = c1.sample(np.random.default_rng(5))
+        s2 = c2.sample(np.random.default_rng(5))
+        assert s1.actions == s2.actions
+
+    def test_structure_mismatch_rejected(self, tmp_path):
+        c1 = RNNController([Decision("a", 3, "arch")],
+                           ControllerConfig(hidden_size=8, embed_size=4),
+                           rng=np.random.default_rng(1))
+        path = tmp_path / "ctrl.npz"
+        c1.save(path)
+        c2 = RNNController([Decision("a", 4, "arch")],
+                           ControllerConfig(hidden_size=8, embed_size=4),
+                           rng=np.random.default_rng(1))
+        with pytest.raises(ValueError, match="decision structure"):
+            c2.load(path)

@@ -49,7 +49,6 @@ def test_custom_workload(monkeypatch, capsys):
 def test_mapping_deep_dive(monkeypatch, capsys):
     out = run_example(monkeypatch, capsys, "mapping_deep_dive.py", [])
     assert "HAP heuristic" in out
-    assert "ILP lower bound" in out
     assert "schedule (HAP heuristic):" in out
 
 

@@ -131,9 +131,9 @@ class TestLayering:
 
 class TestColdImport:
     def test_cli_import_loads_only_what_commands_run(self):
-        """``import repro.cli`` must not load the ILP solver or the
-        serving / fuzzing / scenario-generation stack: search and mc
-        never touch them, and every cold process would pay for them."""
+        """``import repro.cli`` must not load scipy or the serving /
+        fuzzing / scenario-generation stack: search and mc never touch
+        them, and every cold process would pay for them."""
         unwanted = ["scipy", "asyncio", "repro.core.server",
                     "repro.core.client", "repro.core.differential",
                     "repro.core.faults", "repro.workloads.generator"]

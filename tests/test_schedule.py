@@ -164,3 +164,23 @@ class TestProblemBuild:
     def test_empty_networks_rejected(self, cost_model, small_accel):
         with pytest.raises(ValueError, match="at least one network"):
             MappingProblem.build((), small_accel, cost_model)
+
+
+class TestScheduleInvariants:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_overlap_and_exact_busy_time(self, seed):
+        rng = np.random.default_rng(seed)
+        layers = 8
+        durations = rng.integers(1, 30, size=(layers, 2)).tolist()
+        prob = tiny_problem(durations, [tuple(range(4)),
+                                        tuple(range(4, 8))])
+        assignment = tuple(int(x) for x in rng.integers(0, 2, size=layers))
+        sched = list_schedule(prob, assignment)
+        for slot in (0, 1):
+            entries = sched.by_slot(slot)
+            for a, b in zip(entries, entries[1:]):
+                assert b.start >= a.finish
+            busy = sum(
+                int(prob.durations[fid, assignment[fid]])
+                for fid in range(layers) if assignment[fid] == slot)
+            assert sched.slot_busy_cycles(slot) == busy
